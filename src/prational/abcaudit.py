@@ -47,8 +47,12 @@ def _ideal_key(P):
     return (P.p, P.splitting.value, P.hensel_root)
 
 
-def height(F: QuadField, a: QuadInt, b: QuadInt, c: QuadInt) -> Height:
-    """log of prod_v max(|a|_v, |b|_v, |c|_v) over all places."""
+def height(F: QuadField, a: QuadInt, b: QuadInt, c: QuadInt, **factor_opts) -> Height:
+    """log of prod_v max(|a|_v, |b|_v, |c|_v) over all places.
+
+    A finite place counts only where P divides all of a, b and c, so the
+    finite part is 0, with nothing factored, when their norms are coprime;
+    that holds for every unit triple (u**n - 1) + 1 = u**n."""
     for x in (a, b, c):
         if x.is_zero():
             raise ValueError("height needs nonzero arguments")
@@ -60,20 +64,21 @@ def height(F: QuadField, a: QuadInt, b: QuadInt, c: QuadInt) -> Height:
         lo += math.log(best_lo)
         hi += math.log(best_hi)
     finite = 0.0
-    splits = [ideal_valuations(F, x) for x in (a, b, c)]
-    if any(s.status is not Status.COMPLETE for s in splits):
-        raise PartialFactorizationError("height needs complete ideal valuations")
-    vals = []
-    for s in splits:
-        vals.append({_ideal_key(P): v for P, v in s.entries})
-    norms = {}
-    for s in splits:
-        for P, _ in s.entries:
-            norms[_ideal_key(P)] = P.norm
-    for key in set().union(*vals):
-        vmin = min(v.get(key, 0) for v in vals)
-        if vmin > 0:
-            finite -= vmin * math.log(norms[key])
+    if math.gcd(a.norm(), b.norm(), c.norm()) > 1:
+        splits = [ideal_valuations(F, x, **factor_opts) for x in (a, b, c)]
+        if any(s.status is not Status.COMPLETE for s in splits):
+            raise PartialFactorizationError("height needs complete ideal valuations")
+        vals = []
+        for s in splits:
+            vals.append({_ideal_key(P): v for P, v in s.entries})
+        norms = {}
+        for s in splits:
+            for P, _ in s.entries:
+                norms[_ideal_key(P)] = P.norm
+        for key in set().union(*vals):
+            vmin = min(v.get(key, 0) for v in vals)
+            if vmin > 0:
+                finite -= vmin * math.log(norms[key])
     return Height(value=(lo + hi) / 2 + finite, width=hi - lo)
 
 
@@ -89,7 +94,7 @@ def unit_triple(F: QuadField, u: QuadInt, n: int, **factor_opts) -> AbcTriple:
     b = F.one()
     split = ideal_valuations(F, a, **factor_opts)
     rad = radical_of_ideal(split)
-    h = height(F, a, b, c)
+    h = height(F, a, b, c, **factor_opts)
     quality = h.value / math.log(rad) if rad > 1 else None
     return AbcTriple(a=a, b=b, c=c, height=h.value, radical=rad, quality=quality, n=n)
 

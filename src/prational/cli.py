@@ -47,11 +47,14 @@ _COMPUTE_ERRORS = (
     PartialFactorizationError,
     TooLargeDiscriminantError,
     InsufficientRecordsError,
+    OverflowError,   # e.g. scan-prational with an --X too large to sieve
 )
 
 
 class FactorCache:
-    """Append-only factorization cache.
+    """The factor table of one run: every integer the scans factor, keyed by
+    its absolute value.  The handlers pass it to ``factorint.factor`` as
+    ``cache``; ``--cache`` loads it from a file and appends what the run added.
 
     File format: one entry per line, ``value<TAB>p1^e1,p2^e2,...<TAB>cofactor``.
     Corrupt lines are skipped with a warning; writes are serialized.
@@ -181,14 +184,14 @@ def _csv_cell(v) -> str:
 
 
 def _parse_bound(text: str) -> int:
-    """Integer bound, accepting scientific notation like 1e12."""
-    try:
+    """Integer bound, exactly: an integer A, or AeB meaning A * 10**B for an
+    integer A and an integer B >= 0 (so 1e29 is 10**29)."""
+    mantissa, e, exponent = text.lower().partition("e")
+    if not e:
         return int(text)
-    except ValueError:
-        value = float(text)
-        if value != value or value < 0 or value > 1e30:
-            raise ValueError(f"bound {text!r} out of range")
-        return int(value)
+    if int(exponent) < 0:
+        raise ValueError(f"bound {text!r} is not an integer")
+    return int(mantissa) * 10 ** int(exponent)
 
 
 def _parse_minpoly(text: str) -> IntPoly:
@@ -249,7 +252,7 @@ def cmd_field_info(args, out) -> int:
 
 
 def cmd_scan_wieferich(args, out) -> int:
-    factor_opts = dict(rho_budget=args.factor_budget, seed=args.seed)
+    factor_opts = dict(rho_budget=args.factor_budget, seed=args.seed, cache=args.factor_table)
     if args.minpoly is not None:
         unit, constants = _constants_for_unit_poly(args.minpoly, args.precision_cap)
         records = scans.generic_unit_scan(unit, constants, args.n_max, **factor_opts)
@@ -320,7 +323,7 @@ def cmd_scan_prational(args, out) -> int:
 def cmd_abc_quality(args, out) -> int:
     F = _field_from_args(args)
     u = F.fundamental_unit
-    factor_opts = dict(rho_budget=args.factor_budget, seed=args.seed)
+    factor_opts = dict(rho_budget=args.factor_budget, seed=args.seed, cache=args.factor_table)
     report = abcaudit.squarefull_report(F, u, args.n_max, **factor_opts)
     if args.strict and any(r.status is not factorint.Status.COMPLETE for r in report):
         raise PartialFactorizationError("factor budget exhausted under --strict")
@@ -328,7 +331,7 @@ def cmd_abc_quality(args, out) -> int:
     for row in report:
         quality = None
         if row.status is factorint.Status.COMPLETE:
-            triple = abcaudit.unit_triple(F, u, row.n, rho_budget=args.factor_budget, seed=args.seed)
+            triple = abcaudit.unit_triple(F, u, row.n, **factor_opts)
             quality = triple.quality
         rows.append(
             {
@@ -423,18 +426,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
-    cache = None
     try:
         _validate(args)
-        if cache_path:
-            cache = cache_load(cache_path)
-            factorint.set_cache(cache)
+        cache = cache_load(cache_path) if cache_path else FactorCache()
+        args.factor_table = cache   # the handlers pass it to every factor call of the run
         if args.out:
             with open(args.out, "w") as fh:
                 code = args.handler(args, fh)
         else:
             code = args.handler(args, sys.stdout)
-        if cache is not None and cache_path:
+        if cache_path:
             fresh = len(cache.new_keys)
             cache_store(cache_path, cache)
             log.info("cache: %d hits, %d new entries stored", cache.hits, fresh)
@@ -445,8 +446,6 @@ def main(argv: list[str] | None = None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        factorint.set_cache(None)
 
 
 if __name__ == "__main__":

@@ -3,7 +3,10 @@
 Factoring runs trial division against a sieve, then Brent-cycle Pollard rho
 with a fixed seed and an iteration budget.  Giving up is a first-class
 outcome: the composite leftover is reported as a ``cofactor`` with status
-``PARTIAL`` instead of being mislabeled.  Primality is certified
+``PARTIAL`` instead of being mislabeled, and the listed primes keep exact
+exponents (none of them divides the cofactor).  A caller that factors many
+integers passes one factor table (see cli.FactorCache) as ``cache``, so no
+integer is factored twice in one run.  Primality is certified
 deterministically below 3.3e24 (fixed Miller-Rabin witness sets) and
 probabilistically (64 seeded rounds) above.
 
@@ -27,7 +30,7 @@ from .quadfield import (
     Splitting,
     split_prime,
 )
-from .polyarith import cyclotomic
+from .polyarith import cyclotomic, hensel_lift, iroot
 
 _TRIAL_BOUND = 10 ** 6
 _RHO_BUDGET = 4_000_000
@@ -35,28 +38,6 @@ _RHO_BUDGET = 4_000_000
 # deterministic Miller-Rabin below this bound with the first 13 prime bases
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-
-_sieve_primes: list[int] | None = None
-
-_active_cache = None
-
-
-def set_cache(cache) -> None:
-    """Install a mapping-like factorization cache (or None); see cli.FactorCache."""
-    global _active_cache
-    _active_cache = cache
-
-
-def active_cache():
-    return _active_cache
-
-
-def small_primes() -> list[int]:
-    """Primes below the trial-division bound (sieved once, cached)."""
-    global _sieve_primes
-    if _sieve_primes is None:
-        _sieve_primes = sieve(_TRIAL_BOUND)
-    return _sieve_primes
 
 
 def sieve(limit: int) -> list[int]:
@@ -69,6 +50,24 @@ def sieve(limit: int) -> list[int]:
             start = p * p
             flags[start :: p] = b"\x00" * len(range(start, limit + 1, p))
     return [i for i, v in enumerate(flags) if v]
+
+
+# Trial division by the primes below 1000 settles every integer below 1000**2,
+# such as d, n and 2*disc*h of a small field, so a run that factors nothing
+# larger never builds the sieve up to _TRIAL_BOUND (about 0.09 s); that one is
+# built on the first larger integer, once per process.
+_SMALL_BOUND = 1000
+_SMALL_PRIMES = sieve(_SMALL_BOUND)
+_sieve_primes: list[int] | None = None
+
+
+def _trial_primes(a: int) -> list[int]:
+    global _sieve_primes
+    if a < _SMALL_BOUND ** 2:
+        return _SMALL_PRIMES
+    if _sieve_primes is None:
+        _sieve_primes = sieve(_TRIAL_BOUND)
+    return _sieve_primes
 
 
 def is_prime(n: int, seed: int = 0) -> bool:
@@ -123,13 +122,6 @@ class Factorization:
             out *= p ** e
         return out
 
-    def radical(self) -> int:
-        """Product of the distinct known primes."""
-        out = 1
-        for p, _ in self.factors:
-            out *= p
-        return out
-
 
 def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int]:
     """One randomized Brent cycle attempt; returns (divisor or None, iterations used)."""
@@ -165,35 +157,23 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
     return None, used
 
 
-def _iroot(n: int, k: int) -> int:
-    if k == 1:
-        return n
-    if k == 2:
-        return math.isqrt(n)
-    hi = 1 << (n.bit_length() // k + 1)
-    lo = 0
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if mid ** k <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
 def factor(
     n: int,
     trial_bound: int = _TRIAL_BOUND,
     rho_budget: int = _RHO_BUDGET,
     seed: int = 0,
+    cache=None,
 ) -> Factorization:
     """Factor n; sign is tracked separately and the composite leftover (if the
-    budget runs out) lands in ``cofactor`` with status PARTIAL."""
+    budget runs out) lands in ``cofactor`` with status PARTIAL.
+
+    ``cache`` is a factor table with ``lookup`` and ``record`` (see
+    cli.FactorCache): answered from it when it holds |n|, recorded in it
+    otherwise."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = -1 if n < 0 else 1
     a = abs(n)
-    cache = _active_cache
     if cache is not None:
         hit = cache.lookup(a)
         if hit is not None:
@@ -202,7 +182,7 @@ def factor(
             return Factorization(n, sign, factors, cofactor, status)
     found: dict[int, int] = {}
     p = 2
-    for p in small_primes():
+    for p in _trial_primes(a):
         if p > trial_bound or p * p > a:
             break
         while a % p == 0:
@@ -225,7 +205,7 @@ def factor(
             # powers of a single prime defeat rho's cycle detection cheaply
             reduced = False
             for k in range(2, m.bit_length() + 1):
-                r = _iroot(m, k)
+                r = iroot(m, k)
                 if r > 1 and r ** k == m:
                     stack.extend([r] * k)
                     reduced = True
@@ -241,6 +221,11 @@ def factor(
                 continue
             stack.append(divisor)
             stack.append(m // divisor)
+    # a prime split off one branch can still divide a branch rho gave up on
+    for p in found:
+        while cofactor % p == 0:
+            cofactor //= p
+            found[p] += 1
     factors = tuple(sorted(found.items()))
     status = Status.COMPLETE if cofactor == 1 else Status.PARTIAL
     result = Factorization(n, sign, factors, cofactor, status)
@@ -293,8 +278,6 @@ def ideal_valuations(F: QuadField, alpha: QuadInt, **factor_opts) -> IdealSplit:
 
 
 def _valuations_above(F: QuadField, alpha: QuadInt, p: int, e: int):
-    from .quadfield import _hensel_lift
-
     ideals = split_prime(F, p)
     if ideals[0].splitting is Splitting.RAMIFIED:
         return [(ideals[0], e)]
@@ -306,7 +289,7 @@ def _valuations_above(F: QuadField, alpha: QuadInt, p: int, e: int):
     out = []
     total = 0
     for P in ideals:
-        r = _hensel_lift(F, P.root_mod_p(), p, e) if e > 1 else P.root_mod_p()
+        r = hensel_lift(F.omega_minpoly(), P.root_mod_p(), p, e)
         val_num = (alpha.x + alpha.y * r) % (p ** e)
         if val_num == 0:
             v = e

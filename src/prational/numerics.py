@@ -20,32 +20,16 @@ from fractions import Fraction
 import mpmath
 
 from .errors import NonConvergenceError, NotAUnitError, NotSquarefreeError
-from .polyarith import IntPoly, cyclotomic, euler_phi, poly_gcd
+from .polyarith import IntPoly, cyclotomic, euler_phi, iroot, poly_gcd, sqrt_bounds
 
 PRECISION_CAP_BITS = 2 ** 14
+_SQRT_BITS = 48   # precision of the rational square-root bounds on moduli and radii
 
 
 class CircleTest(enum.Enum):
     CLEAR = "clear"            # no conjugate on the unit circle
     ON_CIRCLE = "on_circle"    # some conjugate provably on the unit circle
     UNDECIDED = "undecided"
-
-
-def _sqrt_ub(q: Fraction, bits: int = 48) -> Fraction:
-    """Rational upper bound for sqrt(q), q >= 0."""
-    if q < 0:
-        raise ValueError("negative argument")
-    t = q.numerator * q.denominator
-    s = math.isqrt(t << (2 * bits))
-    return Fraction(s + 1, q.denominator << bits)
-
-
-def _sqrt_lb(q: Fraction, bits: int = 48) -> Fraction:
-    if q < 0:
-        raise ValueError("negative argument")
-    t = q.numerator * q.denominator
-    s = math.isqrt(t << (2 * bits))
-    return Fraction(s, q.denominator << bits)
 
 
 @dataclass(frozen=True)
@@ -58,11 +42,11 @@ class RootDisk:
     radius: Fraction
 
     def mod_lb(self) -> Fraction:
-        center = _sqrt_lb(self.re * self.re + self.im * self.im)
+        center, _ = sqrt_bounds(self.re * self.re + self.im * self.im, _SQRT_BITS)
         return max(Fraction(0), center - self.radius)
 
     def mod_ub(self) -> Fraction:
-        center = _sqrt_ub(self.re * self.re + self.im * self.im)
+        _, center = sqrt_bounds(self.re * self.re + self.im * self.im, _SQRT_BITS)
         return center + self.radius
 
     def overlaps(self, other: "RootDisk") -> bool:
@@ -129,7 +113,7 @@ def _certify_at_precision(f: IntPoly, prec: int, tol: Fraction) -> tuple[RootDis
         if den2 == 0:
             return None
         r2 = Fraction(deg * deg) * (num_re * num_re + num_im * num_im) / den2
-        radius = _sqrt_ub(r2)
+        _, radius = sqrt_bounds(r2, _SQRT_BITS)
         if radius >= tol:
             return None
         disks.append(RootDisk(re, im, radius))
@@ -288,24 +272,10 @@ class GrowthConstants:
 def _pow2_upper(num: int, den: int, bits: int = 32) -> Fraction:
     """Rational upper bound for 2**(num/den)."""
     target = 1 << (num + den * bits)  # t^den >= 2^(num + den*bits)
-    t = _nth_root_floor(target, den)
+    t = iroot(target, den)
     if t ** den < target:
         t += 1
     return Fraction(t, 1 << bits)
-
-
-def _nth_root_floor(n: int, k: int) -> int:
-    if k == 1:
-        return n
-    hi = 1 << (n.bit_length() // k + 1)
-    lo = 0
-    while lo < hi - 1:
-        mid = (lo + hi) // 2
-        if mid ** k <= n:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def growth_constants(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BITS) -> GrowthConstants:

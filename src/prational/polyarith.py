@@ -1,4 +1,4 @@
-"""Exact arithmetic on integer polynomials.
+"""Exact arithmetic on integers and integer polynomials, shared by every module.
 
 A polynomial is a tuple of arbitrary-precision integer coefficients in
 ascending degree order, so ``1 - 2x + x^3`` is ``(1, -2, 0, 1)``.  Everything
@@ -7,6 +7,9 @@ touches this path.  Cyclotomic polynomials are produced by iterated exact
 division of ``x^n - 1`` and cached, and resultants go through the
 subresultant polynomial remainder sequence so intermediate coefficients stay
 integral.
+
+The integer primitives live here too: integer k-th roots, rational bounds on
+square roots, Hensel lifting of simple roots, and root finding in F_p[x].
 """
 
 from __future__ import annotations
@@ -121,12 +124,6 @@ class IntPoly:
         if self.lead() < 0:
             c = -c
         return IntPoly(tuple(x // c for x in self.coeffs))
-
-    def shift_up(self, k: int) -> "IntPoly":
-        """Multiply by ``x**k``."""
-        if self.is_zero():
-            return self
-        return IntPoly((0,) * k + self.coeffs)
 
     def __repr__(self):
         return f"IntPoly('{self.pretty()}')"
@@ -295,37 +292,14 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(small + large[::-1])
 
 
-def _factor_small(n: int) -> list[tuple[int, int]]:
-    # trial division only; meant for sieve-scale n
-    out = []
-    for p in (2, 3):
-        e = 0
-        while n % p == 0:
-            n //= p
-            e += 1
-        if e:
-            out.append((p, e))
-    q = 5
-    while q * q <= n:
-        for p in (q, q + 2):
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            if e:
-                out.append((p, e))
-        q += 6
-    if n > 1:
-        out.append((n, 1))
-    return out
-
-
 def euler_phi(n: int) -> int:
     """Euler totient, via the factorization of n."""
+    from .factorint import factor
+
     if n < 1:
         raise ValueError("euler_phi requires n >= 1")
     phi = 1
-    for p, e in _factor_small(n):
+    for p, e in factor(n).factors:
         phi *= (p - 1) * p ** (e - 1)
     return phi
 
@@ -397,3 +371,160 @@ def power_poly(f: IntPoly, k: int) -> IntPoly:
             raise ArithmeticError("power sums did not yield integer coefficients")
         coeffs.append(int(v))
     return IntPoly.of(*coeffs)
+
+
+def iroot(n: int, k: int) -> int:
+    """Floor of the k-th root of n >= 0."""
+    if k == 1:
+        return n
+    if k == 2:
+        return math.isqrt(n)
+    hi = 1 << (n.bit_length() // k + 1)
+    lo = 0
+    while lo < hi - 1:
+        mid = (lo + hi) // 2
+        if mid ** k <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def sqrt_bounds(q: int | Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    """Rational (lower, upper) bounds for sqrt(q), q >= 0, that differ by
+    ``1 / (denominator(q) * 2**bits)``."""
+    q = Fraction(q)
+    if q < 0:
+        raise ValueError("negative argument")
+    s = math.isqrt(q.numerator * q.denominator << (2 * bits))
+    den = q.denominator << bits
+    return Fraction(s, den), Fraction(s + 1, den)
+
+
+def hensel_lift(f: IntPoly, r: int, p: int, k: int) -> int:
+    """Lift a simple root r of f from mod p to mod p**k (Newton steps that
+    double the precision)."""
+    fp = f.derivative()
+    target = p ** k
+    modulus = p
+    while modulus < target:
+        modulus = min(modulus * modulus, target)
+        deriv = fp.evaluate(r) % modulus
+        r = (r - f.evaluate(r) * pow(deriv, -1, modulus)) % modulus
+    return r % target
+
+
+# --- polynomials over F_p: coefficient lists, ascending degree -------------
+
+def _pmod_trim(a: list[int]) -> list[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _pmod_rem(a: list[int], b: list[int], p: int) -> list[int]:
+    """a mod b over F_p; b need not be monic."""
+    a = [c % p for c in a]
+    _pmod_trim(a)
+    inv_lead = pow(b[-1], -1, p)
+    while len(a) >= len(b):
+        coef = a[-1] * inv_lead % p
+        shift = len(a) - len(b)
+        for i, c in enumerate(b):
+            a[shift + i] = (a[shift + i] - coef * c) % p
+        _pmod_trim(a)
+        if not a:
+            break
+    return a
+
+
+def _pmod_mul(a: list[int], b: list[int], p: int) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in enumerate(b):
+                out[i + j] = (out[i + j] + c * d) % p
+    return _pmod_trim(out)
+
+
+def _pmod_gcd(a: list[int], b: list[int], p: int) -> list[int]:
+    a, b = [c % p for c in a], [c % p for c in b]
+    _pmod_trim(a)
+    _pmod_trim(b)
+    while b:
+        a, b = b, _pmod_rem(a, b, p)
+    if a:
+        inv = pow(a[-1], -1, p)
+        a = [c * inv % p for c in a]
+    return a
+
+
+def _pmod_pow(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
+    result = [1]
+    base = _pmod_rem(base, mod, p)
+    while e:
+        if e & 1:
+            result = _pmod_rem(_pmod_mul(result, base, p), mod, p)
+        base = _pmod_rem(_pmod_mul(base, base, p), mod, p)
+        e >>= 1
+    return result
+
+
+def roots_mod_p(f: IntPoly, p: int, max_tries: int = 64) -> list[int]:
+    """Roots of a monic squarefree-mod-p polynomial over F_p (deterministic
+    sequence of splitting shifts, so scans are reproducible)."""
+    fb = _pmod_trim([c % p for c in f.coeffs])
+    if p <= 3:
+        return sorted(r for r in range(p) if _pmod_eval(fb, r, p) == 0)
+    xp = _pmod_pow([0, 1], p, fb, p)
+    xp_minus_x = xp[:]
+    while len(xp_minus_x) < 2:
+        xp_minus_x.append(0)
+    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
+    linear_part = _pmod_gcd(_pmod_trim(xp_minus_x), fb, p)
+    roots: list[int] = []
+
+    def split(h: list[int], depth: int):
+        if len(h) <= 1:
+            return
+        if len(h) == 2:
+            roots.append((-h[0]) * pow(h[1], -1, p) % p)
+            return
+        for a in range(depth, depth + max_tries):
+            w = _pmod_pow([a, 1], (p - 1) // 2, h, p)
+            if len(w) == 0:
+                w = [0]
+            w = w[:]
+            w[0] = (w[0] - 1) % p
+            g1 = _pmod_gcd(_pmod_trim(w), h, p)
+            if 0 < len(g1) - 1 < len(h) - 1:
+                quot = _pmod_quot(h, g1, p)
+                split(g1, a + 1)
+                split(quot, a + 1)
+                return
+        raise RuntimeError("equal-degree splitting stalled")
+
+    split(linear_part, 0)
+    return sorted(roots)
+
+
+def _pmod_eval(a: list[int], x: int, p: int) -> int:
+    acc = 0
+    for c in reversed(a):
+        acc = (acc * x + c) % p
+    return acc
+
+
+def _pmod_quot(a: list[int], b: list[int], p: int) -> list[int]:
+    a = [c % p for c in a]
+    q = [0] * (len(a) - len(b) + 1)
+    inv_lead = pow(b[-1], -1, p)
+    while len(_pmod_trim(a)) >= len(b):
+        coef = a[-1] * inv_lead % p
+        shift = len(a) - len(b)
+        q[shift] = coef
+        for i, c in enumerate(b):
+            a[shift + i] = (a[shift + i] - coef * c) % p
+    return _pmod_trim(q)

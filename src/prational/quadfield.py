@@ -20,7 +20,7 @@ from .errors import (
     RamifiedUnsupportedError,
     TooLargeDiscriminantError,
 )
-from .polyarith import IntPoly
+from .polyarith import IntPoly, hensel_lift, sqrt_bounds
 
 _CLASS_NUMBER_DISC_CAP = 10 ** 6
 _PRINCIPALITY_SEARCH_CAP = 10 ** 6
@@ -146,12 +146,9 @@ class QuadInt:
     def approx(self) -> float:
         return self.x + self.y * self.field.omega_value()
 
-    def conj_approx(self) -> float:
-        return self.x + self.y * (self.field.t - self.field.omega_value())
-
     def embedding_bounds(self, bits: int = 96):
         """Exact rational (lower, upper) bounds on |sigma(self)| at both real places."""
-        lo, hi = _sqrt_bounds(self.field.d, bits)
+        lo, hi = sqrt_bounds(self.field.d, bits)
         if self.field.omega_half:
             wlo, whi = (1 + lo) / 2, (1 + hi) / 2
         else:
@@ -205,12 +202,6 @@ class PrimeIdealAboveP:
         return PrimeIdealAboveP(
             self.p, self.splitting, 1, self.p, (F.t - self.hensel_root) % p2
         )
-
-
-def _sqrt_bounds(n: int, bits: int = 96) -> tuple[Fraction, Fraction]:
-    """Dyadic lower/upper bounds for sqrt(n)."""
-    s = math.isqrt(n << (2 * bits))
-    return Fraction(s, 1 << bits), Fraction(s + 1, 1 << bits)
 
 
 def _squarefree(n: int) -> bool:
@@ -456,19 +447,6 @@ def _omega_roots_mod_p(F: QuadField, p: int) -> list[int]:
     return sorted(roots)
 
 
-def _hensel_lift(F: QuadField, r: int, p: int, k: int) -> int:
-    """Lift a simple root of w's minimal polynomial from mod p to mod p**k."""
-    f = F.omega_minpoly()
-    fp = f.derivative()
-    target = p ** k
-    modulus = p
-    while modulus < target:
-        modulus = min(modulus * modulus, target)
-        deriv = fp.evaluate(r) % modulus
-        r = (r - f.evaluate(r) * pow(deriv, -1, modulus)) % modulus
-    return r % target
-
-
 def split_prime(F: QuadField, p: int) -> list[PrimeIdealAboveP]:
     """Classify p in O_K; split primes carry Hensel-lifted residue roots mod p**2."""
     if p < 2:
@@ -481,8 +459,9 @@ def split_prime(F: QuadField, p: int) -> list[PrimeIdealAboveP]:
         split = kronecker_odd_prime(F.disc, p) == 1
     if not split:
         return [PrimeIdealAboveP(p, Splitting.INERT, 2, p * p, None)]
+    f = F.omega_minpoly()
     ideals = [
-        PrimeIdealAboveP(p, Splitting.SPLIT, 1, p, _hensel_lift(F, r, p, 2))
+        PrimeIdealAboveP(p, Splitting.SPLIT, 1, p, hensel_lift(f, r, p, 2))
         for r in _omega_roots_mod_p(F, p)
     ]
     return sorted(ideals, key=lambda P: P.hensel_root)
@@ -527,15 +506,6 @@ def residue_is_one(res, P: PrimeIdealAboveP) -> bool:
     if P.splitting is Splitting.SPLIT:
         return res == 1
     return res == (1, 0)
-
-
-def residue_value_mod_p(F: QuadField, u: QuadInt, P: PrimeIdealAboveP):
-    """Image of u in the residue field O/P: an int (split) or a pair (inert)."""
-    if P.splitting is Splitting.RAMIFIED:
-        raise RamifiedUnsupportedError("ramified primes are excluded")
-    if P.splitting is Splitting.SPLIT:
-        return (u.x + u.y * P.root_mod_p()) % P.p
-    return (u.x % P.p, u.y % P.p)
 
 
 def multiplicative_order(F: QuadField, u: QuadInt, P: PrimeIdealAboveP) -> int:

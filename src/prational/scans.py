@@ -2,9 +2,11 @@
 
 (A) Wieferich-ideal scan: for each n, split the ideal generated by the n-th
 cyclotomic value of a powered unit, and look for a prime ideal P of
-valuation exactly 1 with p coprime to n, residue order exactly n, and
-v**n != 1 mod P**2.  Distinct n give distinct ideals, so a window count
-turns the successes into a lower bound on rational primes up to X.
+valuation exactly 1 with p coprime to n and v**n != 1 mod P**2.  For p not
+dividing n, x**n - 1 is separable mod p, so every root of Phi_n in a residue
+field has exact order n: v has residue order exactly n at each such P, with
+no check needed.  Distinct n give distinct ideals, so a window count turns
+the successes into a lower bound on rational primes up to X.
 
 (B) p-rationality scan for real quadratic fields: a prime p (odd,
 unramified, coprime to the class number and above the excluded-prime bound)
@@ -26,15 +28,22 @@ from fractions import Fraction
 from .errors import InsufficientRecordsError
 from .factorint import Status, factor, ideal_valuations, sieve
 from .numerics import AlgebraicUnit, CircleTest, GrowthConstants, circle_test
-from .polyarith import IntPoly, cyclotomic, discriminant, euler_phi, power_poly, resultant
+from .polyarith import (
+    IntPoly,
+    cyclotomic,
+    discriminant,
+    euler_phi,
+    hensel_lift,
+    power_poly,
+    resultant,
+    roots_mod_p,
+)
 from .quadfield import (
-    PrimeIdealAboveP,
     QuadField,
     QuadInt,
     Splitting,
     excluded_prime_bound,
     residue_is_one,
-    residue_value_mod_p,
     split_prime,
     unit_pow_mod_p2,
 )
@@ -96,30 +105,6 @@ class CountReport:
     log_density: float
 
 
-def _prime_divisors(n: int) -> list[int]:
-    if n == 1:
-        return []
-    f = factor(n)
-    return [p for p, _ in f.factors]
-
-
-def _order_is_n(F: QuadField, v: QuadInt, P: PrimeIdealAboveP, n: int) -> bool:
-    """Exact multiplicative order n in O/P, via the prime divisors of n."""
-    p = P.p
-    if P.splitting is Splitting.SPLIT:
-        base = residue_value_mod_p(F, v, P)
-        if pow(base, n, p) != 1:
-            return False
-        return all(pow(base, n // q, p) != 1 for q in _prime_divisors(n))
-    from .quadfield import _pair_pow
-
-    bx, by = v.x % p, v.y % p
-    one = (1 % p, 0)
-    if _pair_pow(bx, by, n, F.t, F.s, p) != one:
-        return False
-    return all(_pair_pow(bx, by, n // q, F.t, F.s, p) != one for q in _prime_divisors(n))
-
-
 def _skip_record(n, phi_ok, cyclo_norm, factor_status, reason):
     return ScanRecord(
         n=n,
@@ -150,8 +135,8 @@ def wieferich_scan(
 
     Candidates at level n are the unramified prime ideals of valuation
     exactly 1 in (Phi_n(v)) whose rational prime does not divide n and whose
-    norm is at most norm_base**n; among those meeting the order and mod-P^2
-    conditions, the smallest (p, hensel root) wins, for determinism.
+    norm is at most norm_base**n; among those meeting the mod-P^2 condition,
+    the smallest (p, hensel root) wins, for determinism.
     Rows are emitted for every n, including failures and skips.
     """
     if not u.is_unit():
@@ -185,8 +170,6 @@ def wieferich_scan(
         )
         chosen = None
         for P in candidates:
-            if not _order_is_n(F, v, P, n):
-                continue
             if residue_is_one(unit_pow_mod_p2(F, v, n, P), P):
                 continue
             chosen = P
@@ -310,133 +293,6 @@ def rational_wieferich_scan(alpha: int, X: int) -> list[int]:
 
 # --- rational-prime-level scan for user-supplied units ----------------------
 
-def _pmod_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmod_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    """a mod b over F_p; b need not be monic."""
-    a = [c % p for c in a]
-    _pmod_trim(a)
-    inv_lead = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        coef = a[-1] * inv_lead % p
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * c) % p
-        _pmod_trim(a)
-        if not a:
-            break
-    return a
-
-
-def _pmod_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] = (out[i + j] + c * d) % p
-    return _pmod_trim(out)
-
-
-def _pmod_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = [c % p for c in a], [c % p for c in b]
-    _pmod_trim(a)
-    _pmod_trim(b)
-    while b:
-        a, b = b, _pmod_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _pmod_pow(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod_rem(base, mod, p)
-    while e:
-        if e & 1:
-            result = _pmod_rem(_pmod_mul(result, base, p), mod, p)
-        base = _pmod_rem(_pmod_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def _roots_mod_p(f: IntPoly, p: int, max_tries: int = 64) -> list[int]:
-    """Roots of a monic squarefree-mod-p polynomial over F_p (deterministic
-    sequence of splitting shifts, so scans are reproducible)."""
-    fb = _pmod_trim([c % p for c in f.coeffs])
-    if p <= 3 or len(fb) <= 3:
-        return sorted(r for r in range(p) if _pmod_eval(fb, r, p) == 0)
-    xp = _pmod_pow([0, 1], p, fb, p)
-    xp_minus_x = xp[:]
-    while len(xp_minus_x) < 2:
-        xp_minus_x.append(0)
-    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    linear_part = _pmod_gcd(_pmod_trim(xp_minus_x), fb, p)
-    roots: list[int] = []
-
-    def split(h: list[int], depth: int):
-        if len(h) <= 1:
-            return
-        if len(h) == 2:
-            roots.append((-h[0]) * pow(h[1], -1, p) % p)
-            return
-        for a in range(depth, depth + max_tries):
-            w = _pmod_pow([a, 1], (p - 1) // 2, h, p)
-            if len(w) == 0:
-                w = [0]
-            w = w[:]
-            w[0] = (w[0] - 1) % p
-            g1 = _pmod_gcd(_pmod_trim(w), h, p)
-            if 0 < len(g1) - 1 < len(h) - 1:
-                quot = _pmod_quot(h, g1, p)
-                split(g1, a + 1)
-                split(quot, a + 1)
-                return
-        raise RuntimeError("equal-degree splitting stalled")
-
-    split(linear_part, 0)
-    return sorted(roots)
-
-
-def _pmod_eval(a: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _pmod_quot(a: list[int], b: list[int], p: int) -> list[int]:
-    a = [c % p for c in a]
-    q = [0] * (len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], -1, p)
-    while len(_pmod_trim(a)) >= len(b):
-        coef = a[-1] * inv_lead % p
-        shift = len(a) - len(b)
-        q[shift] = coef
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * c) % p
-    return _pmod_trim(q)
-
-
-def _lift_root(g: IntPoly, r: int, p: int) -> int:
-    """Hensel lift of a simple root of g from mod p to mod p**2."""
-    p2 = p * p
-    deriv = g.derivative().evaluate(r) % p2
-    return (r - g.evaluate(r) * pow(deriv, -1, p2)) % p2
-
-
-def _int_order_is_n(r: int, p: int, n: int) -> bool:
-    if pow(r, n, p) != 1:
-        return False
-    return all(pow(r, n // q, p) != 1 for q in _prime_divisors(n))
-
-
 def generic_unit_scan(
     unit: AlgebraicUnit,
     constants: GrowthConstants,
@@ -448,7 +304,7 @@ def generic_unit_scan(
     Works entirely through resultants of the powered unit's minimal
     polynomial: candidate primes p divide |Res(g, Phi_n)| exactly once in
     |Res(g, x^n - 1)|, avoid n and disc(g), and must admit a root of g mod p
-    (a degree-1 prime).  Levels where every candidate prime has residue
+    (a degree-1 prime) that is also a root of Phi_n, hence of order n.  Levels where every candidate prime has residue
     degree > 1 are reported as skipped, so the completeness loss is visible.
     """
     if circle_test(unit) is not CircleTest.CLEAR:
@@ -484,14 +340,14 @@ def generic_unit_scan(
         chosen = None
         saw_higher_degree = False
         for p in candidates:
-            roots = _roots_mod_p(g, p)
+            roots = roots_mod_p(g, p)
             if not roots:
                 saw_higher_degree = True
                 continue
             for r in roots:
-                if not _int_order_is_n(r, p, n):
+                if cyclotomic(n).evaluate(r) % p:
                     continue
-                r2 = _lift_root(g, r, p)
+                r2 = hensel_lift(g, r, p, 2)
                 if pow(r2, n, p * p) == 1:
                     continue
                 chosen = (p, r2)

@@ -79,6 +79,18 @@ class TestFactor:
         f = factor(p ** 3)
         assert f.factors == ((p, 3),)
 
+    @given(
+        st.lists(st.sampled_from(sieve(20000)[1000:]), min_size=2, max_size=7),
+        st.integers(min_value=0, max_value=300),
+    )
+    def test_partial_exponents_are_exact(self, primes, budget):
+        n = math.prod(primes)
+        f = factor(n, trial_bound=10, rho_budget=budget)
+        assert f.product() == n
+        for p, e in f.factors:
+            assert e == primes.count(p)
+            assert math.gcd(f.cofactor, p) == 1
+
     @given(st.integers(min_value=2, max_value=10 ** 12))
     def test_roundtrip_property(self, n):
         f = factor(n)

@@ -10,9 +10,13 @@ from prational.polyarith import (
     divisors,
     euler_phi,
     half_totient_sieve,
+    hensel_lift,
+    iroot,
     poly_gcd,
     power_poly,
     resultant,
+    roots_mod_p,
+    sqrt_bounds,
 )
 
 
@@ -225,3 +229,39 @@ class TestDivision:
     @given(nonzero_polys, nonzero_polys)
     def test_div_exact_roundtrip(self, f, g):
         assert div_exact(f * g, g) == f
+
+
+class TestRootsModP:
+    def test_quadratic_at_a_large_prime(self):
+        # brute force over range(p) would never return here
+        p = 1052645985555841
+        roots = roots_mod_p(IntPoly.of(-1, -1, 1), p)
+        assert len(roots) == 2
+        assert all((r * r - r - 1) % p == 0 for r in roots)
+
+    @given(st.lists(st.integers(0, 100), min_size=1, max_size=4, unique=True))
+    def test_product_of_linear_factors(self, roots):
+        p = 101
+        f = IntPoly.of(1)
+        for r in roots:
+            f = f * IntPoly.of(-r, 1)
+        assert roots_mod_p(f, p) == sorted(roots)
+
+
+class TestIntegerRoots:
+    @given(st.integers(0, 10 ** 60), st.integers(1, 12))
+    def test_iroot_is_the_floor(self, n, k):
+        r = iroot(n, k)
+        assert r ** k <= n < (r + 1) ** k
+
+    @given(st.fractions(min_value=0, max_value=10 ** 9))
+    def test_sqrt_bounds_enclose(self, q):
+        lo, hi = sqrt_bounds(q, 48)
+        assert lo * lo <= q <= hi * hi
+        assert hi - lo == Fraction(1, q.denominator << 48)
+
+    def test_hensel_lift(self):
+        f = IntPoly.of(-2, 0, 1)
+        for k in (1, 2, 5):
+            r = hensel_lift(f, 3, 7, k)
+            assert f.evaluate(r) % 7 ** k == 0 and r % 7 == 3

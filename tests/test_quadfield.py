@@ -9,7 +9,6 @@ from prational.factorint import sieve
 from prational.quadfield import (
     PrimeIdealAboveP,
     Splitting,
-    _hensel_lift,
     _ideal_mul,
     excluded_prime_bound,
     make_field,

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 
 from prational.errors import InsufficientRecordsError
-from prational.factorint import sieve
+from prational.factorint import ideal_valuations, sieve
 from prational.numerics import certify_roots, growth_constants
-from prational.polyarith import IntPoly, euler_phi
+from prational.polyarith import IntPoly, cyclotomic, euler_phi
 from prational.quadfield import (
     Splitting,
     make_field,
@@ -129,6 +129,23 @@ class TestWieferichScan:
     def test_partial_budget_rows_skipped(self, field2, eps2, constants2):
         records = wieferich_scan(field2, eps2, constants2, 16, rho_budget=0, trial_bound=10)
         assert any(r.reason == "partial_factorization" for r in records)
+
+
+@pytest.mark.parametrize("d", [2, 3, 13])
+def test_prime_ideals_of_cyclotomic_values_have_order_n(d):
+    """The scans rely on this instead of checking it: for p not dividing n,
+    x**n - 1 is separable mod p, so v has exact order n modulo every prime
+    ideal P over p that divides Phi_n(v)."""
+    F = make_field(d)
+    v = F.fundamental_unit ** growth_constants(certify_roots(minpoly_of(F.fundamental_unit))).power
+    checked = 0
+    for n in range(1, 31):
+        for P, _ in ideal_valuations(F, cyclotomic(n).evaluate(v)).entries:
+            if P.splitting is Splitting.RAMIFIED or n % P.p == 0 or P.norm > 10 ** 15:
+                continue
+            assert multiplicative_order(F, v, P) == n
+            checked += 1
+    assert checked >= 30
 
 
 def _reconstruct_ideal(F, record):
