@@ -47,7 +47,7 @@ def _ideal_key(P):
     return (P.p, P.splitting.value, P.hensel_root)
 
 
-def height(F: QuadField, a: QuadInt, b: QuadInt, c: QuadInt, **factor_opts) -> Height:
+def height(F: QuadField, a: QuadInt, b: QuadInt, c: QuadInt) -> Height:
     """log of prod_v max(|a|_v, |b|_v, |c|_v) over all places.
 
     A finite place counts only where P divides all of a, b and c, so the
@@ -65,7 +65,7 @@ def height(F: QuadField, a: QuadInt, b: QuadInt, c: QuadInt, **factor_opts) -> H
         hi += math.log(best_hi)
     finite = 0.0
     if math.gcd(a.norm(), b.norm(), c.norm()) > 1:
-        splits = [ideal_valuations(F, x, **factor_opts) for x in (a, b, c)]
+        splits = [ideal_valuations(F, x) for x in (a, b, c)]
         if any(s.status is not Status.COMPLETE for s in splits):
             raise PartialFactorizationError("height needs complete ideal valuations")
         vals = []
@@ -94,7 +94,7 @@ def unit_triple(F: QuadField, u: QuadInt, n: int, **factor_opts) -> AbcTriple:
     b = F.one()
     split = ideal_valuations(F, a, **factor_opts)
     rad = radical_of_ideal(split)
-    h = height(F, a, b, c, **factor_opts)
+    h = height(F, a, b, c)
     quality = h.value / math.log(rad) if rad > 1 else None
     return AbcTriple(a=a, b=b, c=c, height=h.value, radical=rad, quality=quality, n=n)
 

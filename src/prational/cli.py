@@ -105,6 +105,8 @@ def cache_load(path: str | Path) -> FactorCache:
                 product *= p ** e
             if product != value:
                 raise ValueError("entry does not multiply back")
+            if any(cofactor % p == 0 for p, _ in factors):
+                raise ValueError("a listed prime divides the cofactor")
             cache.entries[value] = (tuple(factors), cofactor)
         except (ValueError, IndexError) as exc:
             log.warning("cache %s line %d corrupt (%s); skipped", path, lineno, exc)
@@ -185,13 +187,18 @@ def _csv_cell(v) -> str:
 
 def _parse_bound(text: str) -> int:
     """Integer bound, exactly: an integer A, or AeB meaning A * 10**B for an
-    integer A and an integer B >= 0 (so 1e29 is 10**29)."""
+    integer A and an integer B >= 0 (so 1e29 is 10**29).  AeB may have no
+    more digits than int() converts to text, since footers print X."""
     mantissa, e, exponent = text.lower().partition("e")
     if not e:
         return int(text)
-    if int(exponent) < 0:
+    a, b = int(mantissa), int(exponent)
+    if b < 0:
         raise ValueError(f"bound {text!r} is not an integer")
-    return int(mantissa) * 10 ** int(exponent)
+    max_digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    if len(str(abs(a))) + b > max_digits:
+        raise ValueError(f"bound {text!r} has too many digits")
+    return a * 10 ** b
 
 
 def _parse_minpoly(text: str) -> IntPoly:

@@ -116,6 +116,11 @@ class Factorization:
     cofactor: int
     status: Status
 
+    def complete_factors(self) -> tuple[tuple[int, int], ...]:
+        if self.status is not Status.COMPLETE:
+            raise PartialFactorizationError(f"cannot completely factor {self.value}")
+        return self.factors
+
     def product(self) -> int:
         out = self.sign * self.cofactor
         for p, e in self.factors:

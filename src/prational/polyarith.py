@@ -299,7 +299,7 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi requires n >= 1")
     phi = 1
-    for p, e in factor(n).factors:
+    for p, e in factor(n).complete_factors():
         phi *= (p - 1) * p ** (e - 1)
     return phi
 

@@ -538,15 +538,9 @@ def multiplicative_order(F: QuadField, u: QuadInt, P: PrimeIdealAboveP) -> int:
 
 
 def _merge_factors(facts) -> list[tuple[int, int]]:
-    from .errors import PartialFactorizationError
-
     merged: dict[int, int] = {}
     for f in facts:
-        if f.status.value != "complete":
-            raise PartialFactorizationError(
-                f"cannot completely factor group order component {f.value}"
-            )
-        for p, e in f.factors:
+        for p, e in f.complete_factors():
             merged[p] = merged.get(p, 0) + e
     return sorted(merged.items())
 
@@ -557,4 +551,4 @@ def excluded_prime_bound(F: QuadField) -> int:
     from .factorint import factor
 
     f = factor(2 * F.disc * F.class_number)
-    return max(3, max(p for p, _ in f.factors))
+    return max(3, max(p for p, _ in f.complete_factors()))

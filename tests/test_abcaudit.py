@@ -63,6 +63,16 @@ class TestHeight:
         assert abs(h.value - arch) < 1e-6
         assert h.width < 1e-9
 
+    @pytest.mark.parametrize("k", [2, 3, 6, 7])
+    def test_common_factor_cancels(self, field2, eps2, k):
+        # the height is projective: scaling by k (2 ramified, 3 inert, 7 split
+        # in Q(sqrt 2)) adds 2 log k at the real places and takes the same
+        # back at the finite places dividing all three norms
+        a = eps2 ** 3
+        base = height(field2, a, field2.one(), a + 1).value
+        kk = field2.element(k, 0)
+        assert abs(height(field2, kk * a, kk, kk * (a + 1)).value - base) < 1e-9
+
 
 class TestUnitTriple:
     def test_n3(self, field2, eps2):

@@ -57,7 +57,7 @@ def test_scientific_bound_is_exact(text, value, tmp_path):
     assert f"# X={value}\n" in payload
 
 
-@pytest.mark.parametrize("text", ["1e-3", "1.5e3", "1e"])
+@pytest.mark.parametrize("text", ["1e-3", "1.5e3", "1e", "1e999999999", "10e4299"])
 def test_inexact_bound_is_a_usage_error(text, tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["scan-prational", "--d", "2", "--X", text, "--out", str(tmp_path / "out")])
@@ -67,6 +67,14 @@ def test_inexact_bound_is_a_usage_error(text, tmp_path):
 def test_bound_too_large_to_sieve_is_a_compute_error(tmp_path):
     argv = ["scan-prational", "--d", "2", "--X", "1e40", "--out", str(tmp_path / "out")]
     assert cli.main(argv) == cli.EXIT_COMPUTE
+
+
+def test_cache_load_skips_inexact_partial_entries(tmp_path):
+    path = tmp_path / "cache.txt"
+    # 3^2 * 35 and 3 * 105 both multiply back to 315; the second lists 3
+    # with a short exponent, since 3 still divides its cofactor
+    path.write_text("315\t3^2\t35\n945\t3^1\t315\n")
+    assert cli.cache_load(path).entries == {315: (((3, 2),), 35)}
 
 
 def test_abc_run_factors_each_integer_once(monkeypatch, tmp_path):

@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from prational import factorint
+from prational.errors import PartialFactorizationError
 from prational.polyarith import (
     IntPoly,
     cyclotomic,
@@ -131,6 +133,12 @@ class TestEulerPhi:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             euler_phi(0)
+
+    def test_refuses_a_partial_factorization(self, monkeypatch):
+        real_factor = factorint.factor
+        monkeypatch.setattr(factorint, "factor", lambda n: real_factor(n, trial_bound=2, rho_budget=1))
+        with pytest.raises(PartialFactorizationError):
+            euler_phi(1000003 * 1000033)
 
 
 def _gcd(a, b):
