@@ -279,6 +279,13 @@ def cmd_scan_wieferich(args, out) -> int:
     }
     if args.X is not None:
         report = scans.count_report(records, constants, args.X)
+        if report.n_start > report.n_stop:
+            log.warning(
+                "warning: the count window is empty (n_start=%d > n_stop=%d): "
+                "X is below norm_cap_base**n_start",
+                report.n_start,
+                report.n_stop,
+            )
         summary.update(
             {
                 "X": report.limit,
@@ -378,7 +385,16 @@ def _build_parser() -> argparse.ArgumentParser:
         if x:
             p.add_argument("--X", type=_parse_bound, default=None, help="counting bound")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--factor-budget", type=int, default=factorint._RHO_BUDGET)
+        p.add_argument(
+            "--factor-budget",
+            type=int,
+            default=factorint._RHO_BUDGET,
+            help="work allowed per factored integer before it is reported partial, "
+            "in Pollard rho iterations: trial division is free, rho runs first "
+            "(at most %d iterations per composite), then each elliptic-curve "
+            "(ECM) curve costs %d; 0 means trial division only"
+            % (factorint._RHO_CAP, factorint._ECM_CURVE_COST),
+        )
         p.add_argument("--precision-cap", type=int, default=numerics.PRECISION_CAP_BITS)
         p.add_argument("--cache", type=str, default=None, help="factorization cache path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -428,10 +444,22 @@ def _validate(args) -> None:
         raise ValueError("--factor-budget must be >= 0")
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """``--minpoly -1,-1,0,1`` as ``--minpoly=-1,-1,0,1``: argparse reads a
+    separate value that starts with '-' and is not one number as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--minpoly" and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] = f"--minpoly={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
     try:
         _validate(args)

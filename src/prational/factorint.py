@@ -1,14 +1,20 @@
 """Integer primality/factorization and squarefree/squarefull ideal splits.
 
-Factoring runs trial division against a sieve, then Brent-cycle Pollard rho
-with a fixed seed and an iteration budget.  Giving up is a first-class
-outcome: the composite leftover is reported as a ``cofactor`` with status
-``PARTIAL`` instead of being mislabeled, and the listed primes keep exact
-exponents (none of them divides the cofactor).  A caller that factors many
-integers passes one factor table (see cli.FactorCache) as ``cache``, so no
-integer is factored twice in one run.  Primality is certified
-deterministically below 3.3e24 (fixed Miller-Rabin witness sets) and
-probabilistically (64 seeded rounds) above.
+Factoring runs three stages: trial division against a sieve; on each
+composite left over, Brent-cycle Pollard rho capped at _RHO_CAP iterations
+(enough for factors up to about 30 bits); then elliptic-curve (ECM) curves.
+One budget, ``rho_budget``, counted in rho iterations, covers both searches:
+each curve is charged _ECM_CURVE_COST, about its time in rho iterations, and
+runs only while that much budget is left, so ``rho_budget=0`` means trial
+division only.  The random starts come from one generator seeded with
+``seed``.  A perfect power r**k is factored through r, once.  Giving up is a
+first-class outcome: the composite leftover is reported as a ``cofactor``
+with status ``PARTIAL`` instead of being mislabeled, and the listed primes
+keep exact exponents (none of them divides the cofactor).  A caller that
+factors many integers passes one factor table (see cli.FactorCache) as
+``cache``, so no integer is factored twice in one run.  Primality is
+certified deterministically below 3.3e24 (fixed Miller-Rabin witness sets)
+and probabilistically (64 seeded rounds) above.
 
 The ideal layer splits a principal ideal of a real quadratic field into
 prime-ideal powers and separates the squarefree part (valuation exactly 1)
@@ -17,7 +23,9 @@ from the squarefull part (valuation >= 2).
 
 from __future__ import annotations
 
+import bisect
 import enum
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -34,6 +42,15 @@ from .polyarith import cyclotomic, hensel_lift, iroot
 
 _TRIAL_BOUND = 10 ** 6
 _RHO_BUDGET = 4_000_000
+_RHO_CAP = 1 << 16   # rho iterations per composite before ECM takes over
+
+# ECM bounds: a curve finds p when the order of its group mod p is B1-smooth
+# apart from one prime below B2.  These bounds suit factors of 30-60 bits;
+# one curve costs about as much time as _ECM_CURVE_COST rho iterations.
+_ECM_B1 = 2000
+_ECM_B2 = 100 * _ECM_B1
+_ECM_D = 210   # giant-step width of stage 2
+_ECM_CURVE_COST = 30_000
 
 # deterministic Miller-Rabin below this bound with the first 13 prime bases
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
@@ -55,19 +72,36 @@ def sieve(limit: int) -> list[int]:
 # Trial division by the primes below 1000 settles every integer below 1000**2,
 # such as d, n and 2*disc*h of a small field, so a run that factors nothing
 # larger never builds the sieve up to _TRIAL_BOUND (about 0.09 s); that one is
-# built on the first larger integer, once per process.
+# built on the first larger integer, once per process, and also gives ECM its
+# stage-2 primes.
 _SMALL_BOUND = 1000
 _SMALL_PRIMES = sieve(_SMALL_BOUND)
 _sieve_primes: list[int] | None = None
 
 
-def _trial_primes(a: int) -> list[int]:
+def _large_sieve() -> list[int]:
     global _sieve_primes
-    if a < _SMALL_BOUND ** 2:
-        return _SMALL_PRIMES
     if _sieve_primes is None:
         _sieve_primes = sieve(_TRIAL_BOUND)
     return _sieve_primes
+
+
+def _trial_primes(a: int) -> list[int]:
+    return _SMALL_PRIMES if a < _SMALL_BOUND ** 2 else _large_sieve()
+
+
+def _prime_power_product(bound: int) -> int:
+    """The product of the largest power of each prime that is <= bound."""
+    out = 1
+    for p in sieve(bound):
+        q = p
+        while q * p <= bound:
+            q *= p
+        out *= q
+    return out
+
+
+_ECM_K = _prime_power_product(_ECM_B1)   # the multiplier of ECM stage 1
 
 
 def is_prime(n: int, seed: int = 0) -> bool:
@@ -162,6 +196,81 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
     return None, used
 
 
+def _x_add(P, Q, diff, n):
+    """x(P + Q) from x(P), x(Q) and x(P - Q) on a Montgomery curve."""
+    u = (P[0] - P[1]) * (Q[0] + Q[1])
+    v = (P[0] + P[1]) * (Q[0] - Q[1])
+    s, t = u + v, u - v
+    return diff[1] * s * s % n, diff[0] * t * t % n
+
+
+def _x_dbl(P, a24, n):
+    """x(2P), with a24 = (A + 2) / 4 for the curve By^2 = x^3 + Ax^2 + x."""
+    s = (P[0] + P[1]) ** 2 % n
+    t = (P[0] - P[1]) ** 2 % n
+    c = s - t
+    return s * t % n, c * (t + a24 * c) % n
+
+
+def _x_mul(k: int, P, a24, n):
+    """x(kP) for k >= 1 by the Montgomery ladder."""
+    R0, R1 = P, _x_dbl(P, a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            R0, R1 = _x_add(R1, R0, P, n), _x_dbl(R1, a24, n)
+        else:
+            R0, R1 = _x_dbl(R0, a24, n), _x_add(R1, R0, P, n)
+    return R0
+
+
+def _ecm(n: int, rng: random.Random) -> int | None:
+    """One ECM curve on composite n; returns a proper divisor or None.
+
+    The curve and its starting point come from Suyama's parametrization
+    (group order divisible by 12).  Stage 1 multiplies the point by every
+    prime power up to B1; stage 2 catches one more prime p in (B1, B2]
+    by baby steps j*Q and giant steps m*D*Q with p = m*D +- j, since
+    x(m*D*Q) = x(j*Q) mod a prime q exactly when (m*D -+ j)*Q = 0 mod q.
+    """
+    sigma = rng.randrange(6, 1 << 32)
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    x0, z0 = pow(u, 3, n), pow(v, 3, n)
+    den = 16 * x0 * v % n
+    g = math.gcd(den, n)
+    if g != 1:
+        return g if g < n else None
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(den, -1, n) % n
+    Q = _x_mul(_ECM_K, (x0, z0), a24, n)
+    g = math.gcd(Q[1], n)
+    if g != 1:
+        return g if g < n else None
+    # baby steps: x(j*Q) for odd j < D/2 (those coprime to D are used)
+    half = _ECM_D // 2
+    baby = {1: Q}
+    Q2 = _x_dbl(Q, a24, n)
+    prev, cur = Q, _x_add(Q2, Q, Q, n)
+    for j in range(3, half, 2):
+        baby[j] = cur
+        prev, cur = cur, _x_add(cur, Q2, prev, n)
+    # giant steps: x(m*D*Q) for m = 2, 3, ..., with one product per prime
+    G = _x_mul(_ECM_D, Q, a24, n)
+    prev, cur, mD = G, _x_dbl(G, a24, n), 2 * _ECM_D
+    xm, zm = cur
+    acc = 1
+    primes = _large_sieve()
+    lo = bisect.bisect_right(primes, _ECM_B1)
+    hi = bisect.bisect_right(primes, _ECM_B2)
+    for p in itertools.islice(primes, lo, hi):
+        while mD + half < p:
+            prev, cur, mD = cur, _x_add(cur, G, prev, n), mD + _ECM_D
+            xm, zm = cur
+        xj, zj = baby[abs(p - mD)]
+        acc = acc * (xm * zj - xj * zm) % n
+    g = math.gcd(acc, n)
+    return g if 1 < g < n else None
+
+
 def factor(
     n: int,
     trial_bound: int = _TRIAL_BOUND,
@@ -201,32 +310,38 @@ def factor(
     if a > 1:
         rng = random.Random(seed)
         budget = rho_budget
-        stack = [a]
+        stack = [(a, 1)]   # (composite or prime, multiplicity in a)
         while stack:
-            m = stack.pop()
+            m, mult = stack.pop()
             if is_prime(m, seed=seed):
-                found[m] = found.get(m, 0) + 1
+                found[m] = found.get(m, 0) + mult
                 continue
-            # powers of a single prime defeat rho's cycle detection cheaply
+            # a perfect power r**k is factored through r, once; this also
+            # spares rho the powers of one prime, where it cannot find a cycle
             reduced = False
             for k in range(2, m.bit_length() + 1):
                 r = iroot(m, k)
                 if r > 1 and r ** k == m:
-                    stack.extend([r] * k)
+                    stack.append((r, mult * k))
                     reduced = True
                     break
             if reduced:
                 continue
             divisor = None
-            while budget > 0 and divisor is None:
-                divisor, used = _brent_rho(m, rng, budget)
+            rho_left = min(budget, _RHO_CAP)
+            while rho_left > 0 and divisor is None:
+                divisor, used = _brent_rho(m, rng, rho_left)
+                rho_left -= max(used, 1)
                 budget -= max(used, 1)
+            while budget >= _ECM_CURVE_COST and divisor is None:
+                divisor = _ecm(m, rng)
+                budget -= _ECM_CURVE_COST
             if divisor is None:
-                cofactor *= m
+                cofactor *= m ** mult
                 continue
-            stack.append(divisor)
-            stack.append(m // divisor)
-    # a prime split off one branch can still divide a branch rho gave up on
+            stack.append((divisor, mult))
+            stack.append((m // divisor, mult))
+    # a prime split off one branch can still divide a branch the search gave up on
     for p in found:
         while cofactor % p == 0:
             cofactor //= p

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import NonConvergenceError
+
 
 @dataclass(frozen=True)
 class IntPoly:
@@ -504,7 +506,7 @@ def roots_mod_p(f: IntPoly, p: int, max_tries: int = 64) -> list[int]:
                 split(g1, a + 1)
                 split(quot, a + 1)
                 return
-        raise RuntimeError("equal-degree splitting stalled")
+        raise NonConvergenceError("equal-degree splitting stalled")
 
     split(linear_part, 0)
     return sorted(roots)

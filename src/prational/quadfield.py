@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
+    NonConvergenceError,
     NotSquarefreeError,
     RamifiedUnsupportedError,
     TooLargeDiscriminantError,
@@ -24,6 +25,7 @@ from .polyarith import IntPoly, hensel_lift, sqrt_bounds
 
 _CLASS_NUMBER_DISC_CAP = 10 ** 6
 _PRINCIPALITY_SEARCH_CAP = 10 ** 6
+_CF_MAX_STEPS = 100_000   # continued-fraction steps to the fundamental unit
 
 
 class Splitting(enum.Enum):
@@ -225,7 +227,7 @@ def _fundamental_unit(d: int, omega_half: bool) -> tuple[int, int]:
     sq = math.isqrt(d)
     h1, h2 = 1, 0  # h_{i-1}, h_{i-2}
     k1, k2 = 0, 1
-    for _ in range(100000):
+    for _ in range(_CF_MAX_STEPS):
         if Q > 0:
             a = (P + sq) // Q
         else:
@@ -238,7 +240,7 @@ def _fundamental_unit(d: int, omega_half: bool) -> tuple[int, int]:
         k2, k1 = k1, k
         P = a * Q - P
         Q = (d - P * P) // Q
-    raise RuntimeError("continued fraction did not produce a unit")
+    raise NonConvergenceError("continued fraction did not produce a unit")
 
 
 # --- ideal lattices: (a, b, c) is the Z-module Z*a + Z*(b + c*w) ---

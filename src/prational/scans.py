@@ -217,9 +217,16 @@ def count_report(records: list[ScanRecord], constants: GrowthConstants, X: int) 
     if X < 1:
         raise ValueError("X must be >= 1")
     gamma = constants.norm_base
-    n_stop = 0
-    while gamma ** (n_stop + 1) <= X:
-        n_stop += 1
+    # n_stop from logarithms (gamma**n has millions of digits at X = 1e4299);
+    # compare exactly only where log X / log gamma is too close to an integer
+    # for the floating-point error to be ruled out
+    t = math.log(X) / math.log(gamma)
+    n_stop = math.floor(t)
+    if min(t - n_stop, n_stop + 1 - t) <= 1e-9 * (t + 1):
+        while gamma ** n_stop > X:
+            n_stop -= 1
+        while gamma ** (n_stop + 1) <= X:
+            n_stop += 1
     max_n = max((r.n for r in records), default=0)
     if max_n < n_stop:
         raise InsufficientRecordsError(

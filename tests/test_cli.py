@@ -8,12 +8,14 @@ A change that is meant to alter a payload regenerates them with
 
 from __future__ import annotations
 
+import logging
+import re
 import sys
 from pathlib import Path
 
 import pytest
 
-from prational import cli, factorint
+from prational import cli, factorint, polyarith, quadfield
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -75,6 +77,85 @@ def test_cache_load_skips_inexact_partial_entries(tmp_path):
     # with a short exponent, since 3 still divides its cofactor
     path.write_text("315\t3^2\t35\n945\t3^1\t315\n")
     assert cli.cache_load(path).entries == {315: (((3, 2),), 35)}
+
+
+def test_minpoly_value_may_follow_a_space(tmp_path):
+    argv = ["scan-wieferich", "--minpoly", "-1,-1,0,1", "--n-max", "40"]
+    assert run_cli(argv, tmp_path / "out") == (GOLDEN / "scan-wieferich-cubic.csv").read_bytes()
+
+
+def test_empty_count_window_is_warned(caplog, tmp_path):
+    argv = ["scan-wieferich", "--d", "2", "--n-max", "30", "--X", "1e29"]
+    with caplog.at_level(logging.WARNING, logger="prational"):
+        payload = run_cli(argv, tmp_path / "out").decode()
+    assert "# window_n_start=32\n# window_n_stop=18\n" in payload
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and "n_start=32 > n_stop=18" in warnings[0]
+
+
+def test_huge_bound_beyond_the_records_is_a_compute_error(capsys, tmp_path):
+    argv = ["scan-wieferich", "--d", "2", "--n-max", "30", "--X", "1e4299"]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_COMPUTE
+    assert capsys.readouterr().err == (
+        "error: records cover n <= 30 but the window needs n <= 2773\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "stall, argv, message",
+    [
+        # no shift left to try: the split of a polynomial with several roots stalls
+        ((polyarith.roots_mod_p, "__defaults__", (0,)),
+         ["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "40"],
+         "equal-degree splitting stalled"),
+        # no continued-fraction step allowed: no fundamental unit is found
+        ((quadfield, "_CF_MAX_STEPS", 0), ["field-info", "--d", "2"],
+         "continued fraction did not produce a unit"),
+    ],
+)
+def test_non_convergence_is_a_compute_error(stall, argv, message, monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(*stall)
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_COMPUTE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "bad_line",
+    [
+        "15\t3^1,5^1",             # too few fields
+        "15\t3^1\t5\t1",         # too many fields
+        "15\tthree^1\t5",         # a prime that is not an integer
+        "15\t3^1\tfive",          # a cofactor that is not an integer
+        "15\t3^1,5",               # an item without an exponent
+        "15\t3^1,5^2\t1",         # does not multiply back
+    ],
+)
+def test_corrupt_cache_line_is_skipped_with_one_warning(bad_line, caplog, tmp_path):
+    path = tmp_path / "cache.txt"
+    path.write_text(f"15\t3^1,5^1\t1\n{bad_line}\n21\t3^1,7^1\t1\n")
+    with caplog.at_level(logging.WARNING, logger="prational"):
+        cache = cli.cache_load(path)
+    assert cache.entries == {15: (((3, 1), (5, 1)), 1), 21: (((3, 1), (7, 1)), 1)}
+    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    assert len(warnings) == 1 and "line 2 corrupt" in warnings[0]
+
+
+def test_warm_run_on_a_corrupt_cache_matches_the_cold_run(caplog, tmp_path):
+    argv = ["abc-quality", "--d", "2", "--n-max", "40", "--cache", str(tmp_path / "cache.txt")]
+    expected = (GOLDEN / "abc-quality-d2.csv").read_bytes()
+    assert run_cli(argv, tmp_path / "cold") == expected
+    path = tmp_path / "cache.txt"
+    lines = path.read_text().splitlines()
+    value, factors, cofactor = lines[10].split("\t")
+    lines[10] = f"{value}\t{factors}"                        # wrong field count
+    value, factors, cofactor = lines[20].split("\t")
+    lines[20] = f"{value}\t{factors}\tx{cofactor}"           # non-integer field
+    value, factors, cofactor = lines[30].split("\t")
+    lines[30] = f"{value}\t{factors}\t{int(cofactor) + 1}"   # does not multiply back
+    path.write_text("\n".join(lines) + "\n")
+    with caplog.at_level(logging.WARNING, logger="prational"):
+        assert run_cli(argv, tmp_path / "warm") == expected
+    assert re.findall(r" line (\d+) corrupt", caplog.text) == ["11", "21", "31"]
 
 
 def test_abc_run_factors_each_integer_once(monkeypatch, tmp_path):

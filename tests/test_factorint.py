@@ -1,8 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+import sympy
+from hypothesis import given, settings, strategies as st
 
+from prational import factorint
 from prational.errors import PartialFactorizationError
 from prational.factorint import (
     Status,
@@ -98,6 +100,72 @@ class TestFactor:
         assert f.product() == n
         for p, _ in f.factors:
             assert is_prime(p)
+
+
+def count_searches(monkeypatch):
+    """Record the integer of each rho attempt and each ECM curve."""
+    searched = []
+    real_rho, real_ecm = factorint._brent_rho, factorint._ecm
+
+    def rho(n, *args):
+        searched.append(("rho", n))
+        return real_rho(n, *args)
+
+    def ecm(n, *args):
+        searched.append(("ecm", n))
+        return real_ecm(n, *args)
+
+    monkeypatch.setattr(factorint, "_brent_rho", rho)
+    monkeypatch.setattr(factorint, "_ecm", ecm)
+    return searched
+
+
+# a semiprime whose smaller prime (48 bits) is beyond a capped rho but found
+# by ECM; it is the hard part of the norm of Phi_97(v), v = (1+sqrt(2))**2
+HARD_P, HARD_Q = 195418370547079, 7720033903045593593
+
+
+class TestSearch:
+    def test_wieferich_norm_at_97_completes(self, field2, eps2, constants2):
+        v = eps2 ** constants2.power
+        norm = abs(cyclotomic(97).evaluate(v).norm())
+        f = factor(norm)
+        assert f.status is Status.COMPLETE
+        assert dict(f.factors) == sympy.factorint(norm)
+        assert dict(f.factors) == {4463: 2, HARD_P: 2, HARD_Q: 2}
+
+    @settings(max_examples=8)
+    @given(st.lists(st.integers(2 ** 30, 2 ** 50), min_size=2, max_size=3))
+    def test_products_of_large_primes(self, starts):
+        primes = [sympy.nextprime(a) for a in starts]
+        n = math.prod(primes)
+        f = factor(n, trial_bound=10)
+        assert f.product() == n
+        if f.status is Status.COMPLETE:
+            assert dict(f.factors) == sympy.factorint(n)
+        for p, e in f.factors:
+            assert e == primes.count(p)
+            assert math.gcd(f.cofactor, p) == 1
+
+    def test_square_base_is_searched_once(self, monkeypatch):
+        r = HARD_P * HARD_Q
+        searched = count_searches(monkeypatch)
+        assert factor(r).factors == ((HARD_P, 1), (HARD_Q, 1))
+        once = list(searched)
+        searched.clear()
+        assert factor(4463 ** 2 * r ** 2).factors == ((4463, 2), (HARD_P, 2), (HARD_Q, 2))
+        assert searched == once
+        assert {n for _, n in once} == {r}
+        assert {kind for kind, _ in once} == {"rho", "ecm"}
+
+    @pytest.mark.parametrize("budget", [0, 1, 5000, factorint._ECM_CURVE_COST - 1])
+    def test_small_budget_runs_no_curve(self, budget, monkeypatch):
+        searched = count_searches(monkeypatch)
+        f = factor(4 * HARD_P * HARD_Q, rho_budget=budget)
+        assert f.status is Status.PARTIAL
+        assert f.factors == ((2, 2),) and f.cofactor == HARD_P * HARD_Q
+        assert all(kind == "rho" for kind, _ in searched)
+        assert (budget == 0) == (searched == [])
 
 
 class TestIdealValuations:

@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -195,6 +196,31 @@ class TestCountReport:
         report = count_report(records, constants2, X)
         assert report.n_stop == 7
         assert gamma ** report.n_stop <= X < gamma ** (report.n_stop + 1)
+
+
+    def test_window_end_matches_brute_force(self, field2, eps2, constants2):
+        records = wieferich_scan(field2, eps2, constants2, 40)
+        gamma = constants2.norm_base
+        bounds = [1, 2, 35, 36, 10 ** 29, 10 ** 60]
+        for k in range(1, 41):
+            power = gamma ** k
+            bounds += [math.floor(power), math.ceil(power), math.ceil(power) + 1]
+        for X in bounds:
+            n_stop = 0
+            while gamma ** (n_stop + 1) <= X:
+                n_stop += 1
+            assert count_report(records, constants2, X).n_stop == n_stop
+
+    def test_huge_bound_is_answered_at_once(self, field2, eps2, constants2):
+        records = wieferich_scan(field2, eps2, constants2, 30)
+        X = 10 ** 4299
+        start = time.perf_counter()
+        with pytest.raises(InsufficientRecordsError) as exc:
+            count_report(records, constants2, X)
+        assert time.perf_counter() - start < 0.5
+        n_stop = int(str(exc.value).rsplit(" ", 1)[1])
+        gamma = constants2.norm_base
+        assert gamma ** n_stop <= X < gamma ** (n_stop + 1)
 
 
 class TestClassifyPrime:
