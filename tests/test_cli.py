@@ -122,12 +122,12 @@ def test_non_convergence_is_a_compute_error(stall, argv, message, monkeypatch, c
 @pytest.mark.parametrize(
     "bad_line",
     [
-        "15\t3^1,5^1",             # too few fields
-        "15\t3^1\t5\t1",         # too many fields
-        "15\tthree^1\t5",         # a prime that is not an integer
-        "15\t3^1\tfive",          # a cofactor that is not an integer
-        "15\t3^1,5",               # an item without an exponent
-        "15\t3^1,5^2\t1",         # does not multiply back
+        "15\t3^1,5^1",     # too few fields
+        "15\t3^1\t5\t1",   # too many fields
+        "15\tthree^1\t5",  # a prime that is not an integer
+        "15\t3^1\tfive",   # a cofactor that is not an integer
+        "15\t3^1,5",       # an item without an exponent
+        "15\t3^1,5^2\t1",  # does not multiply back
     ],
 )
 def test_corrupt_cache_line_is_skipped_with_one_warning(bad_line, caplog, tmp_path):
