@@ -47,7 +47,10 @@ _COMPUTE_ERRORS = (
     PartialFactorizationError,
     TooLargeDiscriminantError,
     InsufficientRecordsError,
-    OverflowError,   # e.g. scan-prational with an --X too large to sieve
+    # an internal inconsistency (factorint's ideal valuations, polyarith's
+    # power sums), or an OverflowError: scan-prational with an --X too large
+    # to sieve
+    ArithmeticError,
 )
 
 
@@ -126,6 +129,9 @@ def cache_store(path: str | Path, cache: FactorCache) -> None:
 
 def format_value(v) -> str:
     """Single canonical value formatting shared by CSV cells and tests."""
+    kind = type(v)
+    if kind is int or kind is str:   # most cells; bool is not int here
+        return str(v)
     if v is None:
         return ""
     if isinstance(v, bool):

@@ -408,7 +408,7 @@ def kronecker_odd_prime(a: int, p: int) -> int:
     return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
 
-def _sqrt_mod_p(a: int, p: int) -> int:
+def sqrt_mod_p(a: int, p: int) -> int:
     """Tonelli-Shanks square root mod an odd prime; a must be a QR."""
     a %= p
     if a == 0:
@@ -440,7 +440,7 @@ def _omega_roots_mod_p(F: QuadField, p: int) -> list[int]:
     if p == 2:
         f = F.omega_minpoly()
         return sorted(r for r in (0, 1) if f.evaluate(r) % 2 == 0)
-    s = _sqrt_mod_p(F.d, p)
+    s = sqrt_mod_p(F.d, p)
     if F.omega_half:
         inv2 = pow(2, -1, p)
         roots = {(1 + s) * inv2 % p, (1 - s) * inv2 % p}

@@ -13,7 +13,17 @@ unramified, coprime to the class number and above the excluded-prime bound)
 is classified through the Fermat-quotient test eps**(N(P)-1) mod P**2 at
 the primes P above p.  A nontrivial quotient at any P certifies
 p-rationality; the all-trivial outcome is reported as non-p-rational at
-criterion level.
+criterion level.  One modular power per prime settles the test:
+
+- split p = P*P': eps*eps' = +-1, so the images a, b of eps in Z/p**2 under
+  the two embeddings have a*b = +-1 and a**(p-1) * b**(p-1) = 1.  The two
+  quotients are trivial together, and one pow(a, p - 1, p**2) decides both.
+- inert p: (O/p**2)^x is the product of the roots of unity c with
+  c**(p**2-1) = 1 (the Teichmueller lifts of F_(p**2)^x) and 1 + p*O, so
+  eps = c*(1 + p*z) mod p**2.  As eps**p = eps' mod p, c**(p+1) is the root
+  of unity that is N(eps) mod p, which is N(eps) = +-1 itself; so
+  eps**(p+1) = N(eps)*(1 + p*z) mod p**2.  Hence eps**(p**2-1) = 1 mod p**2
+  exactly when p | z, that is when eps**(p+1) = +-1 mod p**2.
 
 Plus the classical rational Wieferich search and a rational-prime-level
 scan for user-supplied units of arbitrary degree.
@@ -43,8 +53,9 @@ from .quadfield import (
     QuadInt,
     Splitting,
     excluded_prime_bound,
+    kronecker_odd_prime,
     residue_is_one,
-    split_prime,
+    sqrt_mod_p,
     unit_pow_mod_p2,
 )
 
@@ -123,6 +134,22 @@ def _skip_record(n, phi_ok, cyclo_norm, factor_status, reason):
     )
 
 
+def _compare_with_power(a: int, gamma: Fraction, n: int) -> int:
+    """The sign of a - gamma**n (-1, 0 or 1), for a >= 1 and gamma > 1.
+
+    Decided by logarithms; gamma**n is built exactly only where the two
+    logarithms are too close for the floating-point error (about 1e-16
+    times log a + n) to be ruled out.  gamma can have a numerator and a
+    denominator of thousands of bits, and a can have thousands of digits.
+    """
+    log_a = math.log(a)
+    diff = log_a - n * math.log(gamma)
+    if abs(diff) > 1e-9 * (abs(log_a) + n + 1):
+        return 1 if diff > 0 else -1
+    power = gamma ** n
+    return (a > power) - (a < power)
+
+
 def wieferich_scan(
     F: QuadField,
     u: QuadInt,
@@ -156,7 +183,6 @@ def wieferich_scan(
         if split.status is Status.PARTIAL:
             records.append(_skip_record(n, phi_ok, cyclo_norm, "partial", REASON_PARTIAL))
             continue
-        cap = constants.norm_base ** n
         candidates = sorted(
             (
                 P
@@ -164,7 +190,7 @@ def wieferich_scan(
                 if val == 1
                 and P.splitting is not Splitting.RAMIFIED
                 and n % P.p != 0
-                and Fraction(P.norm) <= cap
+                and _compare_with_power(P.norm, constants.norm_base, n) <= 0
             ),
             key=lambda P: (P.p, P.hensel_root if P.hensel_root is not None else -1),
         )
@@ -217,16 +243,13 @@ def count_report(records: list[ScanRecord], constants: GrowthConstants, X: int) 
     if X < 1:
         raise ValueError("X must be >= 1")
     gamma = constants.norm_base
-    # n_stop from logarithms (gamma**n has millions of digits at X = 1e4299);
-    # compare exactly only where log X / log gamma is too close to an integer
-    # for the floating-point error to be ruled out
-    t = math.log(X) / math.log(gamma)
-    n_stop = math.floor(t)
-    if min(t - n_stop, n_stop + 1 - t) <= 1e-9 * (t + 1):
-        while gamma ** n_stop > X:
-            n_stop -= 1
-        while gamma ** (n_stop + 1) <= X:
-            n_stop += 1
+    # n_stop from logarithms (gamma**n has millions of digits at X = 1e4299),
+    # corrected where log X / log gamma is too close to an integer
+    n_stop = math.floor(math.log(X) / math.log(gamma))
+    while _compare_with_power(X, gamma, n_stop) < 0:
+        n_stop -= 1
+    while _compare_with_power(X, gamma, n_stop + 1) >= 0:
+        n_stop += 1
     max_n = max((r.n for r in records), default=0)
     if max_n < n_stop:
         raise InsufficientRecordsError(
@@ -256,7 +279,17 @@ def classify_prime(
     p0: int | None = None,
 ) -> PRationalityVerdict:
     """Classify one prime: excluded (hypothesis failure or below the excluded
-    bound), p-rational (some Fermat quotient nonzero), or non-p-rational."""
+    bound), p-rational (some Fermat quotient nonzero), or non-p-rational.
+
+    The witnesses are those of the primes P above p, as (N(P), flag) with
+    flag true when u**(N(P)-1) != 1 mod P**2.  Each costs one modular power
+    (see the module docstring for why both criteria hold):
+
+    - split p: ((p, f), (p, f)), the same flag at P and P', where f is
+      a**(p-1) != 1 mod p**2 for the image a of u under w -> a root of w's
+      minimal polynomial mod p**2;
+    - inert p: ((p**2, f),) with f true unless u**(p+1) = +-1 mod p**2.
+    """
     u = F.fundamental_unit if unit is None else unit
     if not u.is_unit():
         raise ValueError("unit argument must be a unit")
@@ -269,12 +302,28 @@ def classify_prime(
     bound = excluded_prime_bound(F) if p0 is None else p0
     if p <= bound:
         return PRationalityVerdict(p, EXCLUDED, REASON_BELOW_P0, ())
-    witnesses = []
-    for P in split_prime(F, p):
-        res = unit_pow_mod_p2(F, u, P.norm - 1, P)
-        witnesses.append((P.norm, not residue_is_one(res, P)))
-    verdict = P_RATIONAL if any(w for _, w in witnesses) else NON_P_RATIONAL
-    return PRationalityVerdict(p, verdict, "", tuple(witnesses))
+    p2 = p * p
+    if kronecker_odd_prime(F.disc, p) == 1:
+        # sqrt(d) mod p, lifted to p**2 by one Newton step (p does not divide 2d)
+        s = sqrt_mod_p(F.d, p)
+        s += (F.d - s * s) // p * pow(2 * s, -1, p) % p * p
+        root = (1 + s) * ((p2 + 1) // 2) % p2 if F.omega_half else s
+        flag = pow(u.x + u.y * root, p - 1, p2) != 1
+        witnesses = ((p, flag), (p, flag))
+    else:
+        # u**(p+1) mod p**2 on coordinate pairs, w**2 = t*w + s
+        t, s = F.t, F.s
+        x, y = u.x % p2, u.y % p2
+        a, b = x, y
+        for bit in bin(p + 1)[3:]:
+            bb = b * b
+            a, b = (a * a + s * bb) % p2, (2 * a * b + t * bb) % p2
+            if bit == "1":
+                by = b * y
+                a, b = (a * x + s * by) % p2, (a * y + b * x + t * by) % p2
+        witnesses = ((p2, b != 0 or a not in (1, p2 - 1)),)
+    verdict = P_RATIONAL if witnesses[0][1] else NON_P_RATIONAL
+    return PRationalityVerdict(p, verdict, "", witnesses)
 
 
 def prationality_scan(F: QuadField, X: int, unit: QuadInt | None = None) -> list[PRationalityVerdict]:
@@ -334,7 +383,6 @@ def generic_unit_scan(
             records.append(_skip_record(n, phi_ok, r_cyclo, "partial", REASON_PARTIAL))
             continue
         r_full = abs(resultant(IntPoly.x_pow_minus_one(n), g))
-        cap = constants.norm_base ** n
         primes = [p for p, _ in fact.factors] if fact is not None else []
         candidates = [
             p
@@ -342,7 +390,7 @@ def generic_unit_scan(
             if n % p != 0
             and disc_g % p != 0
             and r_full % (p * p) != 0
-            and Fraction(p) <= cap
+            and _compare_with_power(p, constants.norm_base, n) <= 0
         ]
         chosen = None
         saw_higher_degree = False

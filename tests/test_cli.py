@@ -25,6 +25,7 @@ GOLDENS = {
     "field-info-d94.txt": ["field-info", "--d", "94"],
     "scan-prational-d2.csv": ["scan-prational", "--d", "2", "--X", "5000"],
     "scan-prational-d2.json": ["scan-prational", "--d", "2", "--X", "5000", "--format", "json"],
+    "scan-prational-d13.csv": ["scan-prational", "--d", "13", "--X", "5000"],
     "scan-wieferich-d2.csv": ["scan-wieferich", "--d", "2", "--n-max", "60"],
     "scan-wieferich-cubic.csv": ["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "40"],
     "scan-wieferich-golden-ratio.csv": ["scan-wieferich", "--minpoly=-1,-1,1", "--n-max", "30"],
@@ -117,6 +118,15 @@ def test_non_convergence_is_a_compute_error(stall, argv, message, monkeypatch, c
     monkeypatch.setattr(*stall)
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_COMPUTE
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_arithmetic_error_is_a_compute_error(monkeypatch, capsys, tmp_path):
+    # every prime claimed inert: N(eps - 1) = -2 has the odd exponent 1 at 2
+    inert = lambda F, p: [quadfield.PrimeIdealAboveP(p, quadfield.Splitting.INERT, 2, p * p)]
+    monkeypatch.setattr(factorint, "split_prime", inert)
+    argv = ["abc-quality", "--d", "2", "--n-max", "10", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_COMPUTE
+    assert capsys.readouterr().err == "error: odd norm exponent at inert prime 2\n"
 
 
 @pytest.mark.parametrize(

@@ -10,10 +10,13 @@ from prational.numerics import certify_roots, growth_constants
 from prational.polyarith import IntPoly, cyclotomic, euler_phi
 from prational.quadfield import (
     Splitting,
+    excluded_prime_bound,
     make_field,
     minpoly_of,
     multiplicative_order,
+    residue_is_one,
     split_prime,
+    unit_pow_mod_p2,
 )
 from prational.scans import (
     EXCLUDED,
@@ -240,6 +243,26 @@ class TestClassifyPrime:
     def test_ramified_excluded(self):
         F = make_field(5)
         assert classify_prime(F, 5).reason == "ramified"
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 13, 94])
+    def test_matches_the_two_ideal_path(self, d):
+        """One power per prime gives the verdict and witnesses of the test
+        at both ideals, with exponent N(P) - 1, for units of both norms."""
+        F = make_field(d)
+        eps = F.fundamental_unit
+        p0 = excluded_prime_bound(F)
+        for u in (eps, -eps, eps.conj(), eps * eps):
+            for p in sieve(2 * 10 ** 4)[1:]:
+                got = classify_prime(F, p, unit=u, p0=p0)
+                if p <= p0 or F.disc % p == 0 or F.class_number % p == 0:
+                    assert got.verdict == EXCLUDED
+                    continue
+                witnesses = tuple(
+                    (P.norm, not residue_is_one(unit_pow_mod_p2(F, u, P.norm - 1, P), P))
+                    for P in split_prime(F, p)
+                )
+                expected = P_RATIONAL if any(f for _, f in witnesses) else NON_P_RATIONAL
+                assert (got.verdict, got.reason, got.witnesses) == (expected, "", witnesses)
 
 
 class TestPRationalityScan:
