@@ -40,6 +40,7 @@ class SquarefullRow:
     squarefull_norm: int
     norm_total: int
     log_share: float | None      # log(squarefull) / log |N(u^n - 1)|; None on partial rows
+    quality: float | None        # of the triple (u^n - 1) + 1 = u^n; None on partial rows
     status: Status
 
 
@@ -82,25 +83,26 @@ def height(F: QuadField, a: QuadInt, b: QuadInt, c: QuadInt) -> Height:
     return Height(value=(lo + hi) / 2 + finite, width=hi - lo)
 
 
-def unit_triple(F: QuadField, u: QuadInt, n: int, **factor_opts) -> AbcTriple:
-    """The triple (u**n - 1) + 1 = u**n; units contribute nothing to the
-    radical, so Rad((abc)) is the radical of (u**n - 1)."""
-    if not u.is_unit():
-        raise ValueError("u must be a unit")
-    a = u ** n - 1
-    if a.is_zero():
-        raise ValueError("u**n = 1")
-    c = u ** n
+def _unit_triple_of(F: QuadField, split: IdealSplit, n: int) -> AbcTriple:
+    """The triple a + 1 = c for the complete split of a = u**n - 1; units
+    contribute nothing to the radical, so Rad((abc)) is the radical of (a)."""
+    a = split.element
     b = F.one()
-    split = ideal_valuations(F, a, **factor_opts)
+    c = a + 1
     rad = radical_of_ideal(split)
     h = height(F, a, b, c)
     quality = h.value / math.log(rad) if rad > 1 else None
     return AbcTriple(a=a, b=b, c=c, height=h.value, radical=rad, quality=quality, n=n)
 
 
+def unit_triple(F: QuadField, u: QuadInt, n: int, **factor_opts) -> AbcTriple:
+    """The triple (u**n - 1) + 1 = u**n."""
+    return _unit_triple_of(F, split_unit_power(F, u, n, **factor_opts), n)
+
+
 def squarefull_report(F: QuadField, u: QuadInt, n_max: int, **factor_opts) -> list[SquarefullRow]:
-    """Table of squarefree/squarefull norm splits of (u**n - 1) for n <= n_max.
+    """Table of squarefree/squarefull norm splits of (u**n - 1) for n <= n_max,
+    with the quality of the triple (u**n - 1) + 1 = u**n from the same split.
 
     The log_share column is the empirical exponent of the squarefull part;
     no bound is asserted on it (the abc inequality is an input, not a fact).
@@ -110,12 +112,12 @@ def squarefull_report(F: QuadField, u: QuadInt, n_max: int, **factor_opts) -> li
     for n in range(1, n_max + 1):
         split = split_unit_power(F, u, n, **factor_opts)
         total = abs(split.element.norm())
+        nj = split.squarefull_norm
         if split.status is Status.COMPLETE:
-            nj = split.squarefull_norm
             share = 0.0 if nj == 1 else math.log(nj) / math.log(total)
+            quality = _unit_triple_of(F, split, n).quality
         else:
-            nj = split.squarefull_norm
-            share = None
+            share = quality = None
         rows.append(
             SquarefullRow(
                 n=n,
@@ -123,6 +125,7 @@ def squarefull_report(F: QuadField, u: QuadInt, n_max: int, **factor_opts) -> li
                 squarefull_norm=nj,
                 norm_total=total,
                 log_share=share,
+                quality=quality,
                 status=split.status,
             )
         )

@@ -6,6 +6,12 @@ w = (1 + sqrt(d))/2 otherwise, so w^2 = t*w + s with (t, s) = (0, d) or
 unit comes from the continued fraction of w; the class number from
 Minkowski-bound ideal enumeration with principality decided by a bounded
 generator search (certified at small discriminants, refused otherwise).
+
+Arithmetic modulo P**2 has one primitive per kind of prime.  At a split p,
+omega_root_mod_p2 gives a root r of w's minimal polynomial mod p**2 by one
+Newton step from its root mod p; w -> r identifies O/P**2 with Z/p**2, and the
+conjugate ideal P' uses the other root t - r.  At an inert p, O/p**2 is
+worked in through coordinate pairs, which pair_pow raises to a power.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from .errors import (
     RamifiedUnsupportedError,
     TooLargeDiscriminantError,
 )
-from .polyarith import IntPoly, hensel_lift, sqrt_bounds
+from .polyarith import IntPoly, sqrt_bounds
 
 _CLASS_NUMBER_DISC_CAP = 10 ** 6
 _PRINCIPALITY_SEARCH_CAP = 10 ** 6
@@ -435,22 +441,23 @@ def sqrt_mod_p(a: int, p: int) -> int:
     return r
 
 
-def _omega_roots_mod_p(F: QuadField, p: int) -> list[int]:
-    """Roots of w's minimal polynomial modulo an unramified split prime."""
-    if p == 2:
-        f = F.omega_minpoly()
-        return sorted(r for r in (0, 1) if f.evaluate(r) % 2 == 0)
-    s = sqrt_mod_p(F.d, p)
-    if F.omega_half:
-        inv2 = pow(2, -1, p)
-        roots = {(1 + s) * inv2 % p, (1 - s) * inv2 % p}
-    else:
-        roots = {s % p, (-s) % p}
-    return sorted(roots)
+def omega_root_mod_p2(F: QuadField, p: int) -> int:
+    """A root r of w's minimal polynomial x**2 - t*x - s modulo p**2, for a
+    prime p that splits in F.
+
+    The root mod p is (t + sqrt(disc))/2 (0 when p = 2), and one Newton step
+    lifts it to p**2: the derivative 2*r - t is a unit mod p because p does
+    not divide disc.  The other root is t - r.
+    """
+    t = F.t
+    r = 0 if p == 2 else (t + sqrt_mod_p(F.disc, p)) * ((p + 1) // 2) % p
+    f = r * r - t * r - F.s
+    return (r - f // p * pow(2 * r - t, -1, p) % p * p) % (p * p)
 
 
 def split_prime(F: QuadField, p: int) -> list[PrimeIdealAboveP]:
-    """Classify p in O_K; split primes carry Hensel-lifted residue roots mod p**2."""
+    """Classify p in O_K.  A split p gives the two ideals P, P' sorted by
+    hensel_root: the root r of omega_root_mod_p2 and its conjugate t - r."""
     if p < 2:
         raise ValueError("p must be a prime")
     if F.disc % p == 0:
@@ -461,28 +468,23 @@ def split_prime(F: QuadField, p: int) -> list[PrimeIdealAboveP]:
         split = kronecker_odd_prime(F.disc, p) == 1
     if not split:
         return [PrimeIdealAboveP(p, Splitting.INERT, 2, p * p, None)]
-    f = F.omega_minpoly()
-    ideals = [
-        PrimeIdealAboveP(p, Splitting.SPLIT, 1, p, hensel_lift(f, r, p, 2))
-        for r in _omega_roots_mod_p(F, p)
-    ]
-    return sorted(ideals, key=lambda P: P.hensel_root)
+    P = PrimeIdealAboveP(p, Splitting.SPLIT, 1, p, omega_root_mod_p2(F, p))
+    return sorted((P, P.conjugate(F)), key=lambda P: P.hensel_root)
 
 
-def _pair_mul(x1, y1, x2, y2, t, s, mod):
-    yy = y1 * y2
-    return (x1 * x2 + s * yy) % mod, (x1 * y2 + y1 * x2 + t * yy) % mod
-
-
-def _pair_pow(x, y, e, t, s, mod):
-    rx, ry = 1 % mod, 0
-    bx, by = x % mod, y % mod
-    while e:
-        if e & 1:
-            rx, ry = _pair_mul(rx, ry, bx, by, t, s, mod)
-        bx, by = _pair_mul(bx, by, bx, by, t, s, mod)
-        e >>= 1
-    return rx, ry
+def pair_pow(x: int, y: int, e: int, t: int, s: int, mod: int) -> tuple[int, int]:
+    """(x + y*w)**e modulo mod as a coordinate pair, where w**2 = t*w + s
+    (left-to-right square and multiply)."""
+    if e == 0:
+        return 1 % mod, 0
+    a, b = x, y = x % mod, y % mod
+    for bit in bin(e)[3:]:
+        bb = b * b
+        a, b = (a * a + s * bb) % mod, (2 * a * b + t * bb) % mod
+        if bit == "1":
+            by = b * y
+            a, b = (a * x + s * by) % mod, (a * y + b * x + t * by) % mod
+    return a, b
 
 
 def unit_pow_mod_p2(F: QuadField, u: QuadInt, e: int, P: PrimeIdealAboveP):
@@ -500,7 +502,7 @@ def unit_pow_mod_p2(F: QuadField, u: QuadInt, e: int, P: PrimeIdealAboveP):
     if P.splitting is Splitting.SPLIT:
         img = (u.x + u.y * P.hensel_root) % p2
         return pow(img, e, p2)
-    return _pair_pow(u.x, u.y, e, F.t, F.s, p2)
+    return pair_pow(u.x, u.y, e, F.t, F.s, p2)
 
 
 def residue_is_one(res, P: PrimeIdealAboveP) -> bool:
@@ -526,8 +528,7 @@ def multiplicative_order(F: QuadField, u: QuadInt, P: PrimeIdealAboveP) -> int:
         identity = 1
         group_factors = _merge_factors([factor(p - 1)])
     else:
-        bx, by = u.x % p, u.y % p
-        power = lambda e: _pair_pow(bx, by, e, F.t, F.s, p)
+        power = lambda e: pair_pow(u.x, u.y, e, F.t, F.s, p)
         identity = (1 % p, 0)
         group_factors = _merge_factors([factor(p - 1), factor(p + 1)])
     order = 1

@@ -39,7 +39,6 @@ from .errors import InsufficientRecordsError
 from .factorint import Status, factor, ideal_valuations, sieve
 from .numerics import AlgebraicUnit, CircleTest, GrowthConstants, circle_test
 from .polyarith import (
-    IntPoly,
     cyclotomic,
     discriminant,
     euler_phi,
@@ -54,8 +53,9 @@ from .quadfield import (
     Splitting,
     excluded_prime_bound,
     kronecker_odd_prime,
+    omega_root_mod_p2,
+    pair_pow,
     residue_is_one,
-    sqrt_mod_p,
     unit_pow_mod_p2,
 )
 
@@ -116,20 +116,34 @@ class CountReport:
     log_density: float
 
 
-def _skip_record(n, phi_ok, cyclo_norm, factor_status, reason):
+def _record(
+    n,
+    cyclo_norm,
+    factor_status="complete",
+    reason="",
+    prime=None,
+    residue_degree=None,
+    ideal_norm=None,
+    root=None,
+):
+    """One scan row.  It is a success when a prime is chosen (and then has
+    exact order n, the Wieferich condition and p coprime to n), skipped when
+    a reason is given, and no_qualifying_prime otherwise; phi_ok is false
+    only on a phi_condition skip."""
+    chosen = prime is not None
     return ScanRecord(
         n=n,
-        phi_ok=phi_ok,
+        phi_ok=reason != REASON_PHI,
         cyclo_norm=cyclo_norm,
         factor_status=factor_status,
-        prime=None,
-        residue_degree=None,
-        ideal_norm=None,
-        root=None,
-        order_is_n=False,
-        wieferich_ok=False,
-        coprime_to_n=False,
-        status=SKIPPED,
+        prime=prime,
+        residue_degree=residue_degree,
+        ideal_norm=ideal_norm,
+        root=root,
+        order_is_n=chosen,
+        wieferich_ok=chosen,
+        coprime_to_n=chosen,
+        status=SUCCESS if chosen else SKIPPED if reason else NO_QUALIFYING_PRIME,
         reason=reason,
     )
 
@@ -177,11 +191,11 @@ def wieferich_scan(
         value = cyclotomic(n).evaluate(v)
         cyclo_norm = abs(value.norm())
         if not phi_ok:
-            records.append(_skip_record(n, phi_ok, cyclo_norm, None, REASON_PHI))
+            records.append(_record(n, cyclo_norm, factor_status=None, reason=REASON_PHI))
             continue
         split = ideal_valuations(F, value, **factor_opts)
         if split.status is Status.PARTIAL:
-            records.append(_skip_record(n, phi_ok, cyclo_norm, "partial", REASON_PARTIAL))
+            records.append(_record(n, cyclo_norm, factor_status="partial", reason=REASON_PARTIAL))
             continue
         candidates = sorted(
             (
@@ -201,37 +215,16 @@ def wieferich_scan(
             chosen = P
             break
         if chosen is None:
-            records.append(
-                ScanRecord(
-                    n=n,
-                    phi_ok=True,
-                    cyclo_norm=cyclo_norm,
-                    factor_status="complete",
-                    prime=None,
-                    residue_degree=None,
-                    ideal_norm=None,
-                    root=None,
-                    order_is_n=False,
-                    wieferich_ok=False,
-                    coprime_to_n=False,
-                    status=NO_QUALIFYING_PRIME,
-                )
-            )
+            records.append(_record(n, cyclo_norm))
         else:
             records.append(
-                ScanRecord(
-                    n=n,
-                    phi_ok=True,
-                    cyclo_norm=cyclo_norm,
-                    factor_status="complete",
+                _record(
+                    n,
+                    cyclo_norm,
                     prime=chosen.p,
                     residue_degree=chosen.residue_degree,
                     ideal_norm=chosen.norm,
                     root=chosen.hensel_root,
-                    order_is_n=True,
-                    wieferich_ok=True,
-                    coprime_to_n=True,
-                    status=SUCCESS,
                 )
             )
     return records
@@ -286,9 +279,10 @@ def classify_prime(
     (see the module docstring for why both criteria hold):
 
     - split p: ((p, f), (p, f)), the same flag at P and P', where f is
-      a**(p-1) != 1 mod p**2 for the image a of u under w -> a root of w's
-      minimal polynomial mod p**2;
-    - inert p: ((p**2, f),) with f true unless u**(p+1) = +-1 mod p**2.
+      a**(p-1) != 1 mod p**2 for the image a of u under w -> the root
+      quadfield.omega_root_mod_p2 gives, and pow takes the power;
+    - inert p: ((p**2, f),) with f true unless u**(p+1) = +-1 mod p**2,
+      where quadfield.pair_pow takes the power on coordinate pairs.
     """
     u = F.fundamental_unit if unit is None else unit
     if not u.is_unit():
@@ -304,23 +298,11 @@ def classify_prime(
         return PRationalityVerdict(p, EXCLUDED, REASON_BELOW_P0, ())
     p2 = p * p
     if kronecker_odd_prime(F.disc, p) == 1:
-        # sqrt(d) mod p, lifted to p**2 by one Newton step (p does not divide 2d)
-        s = sqrt_mod_p(F.d, p)
-        s += (F.d - s * s) // p * pow(2 * s, -1, p) % p * p
-        root = (1 + s) * ((p2 + 1) // 2) % p2 if F.omega_half else s
+        root = omega_root_mod_p2(F, p)
         flag = pow(u.x + u.y * root, p - 1, p2) != 1
         witnesses = ((p, flag), (p, flag))
     else:
-        # u**(p+1) mod p**2 on coordinate pairs, w**2 = t*w + s
-        t, s = F.t, F.s
-        x, y = u.x % p2, u.y % p2
-        a, b = x, y
-        for bit in bin(p + 1)[3:]:
-            bb = b * b
-            a, b = (a * a + s * bb) % p2, (2 * a * b + t * bb) % p2
-            if bit == "1":
-                by = b * y
-                a, b = (a * x + s * by) % p2, (a * y + b * x + t * by) % p2
+        a, b = pair_pow(u.x, u.y, p + 1, F.t, F.s, p2)
         witnesses = ((p2, b != 0 or a not in (1, p2 - 1)),)
     verdict = P_RATIONAL if witnesses[0][1] else NON_P_RATIONAL
     return PRationalityVerdict(p, verdict, "", witnesses)
@@ -372,17 +354,20 @@ def generic_unit_scan(
     if disc_g == 0:
         raise ValueError("powered unit has repeated conjugates; use a different power or unit")
     records = []
+    r_cyclos = []       # |Res(Phi_m, g)| for m = 1..n
     for n in range(1, n_max + 1):
         phi_ok = 2 * euler_phi(n) >= n
         r_cyclo = abs(resultant(cyclotomic(n), g))
+        r_cyclos.append(r_cyclo)
         if not phi_ok:
-            records.append(_skip_record(n, phi_ok, r_cyclo, None, REASON_PHI))
+            records.append(_record(n, r_cyclo, factor_status=None, reason=REASON_PHI))
             continue
         fact = factor(r_cyclo, **factor_opts) if r_cyclo > 1 else None
         if fact is not None and fact.status is Status.PARTIAL:
-            records.append(_skip_record(n, phi_ok, r_cyclo, "partial", REASON_PARTIAL))
+            records.append(_record(n, r_cyclo, factor_status="partial", reason=REASON_PARTIAL))
             continue
-        r_full = abs(resultant(IntPoly.x_pow_minus_one(n), g))
+        # x**n - 1 is the product of Phi_m over m | n, and Res is multiplicative
+        r_full = math.prod(r for m, r in enumerate(r_cyclos, 1) if n % m == 0)
         primes = [p for p, _ in fact.factors] if fact is not None else []
         candidates = [
             p
@@ -412,38 +397,10 @@ def generic_unit_scan(
         if chosen is not None:
             p, r2 = chosen
             records.append(
-                ScanRecord(
-                    n=n,
-                    phi_ok=True,
-                    cyclo_norm=r_cyclo,
-                    factor_status="complete",
-                    prime=p,
-                    residue_degree=1,
-                    ideal_norm=p,
-                    root=r2,
-                    order_is_n=True,
-                    wieferich_ok=True,
-                    coprime_to_n=True,
-                    status=SUCCESS,
-                )
+                _record(n, r_cyclo, prime=p, residue_degree=1, ideal_norm=p, root=r2)
             )
         elif saw_higher_degree:
-            records.append(_skip_record(n, phi_ok, r_cyclo, "complete", REASON_HIGHER_DEGREE))
+            records.append(_record(n, r_cyclo, reason=REASON_HIGHER_DEGREE))
         else:
-            records.append(
-                ScanRecord(
-                    n=n,
-                    phi_ok=True,
-                    cyclo_norm=r_cyclo,
-                    factor_status="complete",
-                    prime=None,
-                    residue_degree=None,
-                    ideal_norm=None,
-                    root=None,
-                    order_is_n=False,
-                    wieferich_ok=False,
-                    coprime_to_n=False,
-                    status=NO_QUALIFYING_PRIME,
-                )
-            )
+            records.append(_record(n, r_cyclo))
     return records

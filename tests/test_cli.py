@@ -130,6 +130,21 @@ def test_arithmetic_error_is_a_compute_error(monkeypatch, capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-wieferich", "--d", "2", "--n-max", "70", "--factor-budget", "0"],
+        ["abc-quality", "--d", "2", "--n-max", "60", "--factor-budget", "0"],
+    ],
+)
+def test_strict_refuses_partial_rows(argv, capsys, tmp_path):
+    payload = run_cli(argv, tmp_path / "out").decode()
+    assert sum("partial" in line.split(",") for line in payload.splitlines()) == 2
+    capsys.readouterr()
+    assert cli.main([*argv, "--strict", "--out", str(tmp_path / "strict")]) == cli.EXIT_COMPUTE
+    assert capsys.readouterr().err == "error: factor budget exhausted under --strict\n"
+
+
+@pytest.mark.parametrize(
     "bad_line",
     [
         "15\t3^1,5^1",     # too few fields

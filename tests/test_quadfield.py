@@ -14,6 +14,7 @@ from prational.quadfield import (
     make_field,
     minpoly_of,
     multiplicative_order,
+    pair_pow,
     residue_is_one,
     split_prime,
     unit_pow_mod_p2,
@@ -137,14 +138,18 @@ class TestSplitPrime:
         (P,) = split_prime(field2, 2)
         assert P.splitting is Splitting.RAMIFIED
 
-    @pytest.mark.parametrize("d", [2, 5, 13, 17])
+    @pytest.mark.parametrize("d", [2, 3, 5, 13, 17, 41])
     def test_hensel_relation_many_primes(self, d):
+        # the split ideals carry exactly the roots of w's minimal polynomial
+        # mod p**2, found by brute force; d = 17 and 41 split 2
         F = make_field(d)
-        f = F.omega_minpoly()
         for p in sieve(200):
-            for P in split_prime(F, p):
-                if P.splitting is Splitting.SPLIT:
-                    assert f.evaluate(P.hensel_root) % (p * p) == 0
+            if F.disc % p == 0:
+                continue
+            p2 = p * p
+            roots = {r for r in range(p2) if (r * r - F.t * r - F.s) % p2 == 0}
+            lifted = {P.hensel_root for P in split_prime(F, p) if P.splitting is Splitting.SPLIT}
+            assert lifted == roots
 
     def test_p2_split_for_d_1_mod_8(self):
         F = make_field(17)
@@ -174,6 +179,18 @@ class TestUnitPowModP2:
                     assert res % P.p == 1
                 else:
                     assert res[0] % P.p == 1 and res[1] % P.p == 0
+
+    @pytest.mark.parametrize("d", [2, 13])
+    def test_pair_pow_matches_quadint_power(self, d):
+        F = make_field(d)
+        for p in sieve(60):
+            if split_prime(F, p)[0].splitting is not Splitting.INERT:
+                continue
+            p2 = p * p
+            for u in (F.fundamental_unit, F.element(3, -5)):
+                for e in [*range(65), p - 1, p + 1, p2 - 1]:
+                    power = u ** e
+                    assert pair_pow(u.x, u.y, e, F.t, F.s, p2) == (power.x % p2, power.y % p2)
 
     def test_ramified_rejected(self, field2, eps2):
         (P,) = split_prime(field2, 2)
