@@ -10,7 +10,6 @@ from .factorint import (
     ideal_valuations,
     is_prime,
     radical_of_ideal,
-    split_cyclotomic_value,
     split_unit_power,
 )
 from .numerics import (
@@ -20,13 +19,11 @@ from .numerics import (
     certify_roots,
     circle_test,
     growth_constants,
-    is_pisot,
 )
 from .polyarith import (
     IntPoly,
     cyclotomic,
     euler_phi,
-    half_totient_sieve,
     poly_gcd,
     power_poly,
     resultant,
@@ -39,7 +36,6 @@ from .quadfield import (
     excluded_prime_bound,
     make_field,
     minpoly_of,
-    multiplicative_order,
     split_prime,
     unit_pow_mod_p2,
 )
@@ -51,7 +47,6 @@ from .scans import (
     count_report,
     generic_unit_scan,
     prationality_scan,
-    rational_wieferich_scan,
     wieferich_scan,
 )
 

@@ -373,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_field=True, n_max=False, x=False):
+    def common(p, needs_field=True, n_max=False):
         if needs_field:
             p.add_argument("--d", type=int, help="squarefree d >= 2 selecting Q(sqrt(d))")
             p.add_argument(
@@ -384,8 +384,6 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         if n_max:
             p.add_argument("--n-max", type=int, required=True, help="scan levels n = 1..n_max")
-        if x:
-            p.add_argument("--X", type=_parse_bound, default=None, help="counting bound")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--factor-budget",
@@ -413,7 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_info.set_defaults(handler=cmd_field_info)
 
     p_w = sub.add_parser("scan-wieferich", help="Wieferich-ideal scan over cyclotomic values")
-    common(p_w, n_max=True, x=True)
+    common(p_w, n_max=True)
+    p_w.add_argument("--X", type=_parse_bound, default=None, help="counting bound")
     p_w.add_argument(
         "--minpoly",
         type=_parse_minpoly,
@@ -424,7 +423,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_w.set_defaults(handler=cmd_scan_wieferich)
 
     p_p = sub.add_parser("scan-prational", help="p-rationality classification of primes <= X")
-    common(p_p, x=True)
+    common(p_p)
+    p_p.add_argument("--X", type=_parse_bound, required=True, help="classify the primes <= X")
     p_p.set_defaults(handler=cmd_scan_prational)
 
     p_q = sub.add_parser("abc-quality", help="squarefree/squarefull splits and quality exponents")

@@ -38,7 +38,7 @@ from .quadfield import (
     Splitting,
     split_prime,
 )
-from .polyarith import cyclotomic, hensel_lift, iroot
+from .polyarith import iroot
 
 _TRIAL_BOUND = 10 ** 6
 _RHO_BUDGET = 4_000_000
@@ -372,9 +372,9 @@ def ideal_valuations(F: QuadField, alpha: QuadInt, **factor_opts) -> IdealSplit:
     """Factor (alpha) into prime-ideal powers via the norm factorization.
 
     Inert p: valuation is half the norm exponent.  Ramified p: the norm
-    exponent itself.  Split p: the exponent is distributed between the
-    two primes by divisibility tests through the Hensel embedding at
-    increasing p-power precision.
+    exponent itself.  Split p: after the common power p**g of the two
+    coordinates, the rest of the exponent goes to the one prime whose
+    residue map mod p sends the cofactor to 0.
     """
     if alpha.is_zero():
         raise ValueError("alpha must be nonzero")
@@ -405,25 +405,13 @@ def _valuations_above(F: QuadField, alpha: QuadInt, p: int, e: int):
         if e % 2:
             raise ArithmeticError(f"odd norm exponent at inert prime {p}")
         return [(ideals[0], e // 2)]
-    # split: lift each root to precision p**e and read off the valuation
-    out = []
-    total = 0
-    for P in ideals:
-        r = hensel_lift(F.omega_minpoly(), P.root_mod_p(), p, e)
-        val_num = (alpha.x + alpha.y * r) % (p ** e)
-        if val_num == 0:
-            v = e
-        else:
-            v = 0
-            while val_num % p == 0:
-                val_num //= p
-                v += 1
-        v = min(v, e)
-        total += v
-        out.append((P, v))
-    if total != e:
-        raise ArithmeticError(f"split valuations at {p} do not add up")
-    return out
+    # split: alpha = p**g * beta with p not dividing both coordinates of beta.
+    # beta lies in at most one of P, P' (their product is pO), and there it
+    # has valuation e - 2g; beta is in P when it vanishes under w -> root mod p
+    x, y, g = alpha.x, alpha.y, 0
+    while x % p == 0 and y % p == 0:
+        x, y, g = x // p, y // p, g + 1
+    return [(P, g + (e - 2 * g if (x + y * P.root_mod_p()) % p == 0 else 0)) for P in ideals]
 
 
 def radical_of_ideal(split: IdealSplit) -> int:
@@ -446,17 +434,3 @@ def split_unit_power(F: QuadField, u: QuadInt, n: int, **factor_opts) -> IdealSp
     if alpha.is_zero():
         raise ValueError("u**n = 1; the split is undefined")
     return ideal_valuations(F, alpha, **factor_opts)
-
-
-def split_cyclotomic_value(F: QuadField, u: QuadInt, n: int, **factor_opts) -> IdealSplit:
-    """Squarefree/squarefull split of the n-th cyclotomic value of u."""
-    if not u.is_unit():
-        raise ValueError("u must be a unit")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    value = cyclotomic(n).evaluate(u)
-    if isinstance(value, int):
-        value = F.element(value, 0)
-    if value.is_zero():
-        raise ValueError("cyclotomic value vanishes; u is a root of unity")
-    return ideal_valuations(F, value, **factor_opts)

@@ -53,17 +53,6 @@ class RootDisk:
         d2 = (self.re - other.re) ** 2 + (self.im - other.im) ** 2
         return d2 <= (self.radius + other.radius) ** 2
 
-    def is_certified_real(self, all_disks: tuple["RootDisk", ...]) -> bool:
-        """Real iff the mirror disk meets no disk other than this one; the
-        conjugate of the enclosed root must then be the root itself."""
-        mirror = RootDisk(self.re, -self.im, self.radius)
-        for other in all_disks:
-            if other is self:
-                continue
-            if mirror.overlaps(other):
-                return False
-        return mirror.overlaps(self)
-
 
 @dataclass(frozen=True)
 class AlgebraicUnit:
@@ -229,23 +218,6 @@ def circle_test(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BITS) ->
         return CircleTest.CLEAR
     except NonConvergenceError:
         return CircleTest.UNDECIDED
-
-
-def is_pisot(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BITS) -> bool:
-    """True iff the unit is Pisot: a single real conjugate > 1, all other
-    conjugates strictly inside the unit circle."""
-    status = circle_test(unit, precision_cap)
-    if status is CircleTest.ON_CIRCLE:
-        return False
-    if status is CircleTest.UNDECIDED:
-        raise NonConvergenceError("circle membership undecided at the precision cap")
-    refined, sides = _sides(unit, precision_cap)
-    if sides.count(+1) != 1:
-        return False
-    big = refined.roots[sides.index(+1)]
-    if not big.is_certified_real(refined.roots):
-        return False
-    return big.re - big.radius > 1
 
 
 @dataclass(frozen=True)

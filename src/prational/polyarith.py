@@ -111,10 +111,6 @@ class IntPoly:
         """``x**deg * f(1/x)`` (coefficients reversed)."""
         return IntPoly.of(*reversed(self.coeffs))
 
-    def compose_neg(self) -> "IntPoly":
-        """``f(-x)``."""
-        return IntPoly.of(*(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs)))
-
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
 
@@ -304,18 +300,6 @@ def euler_phi(n: int) -> int:
     for p, e in factor(n).complete_factors():
         phi *= (p - 1) * p ** (e - 1)
     return phi
-
-
-def half_totient_sieve(limit: int) -> list[int]:
-    """All n <= limit with ``2*phi(n) >= n``, by an integer totient sieve."""
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    phi = list(range(limit + 1))
-    for p in range(2, limit + 1):
-        if phi[p] == p:  # p prime
-            for m in range(p, limit + 1, p):
-                phi[m] -= phi[m] // p
-    return [n for n in range(1, limit + 1) if 2 * phi[n] >= n]
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,9 @@
 The ring of integers is Z[w] with w = sqrt(d) for d != 1 (mod 4) and
 w = (1 + sqrt(d))/2 otherwise, so w^2 = t*w + s with (t, s) = (0, d) or
 (1, (d-1)/4).  Elements are exact coordinate pairs x + y*w.  The fundamental
-unit comes from the continued fraction of w; the class number from
-Minkowski-bound ideal enumeration with principality decided by a bounded
-generator search (certified at small discriminants, refused otherwise).
+unit comes from the continued fraction of w; the class number from the
+cycles of reduced binary quadratic forms of discriminant disc (exact, and
+computed up to disc = 10**6; a larger field needs the class number given).
 
 Arithmetic modulo P**2 has one primitive per kind of prime.  At a split p,
 omega_root_mod_p2 gives a root r of w's minimal polynomial mod p**2 by one
@@ -30,7 +30,6 @@ from .errors import (
 from .polyarith import IntPoly, sqrt_bounds
 
 _CLASS_NUMBER_DISC_CAP = 10 ** 6
-_PRINCIPALITY_SEARCH_CAP = 10 ** 6
 _CF_MAX_STEPS = 100_000   # continued-fraction steps to the fundamental unit
 
 
@@ -62,9 +61,6 @@ class QuadField:
     def omega_value(self) -> float:
         r = math.sqrt(self.d)
         return (1 + r) / 2 if self.omega_half else r
-
-    def omega_minpoly(self) -> IntPoly:
-        return IntPoly.of(-self.s, -self.t, 1)
 
     def __eq__(self, other):
         return isinstance(other, QuadField) and self.d == other.d
@@ -249,131 +245,38 @@ def _fundamental_unit(d: int, omega_half: bool) -> tuple[int, int]:
     raise NonConvergenceError("continued fraction did not produce a unit")
 
 
-# --- ideal lattices: (a, b, c) is the Z-module Z*a + Z*(b + c*w) ---
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def _hnf_from_generators(gens: list[tuple[int, int]]) -> tuple[int, int, int]:
-    """Basis (a, b, c) of the Z-span of the given (x, y) pairs."""
-    c, b = 0, 0
-    for gx, gy in gens:
-        if gy == 0:
-            continue
-        if c == 0:
-            c, b = abs(gy), (gx if gy > 0 else -gx)
-        else:
-            g, u, v = _xgcd(c, gy)
-            b = u * b + v * gx
-            c = g
-    if c == 0:
-        raise ValueError("generators span a rank-1 module")
-    a = 0
-    for gx, gy in gens:
-        a = math.gcd(a, abs(gx - (gy // c) * b))
-    if a == 0:
-        raise ValueError("degenerate ideal generators")
-    return a, b % a, c
-
-
-def _ideal_mul(F: QuadField, A, B) -> tuple[int, int, int]:
-    a1, b1, c1 = A
-    a2, b2, c2 = B
-    gens = []
-    for x1, y1 in ((a1, 0), (b1, c1)):
-        for x2, y2 in ((a2, 0), (b2, c2)):
-            yy = y1 * y2
-            gens.append((x1 * x2 + F.s * yy, x1 * y2 + y1 * x2 + F.t * yy))
-    return _hnf_from_generators(gens)
-
-
-def _ideal_conj(F: QuadField, A) -> tuple[int, int, int]:
-    a, b, c = A
-    return _hnf_from_generators([(a, 0), (b + c * F.t, -c)])
-
-
-def _ideal_norm(A) -> int:
-    return A[0] * A[2]
-
-
-def _ideal_contains(A, x: int, y: int) -> bool:
-    a, b, c = A
-    if y % c:
-        return False
-    return (x - (y // c) * b) % a == 0
-
-
-def _is_principal(F: QuadField, A) -> bool:
-    """Search for a generator; the search window is provably large enough
-    because some generator has both embeddings below sqrt(norm * eps)."""
-    n = _ideal_norm(A)
-    if n == 1:
-        return True
-    eps = F.fundamental_unit.approx()
-    y_cap = int(2 * math.sqrt(n * eps / F.disc)) + 2
-    if y_cap > _PRINCIPALITY_SEARCH_CAP:
-        raise TooLargeDiscriminantError("principality search bound exceeded")
-    t = F.t
-    for y in range(0, y_cap + 1):
-        base = F.disc * y * y
-        for target in (4 * n, -4 * n):
-            d2 = base + target
-            if d2 < 0:
-                continue
-            z = math.isqrt(d2)
-            if z * z != d2:
-                continue
-            for sign in (1, -1):
-                num = -t * y + sign * z
-                if num % 2:
-                    continue
-                x = num // 2
-                if abs(x * x + t * x * y - F.s * y * y) == n and _ideal_contains(A, x, y):
-                    return True
-    return False
-
-
-def _all_ideals_up_to(F: QuadField, bound: int) -> list[tuple[int, int, int]]:
-    out = []
-    for n in range(1, bound + 1):
-        c = 1
-        while c * c <= n:
-            if n % (c * c) == 0:
-                a = n // c
-                for b in range(0, a, c):
-                    # closure under multiplication by w
-                    nb = b * b + F.t * b * c - F.s * c * c
-                    if nb % (a * c) == 0:
-                        out.append((a, b, c))
-            c += 1
-    return out
-
-
 def _class_number(F: QuadField) -> int:
-    bound = math.isqrt(F.disc) // 2
-    if bound < 2:
-        return 1
-    reps: list[tuple[int, int, int]] = []
-    for ideal in _all_ideals_up_to(F, bound):
-        if _is_principal(F, ideal):
-            continue
-        if not any(
-            _is_principal(F, _ideal_mul(F, ideal, _ideal_conj(F, rep)))
-            for rep in reps
-        ):
-            reps.append(ideal)
-    return 1 + len(reps)
+    """h from the cycles of the reduced forms of discriminant disc.
+
+    A form (a, b, c) with b**2 - 4*a*c = disc is reduced when
+    0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b.  The
+    reduction map rho(a, b, c) = (c, b', (b'**2 - disc) / (4*c)), with
+    b' = -b mod 2|c| and sqrt(disc) - 2|c| < b' < sqrt(disc), permutes the
+    reduced forms, and its cycles are the proper classes of forms, so their
+    number is the narrow class number h+ (Buchmann-Vollmer, Binary Quadratic
+    Forms, 2007, ch. 6).  h = h+ when N(eps) = -1 and h+/2 otherwise.  disc
+    is fundamental, so every form is primitive; sqrt(disc) is irrational, so
+    each bound compares exactly with s = isqrt(disc) in its place.
+    """
+    D = F.disc
+    s = math.isqrt(D)
+    forms = set()
+    for b in range(2 - D % 2, s + 1, 2):   # b = disc mod 2
+        m = (D - b * b) // 4                # -a*c
+        for a in range((s - b) // 2 + 1, (s + b) // 2 + 1):
+            if m % a == 0:
+                forms.update(((a, b, -m // a), (-a, b, m // a)))
+    narrow = 0
+    while forms:
+        narrow += 1
+        a, b, c = forms.pop()
+        while True:   # follow rho around the cycle, back to the popped form
+            b = s - (s + b) % (2 * abs(c))
+            a, c = c, (b * b - D) // (4 * c)
+            if (a, b, c) not in forms:
+                break
+            forms.remove((a, b, c))
+    return narrow if F.unit_norm == -1 else narrow // 2
 
 
 def make_field(d: int, class_number_override: int | None = None) -> QuadField:
@@ -510,42 +413,6 @@ def residue_is_one(res, P: PrimeIdealAboveP) -> bool:
     if P.splitting is Splitting.SPLIT:
         return res == 1
     return res == (1, 0)
-
-
-def multiplicative_order(F: QuadField, u: QuadInt, P: PrimeIdealAboveP) -> int:
-    """Order of u in (O/P)^x, by factoring the group order and descending
-    through its prime divisors."""
-    from .factorint import factor
-
-    if P.splitting is Splitting.RAMIFIED:
-        raise RamifiedUnsupportedError("ramified primes are excluded")
-    if not u.is_unit():
-        raise ValueError("u must be a unit")
-    p = P.p
-    if P.splitting is Splitting.SPLIT:
-        base = (u.x + u.y * P.root_mod_p()) % p
-        power = lambda e: pow(base, e, p)
-        identity = 1
-        group_factors = _merge_factors([factor(p - 1)])
-    else:
-        power = lambda e: pair_pow(u.x, u.y, e, F.t, F.s, p)
-        identity = (1 % p, 0)
-        group_factors = _merge_factors([factor(p - 1), factor(p + 1)])
-    order = 1
-    for q, e in group_factors:
-        order *= q ** e
-    for q, _ in group_factors:
-        while order % q == 0 and power(order // q) == identity:
-            order //= q
-    return order
-
-
-def _merge_factors(facts) -> list[tuple[int, int]]:
-    merged: dict[int, int] = {}
-    for f in facts:
-        for p, e in f.complete_factors():
-            merged[p] = merged.get(p, 0) + e
-    return sorted(merged.items())
 
 
 def excluded_prime_bound(F: QuadField) -> int:

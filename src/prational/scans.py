@@ -25,8 +25,8 @@ criterion level.  One modular power per prime settles the test:
   eps**(p+1) = N(eps)*(1 + p*z) mod p**2.  Hence eps**(p**2-1) = 1 mod p**2
   exactly when p | z, that is when eps**(p+1) = +-1 mod p**2.
 
-Plus the classical rational Wieferich search and a rational-prime-level
-scan for user-supplied units of arbitrary degree.
+Plus a rational-prime-level scan for user-supplied units of arbitrary
+degree.
 """
 
 from __future__ import annotations
@@ -314,19 +314,6 @@ def prationality_scan(F: QuadField, X: int, unit: QuadInt | None = None) -> list
         raise ValueError("X must be >= 1")
     p0 = excluded_prime_bound(F)
     return [classify_prime(F, p, unit=unit, p0=p0) for p in sieve(X) if p > 2]
-
-
-def rational_wieferich_scan(alpha: int, X: int) -> list[int]:
-    """Primes p <= X with p coprime to alpha and alpha**(p-1) = 1 mod p**2."""
-    if alpha < 2:
-        raise ValueError("alpha must be >= 2")
-    if X < 3:
-        raise ValueError("X must be >= 3")
-    return [
-        p
-        for p in sieve(X)
-        if alpha % p != 0 and pow(alpha, p - 1, p * p) == 1
-    ]
 
 
 # --- rational-prime-level scan for user-supplied units ----------------------

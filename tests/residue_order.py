@@ -1,0 +1,39 @@
+"""Test oracle: the multiplicative order of a unit in a residue field O/P."""
+
+from prational.errors import RamifiedUnsupportedError
+from prational.factorint import factor
+from prational.quadfield import Splitting, pair_pow
+
+
+def multiplicative_order(F, u, P):
+    """Order of u in (O/P)^x, by factoring the group order and descending
+    through its prime divisors."""
+    if P.splitting is Splitting.RAMIFIED:
+        raise RamifiedUnsupportedError("ramified primes are excluded")
+    if not u.is_unit():
+        raise ValueError("u must be a unit")
+    p = P.p
+    if P.splitting is Splitting.SPLIT:
+        base = (u.x + u.y * P.root_mod_p()) % p
+        power = lambda e: pow(base, e, p)
+        identity = 1
+        group_factors = _merge_factors([factor(p - 1)])
+    else:
+        power = lambda e: pair_pow(u.x, u.y, e, F.t, F.s, p)
+        identity = (1 % p, 0)
+        group_factors = _merge_factors([factor(p - 1), factor(p + 1)])
+    order = 1
+    for q, e in group_factors:
+        order *= q ** e
+    for q, _ in group_factors:
+        while order % q == 0 and power(order // q) == identity:
+            order //= q
+    return order
+
+
+def _merge_factors(facts) -> list[tuple[int, int]]:
+    merged: dict[int, int] = {}
+    for f in facts:
+        for p, e in f.complete_factors():
+            merged[p] = merged.get(p, 0) + e
+    return sorted(merged.items())

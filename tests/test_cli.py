@@ -67,6 +67,20 @@ def test_inexact_bound_is_a_usage_error(text, tmp_path):
     assert exc.value.code == cli.EXIT_USAGE
 
 
+def test_scan_prational_without_a_bound_is_a_usage_error(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan-prational", "--d", "2", "--out", str(tmp_path / "out")])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "the following arguments are required: --X" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d", [331, 10009])
+def test_field_info_answers_fields_a_search_bound_refused(d, tmp_path):
+    # a bounded principality search used to exit 3 on both fields
+    payload = run_cli(["field-info", "--d", str(d)], tmp_path / "out").decode()
+    assert "class_number=1\n" in payload.splitlines(keepends=True)
+
+
 def test_bound_too_large_to_sieve_is_a_compute_error(tmp_path):
     argv = ["scan-prational", "--d", "2", "--X", "1e40", "--out", str(tmp_path / "out")]
     assert cli.main(argv) == cli.EXIT_COMPUTE

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 import sympy
@@ -13,11 +14,10 @@ from prational.factorint import (
     is_prime,
     radical_of_ideal,
     sieve,
-    split_cyclotomic_value,
     split_unit_power,
 )
-from prational.polyarith import cyclotomic, divisors
-from prational.quadfield import Splitting, make_field
+from prational.polyarith import IntPoly, cyclotomic, divisors, hensel_lift
+from prational.quadfield import Splitting, make_field, split_prime
 
 
 def next_prime_from(n):
@@ -192,6 +192,38 @@ class TestIdealValuations:
         with pytest.raises(ValueError):
             ideal_valuations(field2, field2.element(0, 0))
 
+    @pytest.mark.parametrize("d", [2, 5, 17])
+    def test_split_valuations_match_membership_in_prime_powers(self, d):
+        # oracle: alpha is in P**k exactly when x + y*r_k = 0 mod p**k, where
+        # r_k lifts the root of P to p**k; alpha = p**j * (x + y*w) puts p into
+        # the content, x = -y*r_k mod p**k puts the cofactor into P**k, and
+        # d = 17 splits p = 2
+        F = make_field(d)
+        f = IntPoly.of(-F.s, -F.t, 1)
+        rng = random.Random(d)
+        split_ps = [p for p in sieve(40) if split_prime(F, p)[0].splitting is Splitting.SPLIT]
+        seen_content = seen_high = 0
+        for _ in range(200):
+            p = rng.choice(split_ps)
+            j, k = rng.randrange(3), rng.randrange(4)
+            P = rng.choice(split_prime(F, p))
+            y = rng.choice([-1, 1]) * rng.randrange(1, 200)
+            if k:
+                x = -y * hensel_lift(f, P.root_mod_p(), p, k) + p ** k * rng.randrange(-50, 51)
+            else:
+                x = rng.randrange(-200, 201)
+            alpha = F.element(p ** j * x, p ** j * y)
+            got = {Q.hensel_root: v for Q, v in ideal_valuations(F, alpha).entries if Q.p == p}
+            e = sympy.multiplicity(p, abs(alpha.norm()))
+            for Q in split_prime(F, p):
+                v = 0
+                while v < e and (alpha.x + alpha.y * hensel_lift(f, Q.root_mod_p(), p, v + 1)) % p ** (v + 1) == 0:
+                    v += 1
+                assert got.get(Q.hensel_root, 0) == v, (alpha, Q, v)
+                seen_high += v >= 2
+            seen_content += j > 0
+        assert seen_content >= 100 and seen_high >= 100
+
     @given(st.integers(-60, 60), st.integers(-60, 60))
     def test_valuation_consistency(self, x, y):
         F = make_field(2)
@@ -282,7 +314,7 @@ class TestUnitPowerSplits:
 
 class TestCyclotomicValueSplits:
     def test_n3(self, field2, eps2):
-        split = split_cyclotomic_value(field2, eps2, 3)
+        split = ideal_valuations(field2, cyclotomic(3).evaluate(eps2))
         value = split.element
         assert (value.x, value.y) == (5, 3)
         assert (split.squarefree_norm, split.squarefull_norm) == (7, 1)
@@ -295,7 +327,7 @@ class TestCyclotomicValueSplits:
 
         for n in range(1, 25):
             top = {key(P): v for P, v in split_unit_power(field2, eps2, n).entries}
-            for P, v in split_cyclotomic_value(field2, eps2, n).entries:
+            for P, v in ideal_valuations(field2, cyclotomic(n).evaluate(eps2)).entries:
                 if v >= 2:
                     assert top.get(key(P), 0) >= v
 

@@ -9,7 +9,6 @@ from prational.numerics import (
     certify_roots,
     circle_test,
     growth_constants,
-    is_pisot,
 )
 from prational.polyarith import IntPoly, cyclotomic, euler_phi, power_poly, resultant
 
@@ -17,6 +16,11 @@ PELL = IntPoly.of(-1, -2, 1)          # 1 + sqrt(2)
 GOLDEN_SQ = IntPoly.of(1, -3, 1)      # (3 + sqrt(5)) / 2
 PLASTIC = IntPoly.of(-1, -1, 0, 1)    # smallest Pisot number
 SALEM4 = IntPoly.of(1, -1, -1, -1, 1)  # quartic Salem number; two conjugates on the circle
+
+
+def compose_neg(f):
+    """f(-x)."""
+    return IntPoly.of(*(c if i % 2 == 0 else -c for i, c in enumerate(f.coeffs)))
 
 
 class TestCertifyRoots:
@@ -79,29 +83,11 @@ class TestCircleTest:
         inverse = poly.reciprocal()
         if inverse.lead() < 0:
             inverse = -inverse
-        negated = poly.compose_neg()
+        negated = compose_neg(poly)
         if negated.lead() < 0:
             negated = -negated
         assert circle_test(certify_roots(inverse)) is base
         assert circle_test(certify_roots(negated)) is base
-
-
-class TestIsPisot:
-    def test_examples(self):
-        assert is_pisot(certify_roots(PELL))
-        assert is_pisot(certify_roots(GOLDEN_SQ))
-        assert is_pisot(certify_roots(PLASTIC))
-        assert not is_pisot(certify_roots(cyclotomic(4)))
-
-    def test_negative_dominant_root_is_not_pisot(self):
-        # roots -2.618..., -0.381...: real, off-circle, but not > 1
-        assert not is_pisot(certify_roots(IntPoly.of(1, 3, 1)))
-
-    def test_pisot_implies_clear(self):
-        for poly in (PELL, GOLDEN_SQ, PLASTIC):
-            unit = certify_roots(poly)
-            if is_pisot(unit):
-                assert circle_test(unit) is CircleTest.CLEAR
 
 
 class TestGrowthConstants:

@@ -11,7 +11,6 @@ from prational.polyarith import (
     div_exact,
     divisors,
     euler_phi,
-    half_totient_sieve,
     hensel_lift,
     iroot,
     poly_gcd,
@@ -145,18 +144,6 @@ def _gcd(a, b):
     while b:
         a, b = b, a % b
     return a
-
-
-class TestHalfTotientSieve:
-    def test_small(self):
-        assert half_totient_sieve(6) == [1, 2, 3, 4, 5]
-        assert half_totient_sieve(1) == [1]
-
-    @given(st.integers(1, 400))
-    def test_membership(self, limit):
-        got = set(half_totient_sieve(limit))
-        for n in range(1, limit + 1):
-            assert (n in got) == (2 * euler_phi(n) >= n)
 
 
 class TestResultant:

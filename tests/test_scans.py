@@ -13,7 +13,6 @@ from prational.quadfield import (
     excluded_prime_bound,
     make_field,
     minpoly_of,
-    multiplicative_order,
     residue_is_one,
     split_prime,
     unit_pow_mod_p2,
@@ -32,9 +31,9 @@ from prational.scans import (
     count_report,
     generic_unit_scan,
     prationality_scan,
-    rational_wieferich_scan,
     wieferich_scan,
 )
+from residue_order import multiplicative_order
 
 
 def residue_mod_p(F, value, P):
@@ -298,29 +297,11 @@ def _is_one_mod_p2_naive(F, w, P):
     p2 = P.p * P.p
     if P.splitting is Splitting.SPLIT:
         # brute-force root of w's minimal polynomial mod p, lifted by scanning
-        f = F.omega_minpoly()
+        f = IntPoly.of(-F.s, -F.t, 1)
         r = next(r for r in range(P.p) if f.evaluate(r) % P.p == 0 and (P.hensel_root - r) % P.p == 0)
         r2 = next(r + j * P.p for j in range(P.p) if f.evaluate(r + j * P.p) % p2 == 0)
         return (w.x + w.y * r2) % p2 == 1
     return (w.x % p2, w.y % p2) == (1, 0)
-
-
-class TestRationalWieferich:
-    def test_base_two(self):
-        assert rational_wieferich_scan(2, 10 ** 4) == [1093, 3511]
-        assert rational_wieferich_scan(2, 1000) == []
-
-    def test_divisors_of_alpha_skipped(self):
-        # 4 = 2^2 shares its Wieferich primes with 2, and p = 2 is skipped
-        assert rational_wieferich_scan(4, 10 ** 4) == [1093, 3511]
-        got = rational_wieferich_scan(6, 5000)
-        assert 2 not in got and 3 not in got
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            rational_wieferich_scan(1, 100)
-        with pytest.raises(ValueError):
-            rational_wieferich_scan(2, 2)
 
 
 class TestGenericUnitScan:
