@@ -44,10 +44,6 @@ class SquarefullRow:
     status: Status
 
 
-def _ideal_key(P):
-    return (P.p, P.splitting.value, P.hensel_root)
-
-
 def height(F: QuadField, a: QuadInt, b: QuadInt, c: QuadInt) -> Height:
     """log of prod_v max(|a|_v, |b|_v, |c|_v) over all places.
 
@@ -69,17 +65,11 @@ def height(F: QuadField, a: QuadInt, b: QuadInt, c: QuadInt) -> Height:
         splits = [ideal_valuations(F, x) for x in (a, b, c)]
         if any(s.status is not Status.COMPLETE for s in splits):
             raise PartialFactorizationError("height needs complete ideal valuations")
-        vals = []
-        for s in splits:
-            vals.append({_ideal_key(P): v for P, v in s.entries})
-        norms = {}
-        for s in splits:
-            for P, _ in s.entries:
-                norms[_ideal_key(P)] = P.norm
-        for key in set().union(*vals):
-            vmin = min(v.get(key, 0) for v in vals)
+        vals = [dict(s.entries) for s in splits]
+        for P in set().union(*vals):
+            vmin = min(v.get(P, 0) for v in vals)
             if vmin > 0:
-                finite -= vmin * math.log(norms[key])
+                finite -= vmin * math.log(P.norm)
     return Height(value=(lo + hi) / 2 + finite, width=hi - lo)
 
 

@@ -17,7 +17,7 @@ import math
 import os
 import sys
 import threading
-from fractions import Fraction
+from collections import Counter
 from pathlib import Path
 
 from . import abcaudit, factorint, numerics, scans
@@ -128,7 +128,7 @@ def cache_store(path: str | Path, cache: FactorCache) -> None:
 
 
 def format_value(v) -> str:
-    """Single canonical value formatting shared by CSV cells and tests."""
+    """The text of one value, in a CSV cell (before quoting) or a field-info line."""
     kind = type(v)
     if kind is int or kind is str:   # most cells; bool is not int here
         return str(v)
@@ -138,46 +138,29 @@ def format_value(v) -> str:
         return "true" if v else "false"
     if isinstance(v, float):
         return format(v, ".12g")
-    if isinstance(v, Fraction):
-        return format(float(v), ".12g")
     return str(v)
 
 
-def _jsonable(v):
-    if isinstance(v, Fraction):
-        return float(v)
-    return v
-
-
-def _rows_to_dicts(rows) -> list[dict]:
-    out = []
-    for row in rows:
-        d = {}
-        for f in dataclasses.fields(row):
-            v = getattr(row, f.name)
-            if isinstance(v, tuple):
-                v = list(v)
-            d[f.name] = _jsonable(v)
-        out.append(d)
-    return out
-
-
-def _emit(rows: list[dict], summary: dict, fmt: str, out, command: str) -> None:
+def _emit(columns, rows, summary: dict, fmt: str, out, command: str) -> None:
+    """Write the rows, tuples in column order, then the summary.  CSV writes
+    each row as it arrives and the header with the first, so no rows means
+    no header; JSON makes one object per row."""
     if fmt == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
-            "rows": rows,
-            "summary": {k: _jsonable(v) for k, v in summary.items()},
+            "rows": [dict(zip(columns, row)) for row in rows],
+            "summary": summary,
         }
         out.write(json.dumps(doc, indent=2))
         out.write("\n")
         return
-    if rows:
-        header = list(rows[0].keys())
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(_csv_cell(row[k]) for k in header) + "\n")
+    header = ",".join(columns) + "\n"
+    for row in rows:
+        if header:
+            out.write(header)
+            header = ""
+        out.write(",".join(map(_csv_cell, row)) + "\n")
     for k, v in summary.items():
         out.write(f"# {k}={_csv_cell(v)}\n")
 
@@ -227,10 +210,6 @@ def _constants_for_unit_poly(minpoly: IntPoly, precision_cap: int):
             f"unit has a conjugate on (or undecidably near) the unit circle: {status.value}"
         )
     return unit, numerics.growth_constants(unit, precision_cap)
-
-
-def _witnesses_field(witnesses) -> list:
-    return [f"{norm}:{'1' if flag else '0'}" for norm, flag in witnesses]
 
 
 def cmd_field_info(args, out) -> int:
@@ -304,39 +283,33 @@ def cmd_scan_wieferich(args, out) -> int:
                 "log_density": report.log_density,
             }
         )
-    _emit(_rows_to_dicts(records), summary, args.format, out, "scan-wieferich")
+    columns = [f.name for f in dataclasses.fields(scans.ScanRecord)]
+    _emit(columns, map(dataclasses.astuple, records), summary, args.format, out, "scan-wieferich")
     return EXIT_OK
 
 
 def cmd_scan_prational(args, out) -> int:
     F = _field_from_args(args)
     verdicts = scans.prationality_scan(F, args.X)
-    rows = []
-    for v in verdicts:
-        rows.append(
-            {
-                "p": v.p,
-                "verdict": v.verdict,
-                "reason": v.reason,
-                "witnesses": _witnesses_field(v.witnesses),
-            }
-        )
-    counts = {
-        "p_rational": sum(1 for v in verdicts if v.verdict == scans.P_RATIONAL),
-        "non_p_rational": sum(1 for v in verdicts if v.verdict == scans.NON_P_RATIONAL),
-        "excluded": sum(1 for v in verdicts if v.verdict == scans.EXCLUDED),
-    }
+    counts = Counter(v.verdict for v in verdicts)
+    rows = (
+        (v.p, v.verdict, v.reason, [f"{norm}:{int(flag)}" for norm, flag in v.witnesses])
+        for v in verdicts
+    )
     log_x = math.log(args.X) if args.X > 1 else 0.0
     summary = {
         "schema_version": SCHEMA_VERSION,
         "X": args.X,
-        **counts,
+        "p_rational": counts[scans.P_RATIONAL],
+        "non_p_rational": counts[scans.NON_P_RATIONAL],
+        "excluded": counts[scans.EXCLUDED],
         "log_X": log_x,
         # informational only; the count is conjecturally >= c*log X
-        "p_rational_count_exceeds_log_X": counts["p_rational"] >= log_x,
+        "p_rational_count_exceeds_log_X": counts[scans.P_RATIONAL] >= log_x,
         "non_p_rational_is_criterion_level": True,
     }
-    _emit(rows, summary, args.format, out, "scan-prational")
+    columns = ("p", "verdict", "reason", "witnesses")
+    _emit(columns, rows, summary, args.format, out, "scan-prational")
     return EXIT_OK
 
 
@@ -347,21 +320,14 @@ def cmd_abc_quality(args, out) -> int:
     report = abcaudit.squarefull_report(F, u, args.n_max, **factor_opts)
     if args.strict and any(r.status is not factorint.Status.COMPLETE for r in report):
         raise PartialFactorizationError("factor budget exhausted under --strict")
-    rows = []
-    for row in report:
-        rows.append(
-            {
-                "n": row.n,
-                "squarefree_norm": row.squarefree_norm,
-                "squarefull_norm": row.squarefull_norm,
-                "norm_total": row.norm_total,
-                "squarefull_log_share": row.log_share,
-                "quality": row.quality,
-                "factor_status": row.status.value,
-            }
-        )
+    columns = ("n", "squarefree_norm", "squarefull_norm", "norm_total",
+               "squarefull_log_share", "quality", "factor_status")
+    rows = (
+        (r.n, r.squarefree_norm, r.squarefull_norm, r.norm_total, r.log_share, r.quality, r.status.value)
+        for r in report
+    )
     summary = {"schema_version": SCHEMA_VERSION, "n_max": args.n_max}
-    _emit(rows, summary, args.format, out, "abc-quality")
+    _emit(columns, rows, summary, args.format, out, "abc-quality")
     return EXIT_OK
 
 
@@ -373,15 +339,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_field=True, n_max=False):
-        if needs_field:
-            p.add_argument("--d", type=int, help="squarefree d >= 2 selecting Q(sqrt(d))")
-            p.add_argument(
-                "--class-number",
-                type=int,
-                default=None,
-                help="override the class number (required for large discriminants)",
-            )
+    def common(p, n_max=False):
+        p.add_argument("--d", type=int, help="squarefree d >= 2 selecting Q(sqrt(d))")
+        p.add_argument(
+            "--class-number",
+            type=int,
+            default=None,
+            help="override the class number (required for large discriminants)",
+        )
         if n_max:
             p.add_argument("--n-max", type=int, required=True, help="scan levels n = 1..n_max")
         p.add_argument("--seed", type=int, default=0)

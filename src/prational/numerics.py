@@ -62,7 +62,6 @@ class AlgebraicUnit:
     minpoly: IntPoly
     degree: int
     roots: tuple[RootDisk, ...]
-    label: str
 
 
 def _ceval(coeffs: tuple[int, ...], re: Fraction, im: Fraction) -> tuple[Fraction, Fraction]:
@@ -117,7 +116,6 @@ def certify_roots(
     minpoly: IntPoly,
     tol: float = 1e-12,
     precision_cap: int = PRECISION_CAP_BITS,
-    label: str | None = None,
 ) -> AlgebraicUnit:
     """Enclose all roots of a unit's minimal polynomial in disjoint certified disks.
 
@@ -135,27 +133,21 @@ def certify_roots(
         raise NotAUnitError(f"constant term {f.constant()} has absolute value != 1")
     if poly_gcd(f, f.derivative()).degree() > 0:
         raise NotSquarefreeError("minimal polynomial has a repeated factor")
-    name = label if label is not None else f.pretty()
     if tol <= 0:
         raise ValueError("tol must be positive")
     tol_frac = Fraction(tol)
     if f.degree() == 1:
         root = -f.constant()
-        return AlgebraicUnit(f, 1, (RootDisk(Fraction(root), Fraction(0), Fraction(0)),), name)
+        return AlgebraicUnit(f, 1, (RootDisk(Fraction(root), Fraction(0), Fraction(0)),))
     prec = 64
     while prec <= precision_cap:
         disks = _certify_at_precision(f, prec, tol_frac)
         if disks is not None:
-            return AlgebraicUnit(f, f.degree(), disks, name)
+            return AlgebraicUnit(f, f.degree(), disks)
         prec *= 2
     raise NonConvergenceError(
         f"could not separate the roots of {f.pretty()} below {precision_cap} bits"
     )
-
-
-def refine(unit: AlgebraicUnit, tol: float, precision_cap: int = PRECISION_CAP_BITS) -> AlgebraicUnit:
-    """Re-certify with a smaller disk tolerance."""
-    return certify_roots(unit.minpoly, tol, precision_cap, label=unit.label)
 
 
 def _cyclotomic_match(g: IntPoly) -> int | None:
@@ -192,7 +184,7 @@ def _sides(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BITS) -> tupl
         if tol <= 0.0:
             break
         try:
-            current = refine(current, tol, precision_cap)
+            current = certify_roots(unit.minpoly, tol, precision_cap)
         except NonConvergenceError:
             break
     raise NonConvergenceError("a root enclosure keeps straddling the unit circle")

@@ -21,6 +21,8 @@ from functools import lru_cache
 
 from .errors import NonConvergenceError
 
+_SPLIT_TRIES = 64   # splitting shifts roots_mod_p tries on one factor before it gives up
+
 
 @dataclass(frozen=True)
 class IntPoly:
@@ -458,7 +460,7 @@ def _pmod_pow(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
     return result
 
 
-def roots_mod_p(f: IntPoly, p: int, max_tries: int = 64) -> list[int]:
+def roots_mod_p(f: IntPoly, p: int) -> list[int]:
     """Roots of a monic squarefree-mod-p polynomial over F_p (deterministic
     sequence of splitting shifts, so scans are reproducible)."""
     fb = _pmod_trim([c % p for c in f.coeffs])
@@ -478,7 +480,7 @@ def roots_mod_p(f: IntPoly, p: int, max_tries: int = 64) -> list[int]:
         if len(h) == 2:
             roots.append((-h[0]) * pow(h[1], -1, p) % p)
             return
-        for a in range(depth, depth + max_tries):
+        for a in range(depth, depth + _SPLIT_TRIES):
             w = _pmod_pow([a, 1], (p - 1) // 2, h, p)
             if len(w) == 0:
                 w = [0]

@@ -13,17 +13,22 @@ unramified, coprime to the class number and above the excluded-prime bound)
 is classified through the Fermat-quotient test eps**(N(P)-1) mod P**2 at
 the primes P above p.  A nontrivial quotient at any P certifies
 p-rationality; the all-trivial outcome is reported as non-p-rational at
-criterion level.  One modular power per prime settles the test:
+criterion level.  One modular power per prime settles the test, namely
+eps**(p-k) mod p**2 for k = (disc|p), taken in O/p**2 on coordinate pairs:
 
-- split p = P*P': eps*eps' = +-1, so the images a, b of eps in Z/p**2 under
-  the two embeddings have a*b = +-1 and a**(p-1) * b**(p-1) = 1.  The two
-  quotients are trivial together, and one pow(a, p - 1, p**2) decides both.
+- split p = P*P': O/p**2 = O/P**2 x O/P'**2, and eps**(p-1) = 1 mod P**2
+  exactly when it holds mod P'**2, since eps*eps' = +-1 makes the images
+  a, b of eps in Z/p**2 satisfy a**(p-1) * b**(p-1) = 1.  So both quotients
+  are trivial exactly when eps**(p-1) = 1 mod p**2.  The power cannot be
+  -1 mod p**2, as eps**(p-1) = 1 mod p by Fermat at P and P'.
 - inert p: (O/p**2)^x is the product of the roots of unity c with
   c**(p**2-1) = 1 (the Teichmueller lifts of F_(p**2)^x) and 1 + p*O, so
   eps = c*(1 + p*z) mod p**2.  As eps**p = eps' mod p, c**(p+1) is the root
   of unity that is N(eps) mod p, which is N(eps) = +-1 itself; so
   eps**(p+1) = N(eps)*(1 + p*z) mod p**2.  Hence eps**(p**2-1) = 1 mod p**2
   exactly when p | z, that is when eps**(p+1) = +-1 mod p**2.
+
+In both cases the quotients are trivial exactly when eps**(p-k) = +-1 mod p**2.
 
 Plus a rational-prime-level scan for user-supplied units of arbitrary
 degree.
@@ -53,7 +58,6 @@ from .quadfield import (
     Splitting,
     excluded_prime_bound,
     kronecker_odd_prime,
-    omega_root_mod_p2,
     pair_pow,
     residue_is_one,
     unit_pow_mod_p2,
@@ -275,14 +279,11 @@ def classify_prime(
     bound), p-rational (some Fermat quotient nonzero), or non-p-rational.
 
     The witnesses are those of the primes P above p, as (N(P), flag) with
-    flag true when u**(N(P)-1) != 1 mod P**2.  Each costs one modular power
-    (see the module docstring for why both criteria hold):
-
-    - split p: ((p, f), (p, f)), the same flag at P and P', where f is
-      a**(p-1) != 1 mod p**2 for the image a of u under w -> the root
-      quadfield.omega_root_mod_p2 gives, and pow takes the power;
-    - inert p: ((p**2, f),) with f true unless u**(p+1) = +-1 mod p**2,
-      where quadfield.pair_pow takes the power on coordinate pairs.
+    flag true when u**(N(P)-1) != 1 mod P**2.  One quadfield.pair_pow of u
+    to the power p - k, k = (disc|p), modulo p**2 settles them (see the
+    module docstring): the flag is true unless the power is +-1.  A split p
+    gives ((p, f), (p, f)), the same flag at P and P'; an inert p gives
+    ((p**2, f),).
     """
     u = F.fundamental_unit if unit is None else unit
     if not u.is_unit():
@@ -297,14 +298,11 @@ def classify_prime(
     if p <= bound:
         return PRationalityVerdict(p, EXCLUDED, REASON_BELOW_P0, ())
     p2 = p * p
-    if kronecker_odd_prime(F.disc, p) == 1:
-        root = omega_root_mod_p2(F, p)
-        flag = pow(u.x + u.y * root, p - 1, p2) != 1
-        witnesses = ((p, flag), (p, flag))
-    else:
-        a, b = pair_pow(u.x, u.y, p + 1, F.t, F.s, p2)
-        witnesses = ((p2, b != 0 or a not in (1, p2 - 1)),)
-    verdict = P_RATIONAL if witnesses[0][1] else NON_P_RATIONAL
+    k = kronecker_odd_prime(F.disc, p)
+    a, b = pair_pow(u.x, u.y, p - k, F.t, F.s, p2)
+    flag = b != 0 or a not in (1, p2 - 1)
+    witnesses = ((p, flag), (p, flag)) if k == 1 else ((p2, flag),)
+    verdict = P_RATIONAL if flag else NON_P_RATIONAL
     return PRationalityVerdict(p, verdict, "", witnesses)
 
 

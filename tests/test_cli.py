@@ -26,10 +26,15 @@ GOLDENS = {
     "scan-prational-d2.csv": ["scan-prational", "--d", "2", "--X", "5000"],
     "scan-prational-d2.json": ["scan-prational", "--d", "2", "--X", "5000", "--format", "json"],
     "scan-prational-d13.csv": ["scan-prational", "--d", "13", "--X", "5000"],
+    # no odd prime <= 2: no CSV header, and "rows": [] in JSON
+    "scan-prational-empty.csv": ["scan-prational", "--d", "2", "--X", "2"],
+    "scan-prational-empty.json": ["scan-prational", "--d", "2", "--X", "2", "--format", "json"],
     "scan-wieferich-d2.csv": ["scan-wieferich", "--d", "2", "--n-max", "60"],
+    "scan-wieferich-d2.json": ["scan-wieferich", "--d", "2", "--n-max", "60", "--format", "json"],
     "scan-wieferich-cubic.csv": ["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "40"],
     "scan-wieferich-golden-ratio.csv": ["scan-wieferich", "--minpoly=-1,-1,1", "--n-max", "30"],
     "abc-quality-d2.csv": ["abc-quality", "--d", "2", "--n-max", "40"],
+    "abc-quality-d2.json": ["abc-quality", "--d", "2", "--n-max", "40", "--format", "json"],
 }
 
 
@@ -120,7 +125,7 @@ def test_huge_bound_beyond_the_records_is_a_compute_error(capsys, tmp_path):
     "stall, argv, message",
     [
         # no shift left to try: the split of a polynomial with several roots stalls
-        ((polyarith.roots_mod_p, "__defaults__", (0,)),
+        ((polyarith, "_SPLIT_TRIES", 0),
          ["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "40"],
          "equal-degree splitting stalled"),
         # no continued-fraction step allowed: no fundamental unit is found
