@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import itertools
 import json
 import logging
 import math
@@ -144,7 +145,9 @@ def format_value(v) -> str:
 def _emit(columns, rows, summary: dict, fmt: str, out, command: str) -> None:
     """Write the rows, tuples in column order, then the summary.  CSV writes
     each row as it arrives and the header with the first, so no rows means
-    no header; JSON makes one object per row."""
+    no header; JSON makes one object per row and writes the encoder's small
+    chunks joined in batches, never the document as one string (one write
+    per chunk would be one system call each on an unbuffered stdout)."""
     if fmt == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
@@ -152,7 +155,9 @@ def _emit(columns, rows, summary: dict, fmt: str, out, command: str) -> None:
             "rows": [dict(zip(columns, row)) for row in rows],
             "summary": summary,
         }
-        out.write(json.dumps(doc, indent=2))
+        chunks = json.JSONEncoder(indent=2).iterencode(doc)
+        while batch := "".join(itertools.islice(chunks, 4096)):
+            out.write(batch)
         out.write("\n")
         return
     header = ",".join(columns) + "\n"

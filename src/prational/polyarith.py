@@ -9,7 +9,8 @@ subresultant polynomial remainder sequence so intermediate coefficients stay
 integral.
 
 The integer primitives live here too: integer k-th roots, rational bounds on
-square roots, Hensel lifting of simple roots, and root finding in F_p[x].
+square roots, Hensel lifting of simple roots, and the common root of two
+polynomials mod p.
 """
 
 from __future__ import annotations
@@ -18,10 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-from .errors import NonConvergenceError
-
-_SPLIT_TRIES = 64   # splitting shifts roots_mod_p tries on one factor before it gives up
 
 
 @dataclass(frozen=True)
@@ -426,17 +423,6 @@ def _pmod_rem(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _pmod_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, c in enumerate(a):
-        if c:
-            for j, d in enumerate(b):
-                out[i + j] = (out[i + j] + c * d) % p
-    return _pmod_trim(out)
-
-
 def _pmod_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     a, b = [c % p for c in a], [c % p for c in b]
     _pmod_trim(a)
@@ -449,70 +435,9 @@ def _pmod_gcd(a: list[int], b: list[int], p: int) -> list[int]:
     return a
 
 
-def _pmod_pow(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _pmod_rem(base, mod, p)
-    while e:
-        if e & 1:
-            result = _pmod_rem(_pmod_mul(result, base, p), mod, p)
-        base = _pmod_rem(_pmod_mul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
-def roots_mod_p(f: IntPoly, p: int) -> list[int]:
-    """Roots of a monic squarefree-mod-p polynomial over F_p (deterministic
-    sequence of splitting shifts, so scans are reproducible)."""
-    fb = _pmod_trim([c % p for c in f.coeffs])
-    if p <= 3:
-        return sorted(r for r in range(p) if _pmod_eval(fb, r, p) == 0)
-    xp = _pmod_pow([0, 1], p, fb, p)
-    xp_minus_x = xp[:]
-    while len(xp_minus_x) < 2:
-        xp_minus_x.append(0)
-    xp_minus_x[1] = (xp_minus_x[1] - 1) % p
-    linear_part = _pmod_gcd(_pmod_trim(xp_minus_x), fb, p)
-    roots: list[int] = []
-
-    def split(h: list[int], depth: int):
-        if len(h) <= 1:
-            return
-        if len(h) == 2:
-            roots.append((-h[0]) * pow(h[1], -1, p) % p)
-            return
-        for a in range(depth, depth + _SPLIT_TRIES):
-            w = _pmod_pow([a, 1], (p - 1) // 2, h, p)
-            if len(w) == 0:
-                w = [0]
-            w = w[:]
-            w[0] = (w[0] - 1) % p
-            g1 = _pmod_gcd(_pmod_trim(w), h, p)
-            if 0 < len(g1) - 1 < len(h) - 1:
-                quot = _pmod_quot(h, g1, p)
-                split(g1, a + 1)
-                split(quot, a + 1)
-                return
-        raise NonConvergenceError("equal-degree splitting stalled")
-
-    split(linear_part, 0)
-    return sorted(roots)
-
-
-def _pmod_eval(a: list[int], x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
-def _pmod_quot(a: list[int], b: list[int], p: int) -> list[int]:
-    a = [c % p for c in a]
-    q = [0] * (len(a) - len(b) + 1)
-    inv_lead = pow(b[-1], -1, p)
-    while len(_pmod_trim(a)) >= len(b):
-        coef = a[-1] * inv_lead % p
-        shift = len(a) - len(b)
-        q[shift] = coef
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * c) % p
-    return _pmod_trim(q)
+def common_root_mod_p(f: IntPoly, g: IntPoly, p: int) -> int:
+    """The root mod p of gcd(f, g) over F_p, which must have degree 1."""
+    h = _pmod_gcd(f.coeffs, g.coeffs, p)
+    if len(h) != 2:
+        raise ArithmeticError(f"gcd mod {p} has degree {len(h) - 1}, not 1")
+    return -h[0] % p

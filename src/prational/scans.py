@@ -2,11 +2,13 @@
 
 (A) Wieferich-ideal scan: for each n, split the ideal generated by the n-th
 cyclotomic value of a powered unit, and look for a prime ideal P of
-valuation exactly 1 with p coprime to n and v**n != 1 mod P**2.  For p not
-dividing n, x**n - 1 is separable mod p, so every root of Phi_n in a residue
-field has exact order n: v has residue order exactly n at each such P, with
-no check needed.  Distinct n give distinct ideals, so a window count turns
-the successes into a lower bound on rational primes up to X.
+valuation exactly 1 with p coprime to n and v**n != 1 mod P**2.  Both
+conditions on v at such a P are theorems, not checks.  For p not dividing
+n, x**n - 1 = prod over d | n of Phi_d(x) is separable mod p, so v mod P is
+a root of Phi_n and of no other Phi_d: v has residue order exactly n, and
+v_P(v**n - 1) = v_P(Phi_n(v)) = 1, so v**n != 1 mod P**2.  Distinct n give
+distinct ideals, so a window count turns the successes into a lower bound
+on rational primes up to X.
 
 (B) p-rationality scan for real quadratic fields: a prime p (odd,
 unramified, coprime to the class number and above the excluded-prime bound)
@@ -44,13 +46,13 @@ from .errors import InsufficientRecordsError
 from .factorint import Status, factor, ideal_valuations, sieve
 from .numerics import AlgebraicUnit, CircleTest, GrowthConstants, circle_test
 from .polyarith import (
+    common_root_mod_p,
     cyclotomic,
     discriminant,
     euler_phi,
     hensel_lift,
     power_poly,
     resultant,
-    roots_mod_p,
 )
 from .quadfield import (
     QuadField,
@@ -59,8 +61,6 @@ from .quadfield import (
     excluded_prime_bound,
     kronecker_odd_prime,
     pair_pow,
-    residue_is_one,
-    unit_pow_mod_p2,
 )
 
 SUCCESS = "success"
@@ -69,7 +69,6 @@ SKIPPED = "skipped"
 
 REASON_PHI = "phi_condition"
 REASON_PARTIAL = "partial_factorization"
-REASON_HIGHER_DEGREE = "higher_degree_prime"
 
 EXCLUDED = "excluded"
 P_RATIONAL = "p_rational"
@@ -180,8 +179,8 @@ def wieferich_scan(
 
     Candidates at level n are the unramified prime ideals of valuation
     exactly 1 in (Phi_n(v)) whose rational prime does not divide n and whose
-    norm is at most norm_base**n; among those meeting the mod-P^2 condition,
-    the smallest (p, hensel root) wins, for determinism.
+    norm is at most norm_base**n.  Each meets v**n != 1 mod P**2 (module
+    docstring, part (A)), so the smallest (p, hensel root) wins.
     Rows are emitted for every n, including failures and skips.
     """
     if not u.is_unit():
@@ -201,7 +200,7 @@ def wieferich_scan(
         if split.status is Status.PARTIAL:
             records.append(_record(n, cyclo_norm, factor_status="partial", reason=REASON_PARTIAL))
             continue
-        candidates = sorted(
+        chosen = min(
             (
                 P
                 for P, val in split.entries
@@ -211,13 +210,8 @@ def wieferich_scan(
                 and _compare_with_power(P.norm, constants.norm_base, n) <= 0
             ),
             key=lambda P: (P.p, P.hensel_root if P.hensel_root is not None else -1),
+            default=None,
         )
-        chosen = None
-        for P in candidates:
-            if residue_is_one(unit_pow_mod_p2(F, v, n, P), P):
-                continue
-            chosen = P
-            break
         if chosen is None:
             records.append(_record(n, cyclo_norm))
         else:
@@ -325,10 +319,14 @@ def generic_unit_scan(
     """Rational-prime-level scan for a user-supplied unit of any degree.
 
     Works entirely through resultants of the powered unit's minimal
-    polynomial: candidate primes p divide |Res(g, Phi_n)| exactly once in
-    |Res(g, x^n - 1)|, avoid n and disc(g), and must admit a root of g mod p
-    (a degree-1 prime) that is also a root of Phi_n, hence of order n.  Levels where every candidate prime has residue
-    degree > 1 are reported as skipped, so the completeness loss is visible.
+    polynomial g: candidate primes p divide |Res(g, Phi_n)| exactly once in
+    |Res(g, x^n - 1)|, avoid n and disc(g), and have p <= norm_base**n; the
+    first (smallest) candidate wins.  It always yields a degree-1 prime:
+    over Z_p, g is a product of distinct unramified factors with roots
+    beta_j of residue degree f_j, and sum_j f_j * v_p(beta_j**n - 1) = 1.
+    So exactly one root r of g mod p has r**n = 1; it is a root of Phi_n
+    (as p divides Res(g, Phi_n)), so gcd(g, Phi_n) mod p is x - r, r has
+    order n, and its lift r2 mod p**2 has r2**n != 1.
     """
     if circle_test(unit) is not CircleTest.CLEAR:
         raise ValueError("the unit must have no conjugate on the unit circle")
@@ -354,38 +352,22 @@ def generic_unit_scan(
         # x**n - 1 is the product of Phi_m over m | n, and Res is multiplicative
         r_full = math.prod(r for m, r in enumerate(r_cyclos, 1) if n % m == 0)
         primes = [p for p, _ in fact.factors] if fact is not None else []
-        candidates = [
-            p
-            for p in primes
-            if n % p != 0
-            and disc_g % p != 0
-            and r_full % (p * p) != 0
-            and _compare_with_power(p, constants.norm_base, n) <= 0
-        ]
-        chosen = None
-        saw_higher_degree = False
-        for p in candidates:
-            roots = roots_mod_p(g, p)
-            if not roots:
-                saw_higher_degree = True
-                continue
-            for r in roots:
-                if cyclotomic(n).evaluate(r) % p:
-                    continue
-                r2 = hensel_lift(g, r, p, 2)
-                if pow(r2, n, p * p) == 1:
-                    continue
-                chosen = (p, r2)
-                break
-            if chosen:
-                break
-        if chosen is not None:
-            p, r2 = chosen
+        p = next(
+            (
+                p
+                for p in primes
+                if n % p != 0
+                and disc_g % p != 0
+                and r_full % (p * p) != 0
+                and _compare_with_power(p, constants.norm_base, n) <= 0
+            ),
+            None,
+        )
+        if p is None:
+            records.append(_record(n, r_cyclo))
+        else:
+            r2 = hensel_lift(g, common_root_mod_p(g, cyclotomic(n), p), p, 2)
             records.append(
                 _record(n, r_cyclo, prime=p, residue_degree=1, ideal_norm=p, root=r2)
             )
-        elif saw_higher_degree:
-            records.append(_record(n, r_cyclo, reason=REASON_HIGHER_DEGREE))
-        else:
-            records.append(_record(n, r_cyclo))
     return records

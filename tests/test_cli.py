@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from prational import cli, factorint, polyarith, quadfield
+from prational import cli, factorint, numerics, quadfield
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -124,10 +124,10 @@ def test_huge_bound_beyond_the_records_is_a_compute_error(capsys, tmp_path):
 @pytest.mark.parametrize(
     "stall, argv, message",
     [
-        # no shift left to try: the split of a polynomial with several roots stalls
-        ((polyarith, "_SPLIT_TRIES", 0),
+        # no precision allowed: the roots of the unit's polynomial stay unseparated
+        ((numerics, "PRECISION_CAP_BITS", 0),
          ["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "40"],
-         "equal-degree splitting stalled"),
+         "could not separate the roots of x^3 - x - 1 below 0 bits"),
         # no continued-fraction step allowed: no fundamental unit is found
         ((quadfield, "_CF_MAX_STEPS", 0), ["field-info", "--d", "2"],
          "continued fraction did not produce a unit"),

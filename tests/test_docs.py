@@ -1,0 +1,24 @@
+"""docs/formats.md names the same row vocabulary as the scans."""
+
+import re
+from pathlib import Path
+
+from prational import scans
+
+FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
+
+
+def _reason_cell(section: str) -> str:
+    """The meaning cell of the `reason` column in one command's table."""
+    body = FORMATS.read_text().split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
+    return re.search(r"^\| `reason` \| (.*) \|$", body, re.MULTILINE).group(1)
+
+
+def test_reason_cells_list_exactly_the_scans_reasons():
+    reasons = {v for k, v in vars(scans).items() if k.startswith("REASON_")}
+    documented = set()
+    for section, status in (("scan-wieferich", scans.SKIPPED), ("scan-prational", scans.EXCLUDED)):
+        cell = _reason_cell(section)
+        assert cell.startswith(f"for `{status}`: ")
+        documented |= set(re.findall(r"`([^`]+)`", cell.split(": ", 1)[1]))
+    assert documented == reasons

@@ -7,6 +7,7 @@ from prational import factorint
 from prational.errors import PartialFactorizationError
 from prational.polyarith import (
     IntPoly,
+    common_root_mod_p,
     cyclotomic,
     div_exact,
     divisors,
@@ -16,7 +17,6 @@ from prational.polyarith import (
     poly_gcd,
     power_poly,
     resultant,
-    roots_mod_p,
     sqrt_bounds,
 )
 
@@ -226,21 +226,34 @@ class TestDivision:
         assert div_exact(f * g, g) == f
 
 
-class TestRootsModP:
-    def test_quadratic_at_a_large_prime(self):
-        # brute force over range(p) would never return here
-        p = 1052645985555841
-        roots = roots_mod_p(IntPoly.of(-1, -1, 1), p)
-        assert len(roots) == 2
-        assert all((r * r - r - 1) % p == 0 for r in roots)
-
-    @given(st.lists(st.integers(0, 100), min_size=1, max_size=4, unique=True))
-    def test_product_of_linear_factors(self, roots):
+class TestCommonRootModP:
+    @given(
+        st.integers(0, 100),
+        st.lists(st.integers(0, 100), max_size=4, unique=True),
+        st.integers(1, 100),
+        st.lists(st.integers(-3, 3), min_size=2, max_size=5),
+    )
+    def test_one_shared_linear_factor(self, r, roots, lead, lift):
+        """f and g share x - r mod 101 and nothing else; their coefficients
+        are shifted by multiples of 101 and f is not monic."""
         p = 101
-        f = IntPoly.of(1)
-        for r in roots:
-            f = f * IntPoly.of(-r, 1)
-        assert roots_mod_p(f, p) == sorted(roots)
+        others = [a for a in roots if a != r]
+        f = IntPoly.of(-r, 1) * lead
+        g = IntPoly.of(-r, 1) * IntPoly.of(-2, 0, 1)   # 2 is not a square mod 101
+        for a in others[: len(others) // 2]:
+            f = f * IntPoly.of(-a, 1)
+        for a in others[len(others) // 2:]:
+            g = g * IntPoly.of(-a, 1)
+        f = f + IntPoly.of(*lift) * p
+        assert common_root_mod_p(f, g, p) == r
+        assert common_root_mod_p(g, f, p) == r
+
+    def test_a_gcd_of_another_degree_is_refused(self):
+        two_roots = IntPoly.of(-1, 1) * IntPoly.of(-2, 1)
+        with pytest.raises(ArithmeticError):
+            common_root_mod_p(two_roots, two_roots * IntPoly.of(-3, 1), 7)
+        with pytest.raises(ArithmeticError):
+            common_root_mod_p(IntPoly.of(1, 1), IntPoly.of(2, 1), 7)
 
 
 class TestIntegerRoots:

@@ -1,13 +1,23 @@
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from prational.errors import InsufficientRecordsError
-from prational.factorint import ideal_valuations, sieve
+from prational.factorint import factor, ideal_valuations, sieve
 from prational.numerics import certify_roots, growth_constants
-from prational.polyarith import IntPoly, cyclotomic, euler_phi
+from prational.polyarith import (
+    IntPoly,
+    cyclotomic,
+    discriminant,
+    euler_phi,
+    hensel_lift,
+    power_poly,
+    resultant,
+)
 from prational.quadfield import (
     Splitting,
     excluded_prime_bound,
@@ -138,17 +148,53 @@ class TestWieferichScan:
 def test_prime_ideals_of_cyclotomic_values_have_order_n(d):
     """The scans rely on this instead of checking it: for p not dividing n,
     x**n - 1 is separable mod p, so v has exact order n modulo every prime
-    ideal P over p that divides Phi_n(v)."""
+    ideal P over p that divides Phi_n(v), and v mod P is a root of Phi_n
+    only.  So v_P(v**n - 1) = v_P(Phi_n(v)), and an unramified P of
+    valuation 1 has v**n != 1 mod P**2."""
     F = make_field(d)
     v = F.fundamental_unit ** growth_constants(certify_roots(minpoly_of(F.fundamental_unit))).power
-    checked = 0
+    checked = wieferich_free = 0
     for n in range(1, 31):
-        for P, _ in ideal_valuations(F, cyclotomic(n).evaluate(v)).entries:
-            if P.splitting is Splitting.RAMIFIED or n % P.p == 0 or P.norm > 10 ** 15:
+        for P, val in ideal_valuations(F, cyclotomic(n).evaluate(v)).entries:
+            if P.splitting is Splitting.RAMIFIED or n % P.p == 0:
                 continue
-            assert multiplicative_order(F, v, P) == n
+            if val == 1:
+                assert not residue_is_one(unit_pow_mod_p2(F, v, n, P), P)
+                wieferich_free += 1
+            if P.norm <= 10 ** 15:
+                assert multiplicative_order(F, v, P) == n
+                checked += 1
+    assert checked >= 30 and wieferich_free >= 30
+
+
+@pytest.mark.parametrize("coeffs", [(-1, -1, 0, 1), (-1, -1, 1)])
+def test_generic_candidates_have_one_root_of_order_dividing_n(coeffs):
+    """generic_unit_scan relies on this instead of checking it.  Let p divide
+    Res(Phi_n, g) with p not dividing n * disc(g) and p**2 not dividing
+    Res(x**n - 1, g).  Over Z_p, g splits into distinct unramified factors
+    with sum_j f_j * v_p(beta_j**n - 1) = 1, so exactly one root r of g mod p
+    has r**n = 1; it is a root of Phi_n, and its lift r2 mod p**2 has
+    r2**n != 1.  The roots of g mod p come from sympy."""
+    x = sympy.Symbol("x")
+    unit = certify_roots(IntPoly.of(*coeffs))
+    g = power_poly(unit.minpoly, growth_constants(unit).power)
+    disc_g = discriminant(g)
+    g_expr = sum(c * x ** i for i, c in enumerate(g.coeffs))
+    checked = 0
+    for n in range(1, 41):
+        r_full = resultant(IntPoly.x_pow_minus_one(n), g)
+        for p, _ in factor(resultant(cyclotomic(n), g)).complete_factors():
+            if n % p == 0 or disc_g % p == 0 or r_full % (p * p) == 0:
+                continue
+            _, factors_mod_p = sympy.Poly(g_expr, x, modulus=p).factor_list()
+            roots = [int(-f.TC()) % p for f, _ in factors_mod_p if f.degree() == 1]
+            of_order_dividing_n = [r for r in roots if pow(r, n, p) == 1]
+            assert len(of_order_dividing_n) == 1
+            r = of_order_dividing_n[0]
+            assert cyclotomic(n).evaluate(r) % p == 0
+            assert pow(hensel_lift(g, r, p, 2), n, p * p) != 1
             checked += 1
-    assert checked >= 30
+    assert checked >= 40
 
 
 def _reconstruct_ideal(F, record):
@@ -263,6 +309,27 @@ class TestClassifyPrime:
                 expected = P_RATIONAL if any(f for _, f in witnesses) else NON_P_RATIONAL
                 assert (got.verdict, got.reason, got.witnesses) == (expected, "", witnesses)
 
+
+@pytest.mark.parametrize("d", [2, 3, 5, 13])
+def test_wieferich_successes_are_p_rational(d):
+    """The two headline computations agree.  A success P at level n has
+    v**n = 1 + (a unit times a generator of P) mod P**2, and N(P) - 1 = n*m
+    with p not dividing m, so v**(N(P)-1) != 1 mod P**2; as v = eps**k, the
+    Fermat quotient of eps at P is nontrivial too.  So classify_prime answers
+    p_rational, with a true witness at N(P), unless it excludes p."""
+    F = make_field(d)
+    eps = F.fundamental_unit
+    p0 = excluded_prime_bound(F)
+    verdicts = Counter()
+    for r in wieferich_scan(F, eps, growth_constants(certify_roots(minpoly_of(eps))), 60):
+        if r.status != SUCCESS:
+            continue
+        got = classify_prime(F, r.prime, p0=p0)
+        assert got.verdict in (P_RATIONAL, EXCLUDED)
+        if got.verdict == P_RATIONAL:
+            assert (r.ideal_norm, True) in got.witnesses
+        verdicts[got.verdict] += 1
+    assert verdicts[P_RATIONAL] >= 20
 
 class TestPRationalityScan:
     def test_against_naive_oracle(self, field2, eps2):
