@@ -20,7 +20,7 @@ from fractions import Fraction
 import mpmath
 
 from .errors import NonConvergenceError, NotAUnitError, NotSquarefreeError
-from .polyarith import IntPoly, cyclotomic, euler_phi, iroot, poly_gcd, sqrt_bounds
+from .polyarith import IntPoly, cyclotomic, euler_phi, iroot, poly_gcd, prem, sqrt_bounds
 
 PRECISION_CAP_BITS = 2 ** 14
 _SQRT_BITS = 48   # precision of the rational square-root bounds on moduli and radii
@@ -119,7 +119,8 @@ def certify_roots(
 ) -> AlgebraicUnit:
     """Enclose all roots of a unit's minimal polynomial in disjoint certified disks.
 
-    Raises NotSquarefreeError / NotAUnitError on bad input and
+    Raises NotSquarefreeError / NotAUnitError on bad input (NotAUnitError also
+    when f has a cyclotomic factor of lower degree) and
     NonConvergenceError if disks cannot be separated below ``precision_cap`` bits.
     """
     f = minpoly
@@ -133,10 +134,16 @@ def certify_roots(
         raise NotAUnitError(f"constant term {f.constant()} has absolute value != 1")
     if poly_gcd(f, f.derivative()).degree() > 0:
         raise NotSquarefreeError("minimal polynomial has a repeated factor")
+    m = f.degree()
+    # a cyclotomic factor of lower degree makes f reducible, so f is no minimal
+    # polynomial; deg Phi_k = phi(k) >= sqrt(k/2) and phi(k) < m give k <= 2(m-1)^2
+    for k in range(1, 2 * (m - 1) ** 2 + 1):
+        if cyclotomic(k).degree() < m and prem(f, cyclotomic(k)).is_zero():
+            raise NotAUnitError(f"{f.pretty()} has a cyclotomic factor of lower degree")
     if tol <= 0:
         raise ValueError("tol must be positive")
     tol_frac = Fraction(tol)
-    if f.degree() == 1:
+    if m == 1:
         root = -f.constant()
         return AlgebraicUnit(f, 1, (RootDisk(Fraction(root), Fraction(0), Fraction(0)),))
     prec = 64

@@ -79,6 +79,17 @@ def test_scan_prational_without_a_bound_is_a_usage_error(capsys, tmp_path):
     assert "the following arguments are required: --X" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "coeffs, poly",
+    [("-1,0,1", "x^2 - 1"), ("-1,2,-2,1", "x^3 - 2x^2 + 2x - 1")],
+)
+def test_minpoly_with_a_cyclotomic_factor_is_a_usage_error(coeffs, poly, capsys, tmp_path):
+    # (x - 1)(x + 1) and (x - 1)(x^2 - x + 1) are no unit's minimal polynomial
+    argv = ["scan-wieferich", f"--minpoly={coeffs}", "--n-max", "30", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {poly} has a cyclotomic factor of lower degree\n"
+
+
 @pytest.mark.parametrize("d", [331, 10009])
 def test_field_info_answers_fields_a_search_bound_refused(d, tmp_path):
     # a bounded principality search used to exit 3 on both fields

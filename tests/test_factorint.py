@@ -18,6 +18,7 @@ from prational.factorint import (
 )
 from prational.polyarith import IntPoly, cyclotomic, divisors, hensel_lift
 from prational.quadfield import Splitting, make_field, split_prime
+from trial_division import PRIMES, trial_divide as trial_divide_by_remainders
 
 
 def next_prime_from(n):
@@ -100,6 +101,46 @@ class TestFactor:
         assert f.product() == n
         for p, _ in f.factors:
             assert is_prime(p)
+
+
+# primes on both sides of each boundary between trial chunks, the primes just
+# under 10**6 (the last chunk), and primes above 10**6 that trial division
+# cannot remove
+_CHUNK = factorint._TRIAL_CHUNK
+_EDGE_PRIMES = [PRIMES[i] for k in range(_CHUNK, len(PRIMES), _CHUNK) for i in (k - 1, k)]
+_TOP_PRIMES = PRIMES[-8:]
+_BIG_PRIMES = [sympy.nextprime(10 ** 6 + 7919 * i) for i in range(12)]
+_TRIAL_BOUNDS = [10, 1000, PRIMES[_CHUNK - 1], PRIMES[_CHUNK], 10 ** 6]
+
+
+class TestTrialDivision:
+    def check(self, n, bound):
+        want, got = {}, {}
+        assert factorint._trial_divide(n, bound, got) == trial_divide_by_remainders(n, bound, want)
+        assert got == want
+        f = factor(n, trial_bound=bound)
+        assert f.status is Status.COMPLETE
+        assert dict(f.factors) == sympy.factorint(n)
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from([2, 3, 997, *_EDGE_PRIMES, *_TOP_PRIMES]), st.integers(1, 3)),
+            max_size=4,
+        ),
+        st.lists(st.sampled_from(_BIG_PRIMES), min_size=1, max_size=3),
+        st.sampled_from(_TRIAL_BOUNDS),
+    )
+    def test_matches_one_remainder_per_prime(self, powers, big, bound):
+        self.check(math.prod(p ** e for p, e in powers) * math.prod(big), bound)
+
+    @pytest.mark.parametrize("bound", _TRIAL_BOUNDS)
+    @pytest.mark.parametrize("k", [_CHUNK, 40 * _CHUNK, len(PRIMES) - 1])
+    def test_stops_at_the_square_root_across_a_boundary(self, k, bound):
+        # the leftover turns prime at the last prime of one chunk, at the
+        # first of the next, or at the end of the sieve
+        q, r = PRIMES[k - 1], PRIMES[k]
+        for n in (q * r, q * q, r ** 3, 2 * q * r, q * r * _BIG_PRIMES[0]):
+            self.check(n, bound)
 
 
 def count_searches(monkeypatch):

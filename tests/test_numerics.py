@@ -51,6 +51,14 @@ class TestCertifyRoots:
         with pytest.raises(NotAUnitError):
             certify_roots(IntPoly.of(-3, 0, 1))
 
+    def test_cyclotomic_factor_of_lower_degree_is_not_a_unit(self):
+        # the k with phi(k) <= 4, so every product has a factor of lower degree
+        small = [1, 2, 3, 4, 5, 6, 8, 10, 12]
+        for a in small:
+            for g in [PELL, *(cyclotomic(b) for b in small if b != a)]:
+                with pytest.raises(NotAUnitError, match="cyclotomic factor of lower degree"):
+                    certify_roots(cyclotomic(a) * g)
+
     def test_not_squarefree(self):
         with pytest.raises(NotSquarefreeError):
             certify_roots(IntPoly.of(1, -2, 1))
