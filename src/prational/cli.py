@@ -19,6 +19,7 @@ import os
 import sys
 import threading
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 from . import abcaudit, factorint, numerics, scans
@@ -39,6 +40,7 @@ CACHE_ENV_VAR = "PRATIONAL_CACHE"
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_COMPUTE = 3
+EXIT_BROKEN_PIPE = 141   # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 log = logging.getLogger("prational")
 
@@ -60,27 +62,50 @@ class FactorCache:
     its absolute value.  The handlers pass it to ``factorint.factor`` as
     ``cache``; ``--cache`` loads it from a file and appends what the run added.
 
-    File format: one entry per line, ``value<TAB>p1^e1,p2^e2,...<TAB>cofactor``.
-    Corrupt lines are skipped with a warning; writes are serialized.
+    ``entries`` holds searched factorizations (complete, or partial when the
+    factor budget ran out) and ``trial`` the trial-phase ones, whose cofactor
+    was never searched.  A searched entry replaces a trial one.
+
+    File format: one entry per line, ``value<TAB>p1^e1,p2^e2,...<TAB>cofactor``,
+    with a fourth field ``trial`` on a trial-phase entry.  Corrupt lines are
+    skipped with a warning; writes are serialized.
     """
 
     def __init__(self):
         self.entries: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
-        self.new_keys: list[int] = []
+        self.trial: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
+        self.new_keys: dict[int, None] = {}   # in insertion order
         self.hits = 0
         self._lock = threading.Lock()
 
     def lookup(self, value: int):
+        """(factors, cofactor, factorint.Status) of value, or None."""
         got = self.entries.get(value)
         if got is not None:
-            self.hits += 1
-        return got
+            status = factorint.Status.COMPLETE if got[1] == 1 else factorint.Status.PARTIAL
+        else:
+            got = self.trial.get(value)
+            if got is None:
+                return None
+            status = factorint.Status.TRIAL
+        self.hits += 1
+        return (*got, status)
 
-    def record(self, value: int, factors, cofactor: int):
+    def record(self, value: int, factors, cofactor: int, status):
         with self._lock:
-            if value not in self.entries:
+            if value in self.entries:
+                return
+            if status is factorint.Status.TRIAL:
+                if value in self.trial:
+                    return
+                self.trial[value] = (tuple(factors), cofactor)
+            else:
+                self.trial.pop(value, None)
                 self.entries[value] = (tuple(factors), cofactor)
-                self.new_keys.append(value)
+            self.new_keys[value] = None
+
+
+_TRIAL_MARK = "trial"
 
 
 def cache_load(path: str | Path) -> FactorCache:
@@ -96,7 +121,9 @@ def cache_load(path: str | Path) -> FactorCache:
         if not line.strip():
             continue
         try:
-            value_s, factors_s, cofactor_s = line.split("\t")
+            value_s, factors_s, cofactor_s, *mark = line.split("\t")
+            if mark not in ([], [_TRIAL_MARK]):
+                raise ValueError("a fourth field other than 'trial'")
             value = int(value_s)
             cofactor = int(cofactor_s)
             factors = []
@@ -111,20 +138,32 @@ def cache_load(path: str | Path) -> FactorCache:
                 raise ValueError("entry does not multiply back")
             if any(cofactor % p == 0 for p, _ in factors):
                 raise ValueError("a listed prime divides the cofactor")
-            cache.entries[value] = (tuple(factors), cofactor)
+            if not mark:
+                cache.trial.pop(value, None)
+                cache.entries[value] = (tuple(factors), cofactor)
+            elif cofactor == 1:
+                raise ValueError("a trial-phase entry without a cofactor")
+            elif value not in cache.entries:
+                cache.trial[value] = (tuple(factors), cofactor)
         except (ValueError, IndexError) as exc:
             log.warning("cache %s line %d corrupt (%s); skipped", path, lineno, exc)
     return cache
 
 
 def cache_store(path: str | Path, cache: FactorCache) -> None:
-    """Append entries recorded since load."""
+    """Append entries recorded since load; an entry searched after its trial
+    phase was recorded is written once, as searched."""
     path = Path(path)
     with path.open("a") as fh:
         for value in cache.new_keys:
-            factors, cofactor = cache.entries[value]
+            if value in cache.entries:
+                factors, cofactor = cache.entries[value]
+                mark = ""
+            else:
+                factors, cofactor = cache.trial[value]
+                mark = "\t" + _TRIAL_MARK
             factors_s = ",".join(f"{p}^{e}" for p, e in factors)
-            fh.write(f"{value}\t{factors_s}\t{cofactor}\n")
+            fh.write(f"{value}\t{factors_s}\t{cofactor}{mark}\n")
     cache.new_keys.clear()
 
 
@@ -170,6 +209,47 @@ def _emit(columns, rows, summary: dict, fmt: str, out, command: str) -> None:
         out.write(f"# {k}={_csv_cell(v)}\n")
 
 
+def _g12(x: Fraction) -> str:
+    """The %.12g text of a rational x beyond the double range, from exact arithmetic."""
+    e = math.floor(math.log10(x.numerator) - math.log10(x.denominator))
+    while Fraction(10) ** e > x:
+        e -= 1
+    while Fraction(10) ** (e + 1) <= x:
+        e += 1
+    digits = round(x / Fraction(10) ** (e - 11))   # 12 of them, rounded half to even
+    if digits == 10 ** 12:
+        digits, e = 10 ** 11, e + 1
+    text = str(digits)
+    mantissa = (text[0] + "." + text[1:]).rstrip("0").rstrip(".")
+    return f"{mantissa}e+{e:02d}"
+
+
+def _approx(x: Fraction) -> float | str:
+    """float(x) for a positive rational x, or beyond the double range its
+    12 significant digits as text (see format_value)."""
+    try:
+        return float(x)
+    except OverflowError:
+        return _g12(x)
+
+
+def _unit_approx(eps) -> float | str:
+    """The value of the unit eps > 1, as _approx gives it; beyond the double
+    range from rational bounds on sqrt(d), refined until they agree."""
+    try:
+        value = eps.approx()
+        if not math.isinf(value):
+            return value
+    except OverflowError:
+        pass
+    bits = 96
+    while True:
+        lo, hi = eps.embedding_bounds(bits)[0]
+        if _g12(lo) == _g12(hi):
+            return _g12(lo)
+        bits *= 2
+
+
 def _csv_cell(v) -> str:
     if isinstance(v, list):
         return '"' + ";".join(_csv_cell(x) for x in v) + '"'
@@ -210,9 +290,11 @@ def _field_from_args(args):
 def _constants_for_unit_poly(minpoly: IntPoly, precision_cap: int):
     unit = numerics.certify_roots(minpoly, precision_cap=precision_cap)
     status = numerics.circle_test(unit, precision_cap)
+    if status is numerics.CircleTest.ON_CIRCLE:
+        raise ValueError(f"{unit.minpoly.pretty()} has a root on the unit circle")
     if status is not numerics.CircleTest.CLEAR:
         raise NonConvergenceError(
-            f"unit has a conjugate on (or undecidably near) the unit circle: {status.value}"
+            f"could not decide whether {unit.minpoly.pretty()} has a root on the unit circle"
         )
     return unit, numerics.growth_constants(unit, precision_cap)
 
@@ -226,17 +308,17 @@ def cmd_field_info(args, out) -> int:
         "disc": F.disc,
         "integral_basis": "(1+sqrt(d))/2" if F.omega_half else "sqrt(d)",
         "fundamental_unit": str(eps),
-        "fundamental_unit_approx": eps.approx(),
+        "fundamental_unit_approx": _unit_approx(eps),
         "unit_norm": F.unit_norm,
         "class_number": F.class_number,
         "excluded_prime_bound": excluded_prime_bound(F),
         "scan_power": constants.power,
         "growth_rate": constants.rate,
-        "peak_modulus_lb": float(constants.peak_lb),
-        "conjugate_modulus_ub": float(constants.conj_ub),
-        "powered_modulus_ub": float(constants.conj_pow_ub),
+        "peak_modulus_lb": _approx(constants.peak_lb),
+        "conjugate_modulus_ub": _approx(constants.conj_ub),
+        "powered_modulus_ub": _approx(constants.conj_pow_ub),
         "eps_max": constants.eps_max,
-        "norm_cap_base": float(constants.norm_base),
+        "norm_cap_base": _approx(constants.norm_base),
         "n_start": constants.n_start,
     }
     if args.format == "json":
@@ -250,21 +332,26 @@ def cmd_field_info(args, out) -> int:
 
 def cmd_scan_wieferich(args, out) -> int:
     factor_opts = dict(rho_budget=args.factor_budget, seed=args.seed, cache=args.factor_table)
+    tally = Counter()
     if args.minpoly is not None:
         unit, constants = _constants_for_unit_poly(args.minpoly, args.precision_cap)
-        records = scans.generic_unit_scan(unit, constants, args.n_max, **factor_opts)
+        records = scans.generic_unit_scan(unit, constants, args.n_max, tally, **factor_opts)
     else:
         F = _field_from_args(args)
         eps = F.fundamental_unit
         _, constants = _constants_for_unit_poly(minpoly_of(eps), args.precision_cap)
-        records = scans.wieferich_scan(F, eps, constants, args.n_max, **factor_opts)
+        records = scans.wieferich_scan(F, eps, constants, args.n_max, tally, **factor_opts)
+    log.info(
+        "factoring: %d rows settled by trial division below %d, %d searched, %d partial",
+        tally["settled"], factorint._TRIAL_BOUND, tally["searched"], tally["partial"],
+    )
     if args.strict and any(r.reason == scans.REASON_PARTIAL for r in records):
         raise PartialFactorizationError("factor budget exhausted under --strict")
     summary = {
         "schema_version": SCHEMA_VERSION,
         "power": constants.power,
         "rate": constants.rate,
-        "norm_cap_base": float(constants.norm_base),
+        "norm_cap_base": _approx(constants.norm_base),
         "n_start": constants.n_start,
     }
     if args.X is not None:
@@ -362,7 +449,7 @@ def _build_parser() -> argparse.ArgumentParser:
             help="work allowed per factored integer before it is reported partial, "
             "in Pollard rho iterations: trial division is free, rho runs first "
             "(at most %d iterations per composite), then each elliptic-curve "
-            "(ECM) curve costs %d; 0 means trial division only"
+            "(ECM) curve costs %d; 0 means trial division only (the trial phase)"
             % (factorint._RHO_CAP, factorint._ECM_CURVE_COST),
         )
         p.add_argument("--precision-cap", type=int, default=numerics.PRECISION_CAP_BITS)
@@ -443,6 +530,7 @@ def main(argv: list[str] | None = None) -> int:
                 code = args.handler(args, fh)
         else:
             code = args.handler(args, sys.stdout)
+            sys.stdout.flush()   # so that a closed pipe shows here, not at exit
         if cache_path:
             fresh = len(cache.new_keys)
             cache_store(cache_path, cache)
@@ -454,6 +542,11 @@ def main(argv: list[str] | None = None) -> int:
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader stopped early (``| head``): no message; point stdout at
+        # devnull so that the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

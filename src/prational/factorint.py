@@ -1,25 +1,33 @@
 """Integer primality/factorization and squarefree/squarefull ideal splits.
 
-Factoring runs three stages: trial division by the primes of a sieve,
-skipping each chunk of consecutive primes whose product has gcd 1 with the
-integer (after Bernstein, "How to find smooth parts of integers", 2004); on
-each composite left over, Brent-cycle Pollard rho capped at _RHO_CAP
-iterations (enough for factors up to about 30 bits); then elliptic-curve
-(ECM) curves.  Trial division still divides the primes out in increasing
-order and stops where one ``%`` per prime would, so rho and ECM get the
-composite that loop would leave, and every result is unchanged.
-One budget, ``rho_budget``, counted in rho iterations, covers both searches:
+Factoring runs in two phases.  The trial phase is everything before the
+first rho iteration: trial division by the primes of a sieve up to
+``trial_bound``, skipping each chunk of consecutive primes whose product has
+gcd 1 with the integer (after Bernstein, "How to find smooth parts of
+integers", 2004), then the primality test and the perfect-power check on
+what is left.  It lists every prime up to the bound with its exact exponent;
+when what is left has two or more distinct primes, all above the bound, it
+stays an open cofactor (status TRIAL).  The search then runs on that
+cofactor: Brent-cycle Pollard rho capped at _RHO_CAP iterations per
+composite (enough for factors up to about 30 bits), then elliptic-curve
+(ECM) curves.  A caller that needs only the small primes (the Wieferich
+scans) stops after the trial phase with ``search=False``.  Trial division
+divides the primes out in increasing order and stops where one ``%`` per
+prime would, so the search gets the composite that loop would leave.
+One budget, ``rho_budget``, counted in rho iterations, covers the search:
 each curve is charged _ECM_CURVE_COST, about its time in rho iterations, and
-runs only while that much budget is left, so ``rho_budget=0`` means trial
-division only.  The random starts come from one generator seeded with
-``seed``.  A perfect power r**k is factored through r, once.  Giving up is a
-first-class outcome: the composite leftover is reported as a ``cofactor``
-with status ``PARTIAL`` instead of being mislabeled, and the listed primes
-keep exact exponents (none of them divides the cofactor).  A caller that
-factors many integers passes one factor table (see cli.FactorCache) as
-``cache``, so no integer is factored twice in one run.  Primality is
-certified deterministically below 3.3e24 (fixed Miller-Rabin witness sets)
-and probabilistically (64 seeded rounds) above.
+runs only while that much budget is left, so ``rho_budget=0`` means the
+trial phase only.  The random starts come from one generator seeded with
+``seed`` when the search starts, so a searched result is the same whether
+or not its trial phase ran in an earlier call.  A perfect power r**k is
+factored through r, once.  Giving up is a first-class outcome: the
+composite leftover is reported as a ``cofactor`` with status ``PARTIAL``
+instead of being mislabeled, and the listed primes keep exact exponents
+(none of them divides the cofactor).  A caller that factors many integers
+passes one factor table (see cli.FactorCache) as ``cache``, so no integer is
+factored twice in one run.  Primality is certified deterministically below
+3.3e24 (fixed Miller-Rabin witness sets) and probabilistically (64 seeded
+rounds) above.
 
 The ideal layer splits a principal ideal of a real quadratic field into
 prime-ideal powers and separates the squarefree part (valuation exactly 1)
@@ -179,7 +187,8 @@ def is_prime(n: int, seed: int = 0) -> bool:
 
 class Status(enum.Enum):
     COMPLETE = "complete"
-    PARTIAL = "partial"
+    PARTIAL = "partial"   # the search ran out of budget
+    TRIAL = "trial"       # only the trial phase ran; the cofactor is unsearched
 
 
 @dataclass(frozen=True)
@@ -313,77 +322,125 @@ def _ecm(n: int, rng: random.Random) -> int | None:
     return g if 1 < g < n else None
 
 
+def _reduce(m: int, mult: int, found: dict[int, int], seed: int) -> tuple[int, int]:
+    """Reduce the part m**mult of an integer, m having no prime below the trial
+    bound: a prime m goes into ``found`` and gives (1, 0); a perfect power
+    r**k is taken through r (once, which also spares rho the powers of one
+    prime, where it cannot find a cycle).  What is left is (m, mult) with m
+    composite and no perfect power."""
+    while m > 1:
+        if is_prime(m, seed=seed):
+            found[m] = found.get(m, 0) + mult
+            return 1, 0
+        for k in range(2, m.bit_length() + 1):
+            r = iroot(m, k)
+            if r > 1 and r ** k == m:
+                m, mult = r, mult * k
+                break
+        else:
+            return m, mult
+    return 1, 0
+
+
+def _search(m: int, mult: int, found: dict[int, int], rho_budget: int, seed: int) -> int:
+    """Rho, then ECM, on the composite m**mult that _reduce left; the primes
+    found go into ``found`` and the unsplit part is returned (1 when none)."""
+    rng = random.Random(seed)
+    budget = rho_budget
+    cofactor = 1
+    stack = [(m, mult)]   # composites that are no perfect powers, with multiplicity
+    while stack:
+        m, mult = stack.pop()
+        divisor = None
+        rho_left = min(budget, _RHO_CAP)
+        while rho_left > 0 and divisor is None:
+            divisor, used = _brent_rho(m, rng, rho_left)
+            rho_left -= max(used, 1)
+            budget -= max(used, 1)
+        while budget >= _ECM_CURVE_COST and divisor is None:
+            divisor = _ecm(m, rng)
+            budget -= _ECM_CURVE_COST
+        if divisor is None:
+            cofactor *= m ** mult
+            continue
+        for part in (divisor, m // divisor):
+            part, k = _reduce(part, mult, found, seed)
+            if part > 1:
+                stack.append((part, k))
+    # a prime split off one branch can still divide a branch the search gave up on
+    for p in found:
+        while cofactor % p == 0:
+            cofactor //= p
+            found[p] += 1
+    return cofactor
+
+
+def _trial_view(factors, cofactor: int, trial_bound: int):
+    """The trial phase's (factors, cofactor, status) for a searched entry.
+
+    The trial phase lists the primes up to trial_bound and is COMPLETE when
+    at most one prime is left above it (trial division up to the square
+    root, the primality test or the perfect-power check then finds it);
+    otherwise everything above trial_bound is its open cofactor."""
+    large = [(p, e) for p, e in factors if p > trial_bound]
+    if cofactor == 1 and len(large) <= 1:
+        return factors, 1, Status.COMPLETE
+    small = tuple((p, e) for p, e in factors if p <= trial_bound)
+    return small, cofactor * math.prod(p ** e for p, e in large), Status.TRIAL
+
+
 def factor(
     n: int,
     trial_bound: int = _TRIAL_BOUND,
     rho_budget: int = _RHO_BUDGET,
     seed: int = 0,
     cache=None,
+    search: bool = True,
 ) -> Factorization:
     """Factor n; sign is tracked separately and the composite leftover (if the
     budget runs out) lands in ``cofactor`` with status PARTIAL.
 
+    The trial phase is everything before the first rho iteration: trial
+    division up to trial_bound, then the primality test and the perfect-power
+    check on what is left.  With ``search=False`` only it runs, and the result
+    is COMPLETE or TRIAL: a TRIAL cofactor is unsearched, its primes all
+    exceed trial_bound, and the listed exponents are exact.  The search (rho,
+    then ECM) starts from the same state either way, so a searched result
+    does not depend on whether the trial phase ran in an earlier call.
+
     ``cache`` is a factor table with ``lookup`` and ``record`` (see
     cli.FactorCache): answered from it when it holds |n|, recorded in it
-    otherwise."""
+    otherwise.  A TRIAL entry never answers a call that searches; that call
+    resumes the search on the entry's cofactor and records what it finds.  A
+    searched entry answers a call with ``search=False`` by what the trial
+    phase alone would give, so the result depends only on n and the options."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = -1 if n < 0 else 1
     a = abs(n)
-    if cache is not None:
-        hit = cache.lookup(a)
-        if hit is not None:
-            factors, cofactor = hit
-            status = Status.COMPLETE if cofactor == 1 else Status.PARTIAL
-            return Factorization(n, sign, factors, cofactor, status)
-    found: dict[int, int] = {}
-    a = _trial_divide(a, trial_bound, found)
-    cofactor = 1
-    if a > 1:
-        rng = random.Random(seed)
-        budget = rho_budget
-        stack = [(a, 1)]   # (composite or prime, multiplicity in a)
-        while stack:
-            m, mult = stack.pop()
-            if is_prime(m, seed=seed):
-                found[m] = found.get(m, 0) + mult
-                continue
-            # a perfect power r**k is factored through r, once; this also
-            # spares rho the powers of one prime, where it cannot find a cycle
-            reduced = False
-            for k in range(2, m.bit_length() + 1):
-                r = iroot(m, k)
-                if r > 1 and r ** k == m:
-                    stack.append((r, mult * k))
-                    reduced = True
-                    break
-            if reduced:
-                continue
-            divisor = None
-            rho_left = min(budget, _RHO_CAP)
-            while rho_left > 0 and divisor is None:
-                divisor, used = _brent_rho(m, rng, rho_left)
-                rho_left -= max(used, 1)
-                budget -= max(used, 1)
-            while budget >= _ECM_CURVE_COST and divisor is None:
-                divisor = _ecm(m, rng)
-                budget -= _ECM_CURVE_COST
-            if divisor is None:
-                cofactor *= m ** mult
-                continue
-            stack.append((divisor, mult))
-            stack.append((m // divisor, mult))
-    # a prime split off one branch can still divide a branch the search gave up on
-    for p in found:
-        while cofactor % p == 0:
-            cofactor //= p
-            found[p] += 1
+    hit = None if cache is None else cache.lookup(a)
+    if hit is None:
+        found: dict[int, int] = {}
+        m, mult = _reduce(_trial_divide(a, trial_bound, found), 1, found, seed)
+        factors, status = tuple(sorted(found.items())), Status.TRIAL if m > 1 else Status.COMPLETE
+        cofactor = m ** mult
+        if cache is not None:
+            cache.record(a, factors, cofactor, status)
+    else:
+        factors, cofactor, status = hit
+        if status is not Status.TRIAL and not search:
+            factors, cofactor, status = _trial_view(factors, cofactor, trial_bound)
+    if status is not Status.TRIAL or not search:
+        return Factorization(n, sign, factors, cofactor, status)
+    found = dict(factors)
+    if hit is not None:
+        m, mult = _reduce(cofactor, 1, found, seed)
+    cofactor = _search(m, mult, found, rho_budget, seed) if m > 1 else 1
     factors = tuple(sorted(found.items()))
     status = Status.COMPLETE if cofactor == 1 else Status.PARTIAL
-    result = Factorization(n, sign, factors, cofactor, status)
     if cache is not None:
-        cache.record(abs(n), factors, cofactor)
-    return result
+        cache.record(a, factors, cofactor, status)
+    return Factorization(n, sign, factors, cofactor, status)
 
 
 # --- ideal splits -----------------------------------------------------------

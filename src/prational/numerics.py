@@ -13,6 +13,7 @@ cap) otherwise.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,11 +151,67 @@ def certify_roots(
     while prec <= precision_cap:
         disks = _certify_at_precision(f, prec, tol_frac)
         if disks is not None:
+            h = _factor_from_roots(f, disks)
+            if h is not None:
+                raise NotAUnitError(f"{f.pretty()} is reducible: {h.pretty()} divides it")
             return AlgebraicUnit(f, f.degree(), disks)
         prec *= 2
     raise NonConvergenceError(
         f"could not separate the roots of {f.pretty()} below {precision_cap} bits"
     )
+
+
+def _factor_from_roots(f: IntPoly, disks: tuple[RootDisk, ...]) -> IntPoly | None:
+    """A monic factor of f over Z of degree 2..deg(f)/2, or None when f has
+    none; f is monic with constant term +-1, and each disk holds one of its
+    roots.  (A factor of degree 1 is x -+ 1, a cyclotomic factor, which
+    certify_roots rules out before; so f of degree below 4 needs no search.)
+
+    A factor h is the product of x - z over a set S of roots closed under
+    complex conjugation, and its constant term is +-1, so the product of |z|
+    over S is 1.  The disks give each root's conjugate: the mirror image of
+    the disk of z meets only the disk of conj(z).  For each such S whose
+    modulus product can be 1, the coefficients of prod (x - c) over the disk
+    centers c are within err = prod(1 + |c| + r) - prod(1 + |c|) of those
+    of h (r: the radii); with err < 1/2, rounding them gives the only
+    candidate for h, and exact division decides it.
+    """
+    m = len(disks)
+    if m < 4:
+        return None
+    classes = []
+    for i, disk in enumerate(disks):
+        mirror = RootDisk(disk.re, -disk.im, disk.radius)
+        meets = [j for j, other in enumerate(disks) if mirror.overlaps(other)]
+        if len(meets) != 1:
+            raise NonConvergenceError(f"could not pair the roots of {f.pretty()} with their conjugates")
+        if meets[0] >= i:
+            classes.append((i,) if meets[0] == i else (i, meets[0]))
+    ubs = [d.mod_ub() for d in disks]
+    log_lo = [ln(lb) if lb > 0 else -math.inf for lb in (d.mod_lb() for d in disks)]
+    log_hi = [ln(ub) for ub in ubs]
+    slack = 1e-12 * m
+    for r in range(1, len(classes) + 1):
+        for combo in itertools.combinations(classes, r):
+            S = [i for cls in combo for i in cls]
+            if not 2 <= len(S) <= m // 2 or sum(log_lo[i] for i in S) > slack or sum(log_hi[i] for i in S) < -slack:
+                continue
+            err = math.prod(1 + ubs[i] + disks[i].radius for i in S) - math.prod(1 + ubs[i] for i in S)
+            if err >= Fraction(1, 2):
+                raise NonConvergenceError(f"could not decide whether {f.pretty()} is irreducible")
+            coeffs = [(Fraction(1), Fraction(0))]   # prod (x - c), highest degree first
+            for i in S:
+                c_re, c_im = disks[i].re, disks[i].im
+                coeffs = [
+                    (a_re - c_re * b_re + c_im * b_im, a_im - c_re * b_im - c_im * b_re)
+                    for (a_re, a_im), (b_re, b_im) in zip(coeffs + [(0, 0)], [(0, 0)] + coeffs)
+                ]
+            rounded = [round(re) for re, _ in coeffs]
+            if all(abs(re - a) <= err and abs(im) <= err for (re, im), a in zip(coeffs, rounded)):
+                h = IntPoly.of(*reversed(rounded))
+                if prem(f, h).is_zero():
+                    return h
+    return None
 
 
 def _cyclotomic_match(g: IntPoly) -> int | None:
@@ -240,6 +297,15 @@ class GrowthConstants:
     n_start: int              # smallest n from which exp(rate*n/2) > n**degree stays true
 
 
+def ln(x: int | Fraction) -> float:
+    """The natural logarithm of a positive rational x, also beyond the double
+    range; equal to math.log(float(x)) within it."""
+    try:
+        return math.log(float(x))
+    except (OverflowError, ValueError):   # float(x) overflows, or underflows to 0
+        return math.log(x.numerator) - math.log(x.denominator)
+
+
 def _pow2_upper(num: int, den: int, bits: int = 32) -> Fraction:
     """Rational upper bound for 2**(num/den)."""
     target = 1 << (num + den * bits)  # t^den >= 2^(num + den*bits)
@@ -280,9 +346,13 @@ def growth_constants(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BIT
         k += 1
         if k > 10 ** 6:
             raise NonConvergenceError("no admissible power below 10^6")
-    rate = 0.5 * math.log(float(peak ** k - 1) * 2.0 ** (1 - m))
+    excess = peak ** k - 1
+    try:
+        rate = 0.5 * math.log(float(excess) * 2.0 ** (1 - m))
+    except OverflowError:   # a unit beyond the double range
+        rate = 0.5 * (ln(excess) + (1 - m) * math.log(2))
     conj_pow_ub = max(ub ** k for ub in ubs)
-    eps_max = rate / (2 * m * math.log(float(conj_pow_ub)))
+    eps_max = rate / (2 * m * ln(conj_pow_ub))
     # threshold index: exp(rate*n/2) > n**m for all n >= n_start
     half_rate = rate / 2
     turn = max(1, math.ceil(2 * m / rate))

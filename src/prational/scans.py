@@ -8,7 +8,13 @@ n, x**n - 1 = prod over d | n of Phi_d(x) is separable mod p, so v mod P is
 a root of Phi_n and of no other Phi_d: v has residue order exactly n, and
 v_P(v**n - 1) = v_P(Phi_n(v)) = 1, so v**n != 1 mod P**2.  Distinct n give
 distinct ideals, so a window count turns the successes into a lower bound
-on rational primes up to X.
+on rational primes up to X.  A row needs one such ideal, not the complete
+factorization of N(Phi_n(v)): the trial phase of factoring lists the primes
+up to its bound B with exact exponents and leaves only primes above B, so a
+listed candidate is the smallest one, and with B >= norm_base**n no
+unlisted prime is a candidate.  Either way the row is decided (factor_status
+`sufficient` when a cofactor is left unsearched); the rho/ECM search runs
+only on the rows that neither case decides.
 
 (B) p-rationality scan for real quadratic fields: a prime p (odd,
 unramified, coprime to the class number and above the excluded-prime bound)
@@ -39,12 +45,13 @@ degree.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InsufficientRecordsError
-from .factorint import Status, factor, ideal_valuations, sieve
-from .numerics import AlgebraicUnit, CircleTest, GrowthConstants, circle_test
+from .factorint import _TRIAL_BOUND, Status, factor, ideal_valuations, sieve
+from .numerics import AlgebraicUnit, CircleTest, GrowthConstants, circle_test, ln
 from .polyarith import (
     common_root_mod_p,
     cyclotomic,
@@ -62,6 +69,11 @@ from .quadfield import (
     kronecker_odd_prime,
     pair_pow,
 )
+
+# factor_status of a row: how far its integer was factored
+COMPLETE = "complete"
+PARTIAL = "partial"
+SUFFICIENT = "sufficient"   # the trial phase decided the row; its cofactor is unsearched
 
 SUCCESS = "success"
 NO_QUALIFYING_PRIME = "no_qualifying_prime"
@@ -122,7 +134,7 @@ class CountReport:
 def _record(
     n,
     cyclo_norm,
-    factor_status="complete",
+    factor_status=COMPLETE,
     reason="",
     prime=None,
     residue_degree=None,
@@ -160,11 +172,44 @@ def _compare_with_power(a: int, gamma: Fraction, n: int) -> int:
     denominator of thousands of bits, and a can have thousands of digits.
     """
     log_a = math.log(a)
-    diff = log_a - n * math.log(gamma)
+    diff = log_a - n * ln(gamma)
     if abs(diff) > 1e-9 * (abs(log_a) + n + 1):
         return 1 if diff > 0 else -1
     power = gamma ** n
     return (a > power) - (a < power)
+
+
+def _settled(fact_status: Status, found: bool, gamma: Fraction, n: int, trial_bound: int) -> bool:
+    """Whether a row is decided without the search, from its trial phase.
+
+    Every prime of a TRIAL cofactor exceeds trial_bound, and every prime the
+    trial phase lists is below it, with its exact exponent.  So a candidate
+    among the listed primes beats any prime of the cofactor, and when
+    trial_bound >= gamma**n no prime of the cofactor is a candidate at all."""
+    return (
+        fact_status is not Status.TRIAL
+        or found
+        or _compare_with_power(trial_bound, gamma, n) >= 0
+    )
+
+
+def _decide(factorize, choose, gamma: Fraction, n: int, factor_opts: dict, tally: Counter):
+    """(choice, factor_status) of one row: ``factorize(**opts)``
+    factors its integer (or ideal), ``choose`` picks the candidate from that,
+    or None.  The trial phase runs first; the search only where _settled
+    leaves the row open.  A PARTIAL search gives no choice."""
+    trial_bound = factor_opts.get("trial_bound", _TRIAL_BOUND)
+    fact = factorize(search=False, **factor_opts)
+    chosen = choose(fact)
+    if _settled(fact.status, chosen is not None, gamma, n, trial_bound):
+        tally["settled"] += 1
+        return chosen, SUFFICIENT if fact.status is Status.TRIAL else COMPLETE
+    tally["searched"] += 1
+    fact = factorize(**factor_opts)
+    if fact.status is Status.PARTIAL:
+        tally["partial"] += 1
+        return None, PARTIAL
+    return choose(fact), COMPLETE
 
 
 def wieferich_scan(
@@ -172,6 +217,7 @@ def wieferich_scan(
     u: QuadInt,
     constants: GrowthConstants,
     n_max: int,
+    tally: Counter | None = None,
     **factor_opts,
 ) -> list[ScanRecord]:
     """Scan n = 1..n_max for Wieferich-free prime ideals of the cyclotomic
@@ -180,7 +226,10 @@ def wieferich_scan(
     Candidates at level n are the unramified prime ideals of valuation
     exactly 1 in (Phi_n(v)) whose rational prime does not divide n and whose
     norm is at most norm_base**n.  Each meets v**n != 1 mod P**2 (module
-    docstring, part (A)), so the smallest (p, hensel root) wins.
+    docstring, part (A)), so the smallest (p, hensel root) wins.  Each row
+    runs the trial phase of factoring first and the search only when that
+    leaves the row open (see _settled); ``tally``, when given, counts the
+    rows "settled" by the trial phase, "searched" and "partial".
     Rows are emitted for every n, including failures and skips.
     """
     if not u.is_unit():
@@ -188,6 +237,23 @@ def wieferich_scan(
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     v = u ** constants.power
+    gamma = constants.norm_base
+    tally = Counter() if tally is None else tally
+
+    def chosen_ideal(split, n):
+        return min(
+            (
+                P
+                for P, val in split.entries
+                if val == 1
+                and P.splitting is not Splitting.RAMIFIED
+                and n % P.p != 0
+                and _compare_with_power(P.norm, gamma, n) <= 0
+            ),
+            key=lambda P: (P.p, P.hensel_root if P.hensel_root is not None else -1),
+            default=None,
+        )
+
     records = []
     for n in range(1, n_max + 1):
         phi_ok = 2 * euler_phi(n) >= n
@@ -196,29 +262,21 @@ def wieferich_scan(
         if not phi_ok:
             records.append(_record(n, cyclo_norm, factor_status=None, reason=REASON_PHI))
             continue
-        split = ideal_valuations(F, value, **factor_opts)
-        if split.status is Status.PARTIAL:
-            records.append(_record(n, cyclo_norm, factor_status="partial", reason=REASON_PARTIAL))
-            continue
-        chosen = min(
-            (
-                P
-                for P, val in split.entries
-                if val == 1
-                and P.splitting is not Splitting.RAMIFIED
-                and n % P.p != 0
-                and _compare_with_power(P.norm, constants.norm_base, n) <= 0
-            ),
-            key=lambda P: (P.p, P.hensel_root if P.hensel_root is not None else -1),
-            default=None,
+        chosen, factor_status = _decide(
+            lambda **opts: ideal_valuations(F, value, **opts),
+            lambda split: chosen_ideal(split, n),
+            gamma, n, factor_opts, tally,
         )
-        if chosen is None:
-            records.append(_record(n, cyclo_norm))
+        if factor_status == PARTIAL:
+            records.append(_record(n, cyclo_norm, factor_status=PARTIAL, reason=REASON_PARTIAL))
+        elif chosen is None:
+            records.append(_record(n, cyclo_norm, factor_status=factor_status))
         else:
             records.append(
                 _record(
                     n,
                     cyclo_norm,
+                    factor_status=factor_status,
                     prime=chosen.p,
                     residue_degree=chosen.residue_degree,
                     ideal_norm=chosen.norm,
@@ -236,7 +294,7 @@ def count_report(records: list[ScanRecord], constants: GrowthConstants, X: int) 
     gamma = constants.norm_base
     # n_stop from logarithms (gamma**n has millions of digits at X = 1e4299),
     # corrected where log X / log gamma is too close to an integer
-    n_stop = math.floor(math.log(X) / math.log(gamma))
+    n_stop = math.floor(math.log(X) / ln(gamma))
     while _compare_with_power(X, gamma, n_stop) < 0:
         n_stop -= 1
     while _compare_with_power(X, gamma, n_stop + 1) >= 0:
@@ -314,6 +372,7 @@ def generic_unit_scan(
     unit: AlgebraicUnit,
     constants: GrowthConstants,
     n_max: int,
+    tally: Counter | None = None,
     **factor_opts,
 ) -> list[ScanRecord]:
     """Rational-prime-level scan for a user-supplied unit of any degree.
@@ -326,7 +385,9 @@ def generic_unit_scan(
     beta_j of residue degree f_j, and sum_j f_j * v_p(beta_j**n - 1) = 1.
     So exactly one root r of g mod p has r**n = 1; it is a root of Phi_n
     (as p divides Res(g, Phi_n)), so gcd(g, Phi_n) mod p is x - r, r has
-    order n, and its lift r2 mod p**2 has r2**n != 1.
+    order n, and its lift r2 mod p**2 has r2**n != 1.  Factoring runs its
+    trial phase first and the search only where that leaves the row open,
+    with ``tally`` as in wieferich_scan.
     """
     if circle_test(unit) is not CircleTest.CLEAR:
         raise ValueError("the unit must have no conjugate on the unit circle")
@@ -336,6 +397,22 @@ def generic_unit_scan(
     disc_g = abs(discriminant(g))
     if disc_g == 0:
         raise ValueError("powered unit has repeated conjugates; use a different power or unit")
+    gamma = constants.norm_base
+    tally = Counter() if tally is None else tally
+
+    def first_prime(fact, n, r_full):
+        return next(
+            (
+                p
+                for p, _ in fact.factors
+                if n % p != 0
+                and disc_g % p != 0
+                and r_full % (p * p) != 0
+                and _compare_with_power(p, gamma, n) <= 0
+            ),
+            None,
+        )
+
     records = []
     r_cyclos = []       # |Res(Phi_m, g)| for m = 1..n
     for n in range(1, n_max + 1):
@@ -345,29 +422,27 @@ def generic_unit_scan(
         if not phi_ok:
             records.append(_record(n, r_cyclo, factor_status=None, reason=REASON_PHI))
             continue
-        fact = factor(r_cyclo, **factor_opts) if r_cyclo > 1 else None
-        if fact is not None and fact.status is Status.PARTIAL:
-            records.append(_record(n, r_cyclo, factor_status="partial", reason=REASON_PARTIAL))
+        if r_cyclo == 1:   # no prime to choose
+            tally["settled"] += 1
+            records.append(_record(n, r_cyclo))
             continue
         # x**n - 1 is the product of Phi_m over m | n, and Res is multiplicative
         r_full = math.prod(r for m, r in enumerate(r_cyclos, 1) if n % m == 0)
-        primes = [p for p, _ in fact.factors] if fact is not None else []
-        p = next(
-            (
-                p
-                for p in primes
-                if n % p != 0
-                and disc_g % p != 0
-                and r_full % (p * p) != 0
-                and _compare_with_power(p, constants.norm_base, n) <= 0
-            ),
-            None,
+        p, factor_status = _decide(
+            lambda **opts: factor(r_cyclo, **opts),
+            lambda fact: first_prime(fact, n, r_full),
+            gamma, n, factor_opts, tally,
         )
-        if p is None:
-            records.append(_record(n, r_cyclo))
+        if factor_status == PARTIAL:
+            records.append(_record(n, r_cyclo, factor_status=PARTIAL, reason=REASON_PARTIAL))
+        elif p is None:
+            records.append(_record(n, r_cyclo, factor_status=factor_status))
         else:
             r2 = hensel_lift(g, common_root_mod_p(g, cyclotomic(n), p), p, 2)
             records.append(
-                _record(n, r_cyclo, prime=p, residue_degree=1, ideal_norm=p, root=r2)
+                _record(
+                    n, r_cyclo, factor_status=factor_status,
+                    prime=p, residue_degree=1, ideal_norm=p, root=r2,
+                )
             )
     return records

@@ -9,11 +9,16 @@ A change that is meant to alter a payload regenerates them with
 from __future__ import annotations
 
 import logging
+import os
 import re
+import subprocess
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
+
+import sympy
 
 from prational import cli, factorint, numerics, quadfield
 
@@ -31,6 +36,8 @@ GOLDENS = {
     "scan-prational-empty.json": ["scan-prational", "--d", "2", "--X", "2", "--format", "json"],
     "scan-wieferich-d2.csv": ["scan-wieferich", "--d", "2", "--n-max", "60"],
     "scan-wieferich-d2.json": ["scan-wieferich", "--d", "2", "--n-max", "60", "--format", "json"],
+    # rows 31, 37, 49, ... are decided by the trial phase of factoring: `sufficient`
+    "scan-wieferich-d5.csv": ["scan-wieferich", "--d", "5", "--n-max", "60"],
     "scan-wieferich-cubic.csv": ["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "40"],
     "scan-wieferich-golden-ratio.csv": ["scan-wieferich", "--minpoly=-1,-1,1", "--n-max", "30"],
     "abc-quality-d2.csv": ["abc-quality", "--d", "2", "--n-max", "40"],
@@ -259,6 +266,114 @@ def test_warm_abc_run_builds_no_large_sieve(monkeypatch, tmp_path):
     monkeypatch.setattr(factorint, "_sieve_primes", None)   # as in a fresh process
     run_cli(argv, tmp_path / "warm")
     assert all(limit <= 1000 for limit in limits)
+
+def _rows(payload: bytes) -> list[list[str]]:
+    return [line.split(",") for line in payload.decode().splitlines()[1:] if not line.startswith("#")]
+
+
+def test_wieferich_payload_does_not_depend_on_the_table(tmp_path):
+    """Cold, on a table that abc-quality filled, on one that holds a complete
+    factorization of every norm, and warm: the same bytes, since a row's
+    factor_status comes from its trial phase, not from what the table held."""
+    argv = ["scan-wieferich", "--d", "2", "--n-max", "100"]
+    cold = run_cli(argv, tmp_path / "cold")
+    assert [row[0] for row in _rows(cold) if row[3] == "sufficient"] == ["79", "83", "87", "91", "95", "97"]
+    cache = tmp_path / "cache.txt"
+    run_cli(["abc-quality", "--d", "2", "--n-max", "40", "--cache", str(cache)], tmp_path / "abc")
+    assert run_cli([*argv, "--cache", str(cache)], tmp_path / "after-abc") == cold
+    full = tmp_path / "full.txt"
+    table = cli.FactorCache()
+    for row in _rows(cold):
+        assert factorint.factor(int(row[2]), cache=table).status is factorint.Status.COMPLETE
+    cli.cache_store(full, table)
+    assert run_cli([*argv, "--cache", str(full)], tmp_path / "complete") == cold
+    assert run_cli([*argv, "--cache", str(full)], tmp_path / "warm") == cold
+
+
+def test_trial_phase_entries_round_trip_through_the_cache_file(tmp_path):
+    path = tmp_path / "cache.txt"
+    table = cli.FactorCache()
+    n = 12 * 1000003 * 1000033
+    trial = factorint.factor(n, cache=table, search=False)
+    assert trial.status is factorint.Status.TRIAL
+    cli.cache_store(path, table)
+    assert path.read_text() == f"{n}\t2^2,3^1\t{1000003 * 1000033}\ttrial\n"
+    loaded = cli.cache_load(path)
+    assert loaded.trial == {n: (((2, 2), (3, 1)), 1000003 * 1000033)} and loaded.entries == {}
+    assert factorint.factor(n, cache=loaded) == factorint.factor(n)   # resumes the search
+    cli.cache_store(path, loaded)
+    reloaded = cli.cache_load(path)   # the searched line supersedes the trial line
+    assert reloaded.trial == {} and reloaded.entries == {n: (((2, 2), (3, 1), (1000003, 1), (1000033, 1)), 1)}
+
+
+def test_no_search_budget_leaves_trial_decided_rows_sufficient(caplog, tmp_path):
+    # with --factor-budget 0 these rows were partial; their trial phase decides them
+    argv = ["scan-wieferich", "--d", "5", "--n-max", "60", "--factor-budget", "0"]
+    with caplog.at_level(logging.INFO, logger="prational"):
+        rows = _rows(run_cli(argv, tmp_path / "out"))
+    assert [row[0] for row in rows if row[3] == "sufficient"] == ["31", "37", "49", "53", "55", "57", "59"]
+    assert [row[0] for row in rows if row[3] == "partial"] == ["41", "47"]
+    golden = _rows((GOLDEN / "scan-wieferich-d5.csv").read_bytes())
+    assert [r for r in rows if r[3] != "partial"] == [r for r in golden if r[0] not in ("41", "47")]
+    assert caplog.messages == [
+        "factoring: 33 rows settled by trial division below 1000000, 2 searched, 2 partial"
+    ]
+
+
+def test_field_beyond_the_double_range(tmp_path):
+    # the fundamental unit of Q(sqrt(100291)) is about 8.6e381
+    payload = run_cli(["field-info", "--d", "100291"], tmp_path / "out").decode()
+    lines = dict(line.split("=", 1) for line in payload.splitlines())
+    x, y = (int(v) for v in re.fullmatch(r"(\d+)\+(\d+)\*sqrt\(100291\)", lines["fundamental_unit"]).groups())
+    eps = sympy.Integer(x) + y * sympy.sqrt(100291)
+    assert lines["fundamental_unit_approx"] == format(Decimal(str(sympy.N(eps, 30))), ".12g")
+    assert lines["fundamental_unit_approx"] == "8.64162720502e+381"
+    rate = 0.5 * float(sympy.N(sympy.log((eps - 1) / 2), 30))   # degree 2, power 1
+    assert abs(float(lines["growth_rate"]) - rate) < 1e-9
+    assert lines["norm_cap_base"].endswith("e+764")
+    argv = ["scan-wieferich", "--d", "100291", "--n-max", "3", "--factor-budget", "0"]
+    assert "# norm_cap_base=2.98710883003e+764" in run_cli(argv, tmp_path / "scan").decode()
+
+
+@pytest.mark.parametrize(
+    "coeffs, message",
+    [
+        ("1,3,0,-3,1", "x^4 - 3x^3 + 3x + 1 is reducible: x^2 - x - 1 divides it"),
+        ("1,3,1,-2,-2,1", "x^5 - 2x^4 - 2x^3 + x^2 + 3x + 1 is reducible: x^2 - 2x - 1 divides it"),
+        ("1,1,1", "x^2 + x + 1 has a root on the unit circle"),
+        ("-1,1", "x - 1 has a root on the unit circle"),
+    ],
+)
+def test_minpoly_of_no_admissible_unit_is_a_usage_error(coeffs, message, capsys, tmp_path):
+    argv = ["scan-wieferich", f"--minpoly={coeffs}", "--n-max", "4", "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_undecided_circle_test_is_a_compute_error(capsys, tmp_path):
+    # a Salem number: two conjugates on the circle, not provably so at 512 bits
+    argv = ["scan-wieferich", "--minpoly=1,-1,-1,-1,1", "--n-max", "4", "--precision-cap", "512"]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_COMPUTE
+    assert "could not decide whether x^4 - x^3 - x^2 - x + 1 has a root" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("coeffs", ["-1,-1,1", "-1,-1,0,1", "-1,-1,0,0,1", "1,-3,1"])
+def test_irreducible_units_of_degree_2_to_4_are_scanned(coeffs, tmp_path):
+    rows = _rows(run_cli(["scan-wieferich", f"--minpoly={coeffs}", "--n-max", "12"], tmp_path / "out"))
+    assert [row[0] for row in rows] == [str(n) for n in range(1, 13)]
+
+
+def test_closed_pipe_ends_quietly():
+    # the reader goes away after one line of a ~100 kB payload
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "prational", "scan-prational", "--d", "2", "--X", "50000"]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"p,verdict,reason,witnesses\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)

@@ -209,6 +209,45 @@ class TestSearch:
         assert (budget == 0) == (searched == [])
 
 
+class TestTrialPhase:
+    """factor(..., search=False) stops before the first rho iteration."""
+
+    # open after trial division: two primes above the bound, a square of such a
+    # product, and the 48-bit factor only ECM finds
+    OPEN = [
+        12 * 1000003 * 1000033,
+        5 * (1000003 * 1000033) ** 3,
+        4463 ** 2 * (HARD_P * HARD_Q) ** 2,
+    ]
+
+    @pytest.mark.parametrize("n", OPEN)
+    def test_open_cofactor_has_only_primes_above_the_bound(self, n):
+        f = factor(n, search=False)
+        assert f.status is Status.TRIAL and f.product() == n
+        full = sympy.factorint(n)
+        assert f.factors == tuple((p, e) for p, e in sorted(full.items()) if p <= factorint._TRIAL_BOUND)
+        assert f.cofactor == math.prod(p ** e for p, e in full.items() if p > factorint._TRIAL_BOUND)
+
+    @pytest.mark.parametrize("n", [97 * 1000003, 3 * 1000003 ** 5, 2 ** 40, 10 ** 6 + 3])
+    def test_at_most_one_prime_above_the_bound_completes(self, n):
+        f = factor(n, search=False)
+        assert f.status is Status.COMPLETE and dict(f.factors) == sympy.factorint(n)
+
+    @pytest.mark.parametrize("n", OPEN)
+    @pytest.mark.parametrize("budget", [0, 5000, factorint._RHO_BUDGET])
+    def test_table_with_a_trial_entry_answers_like_a_cold_call(self, n, budget):
+        from prational.cli import FactorCache
+
+        table = FactorCache()
+        trial = factor(n, cache=table, search=False)
+        assert table.trial == {n: (trial.factors, trial.cofactor)}
+        cold = factor(n, rho_budget=budget)
+        assert factor(n, rho_budget=budget, cache=table) == cold
+        assert table.trial == {} and table.entries == {n: (cold.factors, cold.cofactor)}
+        # the searched entry answers the trial phase as the trial phase would
+        assert factor(n, cache=table, search=False) == trial
+
+
 class TestIdealValuations:
     def test_cube_minus_one(self, field2, eps2):
         alpha = eps2 ** 3 - 1

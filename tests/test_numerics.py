@@ -9,6 +9,7 @@ from prational.numerics import (
     certify_roots,
     circle_test,
     growth_constants,
+    ln,
 )
 from prational.polyarith import IntPoly, cyclotomic, euler_phi, power_poly, resultant
 
@@ -58,6 +59,23 @@ class TestCertifyRoots:
             for g in [PELL, *(cyclotomic(b) for b in small if b != a)]:
                 with pytest.raises(NotAUnitError, match="cyclotomic factor of lower degree"):
                     certify_roots(cyclotomic(a) * g)
+
+    @pytest.mark.parametrize(
+        "f, g",
+        [(PELL, PLASTIC), (PELL, GOLDEN_SQ), (PLASTIC, PLASTIC.reciprocal()), (IntPoly.of(1, -1, -1), SALEM4)],
+    )
+    def test_product_of_units_is_reducible(self, f, g):
+        h = f * g
+        if h.lead() < 0:
+            h = -h
+        with pytest.raises(NotAUnitError, match="is reducible: .* divides it"):
+            certify_roots(h)
+
+    @pytest.mark.parametrize(
+        "f", [PELL, GOLDEN_SQ, PLASTIC, SALEM4, cyclotomic(5), cyclotomic(12), IntPoly.of(-1, -1, 0, 0, 1)]
+    )
+    def test_irreducible_units_are_accepted(self, f):
+        assert certify_roots(f).degree == f.degree()
 
     def test_not_squarefree(self):
         with pytest.raises(NotSquarefreeError):
@@ -156,3 +174,10 @@ class TestGrowthConstants:
             and a ** k >= 2
         )
         assert not rules_hold
+
+
+def test_ln_matches_math_log_in_the_double_range_and_extends_it():
+    for x in (Fraction(7, 3), Fraction(10) ** 300, 2 ** 1000 + 1):
+        assert ln(x) == math.log(float(x))
+    assert abs(ln(Fraction(3 ** 2000, 2 ** 5)) - (2000 * math.log(3) - 5 * math.log(2))) < 1e-9
+    assert abs(ln(Fraction(1, 7 ** 900)) + 900 * math.log(7)) < 1e-9

@@ -7,7 +7,8 @@ import pytest
 import sympy
 
 from prational.errors import InsufficientRecordsError
-from prational.factorint import factor, ideal_valuations, sieve
+from prational import factorint, scans
+from prational.factorint import Factorization, Status, factor, ideal_valuations, sieve
 from prational.numerics import certify_roots, growth_constants
 from prational.polyarith import (
     IntPoly,
@@ -413,3 +414,49 @@ class TestGenericUnitScan:
     def test_deterministic(self, cubic):
         unit, constants = cubic
         assert generic_unit_scan(unit, constants, 10) == generic_unit_scan(unit, constants, 10)
+
+
+def _complete_factor(n, **_):
+    """sympy's complete factorization, in the form factorint.factor returns."""
+    factors = tuple(sorted(sympy.factorint(abs(n)).items()))
+    return Factorization(n, -1 if n < 0 else 1, factors, 1, Status.COMPLETE)
+
+
+def _decisions(records):
+    return [(r.n, r.prime, r.root, r.status) for r in records]
+
+
+@pytest.mark.parametrize(
+    "d, n_max, trial_bound",
+    [(2, 96, None), (3, 100, None), (5, 60, None), (13, 70, None), (5, 60, 1000), (13, 60, 1000)],
+)
+def test_trial_phase_decides_rows_as_a_complete_factorization(d, n_max, trial_bound, monkeypatch):
+    F = make_field(d)
+    eps = F.fundamental_unit
+    constants = growth_constants(certify_roots(minpoly_of(eps)))
+    opts = {} if trial_bound is None else {"trial_bound": trial_bound}
+    records = wieferich_scan(F, eps, constants, n_max, **opts)
+    assert "sufficient" in {r.factor_status for r in records}
+    assert {r.factor_status for r in records} <= {"complete", "sufficient", None}
+    monkeypatch.setattr(factorint, "factor", _complete_factor)
+    full = wieferich_scan(F, eps, constants, n_max)
+    assert _decisions(records) == _decisions(full)
+
+
+@pytest.mark.parametrize("trial_bound", [None, 100])
+def test_trial_phase_decides_cubic_rows_as_a_complete_factorization(cubic, trial_bound, monkeypatch):
+    unit, constants = cubic
+    opts = {} if trial_bound is None else {"trial_bound": trial_bound}
+    records = generic_unit_scan(unit, constants, 60, **opts)
+    assert "sufficient" in {r.factor_status for r in records}
+    monkeypatch.setattr(scans, "factor", _complete_factor)
+    full = generic_unit_scan(unit, constants, 60)
+    assert _decisions(records) == _decisions(full)
+
+
+def test_open_rows_are_settled_when_no_cofactor_prime_can_qualify():
+    gamma = Fraction(35)
+    assert scans._settled(Status.TRIAL, False, gamma, 3, 35 ** 3)
+    assert not scans._settled(Status.TRIAL, False, gamma, 3, 35 ** 3 - 1)
+    assert scans._settled(Status.TRIAL, True, gamma, 4, 35 ** 3)
+    assert scans._settled(Status.COMPLETE, False, gamma, 4, 35 ** 3)
