@@ -17,7 +17,6 @@ import logging
 import math
 import os
 import sys
-import threading
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -34,7 +33,7 @@ from .errors import (
 from .polyarith import IntPoly
 from .quadfield import excluded_prime_bound, make_field, minpoly_of
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 CACHE_ENV_VAR = "PRATIONAL_CACHE"
 
 EXIT_OK = 0
@@ -62,54 +61,45 @@ class FactorCache:
     its absolute value.  The handlers pass it to ``factorint.factor`` as
     ``cache``; ``--cache`` loads it from a file and appends what the run added.
 
-    ``entries`` holds searched factorizations (complete, or partial when the
-    factor budget ran out) and ``trial`` the trial-phase ones, whose cofactor
-    was never searched.  A searched entry replaces a trial one.
+    ``entries`` maps each integer to (factors, cofactor, factorint.Status):
+    a searched factorization (COMPLETE, or PARTIAL when the factor budget
+    ran out) or a trial-phase one (TRIAL, the cofactor never searched).
+    ``hits`` counts the factor calls that the table answers.
 
     File format: one entry per line, ``value<TAB>p1^e1,p2^e2,...<TAB>cofactor``,
     with a fourth field ``trial`` on a trial-phase entry.  Corrupt lines are
-    skipped with a warning; writes are serialized.
+    skipped with a warning.
     """
 
     def __init__(self):
-        self.entries: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
-        self.trial: dict[int, tuple[tuple[tuple[int, int], ...], int]] = {}
+        self.entries: dict[int, tuple[tuple[tuple[int, int], ...], int, factorint.Status]] = {}
         self.new_keys: dict[int, None] = {}   # in insertion order
         self.hits = 0
-        self._lock = threading.Lock()
 
     def lookup(self, value: int):
         """(factors, cofactor, factorint.Status) of value, or None."""
         got = self.entries.get(value)
         if got is not None:
-            status = factorint.Status.COMPLETE if got[1] == 1 else factorint.Status.PARTIAL
-        else:
-            got = self.trial.get(value)
-            if got is None:
-                return None
-            status = factorint.Status.TRIAL
-        self.hits += 1
-        return (*got, status)
+            self.hits += 1
+        return got
 
     def record(self, value: int, factors, cofactor: int, status):
-        with self._lock:
-            if value in self.entries:
-                return
-            if status is factorint.Status.TRIAL:
-                if value in self.trial:
-                    return
-                self.trial[value] = (tuple(factors), cofactor)
-            else:
-                self.trial.pop(value, None)
-                self.entries[value] = (tuple(factors), cofactor)
-            self.new_keys[value] = None
+        """Take what a factor call computed: a new integer, or the search it
+        resumed from a TRIAL entry, which the searched entry replaces.  The
+        lookup that found the TRIAL entry answered nothing, so it is no hit."""
+        if value in self.entries:
+            self.hits -= 1
+        self.entries[value] = (tuple(factors), cofactor, status)
+        self.new_keys[value] = None
 
 
 _TRIAL_MARK = "trial"
 
 
 def cache_load(path: str | Path) -> FactorCache:
-    """Load a cache file; unreadable paths or corrupt lines degrade gracefully."""
+    """Load a cache file; unreadable paths or corrupt lines degrade gracefully.
+    A searched line supersedes a trial line of the same value, never the
+    other way round."""
     cache = FactorCache()
     path = Path(path)
     try:
@@ -139,12 +129,14 @@ def cache_load(path: str | Path) -> FactorCache:
             if any(cofactor % p == 0 for p, _ in factors):
                 raise ValueError("a listed prime divides the cofactor")
             if not mark:
-                cache.trial.pop(value, None)
-                cache.entries[value] = (tuple(factors), cofactor)
+                status = factorint.Status.COMPLETE if cofactor == 1 else factorint.Status.PARTIAL
             elif cofactor == 1:
                 raise ValueError("a trial-phase entry without a cofactor")
-            elif value not in cache.entries:
-                cache.trial[value] = (tuple(factors), cofactor)
+            elif value in cache.entries:
+                continue
+            else:
+                status = factorint.Status.TRIAL
+            cache.entries[value] = (tuple(factors), cofactor, status)
         except (ValueError, IndexError) as exc:
             log.warning("cache %s line %d corrupt (%s); skipped", path, lineno, exc)
     return cache
@@ -156,12 +148,8 @@ def cache_store(path: str | Path, cache: FactorCache) -> None:
     path = Path(path)
     with path.open("a") as fh:
         for value in cache.new_keys:
-            if value in cache.entries:
-                factors, cofactor = cache.entries[value]
-                mark = ""
-            else:
-                factors, cofactor = cache.trial[value]
-                mark = "\t" + _TRIAL_MARK
+            factors, cofactor, status = cache.entries[value]
+            mark = "\t" + _TRIAL_MARK if status is factorint.Status.TRIAL else ""
             factors_s = ",".join(f"{p}^{e}" for p, e in factors)
             fh.write(f"{value}\t{factors_s}\t{cofactor}{mark}\n")
     cache.new_keys.clear()
@@ -442,6 +430,14 @@ def _build_parser() -> argparse.ArgumentParser:
         if n_max:
             p.add_argument("--n-max", type=int, required=True, help="scan levels n = 1..n_max")
         p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--cache", type=str, default=None, help="factorization cache path")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--out", type=str, default=None, help="write output here instead of stdout")
+
+    def precision(p):
+        p.add_argument("--precision-cap", type=int, default=numerics.PRECISION_CAP_BITS)
+
+    def factoring(p):
         p.add_argument(
             "--factor-budget",
             type=int,
@@ -452,10 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "(ECM) curve costs %d; 0 means trial division only (the trial phase)"
             % (factorint._RHO_CAP, factorint._ECM_CURVE_COST),
         )
-        p.add_argument("--precision-cap", type=int, default=numerics.PRECISION_CAP_BITS)
-        p.add_argument("--cache", type=str, default=None, help="factorization cache path")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", type=str, default=None, help="write output here instead of stdout")
         p.add_argument(
             "--strict",
             action="store_true",
@@ -465,10 +457,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_info = sub.add_parser("field-info", help="discriminant, fundamental unit, scan constants")
     common(p_info)
+    precision(p_info)
     p_info.set_defaults(handler=cmd_field_info)
 
     p_w = sub.add_parser("scan-wieferich", help="Wieferich-ideal scan over cyclotomic values")
     common(p_w, n_max=True)
+    precision(p_w)
+    factoring(p_w)
     p_w.add_argument("--X", type=_parse_bound, default=None, help="counting bound")
     p_w.add_argument(
         "--minpoly",
@@ -486,6 +481,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_q = sub.add_parser("abc-quality", help="squarefree/squarefull splits and quality exponents")
     common(p_q, n_max=True)
+    factoring(p_q)
     p_q.set_defaults(handler=cmd_abc_quality)
 
     return parser
@@ -500,7 +496,7 @@ def _validate(args) -> None:
         raise ValueError("select a field with --d (or --minpoly where supported)")
     if getattr(args, "d", None) is not None and args.d < 2:
         raise ValueError("--d must be >= 2")
-    if args.factor_budget < 0:
+    if getattr(args, "factor_budget", 0) < 0:
         raise ValueError("--factor-budget must be >= 0")
 
 

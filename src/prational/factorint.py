@@ -410,8 +410,9 @@ def factor(
 
     ``cache`` is a factor table with ``lookup`` and ``record`` (see
     cli.FactorCache): answered from it when it holds |n|, recorded in it
-    otherwise.  A TRIAL entry never answers a call that searches; that call
-    resumes the search on the entry's cofactor and records what it finds.  A
+    otherwise, once per call.  A TRIAL entry never answers a call that
+    searches; that call resumes the search on the entry's cofactor, without
+    trial division, and records what it finds in the entry's place.  A
     searched entry answers a call with ``search=False`` by what the trial
     phase alone would give, so the result depends only on n and the options."""
     if n == 0:
@@ -424,13 +425,13 @@ def factor(
         m, mult = _reduce(_trial_divide(a, trial_bound, found), 1, found, seed)
         factors, status = tuple(sorted(found.items())), Status.TRIAL if m > 1 else Status.COMPLETE
         cofactor = m ** mult
-        if cache is not None:
-            cache.record(a, factors, cofactor, status)
     else:
         factors, cofactor, status = hit
         if status is not Status.TRIAL and not search:
             factors, cofactor, status = _trial_view(factors, cofactor, trial_bound)
     if status is not Status.TRIAL or not search:
+        if hit is None and cache is not None:
+            cache.record(a, factors, cofactor, status)
         return Factorization(n, sign, factors, cofactor, status)
     found = dict(factors)
     if hit is not None:

@@ -27,7 +27,7 @@ from .errors import (
     RamifiedUnsupportedError,
     TooLargeDiscriminantError,
 )
-from .polyarith import IntPoly, sqrt_bounds
+from .polyarith import IntPoly, hensel_lift, sqrt_bounds
 
 _CLASS_NUMBER_DISC_CAP = 10 ** 6
 _CF_MAX_STEPS = 100_000   # continued-fraction steps to the fundamental unit
@@ -348,14 +348,13 @@ def omega_root_mod_p2(F: QuadField, p: int) -> int:
     """A root r of w's minimal polynomial x**2 - t*x - s modulo p**2, for a
     prime p that splits in F.
 
-    The root mod p is (t + sqrt(disc))/2 (0 when p = 2), and one Newton step
-    lifts it to p**2: the derivative 2*r - t is a unit mod p because p does
+    The root mod p is (t + sqrt(disc))/2 (0 when p = 2), and Hensel lifting
+    takes it to p**2: the derivative 2*r - t is a unit mod p because p does
     not divide disc.  The other root is t - r.
     """
     t = F.t
     r = 0 if p == 2 else (t + sqrt_mod_p(F.disc, p)) * ((p + 1) // 2) % p
-    f = r * r - t * r - F.s
-    return (r - f // p * pow(2 * r - t, -1, p) % p * p) % (p * p)
+    return hensel_lift(IntPoly.of(-F.s, -t, 1), r, p, 2)
 
 
 def split_prime(F: QuadField, p: int) -> list[PrimeIdealAboveP]:

@@ -94,19 +94,16 @@ REASON_BELOW_P0 = "below_p0"
 
 @dataclass(frozen=True)
 class ScanRecord:
-    """One row of the Wieferich-ideal scan."""
+    """One row of the Wieferich-ideal scan: a success exactly when a prime is
+    chosen, skipped when a reason is given, no_qualifying_prime otherwise."""
 
     n: int
-    phi_ok: bool
     cyclo_norm: int
     factor_status: str | None
     prime: int | None
     residue_degree: int | None
     ideal_norm: int | None
     root: int | None              # Hensel root mod p**2 identifying the ideal; None if inert
-    order_is_n: bool
-    wieferich_ok: bool
-    coprime_to_n: bool
     status: str
     reason: str = ""
 
@@ -129,38 +126,6 @@ class CountReport:
     distinct_primes: int
     prime_lower_bound: int
     log_density: float
-
-
-def _record(
-    n,
-    cyclo_norm,
-    factor_status=COMPLETE,
-    reason="",
-    prime=None,
-    residue_degree=None,
-    ideal_norm=None,
-    root=None,
-):
-    """One scan row.  It is a success when a prime is chosen (and then has
-    exact order n, the Wieferich condition and p coprime to n), skipped when
-    a reason is given, and no_qualifying_prime otherwise; phi_ok is false
-    only on a phi_condition skip."""
-    chosen = prime is not None
-    return ScanRecord(
-        n=n,
-        phi_ok=reason != REASON_PHI,
-        cyclo_norm=cyclo_norm,
-        factor_status=factor_status,
-        prime=prime,
-        residue_degree=residue_degree,
-        ideal_norm=ideal_norm,
-        root=root,
-        order_is_n=chosen,
-        wieferich_ok=chosen,
-        coprime_to_n=chosen,
-        status=SUCCESS if chosen else SKIPPED if reason else NO_QUALIFYING_PRIME,
-        reason=reason,
-    )
 
 
 def _compare_with_power(a: int, gamma: Fraction, n: int) -> int:
@@ -193,23 +158,34 @@ def _settled(fact_status: Status, found: bool, gamma: Fraction, n: int, trial_bo
     )
 
 
-def _decide(factorize, choose, gamma: Fraction, n: int, factor_opts: dict, tally: Counter):
-    """(choice, factor_status) of one row: ``factorize(**opts)``
-    factors its integer (or ideal), ``choose`` picks the candidate from that,
-    or None.  The trial phase runs first; the search only where _settled
-    leaves the row open.  A PARTIAL search gives no choice."""
-    trial_bound = factor_opts.get("trial_bound", _TRIAL_BOUND)
+_NO_CHOICE = (None, None, None, None)   # prime, residue_degree, ideal_norm, root
+
+
+def _scan_row(
+    n: int, cyclo_norm: int, factorize, choose, gamma: Fraction, factor_opts: dict, tally: Counter
+) -> ScanRecord:
+    """The row of level n.  ``factorize(**opts)`` factors its integer (or
+    ideal), and ``choose`` picks (p, residue degree, N(P), root) of the
+    candidate from that, or None.  A level with 2*phi(n) < n is skipped
+    unfactored.  The trial phase runs first, the search only where _settled
+    leaves the row open; a PARTIAL search gives no choice."""
+    if 2 * euler_phi(n) < n:
+        return ScanRecord(n, cyclo_norm, None, *_NO_CHOICE, SKIPPED, REASON_PHI)
     fact = factorize(search=False, **factor_opts)
     chosen = choose(fact)
-    if _settled(fact.status, chosen is not None, gamma, n, trial_bound):
+    if _settled(fact.status, chosen is not None, gamma, n, factor_opts.get("trial_bound", _TRIAL_BOUND)):
         tally["settled"] += 1
-        return chosen, SUFFICIENT if fact.status is Status.TRIAL else COMPLETE
-    tally["searched"] += 1
-    fact = factorize(**factor_opts)
-    if fact.status is Status.PARTIAL:
-        tally["partial"] += 1
-        return None, PARTIAL
-    return choose(fact), COMPLETE
+        factor_status = SUFFICIENT if fact.status is Status.TRIAL else COMPLETE
+    else:
+        tally["searched"] += 1
+        fact = factorize(**factor_opts)
+        if fact.status is Status.PARTIAL:
+            tally["partial"] += 1
+            return ScanRecord(n, cyclo_norm, PARTIAL, *_NO_CHOICE, SKIPPED, REASON_PARTIAL)
+        chosen, factor_status = choose(fact), COMPLETE
+    if chosen is None:
+        return ScanRecord(n, cyclo_norm, factor_status, *_NO_CHOICE, NO_QUALIFYING_PRIME)
+    return ScanRecord(n, cyclo_norm, factor_status, *chosen, SUCCESS)
 
 
 def wieferich_scan(
@@ -241,7 +217,7 @@ def wieferich_scan(
     tally = Counter() if tally is None else tally
 
     def chosen_ideal(split, n):
-        return min(
+        P = min(
             (
                 P
                 for P, val in split.entries
@@ -253,36 +229,19 @@ def wieferich_scan(
             key=lambda P: (P.p, P.hensel_root if P.hensel_root is not None else -1),
             default=None,
         )
+        return None if P is None else (P.p, P.residue_degree, P.norm, P.hensel_root)
 
     records = []
     for n in range(1, n_max + 1):
-        phi_ok = 2 * euler_phi(n) >= n
         value = cyclotomic(n).evaluate(v)
-        cyclo_norm = abs(value.norm())
-        if not phi_ok:
-            records.append(_record(n, cyclo_norm, factor_status=None, reason=REASON_PHI))
-            continue
-        chosen, factor_status = _decide(
-            lambda **opts: ideal_valuations(F, value, **opts),
-            lambda split: chosen_ideal(split, n),
-            gamma, n, factor_opts, tally,
-        )
-        if factor_status == PARTIAL:
-            records.append(_record(n, cyclo_norm, factor_status=PARTIAL, reason=REASON_PARTIAL))
-        elif chosen is None:
-            records.append(_record(n, cyclo_norm, factor_status=factor_status))
-        else:
-            records.append(
-                _record(
-                    n,
-                    cyclo_norm,
-                    factor_status=factor_status,
-                    prime=chosen.p,
-                    residue_degree=chosen.residue_degree,
-                    ideal_norm=chosen.norm,
-                    root=chosen.hensel_root,
-                )
+        records.append(
+            _scan_row(
+                n, abs(value.norm()),
+                lambda **opts: ideal_valuations(F, value, **opts),
+                lambda split: chosen_ideal(split, n),
+                gamma, factor_opts, tally,
             )
+        )
     return records
 
 
@@ -304,7 +263,7 @@ def count_report(records: list[ScanRecord], constants: GrowthConstants, X: int) 
         raise InsufficientRecordsError(
             f"records cover n <= {max_n} but the window needs n <= {n_stop}"
         )
-    window = [r for r in records if constants.n_start <= r.n <= n_stop and r.phi_ok]
+    window = [r for r in records if constants.n_start <= r.n <= n_stop and r.reason != REASON_PHI]
     successes = [r for r in window if r.status == SUCCESS]
     distinct = len({r.prime for r in successes})
     lower = -(-len(successes) // constants.degree)
@@ -401,7 +360,7 @@ def generic_unit_scan(
     tally = Counter() if tally is None else tally
 
     def first_prime(fact, n, r_full):
-        return next(
+        p = next(
             (
                 p
                 for p, _ in fact.factors
@@ -412,37 +371,23 @@ def generic_unit_scan(
             ),
             None,
         )
+        if p is None:
+            return None
+        return p, 1, p, hensel_lift(g, common_root_mod_p(g, cyclotomic(n), p), p, 2)
 
     records = []
     r_cyclos = []       # |Res(Phi_m, g)| for m = 1..n
     for n in range(1, n_max + 1):
-        phi_ok = 2 * euler_phi(n) >= n
         r_cyclo = abs(resultant(cyclotomic(n), g))
         r_cyclos.append(r_cyclo)
-        if not phi_ok:
-            records.append(_record(n, r_cyclo, factor_status=None, reason=REASON_PHI))
-            continue
-        if r_cyclo == 1:   # no prime to choose
-            tally["settled"] += 1
-            records.append(_record(n, r_cyclo))
-            continue
         # x**n - 1 is the product of Phi_m over m | n, and Res is multiplicative
         r_full = math.prod(r for m, r in enumerate(r_cyclos, 1) if n % m == 0)
-        p, factor_status = _decide(
-            lambda **opts: factor(r_cyclo, **opts),
-            lambda fact: first_prime(fact, n, r_full),
-            gamma, n, factor_opts, tally,
-        )
-        if factor_status == PARTIAL:
-            records.append(_record(n, r_cyclo, factor_status=PARTIAL, reason=REASON_PARTIAL))
-        elif p is None:
-            records.append(_record(n, r_cyclo, factor_status=factor_status))
-        else:
-            r2 = hensel_lift(g, common_root_mod_p(g, cyclotomic(n), p), p, 2)
-            records.append(
-                _record(
-                    n, r_cyclo, factor_status=factor_status,
-                    prime=p, residue_degree=1, ideal_norm=p, root=r2,
-                )
+        records.append(
+            _scan_row(
+                n, r_cyclo,
+                lambda **opts: factor(r_cyclo, **opts),
+                lambda fact: first_prime(fact, n, r_full),
+                gamma, factor_opts, tally,
             )
+        )
     return records

@@ -114,7 +114,7 @@ def test_cache_load_skips_inexact_partial_entries(tmp_path):
     # 3^2 * 35 and 3 * 105 both multiply back to 315; the second lists 3
     # with a short exponent, since 3 still divides its cofactor
     path.write_text("315\t3^2\t35\n945\t3^1\t315\n")
-    assert cli.cache_load(path).entries == {315: (((3, 2),), 35)}
+    assert cli.cache_load(path).entries == {315: (((3, 2),), 35, factorint.Status.PARTIAL)}
 
 
 def test_minpoly_value_may_follow_a_space(tmp_path):
@@ -197,7 +197,8 @@ def test_corrupt_cache_line_is_skipped_with_one_warning(bad_line, caplog, tmp_pa
     path.write_text(f"15\t3^1,5^1\t1\n{bad_line}\n21\t3^1,7^1\t1\n")
     with caplog.at_level(logging.WARNING, logger="prational"):
         cache = cli.cache_load(path)
-    assert cache.entries == {15: (((3, 1), (5, 1)), 1), 21: (((3, 1), (7, 1)), 1)}
+    complete = factorint.Status.COMPLETE
+    assert cache.entries == {15: (((3, 1), (5, 1)), 1, complete), 21: (((3, 1), (7, 1)), 1, complete)}
     warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
     assert len(warnings) == 1 and "line 2 corrupt" in warnings[0]
 
@@ -267,8 +268,10 @@ def test_warm_abc_run_builds_no_large_sieve(monkeypatch, tmp_path):
     run_cli(argv, tmp_path / "warm")
     assert all(limit <= 1000 for limit in limits)
 
-def _rows(payload: bytes) -> list[list[str]]:
-    return [line.split(",") for line in payload.decode().splitlines()[1:] if not line.startswith("#")]
+def _rows(payload: bytes) -> list[dict[str, str]]:
+    """The CSV rows of a scan-wieferich payload, keyed by column name."""
+    header, *lines = (line for line in payload.decode().splitlines() if not line.startswith("#"))
+    return [dict(zip(header.split(","), line.split(","))) for line in lines]
 
 
 def test_wieferich_payload_does_not_depend_on_the_table(tmp_path):
@@ -277,14 +280,15 @@ def test_wieferich_payload_does_not_depend_on_the_table(tmp_path):
     factor_status comes from its trial phase, not from what the table held."""
     argv = ["scan-wieferich", "--d", "2", "--n-max", "100"]
     cold = run_cli(argv, tmp_path / "cold")
-    assert [row[0] for row in _rows(cold) if row[3] == "sufficient"] == ["79", "83", "87", "91", "95", "97"]
+    sufficient = [row["n"] for row in _rows(cold) if row["factor_status"] == "sufficient"]
+    assert sufficient == ["79", "83", "87", "91", "95", "97"]
     cache = tmp_path / "cache.txt"
     run_cli(["abc-quality", "--d", "2", "--n-max", "40", "--cache", str(cache)], tmp_path / "abc")
     assert run_cli([*argv, "--cache", str(cache)], tmp_path / "after-abc") == cold
     full = tmp_path / "full.txt"
     table = cli.FactorCache()
     for row in _rows(cold):
-        assert factorint.factor(int(row[2]), cache=table).status is factorint.Status.COMPLETE
+        assert factorint.factor(int(row["cyclo_norm"]), cache=table).status is factorint.Status.COMPLETE
     cli.cache_store(full, table)
     assert run_cli([*argv, "--cache", str(full)], tmp_path / "complete") == cold
     assert run_cli([*argv, "--cache", str(full)], tmp_path / "warm") == cold
@@ -299,11 +303,12 @@ def test_trial_phase_entries_round_trip_through_the_cache_file(tmp_path):
     cli.cache_store(path, table)
     assert path.read_text() == f"{n}\t2^2,3^1\t{1000003 * 1000033}\ttrial\n"
     loaded = cli.cache_load(path)
-    assert loaded.trial == {n: (((2, 2), (3, 1)), 1000003 * 1000033)} and loaded.entries == {}
+    assert loaded.entries == {n: (((2, 2), (3, 1)), 1000003 * 1000033, factorint.Status.TRIAL)}
     assert factorint.factor(n, cache=loaded) == factorint.factor(n)   # resumes the search
     cli.cache_store(path, loaded)
     reloaded = cli.cache_load(path)   # the searched line supersedes the trial line
-    assert reloaded.trial == {} and reloaded.entries == {n: (((2, 2), (3, 1), (1000003, 1), (1000033, 1)), 1)}
+    factors = ((2, 2), (3, 1), (1000003, 1), (1000033, 1))
+    assert reloaded.entries == {n: (factors, 1, factorint.Status.COMPLETE)}
 
 
 def test_no_search_budget_leaves_trial_decided_rows_sufficient(caplog, tmp_path):
@@ -311,13 +316,62 @@ def test_no_search_budget_leaves_trial_decided_rows_sufficient(caplog, tmp_path)
     argv = ["scan-wieferich", "--d", "5", "--n-max", "60", "--factor-budget", "0"]
     with caplog.at_level(logging.INFO, logger="prational"):
         rows = _rows(run_cli(argv, tmp_path / "out"))
-    assert [row[0] for row in rows if row[3] == "sufficient"] == ["31", "37", "49", "53", "55", "57", "59"]
-    assert [row[0] for row in rows if row[3] == "partial"] == ["41", "47"]
+    status = {row["n"]: row["factor_status"] for row in rows}
+    assert [n for n, f in status.items() if f == "sufficient"] == ["31", "37", "49", "53", "55", "57", "59"]
+    assert [n for n, f in status.items() if f == "partial"] == ["41", "47"]
     golden = _rows((GOLDEN / "scan-wieferich-d5.csv").read_bytes())
-    assert [r for r in rows if r[3] != "partial"] == [r for r in golden if r[0] not in ("41", "47")]
+    assert [r for r in rows if r["n"] not in ("41", "47")] == [r for r in golden if r["n"] not in ("41", "47")]
     assert caplog.messages == [
         "factoring: 33 rows settled by trial division below 1000000, 2 searched, 2 partial"
     ]
+
+
+def test_cache_line_counts_the_factor_calls_the_table_answers(caplog, tmp_path):
+    """A search resumed from a trial-phase entry is no hit: the cold run on an
+    empty file has none, and the warm run one per factor call, which is one
+    per settled row and two per searched row."""
+    cache = tmp_path / "cache.txt"
+    cache.write_text("")
+    argv = ["scan-wieferich", "--d", "2", "--n-max", "110", "--cache", str(cache)]
+    with caplog.at_level(logging.INFO, logger="prational"):
+        cold = run_cli(argv, tmp_path / "cold")
+        warm = run_cli(argv, tmp_path / "warm")
+    assert warm == cold
+    assert caplog.messages == [
+        "factoring: 54 rows settled by trial division below 1000000, 6 searched, 0 partial",
+        "cache: 0 hits, 60 new entries stored",
+        "factoring: 54 rows settled by trial division below 1000000, 6 searched, 0 partial",
+        "cache: 66 hits, 0 new entries stored",
+    ]
+
+
+def test_resumed_search_does_no_trial_division(monkeypatch):
+    table = cli.FactorCache()
+    n = 12 * 1000003 * 1000033
+    factorint.factor(n, cache=table, search=False)
+    monkeypatch.setattr(factorint, "_trial_divide", None)   # any call fails
+    assert factorint.factor(n, cache=table) == factorint.Factorization(
+        n, 1, ((2, 2), (3, 1), (1000003, 1), (1000033, 1)), 1, factorint.Status.COMPLETE
+    )
+    assert table.hits == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-prational", "--d", "2", "--X", "10", "--strict"],
+        ["scan-prational", "--d", "2", "--X", "10", "--factor-budget", "0"],
+        ["scan-prational", "--d", "2", "--X", "10", "--precision-cap", "512"],
+        ["field-info", "--d", "2", "--strict"],
+        ["field-info", "--d", "2", "--factor-budget", "0"],
+        ["abc-quality", "--d", "2", "--n-max", "4", "--precision-cap", "512"],
+    ],
+)
+def test_options_a_command_never_reads_are_usage_errors(argv, capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_field_beyond_the_double_range(tmp_path):
@@ -360,7 +414,7 @@ def test_undecided_circle_test_is_a_compute_error(capsys, tmp_path):
 @pytest.mark.parametrize("coeffs", ["-1,-1,1", "-1,-1,0,1", "-1,-1,0,0,1", "1,-3,1"])
 def test_irreducible_units_of_degree_2_to_4_are_scanned(coeffs, tmp_path):
     rows = _rows(run_cli(["scan-wieferich", f"--minpoly={coeffs}", "--n-max", "12"], tmp_path / "out"))
-    assert [row[0] for row in rows] == [str(n) for n in range(1, 13)]
+    assert [row["n"] for row in rows] == [str(n) for n in range(1, 13)]
 
 
 def test_closed_pipe_ends_quietly():

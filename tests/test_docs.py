@@ -1,17 +1,26 @@
-"""docs/formats.md names the same row vocabulary as the scans."""
+"""docs/formats.md names the same row vocabulary as the scans, and the same
+columns as the golden payloads."""
 
 import re
 from pathlib import Path
 
+import pytest
+
 from prational import scans
 
-FORMATS = Path(__file__).resolve().parent.parent / "docs" / "formats.md"
+ROOT = Path(__file__).resolve().parent.parent
+FORMATS = ROOT / "docs" / "formats.md"
+GOLDEN = ROOT / "tests" / "golden"
+
+
+def _section(section: str) -> str:
+    """The body of one command's section."""
+    return FORMATS.read_text().split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
 
 
 def _reason_cell(section: str, column: str = "reason") -> str:
     """The meaning cell of a column (`reason` by default) in one command's table."""
-    body = FORMATS.read_text().split(f"\n## {section}\n", 1)[1].split("\n## ", 1)[0]
-    return re.search(rf"^\| `{column}` \| (.*) \|$", body, re.MULTILINE).group(1)
+    return re.search(rf"^\| `{column}` \| (.*) \|$", _section(section), re.MULTILINE).group(1)
 
 
 def test_reason_cells_list_exactly_the_scans_reasons():
@@ -28,3 +37,14 @@ def test_factor_status_cell_lists_the_scans_statuses():
     cell = _reason_cell("scan-wieferich", "factor_status")
     documented = set(re.findall(r"`([^`]+)`", cell)) - {scans.REASON_PHI}
     assert documented == {scans.COMPLETE, scans.SUFFICIENT, scans.PARTIAL}
+
+
+@pytest.mark.parametrize("section", ["scan-wieferich", "scan-prational", "abc-quality"])
+def test_column_table_lists_the_golden_header(section):
+    documented = re.findall(r"^\| `([^`]+)` \|", _section(section), re.MULTILINE)
+    headers = {
+        path.read_text().split("\n", 1)[0]
+        for path in GOLDEN.glob(f"{section}-*.csv")
+        if not path.read_text().startswith("#")   # a payload without rows has no header
+    }
+    assert [header.split(",") for header in headers] == [documented]

@@ -240,12 +240,13 @@ class TestTrialPhase:
 
         table = FactorCache()
         trial = factor(n, cache=table, search=False)
-        assert table.trial == {n: (trial.factors, trial.cofactor)}
+        assert table.entries == {n: (trial.factors, trial.cofactor, Status.TRIAL)}
         cold = factor(n, rho_budget=budget)
         assert factor(n, rho_budget=budget, cache=table) == cold
-        assert table.trial == {} and table.entries == {n: (cold.factors, cold.cofactor)}
+        assert table.entries == {n: (cold.factors, cold.cofactor, cold.status)}
         # the searched entry answers the trial phase as the trial phase would
         assert factor(n, cache=table, search=False) == trial
+        assert table.hits == 1   # the resumed search is no hit
 
 
 class TestIdealValuations:
