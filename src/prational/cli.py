@@ -16,6 +16,7 @@ import json
 import logging
 import math
 import os
+import stat
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -169,19 +170,20 @@ def format_value(v) -> str:
     return str(v)
 
 
-def _emit(columns, rows, summary: dict, fmt: str, out, command: str) -> None:
-    """Write the rows, tuples in column order, then the summary.  CSV writes
-    each row as it arrives and the header with the first, so no rows means
-    no header; JSON makes one object per row and writes the encoder's small
-    chunks joined in batches, never the document as one string (one write
-    per chunk would be one system call each on an unbuffered stdout)."""
+def _emit(columns, rows, summary, fmt: str, out, command: str) -> None:
+    """Write the rows, tuples in column order, then ``summary()``, which is
+    called after the last row, so it may count what the rows showed.  CSV
+    writes each row as it arrives and the header with the first, so no rows
+    means no header; JSON makes one object per row and writes the encoder's
+    small chunks joined in batches, never the document as one string (one
+    write per chunk would be one system call each on an unbuffered stdout)."""
     if fmt == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
             "rows": [dict(zip(columns, row)) for row in rows],
-            "summary": summary,
         }
+        doc["summary"] = summary()
         chunks = json.JSONEncoder(indent=2).iterencode(doc)
         while batch := "".join(itertools.islice(chunks, 4096)):
             out.write(batch)
@@ -193,7 +195,7 @@ def _emit(columns, rows, summary: dict, fmt: str, out, command: str) -> None:
             out.write(header)
             header = ""
         out.write(",".join(map(_csv_cell, row)) + "\n")
-    for k, v in summary.items():
+    for k, v in summary().items():
         out.write(f"# {k}={_csv_cell(v)}\n")
 
 
@@ -364,32 +366,36 @@ def cmd_scan_wieferich(args, out) -> int:
             }
         )
     columns = [f.name for f in dataclasses.fields(scans.ScanRecord)]
-    _emit(columns, map(dataclasses.astuple, records), summary, args.format, out, "scan-wieferich")
+    _emit(columns, map(dataclasses.astuple, records), lambda: summary, args.format, out, "scan-wieferich")
     return EXIT_OK
 
 
 def cmd_scan_prational(args, out) -> int:
     F = _field_from_args(args)
     verdicts = scans.prationality_scan(F, args.X)
-    counts = Counter(v.verdict for v in verdicts)
-    rows = (
-        (v.p, v.verdict, v.reason, [f"{norm}:{int(flag)}" for norm, flag in v.witnesses])
-        for v in verdicts
-    )
-    log_x = math.log(args.X) if args.X > 1 else 0.0
-    summary = {
-        "schema_version": SCHEMA_VERSION,
-        "X": args.X,
-        "p_rational": counts[scans.P_RATIONAL],
-        "non_p_rational": counts[scans.NON_P_RATIONAL],
-        "excluded": counts[scans.EXCLUDED],
-        "log_X": log_x,
-        # informational only; the count is conjecturally >= c*log X
-        "p_rational_count_exceeds_log_X": counts[scans.P_RATIONAL] >= log_x,
-        "non_p_rational_is_criterion_level": True,
-    }
+    counts = Counter()
+
+    def rows():
+        for v in verdicts:
+            counts[v.verdict] += 1
+            yield v.p, v.verdict, v.reason, [f"{norm}:{int(flag)}" for norm, flag in v.witnesses]
+
+    def summary():
+        log_x = math.log(args.X) if args.X > 1 else 0.0
+        return {
+            "schema_version": SCHEMA_VERSION,
+            "X": args.X,
+            "p_rational": counts[scans.P_RATIONAL],
+            "non_p_rational": counts[scans.NON_P_RATIONAL],
+            "excluded": counts[scans.EXCLUDED],
+            "log_X": log_x,
+            # informational only; the count is conjecturally >= c*log X
+            "p_rational_count_exceeds_log_X": counts[scans.P_RATIONAL] >= log_x,
+            "non_p_rational_is_criterion_level": True,
+        }
+
     columns = ("p", "verdict", "reason", "witnesses")
-    _emit(columns, rows, summary, args.format, out, "scan-prational")
+    _emit(columns, rows(), summary, args.format, out, "scan-prational")
     return EXIT_OK
 
 
@@ -407,7 +413,7 @@ def cmd_abc_quality(args, out) -> int:
         for r in report
     )
     summary = {"schema_version": SCHEMA_VERSION, "n_max": args.n_max}
-    _emit(columns, rows, summary, args.format, out, "abc-quality")
+    _emit(columns, rows, lambda: summary, args.format, out, "abc-quality")
     return EXIT_OK
 
 
@@ -500,6 +506,30 @@ def _validate(args) -> None:
         raise ValueError("--factor-budget must be >= 0")
 
 
+def _write_out(path: str, write) -> int:
+    """``write(fh)`` into the --out file.  A regular file (or a new one) is
+    written as a temporary file beside it and moved over it only when
+    ``write`` returns, so a run that fails leaves what the file held; a
+    pipe or a device is written in place."""
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:
+        with open(path, "w") as fh:
+            return write(fh)
+    target = os.path.realpath(path)   # through a symlink, not over it
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            code = write(fh)
+        os.replace(tmp, target)
+        return code
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _attach_negative_values(argv: list[str]) -> list[str]:
     """``--minpoly -1,-1,0,1`` as ``--minpoly=-1,-1,0,1``: argparse reads a
     separate value that starts with '-' and is not one number as an option."""
@@ -522,8 +552,7 @@ def main(argv: list[str] | None = None) -> int:
         cache = cache_load(cache_path) if cache_path else FactorCache()
         args.factor_table = cache   # the handlers pass it to every factor call of the run
         if args.out:
-            with open(args.out, "w") as fh:
-                code = args.handler(args, fh)
+            code = _write_out(args.out, lambda fh: args.handler(args, fh))
         else:
             code = args.handler(args, sys.stdout)
             sys.stdout.flush()   # so that a closed pipe shows here, not at exit

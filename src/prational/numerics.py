@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import mpmath
-
 from .errors import NonConvergenceError, NotAUnitError, NotSquarefreeError
 from .polyarith import IntPoly, cyclotomic, euler_phi, iroot, poly_gcd, prem, sqrt_bounds
 
@@ -74,11 +72,15 @@ def _ceval(coeffs: tuple[int, ...], re: Fraction, im: Fraction) -> tuple[Fractio
 
 
 def _to_fraction(x, bits: int) -> Fraction:
+    import mpmath
+
     scaled = mpmath.floor(x * (1 << bits))
     return Fraction(int(scaled), 1 << bits)
 
 
 def _certify_at_precision(f: IntPoly, prec: int, tol: Fraction) -> tuple[RootDisk, ...] | None:
+    import mpmath   # here, not at the top: scan-prational and abc-quality never load it
+
     deg = f.degree()
     fp = f.derivative()
     with mpmath.workprec(prec + 64):

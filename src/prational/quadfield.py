@@ -11,7 +11,10 @@ Arithmetic modulo P**2 has one primitive per kind of prime.  At a split p,
 omega_root_mod_p2 gives a root r of w's minimal polynomial mod p**2 by one
 Newton step from its root mod p; w -> r identifies O/P**2 with Z/p**2, and the
 conjugate ideal P' uses the other root t - r.  At an inert p, O/p**2 is
-worked in through coordinate pairs, which pair_pow raises to a power.
+worked in through coordinate pairs, which pair_pow raises to a power.  Only
+unit_pow_mod_p2 uses pair_pow, and the tests use both as an oracle: the
+p-rationality classifier (scans, part (B)) works with a Lucas ladder on the
+trace of u**2 instead.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ unramified, coprime to the class number and above the excluded-prime bound)
 is classified through the Fermat-quotient test eps**(N(P)-1) mod P**2 at
 the primes P above p.  A nontrivial quotient at any P certifies
 p-rationality; the all-trivial outcome is reported as non-p-rational at
-criterion level.  One modular power per prime settles the test, namely
-eps**(p-k) mod p**2 for k = (disc|p), taken in O/p**2 on coordinate pairs:
+criterion level.  With k = (disc|p), one condition on eps**(p-k) mod p**2
+settles the test:
 
 - split p = P*P': O/p**2 = O/P**2 x O/P'**2, and eps**(p-1) = 1 mod P**2
   exactly when it holds mod P'**2, since eps*eps' = +-1 makes the images
@@ -36,7 +36,19 @@ eps**(p-k) mod p**2 for k = (disc|p), taken in O/p**2 on coordinate pairs:
   eps**(p+1) = N(eps)*(1 + p*z) mod p**2.  Hence eps**(p**2-1) = 1 mod p**2
   exactly when p | z, that is when eps**(p+1) = +-1 mod p**2.
 
-In both cases the quotients are trivial exactly when eps**(p-k) = +-1 mod p**2.
+In both cases the quotients are trivial exactly when eps**(p-k) = +-1 mod
+p**2, and a Lucas ladder decides that with two products mod p**2 per bit of
+the exponent.  Let eta = eps**2, of norm 1 and trace T, and h = (p-k)/2, so
+that eps**(p-k) = eta**h.  Both cases above give eta**h = c*(1 + p*z) mod
+p**2 with c = +-1, and N(eta**h) = 1 gives 1 + p*Tr(z) = 1 mod p**2, so
+Tr(z) = 2*x(z) + t*y(z) = 0 mod p; p odd then makes p | z exactly when
+p | y(z).  So the quotients are trivial exactly when p**2 | y(eta**h).  The
+sequence V_j = eta**j + eta'**j (V_0 = 2, V_1 = T, V_2j = V_j**2 - 2,
+V_2j+1 = V_j*V_j+1 - T) has 2*V_h+1 - T*V_h = (eta - eta')*(eta**h - eta'**h)
+= y(eta)*disc*y(eta**h), as eta - eta' = y(eta)*sqrt(disc).  disc is a unit
+at p, so with e = v_p(y(eta)) the quotients are trivial exactly when
+2*V_h+1 - T*V_h = 0 mod p**(2+e), and the pair (V_h, V_h+1) is worked out
+modulo p**(2+e).  For eps = +-1, eta = 1 and every quotient is trivial.
 
 Plus a rational-prime-level scan for user-supplied units of arbitrary
 degree.
@@ -46,6 +58,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -61,14 +74,7 @@ from .polyarith import (
     power_poly,
     resultant,
 )
-from .quadfield import (
-    QuadField,
-    QuadInt,
-    Splitting,
-    excluded_prime_bound,
-    kronecker_odd_prime,
-    pair_pow,
-)
+from .quadfield import QuadField, QuadInt, Splitting, excluded_prime_bound, kronecker_odd_prime
 
 # factor_status of a row: how far its integer was factored
 COMPLETE = "complete"
@@ -280,6 +286,46 @@ def count_report(records: list[ScanRecord], constants: GrowthConstants, X: int) 
     )
 
 
+def _classifier(F: QuadField, unit: QuadInt | None, p0: int | None) -> Callable[[int], PRationalityVerdict]:
+    """classify_prime for one field and unit: p -> verdict, with the unit
+    check, the excluded bound, T = Tr(u**2) and y(u**2) computed once."""
+    u = F.fundamental_unit if unit is None else unit
+    if not u.is_unit():
+        raise ValueError("unit argument must be a unit")
+    bound = excluded_prime_bound(F) if p0 is None else p0
+    eta = u * u
+    trace, y_eta = eta.trace(), eta.y
+    disc, class_number = F.disc, F.class_number
+
+    def classify(p: int) -> PRationalityVerdict:
+        if p == 2:
+            return PRationalityVerdict(p, EXCLUDED, REASON_GROUP_ORDER, ())
+        if disc % p == 0:
+            return PRationalityVerdict(p, EXCLUDED, REASON_RAMIFIED, ())
+        if class_number % p == 0:
+            return PRationalityVerdict(p, EXCLUDED, REASON_CLASS_NUMBER, ())
+        if p <= bound:
+            return PRationalityVerdict(p, EXCLUDED, REASON_BELOW_P0, ())
+        k = kronecker_odd_prime(disc, p)
+        flag = False
+        if y_eta:   # else u = +-1, whose quotients are all trivial
+            M, pe = p * p, p   # M = p**(2+e), e = v_p(y(eta))
+            while y_eta % pe == 0:
+                M, pe = M * p, pe * p
+            T = trace % M
+            a, b = T, (T * T - 2) % M   # V_j, V_j+1 at j = 1, the top bit of h
+            for bit in bin((p - k) >> 1)[3:]:
+                if bit == "1":
+                    a, b = (a * b - T) % M, (b * b - 2) % M
+                else:
+                    a, b = (a * a - 2) % M, (a * b - T) % M
+            flag = (2 * b - T * a) % M != 0
+        witnesses = ((p, flag), (p, flag)) if k == 1 else ((p * p, flag),)
+        return PRationalityVerdict(p, P_RATIONAL if flag else NON_P_RATIONAL, "", witnesses)
+
+    return classify
+
+
 def classify_prime(
     F: QuadField,
     p: int,
@@ -290,39 +336,19 @@ def classify_prime(
     bound), p-rational (some Fermat quotient nonzero), or non-p-rational.
 
     The witnesses are those of the primes P above p, as (N(P), flag) with
-    flag true when u**(N(P)-1) != 1 mod P**2.  One quadfield.pair_pow of u
-    to the power p - k, k = (disc|p), modulo p**2 settles them (see the
-    module docstring): the flag is true unless the power is +-1.  A split p
-    gives ((p, f), (p, f)), the same flag at P and P'; an inert p gives
-    ((p**2, f),).
+    flag true when u**(N(P)-1) != 1 mod P**2.  One Lucas ladder on u**2 to
+    the index (p - k)/2, k = (disc|p), settles them (see the module
+    docstring, part (B)).  A split p gives ((p, f), (p, f)), the same flag
+    at P and P'; an inert p gives ((p**2, f),).
     """
-    u = F.fundamental_unit if unit is None else unit
-    if not u.is_unit():
-        raise ValueError("unit argument must be a unit")
-    if p == 2:
-        return PRationalityVerdict(p, EXCLUDED, REASON_GROUP_ORDER, ())
-    if F.disc % p == 0:
-        return PRationalityVerdict(p, EXCLUDED, REASON_RAMIFIED, ())
-    if F.class_number % p == 0:
-        return PRationalityVerdict(p, EXCLUDED, REASON_CLASS_NUMBER, ())
-    bound = excluded_prime_bound(F) if p0 is None else p0
-    if p <= bound:
-        return PRationalityVerdict(p, EXCLUDED, REASON_BELOW_P0, ())
-    p2 = p * p
-    k = kronecker_odd_prime(F.disc, p)
-    a, b = pair_pow(u.x, u.y, p - k, F.t, F.s, p2)
-    flag = b != 0 or a not in (1, p2 - 1)
-    witnesses = ((p, flag), (p, flag)) if k == 1 else ((p2, flag),)
-    verdict = P_RATIONAL if flag else NON_P_RATIONAL
-    return PRationalityVerdict(p, verdict, "", witnesses)
+    return _classifier(F, unit, p0)(p)
 
 
-def prationality_scan(F: QuadField, X: int, unit: QuadInt | None = None) -> list[PRationalityVerdict]:
-    """Classify every odd prime p <= X."""
+def prationality_scan(F: QuadField, X: int, unit: QuadInt | None = None) -> Iterator[PRationalityVerdict]:
+    """The verdicts of the odd primes p <= X, in order, as they are computed."""
     if X < 1:
         raise ValueError("X must be >= 1")
-    p0 = excluded_prime_bound(F)
-    return [classify_prime(F, p, unit=unit, p0=p0) for p in sieve(X) if p > 2]
+    return map(_classifier(F, unit, None), sieve(X)[1:])
 
 
 # --- rational-prime-level scan for user-supplied units ----------------------

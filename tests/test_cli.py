@@ -11,8 +11,10 @@ from __future__ import annotations
 import logging
 import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 from decimal import Decimal
 from pathlib import Path
 
@@ -427,6 +429,62 @@ def test_closed_pipe_ends_quietly():
     assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE
     assert proc.stderr.read() == b""
     proc.stderr.close()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["scan-prational", "--d", "2", "--X", "100"], ["abc-quality", "--d", "2", "--n-max", "10"]],
+)
+def test_commands_that_certify_no_roots_never_import_mpmath(argv, tmp_path):
+    code = (
+        "import sys\n"
+        "from prational import cli\n"
+        f"assert cli.main({[*argv, '--out', str(tmp_path / 'out')]!r}) == 0\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"False\n"
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["scan-wieferich", "--d", "13", "--n-max", "20", "--X", "1e200"], cli.EXIT_COMPUTE),
+        (["scan-wieferich", "--d", "2", "--n-max", "70", "--factor-budget", "0", "--strict"],
+         cli.EXIT_COMPUTE),
+        (["scan-prational", "--d", "4", "--X", "100"], cli.EXIT_USAGE),
+    ],
+)
+def test_failed_run_keeps_the_out_file(argv, code, tmp_path):
+    keep = tmp_path / "keep.csv"
+    old = run_cli(["scan-prational", "--d", "2", "--X", "100"], keep)
+    assert cli.main([*argv, "--out", str(keep)]) == code
+    assert keep.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["keep.csv"]
+
+
+def test_out_through_a_symlink_replaces_its_target(tmp_path):
+    (tmp_path / "target.csv").write_text("old\n")
+    (tmp_path / "link.csv").symlink_to("target.csv")
+    payload = run_cli(["scan-prational", "--d", "2", "--X", "100"], tmp_path / "link.csv")
+    assert (tmp_path / "link.csv").is_symlink()
+    assert (tmp_path / "target.csv").read_bytes() == payload
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "target.csv"]
+
+
+def test_out_to_a_fifo_is_written_in_place(tmp_path):
+    # renaming a file over a pipe or a device (--out /dev/null) would replace it
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert cli.main(["scan-prational", "--d", "2", "--X", "100", "--out", str(fifo)]) == cli.EXIT_OK
+    reader.join(timeout=60)
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert got == [run_cli(["scan-prational", "--d", "2", "--X", "100"], tmp_path / "file")]
 
 
 if __name__ == "__main__":

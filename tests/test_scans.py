@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, strategies as st
 
 from prational.errors import InsufficientRecordsError
 from prational import factorint, scans
@@ -34,10 +35,13 @@ from prational.scans import (
     NO_QUALIFYING_PRIME,
     P_RATIONAL,
     REASON_BELOW_P0,
+    REASON_CLASS_NUMBER,
     REASON_GROUP_ORDER,
+    REASON_RAMIFIED,
     REASON_PHI,
     SKIPPED,
     SUCCESS,
+    PRationalityVerdict,
     classify_prime,
     count_report,
     generic_unit_scan,
@@ -290,25 +294,67 @@ class TestClassifyPrime:
         F = make_field(5)
         assert classify_prime(F, 5).reason == "ramified"
 
-    @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 13, 94])
+    @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 13, 22, 46, 94, 10009])
     def test_matches_the_two_ideal_path(self, d):
-        """One power per prime gives the verdict and witnesses of the test
-        at both ideals, with exponent N(P) - 1, for units of both norms."""
+        """One Lucas ladder per prime gives the verdict and witnesses of the
+        test at both ideals, with exponent N(P) - 1, for units of both norms
+        and for u = +-1, whose quotients are all trivial."""
         F = make_field(d)
         eps = F.fundamental_unit
         p0 = excluded_prime_bound(F)
-        for u in (eps, -eps, eps.conj(), eps * eps):
+        for u in (eps, -eps, eps.conj(), eps * eps, F.one(), -F.one()):
             for p in sieve(2 * 10 ** 4)[1:]:
-                got = classify_prime(F, p, unit=u, p0=p0)
-                if p <= p0 or F.disc % p == 0 or F.class_number % p == 0:
-                    assert got.verdict == EXCLUDED
-                    continue
-                witnesses = tuple(
-                    (P.norm, not residue_is_one(unit_pow_mod_p2(F, u, P.norm - 1, P), P))
-                    for P in split_prime(F, p)
-                )
-                expected = P_RATIONAL if any(f for _, f in witnesses) else NON_P_RATIONAL
-                assert (got.verdict, got.reason, got.witnesses) == (expected, "", witnesses)
+                assert classify_prime(F, p, unit=u, p0=p0) == _two_ideal_verdict(F, u, p, p0)
+
+    @pytest.mark.parametrize("d, primes", [(22, [197]), (46, [31, 157]), (94, [61, 151, 293])])
+    def test_primes_dividing_y_of_the_squared_unit(self, d, primes):
+        """At p | y(eps**2) the ladder works modulo p**(2+e); these are the
+        only such primes in 2*10**4 that are not excluded, all inside the
+        test above."""
+        F = make_field(d)
+        y = (F.fundamental_unit ** 2).y
+        p0 = excluded_prime_bound(F)
+        assert [p for p in sieve(2 * 10 ** 4) if y % p == 0 and p > p0] == primes
+        for p in primes:
+            assert classify_prime(F, p, p0=p0) == _two_ideal_verdict(F, F.fundamental_unit, p, p0)
+
+    @pytest.mark.parametrize(
+        "d, p, witnesses",
+        [(2, 13, ((169, False),)), (2, 31, ((31, False), (31, False))), (13, 241, ((241 ** 2, False),)),
+         (94, 73, ((73 ** 2, False),)), (3, 103, ((103 ** 2, False),))],
+    )
+    def test_known_non_p_rational_primes(self, d, p, witnesses):
+        assert classify_prime(make_field(d), p) == PRationalityVerdict(p, NON_P_RATIONAL, "", witnesses)
+
+    @given(
+        st.integers(2, 499).filter(lambda d: all(e == 1 for e in sympy.factorint(d).values())),
+        st.sampled_from(sieve(5000)[1:]),
+        st.sampled_from([1, -1, 2, 3]),
+    )
+    def test_random_fields_match_the_two_ideal_path(self, d, p, power):
+        F = make_field(d)
+        u = F.fundamental_unit ** abs(power) * (1 if power > 0 else -1)
+        p0 = excluded_prime_bound(F)
+        assert classify_prime(F, p, unit=u, p0=p0) == _two_ideal_verdict(F, u, p, p0)
+
+
+def _two_ideal_verdict(F, u, p, p0):
+    """The verdict from u**(N(P)-1) mod P**2 at each prime P above p, through
+    quadfield.unit_pow_mod_p2."""
+    if p <= p0 or F.disc % p == 0 or F.class_number % p == 0:
+        reason = (
+            REASON_GROUP_ORDER if p == 2
+            else REASON_RAMIFIED if F.disc % p == 0
+            else REASON_CLASS_NUMBER if F.class_number % p == 0
+            else REASON_BELOW_P0
+        )
+        return PRationalityVerdict(p, EXCLUDED, reason, ())
+    witnesses = tuple(
+        (P.norm, not residue_is_one(unit_pow_mod_p2(F, u, P.norm - 1, P), P))
+        for P in split_prime(F, p)
+    )
+    verdict = P_RATIONAL if any(f for _, f in witnesses) else NON_P_RATIONAL
+    return PRationalityVerdict(p, verdict, "", witnesses)
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 13])
@@ -358,7 +404,7 @@ class TestPRationalityScan:
             assert got == base
 
     def test_empty_below_three(self, field2):
-        assert prationality_scan(field2, 2) == []
+        assert list(prationality_scan(field2, 2)) == []
 
 
 def _is_one_mod_p2_naive(F, w, P):
