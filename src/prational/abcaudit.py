@@ -9,10 +9,22 @@ parts go through certified rational bounds on sqrt(d).
 from __future__ import annotations
 
 import math
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import PartialFactorizationError
-from .factorint import IdealSplit, Status, ideal_valuations, radical_of_ideal, split_unit_power
+from .factorint import (
+    Factorization,
+    IdealSplit,
+    Status,
+    factor,
+    ideal_split,
+    ideal_valuations,
+    merge_factorizations,
+    radical_of_ideal,
+    split_unit_power,
+)
 from .quadfield import QuadField, QuadInt
 
 
@@ -90,18 +102,58 @@ def unit_triple(F: QuadField, u: QuadInt, n: int, **factor_opts) -> AbcTriple:
     return _unit_triple_of(F, split_unit_power(F, u, n, **factor_opts), n)
 
 
-def squarefull_report(F: QuadField, u: QuadInt, n_max: int, **factor_opts) -> list[SquarefullRow]:
+_UNIT_NORM = Factorization(1, 1, (), 1, Status.COMPLETE)
+
+
+def unit_power_factorizations(
+    u: QuadInt, n_max: int, tally: Counter | None = None, **factor_opts
+) -> Iterator[tuple[int, QuadInt, Factorization]]:
+    """(n, u**n - 1, the factorization of |N(u**n - 1)|) for n = 1..n_max.
+
+    u**n - 1 is the product of Phi_m(u) over the divisors m of n, so
+    |N(Phi_n(u))| is |N(u**n - 1)| divided by |N(Phi_m(u))| over the divisors
+    m < n.  Each of these norms is factored once, with ``factor_opts`` (and
+    its factor table), and the factorization of |N(u**n - 1)| is merged from
+    those of its divisors' norms; ``tally["factored"]``, when given, counts
+    the norms factored (a norm of 1 is not).  A prime of Phi_m(u) is found
+    once, not again in every row that m divides, and the search never meets
+    a composite that holds the large primes of several Phi_m(u) together.
+    """
+    if not u.is_unit():
+        raise ValueError("u must be a unit")
+    pieces: list[Factorization] = []   # pieces[m - 1] factors |N(Phi_m(u))|
+    power = u
+    for n in range(1, n_max + 1):
+        alpha = power - 1
+        below = [pieces[m - 1] for m in range(1, n // 2 + 1) if n % m == 0]
+        norm = abs(alpha.norm()) // math.prod(piece.value for piece in below)
+        if norm == 1:
+            pieces.append(_UNIT_NORM)
+        else:
+            pieces.append(factor(norm, **factor_opts))
+            if tally is not None:
+                tally["factored"] += 1
+        yield n, alpha, merge_factorizations([*below, pieces[-1]])
+        power = power * u
+
+
+def squarefull_report(
+    F: QuadField, u: QuadInt, n_max: int, tally: Counter | None = None, **factor_opts
+) -> list[SquarefullRow]:
     """Table of squarefree/squarefull norm splits of (u**n - 1) for n <= n_max,
     with the quality of the triple (u**n - 1) + 1 = u**n from the same split.
 
+    Each row's split comes from the factorization that
+    unit_power_factorizations merges from the norms of the Phi_m(u), m | n;
+    ``tally`` and ``factor_opts`` go to it.
     The log_share column is the empirical exponent of the squarefull part;
     no bound is asserted on it (the abc inequality is an input, not a fact).
     Partial factorizations are flagged rather than dropped.
     """
     rows = []
-    for n in range(1, n_max + 1):
-        split = split_unit_power(F, u, n, **factor_opts)
-        total = abs(split.element.norm())
+    for n, alpha, fact in unit_power_factorizations(u, n_max, tally, **factor_opts):
+        split = ideal_split(F, alpha, fact)
+        total = fact.value
         nj = split.squarefull_norm
         if split.status is Status.COMPLETE:
             share = 0.0 if nj == 1 else math.log(nj) / math.log(total)

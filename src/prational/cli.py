@@ -403,8 +403,14 @@ def cmd_abc_quality(args, out) -> int:
     F = _field_from_args(args)
     u = F.fundamental_unit
     factor_opts = dict(rho_budget=args.factor_budget, seed=args.seed, cache=args.factor_table)
-    report = abcaudit.squarefull_report(F, u, args.n_max, **factor_opts)
-    if args.strict and any(r.status is not factorint.Status.COMPLETE for r in report):
+    tally = Counter()
+    report = abcaudit.squarefull_report(F, u, args.n_max, tally, **factor_opts)
+    partial = sum(r.status is not factorint.Status.COMPLETE for r in report)
+    log.info(
+        "factoring: %d cyclotomic norms factored for %d rows, %d partial",
+        tally["factored"], len(report), partial,
+    )
+    if args.strict and partial:
         raise PartialFactorizationError("factor budget exhausted under --strict")
     columns = ("n", "squarefree_norm", "squarefull_norm", "norm_total",
                "squarefull_log_share", "quality", "factor_status")
@@ -506,22 +512,32 @@ def _validate(args) -> None:
         raise ValueError("--factor-budget must be >= 0")
 
 
+def _open_out(name: str, path: str):
+    """``name`` opened for writing the --out file ``path``; a file that
+    cannot be opened (a missing or read-only directory) is a usage error."""
+    try:
+        return open(name, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write_out(path: str, write) -> int:
     """``write(fh)`` into the --out file.  A regular file (or a new one) is
     written as a temporary file beside it and moved over it only when
     ``write`` returns, so a run that fails leaves what the file held; a
-    pipe or a device is written in place."""
+    pipe or a device is written in place.  Nothing runs when the file
+    cannot be opened."""
     try:
         regular = stat.S_ISREG(os.stat(path).st_mode)
-    except FileNotFoundError:
+    except OSError:   # no such file yet, or a path that _open_out refuses
         regular = True
     if not regular:
-        with open(path, "w") as fh:
+        with _open_out(path, path) as fh:
             return write(fh)
     target = os.path.realpath(path)   # through a symlink, not over it
     tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        with _open_out(tmp, path) as fh:
             code = write(fh)
         os.replace(tmp, target)
         return code

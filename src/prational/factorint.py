@@ -368,6 +368,12 @@ def _search(m: int, mult: int, found: dict[int, int], rho_budget: int, seed: int
             if part > 1:
                 stack.append((part, k))
     # a prime split off one branch can still divide a branch the search gave up on
+    return _divide_out(found, cofactor)
+
+
+def _divide_out(found: dict[int, int], cofactor: int) -> int:
+    """Divide the primes of ``found`` out of cofactor, adding to their
+    exponents in ``found``; return what is left."""
     for p in found:
         while cofactor % p == 0:
             cofactor //= p
@@ -444,6 +450,26 @@ def factor(
     return Factorization(n, sign, factors, cofactor, status)
 
 
+def merge_factorizations(pieces: list[Factorization]) -> Factorization:
+    """The factorization of the product of the positive integers that the
+    searched factorizations ``pieces`` factor.  Exponents add.  A prime that
+    one piece lists can divide another piece's cofactor, so the listed primes
+    are divided out of the product of the cofactors, as at the end of the
+    search, and every listed exponent stays exact.  The product is COMPLETE
+    only when every piece is, and PARTIAL otherwise."""
+    found: dict[int, int] = {}
+    value = cofactor = 1
+    for piece in pieces:
+        value *= piece.value
+        cofactor *= piece.cofactor
+        for p, e in piece.factors:
+            found[p] = found.get(p, 0) + e
+    cofactor = _divide_out(found, cofactor)
+    complete = all(piece.status is Status.COMPLETE for piece in pieces)
+    status = Status.COMPLETE if complete else Status.PARTIAL
+    return Factorization(value, 1, tuple(sorted(found.items())), cofactor, status)
+
+
 # --- ideal splits -----------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -459,19 +485,24 @@ class IdealSplit:
 
 
 def ideal_valuations(F: QuadField, alpha: QuadInt, **factor_opts) -> IdealSplit:
-    """Factor (alpha) into prime-ideal powers via the norm factorization.
+    """Factor (alpha) into prime-ideal powers via the norm factorization."""
+    if alpha.is_zero():
+        raise ValueError("alpha must be nonzero")
+    n = alpha.norm()
+    if abs(n) == 1:
+        return IdealSplit(alpha, (), 1, 1, Status.COMPLETE)
+    return ideal_split(F, alpha, factor(abs(n), **factor_opts))
+
+
+def ideal_split(F: QuadField, alpha: QuadInt, fact: Factorization) -> IdealSplit:
+    """The prime-ideal powers of (alpha) above the primes that ``fact``, a
+    factorization of |N(alpha)|, lists, with the status of ``fact``.
 
     Inert p: valuation is half the norm exponent.  Ramified p: the norm
     exponent itself.  Split p: after the common power p**g of the two
     coordinates, the rest of the exponent goes to the one prime whose
     residue map mod p sends the cofactor to 0.
     """
-    if alpha.is_zero():
-        raise ValueError("alpha must be nonzero")
-    n = alpha.norm()
-    if abs(n) == 1:
-        return IdealSplit(alpha, (), 1, 1, Status.COMPLETE)
-    fact = factor(abs(n), **factor_opts)
     entries: list[tuple[PrimeIdealAboveP, int]] = []
     for p, e in fact.factors:
         for P, v in _valuations_above(F, alpha, p, e):

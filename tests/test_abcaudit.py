@@ -2,9 +2,17 @@ import math
 import random
 
 import pytest
+import sympy
 
-from prational.abcaudit import height, squarefull_report, unit_triple
+from prational.abcaudit import (
+    SquarefullRow,
+    height,
+    squarefull_report,
+    unit_power_factorizations,
+    unit_triple,
+)
 from prational.factorint import Status, radical_of_ideal, split_unit_power
+from prational.quadfield import make_field
 
 
 def small_nonzero_elements(F, count, seed=11):
@@ -96,7 +104,39 @@ class TestUnitTriple:
             assert t.radical == radical_of_ideal(split_unit_power(field2, eps2, n))
 
 
+def whole_norm_row(F, u, n):
+    """The row of level n from |N(u**n - 1)| factored whole."""
+    split = split_unit_power(F, u, n)
+    total = abs(split.element.norm())
+    nj = split.squarefull_norm
+    if split.status is Status.COMPLETE:
+        share = 0.0 if nj == 1 else math.log(nj) / math.log(total)
+        quality = unit_triple(F, u, n).quality
+    else:
+        share = quality = None
+    return SquarefullRow(n, split.squarefree_norm, nj, total, share, quality, split.status)
+
+
+ORACLE_FIELDS = [2, 3, 5, 6, 7, 13]
+
+
 class TestSquarefullReport:
+    @pytest.mark.parametrize("d", ORACLE_FIELDS)
+    def test_rows_match_the_whole_norm_route(self, d):
+        F = make_field(d)
+        u = F.fundamental_unit
+        assert squarefull_report(F, u, 40) == [whole_norm_row(F, u, n) for n in range(1, 41)]
+
+    @pytest.mark.parametrize("d", ORACLE_FIELDS)
+    def test_merged_factorization_is_sympys(self, d):
+        u = make_field(d).fundamental_unit
+        for n, alpha, fact in unit_power_factorizations(u, 40):
+            assert alpha == u ** n - 1
+            assert fact.value == abs(alpha.norm())
+            assert fact.status is Status.COMPLETE
+            assert dict(fact.factors) == sympy.factorint(fact.value)
+
+
     def test_rows(self, field2, eps2):
         rows = squarefull_report(field2, eps2, 12)
         assert [r.n for r in rows] == list(range(1, 13))
@@ -121,3 +161,10 @@ class TestSquarefullReport:
         for r in rows:
             if r.status is Status.PARTIAL:
                 assert r.log_share is None
+        # the merged factorizations keep exact exponents
+        for _, _, fact in unit_power_factorizations(big, 2, rho_budget=0, trial_bound=100):
+            assert fact.product() == fact.value
+            exact = sympy.factorint(fact.value)
+            for p, e in fact.factors:
+                assert e == exact[p]
+                assert fact.cofactor % p != 0

@@ -8,6 +8,7 @@ A change that is meant to alter a payload regenerates them with
 
 from __future__ import annotations
 
+import errno
 import logging
 import os
 import re
@@ -23,6 +24,7 @@ import pytest
 import sympy
 
 from prational import cli, factorint, numerics, quadfield
+from prational.polyarith import cyclotomic
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -168,6 +170,12 @@ def test_arithmetic_error_is_a_compute_error(monkeypatch, capsys, tmp_path):
     assert capsys.readouterr().err == "error: odd norm exponent at inert prime 2\n"
 
 
+# the partial rows of each command below; abc-quality's row 57 is complete,
+# since each of its pieces Phi_m(eps), m | 57, leaves at most one prime above
+# the trial bound
+PARTIAL_ROWS = {"scan-wieferich": ["53", "67"], "abc-quality": ["53"]}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -176,8 +184,9 @@ def test_arithmetic_error_is_a_compute_error(monkeypatch, capsys, tmp_path):
     ],
 )
 def test_strict_refuses_partial_rows(argv, capsys, tmp_path):
-    payload = run_cli(argv, tmp_path / "out").decode()
-    assert sum("partial" in line.split(",") for line in payload.splitlines()) == 2
+    lines = run_cli(argv, tmp_path / "out").decode().splitlines()
+    partial = [line.split(",")[0] for line in lines if "partial" in line.split(",")]
+    assert partial == PARTIAL_ROWS[argv[0]]
     capsys.readouterr()
     assert cli.main([*argv, "--strict", "--out", str(tmp_path / "strict")]) == cli.EXIT_COMPUTE
     assert capsys.readouterr().err == "error: factor budget exhausted under --strict\n"
@@ -211,16 +220,16 @@ def test_warm_run_on_a_corrupt_cache_matches_the_cold_run(caplog, tmp_path):
     assert run_cli(argv, tmp_path / "cold") == expected
     path = tmp_path / "cache.txt"
     lines = path.read_text().splitlines()
-    value, factors, cofactor = lines[10].split("\t")
-    lines[10] = f"{value}\t{factors}"                        # wrong field count
-    value, factors, cofactor = lines[20].split("\t")
-    lines[20] = f"{value}\t{factors}\tx{cofactor}"           # non-integer field
-    value, factors, cofactor = lines[30].split("\t")
-    lines[30] = f"{value}\t{factors}\t{int(cofactor) + 1}"   # does not multiply back
+    value, factors, cofactor = lines[5].split("\t")
+    lines[5] = f"{value}\t{factors}"                         # wrong field count
+    value, factors, cofactor = lines[15].split("\t")
+    lines[15] = f"{value}\t{factors}\tx{cofactor}"           # non-integer field
+    value, factors, cofactor = lines[25].split("\t")
+    lines[25] = f"{value}\t{factors}\t{int(cofactor) + 1}"   # does not multiply back
     path.write_text("\n".join(lines) + "\n")
     with caplog.at_level(logging.WARNING, logger="prational"):
         assert run_cli(argv, tmp_path / "warm") == expected
-    assert re.findall(r" line (\d+) corrupt", caplog.text) == ["11", "21", "31"]
+    assert re.findall(r" line (\d+) corrupt", caplog.text) == ["6", "16", "26"]
 
 
 def test_abc_run_factors_each_integer_once(monkeypatch, tmp_path):
@@ -251,8 +260,19 @@ def test_abc_run_factors_each_integer_once(monkeypatch, tmp_path):
     monkeypatch.setattr(cli.FactorCache, "lookup", lookup)
     monkeypatch.setattr(cli, "make_field", make_field)
     run_cli(["abc-quality", "--d", "2", "--n-max", "30"], tmp_path / "out")
-    assert len(set(calls)) >= 30
+    # one call per m <= 30, on |N(Phi_m(eps))|, never on a whole |N(eps**n - 1)|;
+    # only 22 of these 30 norms differ (2 for m = 1, 2 and 7 for m = 3, 6, for example)
+    eps = field_built[0].fundamental_unit
+    assert calls == [abs(cyclotomic(m).evaluate(eps).norm()) for m in range(1, 31)]
+    assert len(set(calls)) == 22
     assert len(calls) - len(hits) == len(set(calls))
+
+
+def test_abc_run_logs_its_factoring(caplog, tmp_path):
+    argv = ["abc-quality", "--d", "2", "--n-max", "60", "--factor-budget", "0"]
+    with caplog.at_level(logging.INFO, logger="prational"):
+        run_cli(argv, tmp_path / "out")
+    assert "factoring: 60 cyclotomic norms factored for 60 rows, 1 partial" in caplog.messages
 
 
 def test_warm_abc_run_builds_no_large_sieve(monkeypatch, tmp_path):
@@ -294,6 +314,18 @@ def test_wieferich_payload_does_not_depend_on_the_table(tmp_path):
     cli.cache_store(full, table)
     assert run_cli([*argv, "--cache", str(full)], tmp_path / "complete") == cold
     assert run_cli([*argv, "--cache", str(full)], tmp_path / "warm") == cold
+
+
+def test_scan_power_one_shares_the_table_with_abc_quality(caplog, tmp_path):
+    """At scan power 1 (d = 3) scan-wieferich factors the norms of the
+    Phi_n(eps) that abc-quality factored: each is a hit, none is new."""
+    argv = ["scan-wieferich", "--d", "3", "--n-max", "40"]
+    cold = run_cli(argv, tmp_path / "cold")
+    cache = tmp_path / "cache.txt"
+    run_cli(["abc-quality", "--d", "3", "--n-max", "40", "--cache", str(cache)], tmp_path / "abc")
+    with caplog.at_level(logging.INFO, logger="prational"):
+        assert run_cli([*argv, "--cache", str(cache)], tmp_path / "shared") == cold
+    assert caplog.messages[-1] == "cache: 25 hits, 0 new entries stored"
 
 
 def test_trial_phase_entries_round_trip_through_the_cache_file(tmp_path):
@@ -463,6 +495,37 @@ def test_failed_run_keeps_the_out_file(argv, code, tmp_path):
     assert cli.main([*argv, "--out", str(keep)]) == code
     assert keep.read_bytes() == old
     assert [p.name for p in tmp_path.iterdir()] == ["keep.csv"]
+
+
+def test_out_into_a_missing_directory_is_a_usage_error(capsys, tmp_path):
+    out = tmp_path / "missing" / "x.csv"
+    assert cli.main(["scan-prational", "--d", "2", "--X", "100", "--out", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: cannot write {out}: No such file or directory\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_out_into_a_read_only_directory_is_a_usage_error(monkeypatch, capsys, tmp_path):
+    read_only = tmp_path / "read-only"
+    read_only.mkdir()
+    read_only.chmod(0o555)
+    if os.geteuid() == 0:
+        # the mode bits do not bind root: refuse as the kernel does for anyone else
+        real_open = open
+
+        def refusing_open(name, mode="r", *args, **kwargs):
+            if "w" in mode and Path(name).parent == read_only:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(name))
+            return real_open(name, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "open", refusing_open, raising=False)
+    out = read_only / "x.csv"
+    try:
+        code = cli.main(["scan-prational", "--d", "2", "--X", "100", "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"error: cannot write {out}: Permission denied\n"
+        assert list(read_only.iterdir()) == []
+    finally:
+        read_only.chmod(0o755)
 
 
 def test_out_through_a_symlink_replaces_its_target(tmp_path):

@@ -12,6 +12,7 @@ from prational.factorint import (
     factor,
     ideal_valuations,
     is_prime,
+    merge_factorizations,
     radical_of_ideal,
     sieve,
     split_unit_power,
@@ -101,6 +102,39 @@ class TestFactor:
         assert f.product() == n
         for p, _ in f.factors:
             assert is_prime(p)
+
+
+class TestMergeFactorizations:
+    def test_a_listed_prime_is_divided_out_of_another_cofactor(self):
+        p = next_prime_from(10 ** 9 + 7)
+        q = next_prime_from(10 ** 10 + 19)
+        listed = factor(2 * p)                       # p is listed here
+        unsplit = factor(p * q, rho_budget=0)        # and hides in this cofactor
+        merged = merge_factorizations([listed, unsplit])
+        assert merged.factors == ((2, 1), (p, 2))
+        assert merged.cofactor == q
+        assert merged.status is Status.PARTIAL
+        assert merged.value == merged.product() == 2 * p * p * q
+
+    def test_no_pieces_is_one(self):
+        assert merge_factorizations([]) == factor(1)
+
+    @given(
+        st.lists(
+            st.lists(st.sampled_from(sieve(3000)[4:]), min_size=1, max_size=4), min_size=1, max_size=4
+        ),
+        st.integers(min_value=0, max_value=40),
+    )
+    def test_exponents_are_exact(self, piece_primes, budget):
+        pieces = [factor(math.prod(primes), trial_bound=10, rho_budget=budget) for primes in piece_primes]
+        merged = merge_factorizations(pieces)
+        every = [p for primes in piece_primes for p in primes]
+        assert merged.value == merged.product() == math.prod(every)
+        for p, e in merged.factors:
+            assert e == every.count(p)
+            assert math.gcd(merged.cofactor, p) == 1
+        complete = all(piece.status is Status.COMPLETE for piece in pieces)
+        assert merged.status is (Status.COMPLETE if complete else Status.PARTIAL)
 
 
 # primes on both sides of each boundary between trial chunks, the primes just
