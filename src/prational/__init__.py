@@ -24,7 +24,6 @@ from .polyarith import (
     IntPoly,
     cyclotomic,
     euler_phi,
-    poly_gcd,
     power_poly,
     resultant,
 )

@@ -510,6 +510,8 @@ def _validate(args) -> None:
         raise ValueError("--d must be >= 2")
     if getattr(args, "factor_budget", 0) < 0:
         raise ValueError("--factor-budget must be >= 0")
+    if getattr(args, "precision_cap", 0) < 0:
+        raise ValueError("--precision-cap must be >= 0")
 
 
 def _open_out(name: str, path: str):

@@ -5,9 +5,11 @@ complex disks.  Approximations come from mpmath at increasing working
 precision; every certificate is then checked with exact rational
 arithmetic: for a dyadic center z, all the roots of f lie within
 deg(f) * |f(z)/f'(z)| of z, so disjoint disks of that radius isolate the
-roots.  Circle membership is decided exactly when the reciprocal gcd is
-cyclotomic, numerically (with an Undecided escape hatch at the precision
-cap) otherwise.
+roots.  ``certify_roots`` also proves the polynomial irreducible, and every
+AlgebraicUnit comes from it.  So a unit's polynomial f shares a root with
+its reciprocal f* only when f* = +-f; then f is either cyclotomic (on the
+circle, decided exactly) or not, and the disks decide it numerically, with
+an Undecided escape hatch at the precision cap.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import NonConvergenceError, NotAUnitError, NotSquarefreeError
-from .polyarith import IntPoly, cyclotomic, euler_phi, iroot, poly_gcd, prem, sqrt_bounds
+from .polyarith import IntPoly, cyclotomic, discriminant, iroot, prem, sqrt_bounds
 
 PRECISION_CAP_BITS = 2 ** 14
 _SQRT_BITS = 48   # precision of the rational square-root bounds on moduli and radii
@@ -135,7 +137,7 @@ def certify_roots(
         raise NotAUnitError("an algebraic integer needs a monic minimal polynomial")
     if abs(f.constant()) != 1:
         raise NotAUnitError(f"constant term {f.constant()} has absolute value != 1")
-    if poly_gcd(f, f.derivative()).degree() > 0:
+    if discriminant(f) == 0:
         raise NotSquarefreeError("minimal polynomial has a repeated factor")
     m = f.degree()
     # a cyclotomic factor of lower degree makes f reducible, so f is no minimal
@@ -176,7 +178,7 @@ def _factor_from_roots(f: IntPoly, disks: tuple[RootDisk, ...]) -> IntPoly | Non
     modulus product can be 1, the coefficients of prod (x - c) over the disk
     centers c are within err = prod(1 + |c| + r) - prod(1 + |c|) of those
     of h (r: the radii); with err < 1/2, rounding them gives the only
-    candidate for h, and exact division decides it.
+    candidate for h, and a zero pseudo-remainder decides it.
     """
     m = len(disks)
     if m < 4:
@@ -216,18 +218,6 @@ def _factor_from_roots(f: IntPoly, disks: tuple[RootDisk, ...]) -> IntPoly | Non
     return None
 
 
-def _cyclotomic_match(g: IntPoly) -> int | None:
-    """The index n with g = cyclotomic(n), if any (g primitive, positive lead)."""
-    k = g.degree()
-    if k < 1:
-        return None
-    bound = max(2, 2 * k * k + 1)
-    for n in range(1, bound + 1):
-        if euler_phi(n) == k and cyclotomic(n) == g:
-            return n
-    return None
-
-
 def _sides(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BITS) -> tuple[AlgebraicUnit, list[int]]:
     """Certify each disk entirely inside (-1) or outside (+1) the unit circle,
     refining as needed.  Raises NonConvergenceError at the precision cap."""
@@ -260,16 +250,18 @@ def circle_test(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BITS) ->
     """Decide whether any conjugate lies on the unit circle.
 
     A conjugate on the circle forces its inverse (= its complex conjugate) to
-    be a conjugate too, so f and its reciprocal share a factor; a trivial gcd
-    settles the question exactly.  A nontrivial gcd equal to a cyclotomic
-    polynomial settles it the other way.  Anything else falls back to disk
-    refinement and may come back UNDECIDED.
+    be a conjugate too, so f and its reciprocal f* share a root.  The unit's
+    f is irreducible (certify_roots proves it), so they share one only when
+    f* = +-f; otherwise the answer is CLEAR, exactly.  A reciprocal f equal
+    to a cyclotomic polynomial (of index at most 2m^2 + 1, since
+    phi(k) >= sqrt(k/2)) is ON_CIRCLE, exactly.  Any other reciprocal f falls
+    back to disk refinement and may come back UNDECIDED.
     """
     f = unit.minpoly
-    g = poly_gcd(f, f.reciprocal())
-    if g.degree() == 0:
+    if f.reciprocal() not in (f, -f):
         return CircleTest.CLEAR
-    if _cyclotomic_match(g) is not None:
+    m = f.degree()
+    if any(cyclotomic(k) == f for k in range(1, 2 * m * m + 2)):
         return CircleTest.ON_CIRCLE
     try:
         _sides(unit, precision_cap)

@@ -3,10 +3,12 @@
 A polynomial is a tuple of arbitrary-precision integer coefficients in
 ascending degree order, so ``1 - 2x + x^3`` is ``(1, -2, 0, 1)``.  Everything
 in this module is pure integer (or Fraction) arithmetic; no floating point
-touches this path.  Cyclotomic polynomials are produced by iterated exact
-division of ``x^n - 1`` and cached, and resultants go through the
-subresultant polynomial remainder sequence so intermediate coefficients stay
-integral.
+touches this path.  Cyclotomic polynomials are built from the primes of n
+with no polynomial division: Phi_n is the product of (1 - x^d)^mu(n/d) over
+the divisors d of n, taken as a power series truncated above degree n
+(Arnold and Monagan, *Calculating cyclotomic polynomials*, Math. Comp. 80,
+2011), and cached.  Resultants go through the subresultant polynomial
+remainder sequence so intermediate coefficients stay integral.
 
 The integer primitives live here too: integer k-th roots, rational bounds on
 square roots, Hensel lifting of simple roots, and the common root of two
@@ -15,6 +17,7 @@ polynomials mod p.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,11 +46,6 @@ class IntPoly:
     @staticmethod
     def zero() -> "IntPoly":
         return IntPoly(())
-
-    @staticmethod
-    def x_pow_minus_one(n: int) -> "IntPoly":
-        """``x**n - 1``."""
-        return IntPoly.of(-1, *([0] * (n - 1)), 1)
 
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1."""
@@ -113,15 +111,6 @@ class IntPoly:
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
 
-    def primitive(self) -> "IntPoly":
-        """Divide out the content and force a positive leading coefficient."""
-        if self.is_zero():
-            return self
-        c = self.content()
-        if self.lead() < 0:
-            c = -c
-        return IntPoly(tuple(x // c for x in self.coeffs))
-
     def __repr__(self):
         return f"IntPoly('{self.pretty()}')"
 
@@ -152,31 +141,6 @@ def _coerce(v) -> IntPoly:
     if isinstance(v, int):
         return IntPoly.of(v)
     raise TypeError(f"cannot coerce {type(v)!r} to IntPoly")
-
-
-def div_exact(num: IntPoly, den: IntPoly) -> IntPoly:
-    """Exact polynomial division in Z[x]; raises if the division is not exact."""
-    if den.is_zero():
-        raise ZeroDivisionError("polynomial division by zero")
-    q: list[int] = [0] * max(0, num.degree() - den.degree() + 1)
-    r = list(num.coeffs)
-    dd = den.degree()
-    dl = den.lead()
-    while len(r) - 1 >= dd and any(r):
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < dd:
-            break
-        t, rem = divmod(r[-1], dl)
-        if rem:
-            raise ValueError("division is not exact over the integers")
-        k = len(r) - 1 - dd
-        q[k] = t
-        for i, c in enumerate(den.coeffs):
-            r[k + i] -= t * c
-    if any(r):
-        raise ValueError("division is not exact over the integers")
-    return IntPoly.of(*q)
 
 
 def prem(a: IntPoly, b: IntPoly) -> IntPoly:
@@ -255,68 +219,44 @@ def discriminant(f: IntPoly) -> int:
     return sign * r
 
 
-def poly_gcd(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Primitive gcd over Q, returned as a primitive integer polynomial
-    with positive leading coefficient."""
-    if f.is_zero() and g.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    if f.is_zero():
-        return g.primitive()
-    if g.is_zero():
-        return f.primitive()
-    a, b = f.primitive(), g.primitive()
-    if a.degree() < b.degree():
-        a, b = b, a
-    while not b.is_zero():
-        r = prem(a, b)
-        a, b = b, r.primitive() if not r.is_zero() else r
-    return a.primitive()
-
-
-@lru_cache(maxsize=None)
-def divisors(n: int) -> tuple[int, ...]:
-    """Sorted positive divisors."""
-    if n < 1:
-        raise ValueError("n must be positive")
-    small, large = [], []
-    i = 1
-    while i * i <= n:
-        if n % i == 0:
-            small.append(i)
-            if i != n // i:
-                large.append(n // i)
-        i += 1
-    return tuple(small + large[::-1])
-
-
 def euler_phi(n: int) -> int:
-    """Euler totient, via the factorization of n."""
-    from .factorint import factor
-
-    if n < 1:
-        raise ValueError("euler_phi requires n >= 1")
-    phi = 1
-    for p, e in factor(n).complete_factors():
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
+    """Euler totient: the degree of the n-th cyclotomic polynomial."""
+    return cyclotomic(n).degree()
 
 
 @lru_cache(maxsize=None)
 def cyclotomic(n: int) -> IntPoly:
     """The n-th cyclotomic polynomial, monic of degree ``euler_phi(n)``.
 
+    For n > 1, Phi_n is the product of (1 - x^d)^mu(s) over the squarefree
+    divisors s of n, with d = n/s.  Each factor is one pass over the
+    coefficients mod x^(n+1): times 1 - x^d when mu(s) = 1, times
+    1/(1 - x^d) = 1 + x^d + x^2d + ... when mu(s) = -1.  The coefficients
+    above deg Phi_n = phi(n) come out 0.
+
     >>> cyclotomic(1)
     IntPoly('x - 1')
     >>> cyclotomic(12)
     IntPoly('x^4 - x^2 + 1')
     """
+    from .factorint import factor
+
     if n < 1:
         raise ValueError("cyclotomic requires n >= 1")
-    poly = IntPoly.x_pow_minus_one(n)
-    for d in divisors(n):
-        if d < n:
-            poly = div_exact(poly, cyclotomic(d))
-    return poly
+    if n == 1:
+        return IntPoly.of(-1, 1)
+    primes = [p for p, _ in factor(n).complete_factors()]
+    c = [1] + [0] * n
+    for r in range(len(primes) + 1):
+        for s in itertools.combinations(primes, r):
+            d = n // math.prod(s)
+            if r % 2:
+                for i in range(d, n + 1):
+                    c[i] += c[i - d]
+            else:
+                for i in range(n, d - 1, -1):
+                    c[i] -= c[i - d]
+    return IntPoly.of(*c)
 
 
 def power_poly(f: IntPoly, k: int) -> IntPoly:

@@ -408,6 +408,21 @@ def test_options_a_command_never_reads_are_usage_errors(argv, capsys, tmp_path):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["field-info", "--d", "2", "--precision-cap", "-5"],
+        ["scan-wieferich", "--d", "2", "--n-max", "4", "--precision-cap", "-1"],
+        ["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "4", "--precision-cap", "-64"],
+    ],
+)
+def test_negative_precision_cap_is_a_usage_error(argv, capsys, tmp_path):
+    # a cap below 0 bits is a bad argument, not a compute limit
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "error: --precision-cap must be >= 0\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_field_beyond_the_double_range(tmp_path):
     # the fundamental unit of Q(sqrt(100291)) is about 8.6e381
     payload = run_cli(["field-info", "--d", "100291"], tmp_path / "out").decode()

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from prational import factorint
@@ -9,13 +10,11 @@ from prational.polyarith import (
     IntPoly,
     common_root_mod_p,
     cyclotomic,
-    div_exact,
-    divisors,
     euler_phi,
     hensel_lift,
     iroot,
-    poly_gcd,
     power_poly,
+    prem,
     resultant,
     sqrt_bounds,
 )
@@ -36,17 +35,29 @@ def moebius(n):
     return out
 
 
-def cyclotomic_by_moebius(n):
-    """Independent oracle: prod over d|n of (x^(n/d) - 1)^moebius(d)."""
-    num = IntPoly.of(1)
-    den = IntPoly.of(1)
-    for d in divisors(n):
-        mu = moebius(d)
-        if mu == 1:
-            num = num * IntPoly.x_pow_minus_one(n // d)
-        elif mu == -1:
-            den = den * IntPoly.x_pow_minus_one(n // d)
-    return div_exact(num, den)
+def divisors(n):
+    return [d for d in range(1, n + 1) if n % d == 0]
+
+
+def x_pow_minus_one(n):
+    return IntPoly.of(-1, *([0] * (n - 1)), 1)
+
+
+def agrees_with_moebius_values(c, n):
+    """Independent oracle: Phi_n(a) = prod over d|n of (a^(n/d) - 1)^moebius(d)
+    at the integers a = 2 .. n + 2, more points than c and Phi_n have degree,
+    so c is Phi_n exactly when all of them agree."""
+    for a in range(2, n + 3):
+        value = Fraction(1)
+        for d in divisors(n):
+            value *= Fraction(a ** (n // d) - 1) ** moebius(d)
+        if c.evaluate(a) != value:
+            return False
+    return True
+
+
+def sympy_cyclotomic(n):
+    return IntPoly.of(*reversed(sympy.cyclotomic_poly(n, polys=True).all_coeffs()))
 
 
 def sylvester_resultant(f, g):
@@ -98,24 +109,33 @@ class TestCyclotomic:
 
     def test_twelve_against_moebius_oracle(self):
         assert cyclotomic(12) == IntPoly.of(1, 0, -1, 0, 1)
-        assert cyclotomic(12) == cyclotomic_by_moebius(12)
+        assert agrees_with_moebius_values(cyclotomic(12), 12)
 
     @pytest.mark.parametrize("n", [3, 8, 15, 36, 60, 105])
     def test_moebius_oracle(self, n):
-        assert cyclotomic(n) == cyclotomic_by_moebius(n)
+        assert agrees_with_moebius_values(cyclotomic(n), n)
+
+    def test_sympy_oracle(self):
+        # 2310 and 30030 have 5 and 6 distinct primes: 32 and 64 passes
+        for n in [*range(1, 1001), 2310, 30030]:
+            assert cyclotomic(n) == sympy_cyclotomic(n), n
 
     def test_monic_degree_phi(self):
         for n in range(1, 501):
             c = cyclotomic(n)
             assert c.is_monic()
-            assert c.degree() == euler_phi(n)
+            assert c.degree() == sympy.totient(n)
+
+    def test_divides_xn_minus_one(self):
+        for n in range(1, 51):
+            assert prem(x_pow_minus_one(n), cyclotomic(n)).is_zero()
 
     def test_product_identity_sample(self):
         for n in (1, 2, 7, 24, 90, 128, 200):
             prod = IntPoly.of(1)
             for d in divisors(n):
                 prod = prod * cyclotomic(d)
-            assert prod == IntPoly.x_pow_minus_one(n)
+            assert prod == x_pow_minus_one(n)
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -128,6 +148,17 @@ class TestEulerPhi:
         assert euler_phi(12) == 4
         # direct count of units mod 12
         assert euler_phi(12) == sum(1 for k in range(1, 12) if _gcd(k, 12) == 1)
+        for n in [*range(1, 1001), 2310, 30030]:
+            assert euler_phi(n) == sympy.totient(n), n
+
+    def test_factors_n_once(self, monkeypatch):
+        # Phi_n and phi(n) both come from one factor(n)
+        calls = []
+        real_factor = factorint.factor
+        monkeypatch.setattr(factorint, "factor", lambda n: calls.append(n) or real_factor(n))
+        cyclotomic.cache_clear()
+        assert euler_phi(1155) == euler_phi(1155) == cyclotomic(1155).degree() == 480
+        assert calls == [1155]
 
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
@@ -176,20 +207,6 @@ class TestResultant:
             resultant(IntPoly.zero(), IntPoly.of(1, 1))
 
 
-class TestPolyGcd:
-    def test_basic(self):
-        assert poly_gcd(IntPoly.of(-1, 0, 1), IntPoly.of(-1, 1)) == IntPoly.of(-1, 1)
-        assert poly_gcd(cyclotomic(6), cyclotomic(3)) == IntPoly.of(1)
-
-    def test_cyclotomic_divides_xn_minus_one(self):
-        for n in range(1, 51):
-            assert poly_gcd(IntPoly.x_pow_minus_one(n), cyclotomic(n)) == cyclotomic(n)
-
-    @given(nonzero_polys)
-    def test_self_gcd(self, f):
-        assert poly_gcd(f, f) == f.primitive()
-
-
 class TestPowerPoly:
     def test_quadratic_square(self):
         assert power_poly(IntPoly.of(-1, -2, 1), 2) == IntPoly.of(1, -6, 1)
@@ -217,13 +234,13 @@ class TestPowerPoly:
 
 
 class TestDivision:
-    def test_div_exact_error(self):
-        with pytest.raises(ValueError):
-            div_exact(IntPoly.of(1, 0, 1), IntPoly.of(1, 1))
+    def test_prem_leaves_a_remainder(self):
+        # x^2 + 1 = (x - 1)(x + 1) + 2
+        assert prem(IntPoly.of(1, 0, 1), IntPoly.of(1, 1)) == IntPoly.of(2)
 
     @given(nonzero_polys, nonzero_polys)
-    def test_div_exact_roundtrip(self, f, g):
-        assert div_exact(f * g, g) == f
+    def test_prem_of_a_product_is_zero(self, f, g):
+        assert prem(f * g, g).is_zero()
 
 
 class TestCommonRootModP:

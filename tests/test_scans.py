@@ -187,7 +187,7 @@ def test_generic_candidates_have_one_root_of_order_dividing_n(coeffs):
     g_expr = sum(c * x ** i for i, c in enumerate(g.coeffs))
     checked = 0
     for n in range(1, 41):
-        r_full = resultant(IntPoly.x_pow_minus_one(n), g)
+        r_full = resultant(IntPoly.of(-1, *([0] * (n - 1)), 1), g)
         for p, _ in factor(resultant(cyclotomic(n), g)).complete_factors():
             if n % p == 0 or disc_g % p == 0 or r_full % (p * p) == 0:
                 continue
