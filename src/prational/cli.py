@@ -170,31 +170,49 @@ def format_value(v) -> str:
     return str(v)
 
 
-def _emit(columns, rows, summary, fmt: str, out, command: str) -> None:
+_BATCH_ROWS = 256   # rows formatted and written together: few writes, small buffers
+
+
+def _batches(rows):
+    """Lists of up to _BATCH_ROWS consecutive rows, as the rows arrive."""
+    rows = iter(rows)
+    while batch := list(itertools.islice(rows, _BATCH_ROWS)):
+        yield batch
+
+
+def _csv_line(row) -> str:
+    return ",".join(map(_csv_cell, row)) + "\n"
+
+
+def _emit(columns, rows, summary, fmt: str, out, command: str, csv_line=_csv_line) -> None:
     """Write the rows, tuples in column order, then ``summary()``, which is
-    called after the last row, so it may count what the rows showed.  CSV
-    writes each row as it arrives and the header with the first, so no rows
-    means no header; JSON makes one object per row and writes the encoder's
-    small chunks joined in batches, never the document as one string (one
-    write per chunk would be one system call each on an unbuffered stdout)."""
+    called after the last row, so it may count what the rows showed.  Rows
+    stream: they are formatted and written in small batches as they arrive.
+    CSV formats a row with ``csv_line`` and writes the header with the first,
+    so no rows means no header.  JSON writes the bytes that
+    ``json.JSONEncoder(indent=2)`` gives for the whole document, a batch of
+    row objects at a time; ``csv_line`` plays no part in it."""
     if fmt == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "rows": [dict(zip(columns, row)) for row in rows],
-        }
-        doc["summary"] = summary()
-        chunks = json.JSONEncoder(indent=2).iterencode(doc)
-        while batch := "".join(itertools.islice(chunks, 4096)):
-            out.write(batch)
-        out.write("\n")
+        encode = json.JSONEncoder(indent=2).encode
+
+        def nested(obj, level: int) -> str:   # a JSON string holds no raw newline
+            return encode(obj).replace("\n", "\n" + "  " * level)
+
+        out.write(
+            f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "command": {encode(command)},\n  "rows": ['
+        )
+        sep = ""
+        for batch in _batches(rows):
+            # the objects of a list at level 1, between its "[" and "\n  ]"
+            out.write(sep + nested([dict(zip(columns, row)) for row in batch], 1)[1:-4])
+            sep = ","
+        out.write("\n  ]" if sep else "]")
+        out.write(f',\n  "summary": {nested(summary(), 1)}\n}}\n')
         return
     header = ",".join(columns) + "\n"
-    for row in rows:
-        if header:
-            out.write(header)
-            header = ""
-        out.write(",".join(map(_csv_cell, row)) + "\n")
+    for batch in _batches(rows):
+        out.write(header + "".join(map(csv_line, batch)))
+        header = ""
     for k, v in summary().items():
         out.write(f"# {k}={_csv_cell(v)}\n")
 
@@ -372,13 +390,18 @@ def cmd_scan_wieferich(args, out) -> int:
 
 def cmd_scan_prational(args, out) -> int:
     F = _field_from_args(args)
-    verdicts = scans.prationality_scan(F, args.X)
     counts = Counter()
 
-    def rows():
-        for v in verdicts:
+    def verdicts():
+        for v in scans.prationality_scan(F, args.X):
             counts[v.verdict] += 1
-            yield v.p, v.verdict, v.reason, [f"{norm}:{int(flag)}" for norm, flag in v.witnesses]
+            yield v
+
+    def witness_cells(v) -> list[str]:
+        return [f"{norm}:{flag:d}" for norm, flag in v.witnesses]
+
+    def csv_line(v) -> str:   # p, verdict and reason hold no comma, so only the witnesses are quoted
+        return f'{v.p},{v.verdict},{v.reason},"{";".join(witness_cells(v))}"\n'
 
     def summary():
         log_x = math.log(args.X) if args.X > 1 else 0.0
@@ -394,8 +417,11 @@ def cmd_scan_prational(args, out) -> int:
             "non_p_rational_is_criterion_level": True,
         }
 
+    rows = verdicts()
+    if args.format == "json":
+        rows = ((v.p, v.verdict, v.reason, witness_cells(v)) for v in rows)
     columns = ("p", "verdict", "reason", "witnesses")
-    _emit(columns, rows(), summary, args.format, out, "scan-prational")
+    _emit(columns, rows, summary, args.format, out, "scan-prational", csv_line)
     return EXIT_OK
 
 

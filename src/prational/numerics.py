@@ -325,27 +325,29 @@ def growth_constants(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BIT
     ubs = [d.mod_ub() for d in refined.roots]
     peak = max(lb for lb, side in zip(lbs, sides) if side == +1)
     conj_ub = max(ubs)
-    half = Fraction(1, 2)
-    threshold = Fraction(2 ** (m - 1) + 1)
-    k = 1
-    while True:
-        ok = peak ** k > threshold
-        for lb, ub, side in zip(lbs, ubs, sides):
-            if side == -1 and ub ** k > half:
-                ok = False
-            if side == +1 and lb ** k < 2:
-                ok = False
-        if ok:
-            break
+    threshold = 2 ** (m - 1) + 1
+    # peak**k > threshold, lb**k >= 2 outside the circle and (1/ub)**k >= 2
+    # inside it, on running powers of the numerators and the denominators:
+    # one product each per step of k, and no gcd, since the powers of a
+    # reduced fraction stay reduced
+    bases = [
+        (x.numerator, x.denominator)
+        for x in (lb if side == +1 else 1 / ub for lb, ub, side in zip(lbs, ubs, sides))
+    ]
+    peak_num, peak_den = peak.numerator, peak.denominator
+    powers, k = bases, 1
+    while not (peak_num > threshold * peak_den and all(a >= 2 * b for a, b in powers)):
         k += 1
         if k > 10 ** 6:
             raise NonConvergenceError("no admissible power below 10^6")
-    excess = peak ** k - 1
+        peak_num, peak_den = peak_num * peak.numerator, peak_den * peak.denominator
+        powers = [(a * c, b * e) for (a, b), (c, e) in zip(powers, bases)]
+    excess = Fraction(peak_num, peak_den) - 1
     try:
         rate = 0.5 * math.log(float(excess) * 2.0 ** (1 - m))
     except OverflowError:   # a unit beyond the double range
         rate = 0.5 * (ln(excess) + (1 - m) * math.log(2))
-    conj_pow_ub = max(ub ** k for ub in ubs)
+    conj_pow_ub = conj_ub ** k   # the largest ub**k, as every ub > 0
     eps_max = rate / (2 * m * ln(conj_pow_ub))
     # threshold index: exp(rate*n/2) > n**m for all n >= n_start
     half_rate = rate / 2

@@ -49,6 +49,9 @@ V_2j+1 = V_j*V_j+1 - T) has 2*V_h+1 - T*V_h = (eta - eta')*(eta**h - eta'**h)
 at p, so with e = v_p(y(eta)) the quotients are trivial exactly when
 2*V_h+1 - T*V_h = 0 mod p**(2+e), and the pair (V_h, V_h+1) is worked out
 modulo p**(2+e).  For eps = +-1, eta = 1 and every quotient is trivial.
+For the fundamental discriminant disc, p -> (disc|p) is a Dirichlet
+character mod disc, so k depends only on p mod disc; the scan computes it
+once per residue class.
 
 Plus a rational-prime-level scan for user-supplied units of arbitrary
 degree.
@@ -61,6 +64,7 @@ from collections import Counter
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import InsufficientRecordsError
 from .factorint import _TRIAL_BOUND, Status, factor, ideal_valuations, sieve
@@ -114,8 +118,7 @@ class ScanRecord:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class PRationalityVerdict:
+class PRationalityVerdict(NamedTuple):
     p: int
     verdict: str
     reason: str
@@ -288,7 +291,8 @@ def count_report(records: list[ScanRecord], constants: GrowthConstants, X: int) 
 
 def _classifier(F: QuadField, unit: QuadInt | None, p0: int | None) -> Callable[[int], PRationalityVerdict]:
     """classify_prime for one field and unit: p -> verdict, with the unit
-    check, the excluded bound, T = Tr(u**2) and y(u**2) computed once."""
+    check, the excluded bound, T = Tr(u**2) and y(u**2) computed once, and
+    k = (disc|p) once per class of p mod disc."""
     u = F.fundamental_unit if unit is None else unit
     if not u.is_unit():
         raise ValueError("unit argument must be a unit")
@@ -296,6 +300,7 @@ def _classifier(F: QuadField, unit: QuadInt | None, p0: int | None) -> Callable[
     eta = u * u
     trace, y_eta = eta.trace(), eta.y
     disc, class_number = F.disc, F.class_number
+    characters: dict[int, int] = {}   # p % disc -> (disc|p)
 
     def classify(p: int) -> PRationalityVerdict:
         if p == 2:
@@ -306,7 +311,10 @@ def _classifier(F: QuadField, unit: QuadInt | None, p0: int | None) -> Callable[
             return PRationalityVerdict(p, EXCLUDED, REASON_CLASS_NUMBER, ())
         if p <= bound:
             return PRationalityVerdict(p, EXCLUDED, REASON_BELOW_P0, ())
-        k = kronecker_odd_prime(disc, p)
+        r = p % disc
+        k = characters.get(r)
+        if k is None:
+            k = characters[r] = kronecker_odd_prime(disc, p)
         flag = False
         if y_eta:   # else u = +-1, whose quotients are all trivial
             M, pe = p * p, p   # M = p**(2+e), e = v_p(y(eta))

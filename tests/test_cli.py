@@ -9,6 +9,8 @@ A change that is meant to alter a payload regenerates them with
 from __future__ import annotations
 
 import errno
+import io
+import json
 import logging
 import os
 import re
@@ -35,6 +37,8 @@ GOLDENS = {
     "scan-prational-d2.csv": ["scan-prational", "--d", "2", "--X", "5000"],
     "scan-prational-d2.json": ["scan-prational", "--d", "2", "--X", "5000", "--format", "json"],
     "scan-prational-d13.csv": ["scan-prational", "--d", "13", "--X", "5000"],
+    # p = 61, 151, 293 divide y(eps**2), so the ladder runs mod p**3; 47 is ramified
+    "scan-prational-d94.csv": ["scan-prational", "--d", "94", "--X", "5000"],
     # no odd prime <= 2: no CSV header, and "rows": [] in JSON
     "scan-prational-empty.csv": ["scan-prational", "--d", "2", "--X", "2"],
     "scan-prational-empty.json": ["scan-prational", "--d", "2", "--X", "2", "--format", "json"],
@@ -60,6 +64,25 @@ def test_golden_payload_cold_and_warm(name, tmp_path):
     argv = [*GOLDENS[name], "--cache", str(tmp_path / "cache.txt")]
     assert run_cli(argv, tmp_path / "cold") == expected
     assert run_cli(argv, tmp_path / "warm") == expected
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, cli._BATCH_ROWS, 2 * cli._BATCH_ROWS + 3])
+def test_streamed_json_is_the_encoders_document(n_rows):
+    """_emit writes a batch of row objects at a time, and the bytes of
+    JSONEncoder(indent=2) for the whole document, "rows": [] included."""
+    columns = ("n", "text", "cells", "x", "flag")
+    values = [None, 'a "quoted",\nline', "\u00e9", 2.5, 10 ** 40, [], ["1:0", "4:1"]]
+    rows = [(n, values[n % 7], [values[(n + 1) % 7], n], n / 3, n % 2 == 0) for n in range(n_rows)]
+    summary = {"schema_version": cli.SCHEMA_VERSION, "log_X": 1e-300, "big": 1e300, "none": None}
+    out = io.StringIO()
+    cli._emit(columns, iter(rows), lambda: summary, "json", out, "scan-test")
+    doc = {
+        "schema_version": cli.SCHEMA_VERSION,
+        "command": "scan-test",
+        "rows": [dict(zip(columns, row)) for row in rows],
+        "summary": summary,
+    }
+    assert out.getvalue() == json.JSONEncoder(indent=2).encode(doc) + "\n"
 
 
 @pytest.mark.parametrize("d, expected", [(2, ["13", "31"]), (3, ["103"]), (13, ["241"])])

@@ -1,8 +1,10 @@
+import itertools
 import math
 from fractions import Fraction
 
 import pytest
 
+from prational import numerics
 from prational.errors import NonConvergenceError, NotAUnitError, NotSquarefreeError
 from prational.numerics import (
     CircleTest,
@@ -117,6 +119,29 @@ class TestCircleTest:
 
 
 class TestGrowthConstants:
+    @pytest.mark.parametrize(
+        "minpoly", [PELL, GOLDEN_SQ, PLASTIC, IntPoly.of(-1, -1, 0, 0, 1), IntPoly.of(-1, -1, 0, 0, 0, 0, 1)]
+    )
+    def test_power_is_the_first_admissible_by_fraction_powers(self, minpoly):
+        """The running products pick the k that the rule gives with a
+        Fraction power at every k, and the same powered bounds."""
+        unit = certify_roots(minpoly)
+        refined, sides = numerics._sides(unit)
+        lbs = [d.mod_lb() for d in refined.roots]
+        ubs = [d.mod_ub() for d in refined.roots]
+        peak = max(lb for lb, side in zip(lbs, sides) if side == +1)
+
+        def admissible(k):
+            return peak ** k > 2 ** (refined.degree - 1) + 1 and all(
+                lb ** k >= 2 if side == +1 else ub ** k <= Fraction(1, 2)
+                for lb, ub, side in zip(lbs, ubs, sides)
+            )
+
+        k = next(k for k in itertools.count(1) if admissible(k))
+        c = growth_constants(unit)
+        assert (c.power, c.peak_lb) == (k, peak)
+        assert c.conj_pow_ub == max(ub ** k for ub in ubs)
+
     def test_pell_constants(self):
         c = growth_constants(certify_roots(PELL))
         assert c.degree == 2

@@ -406,6 +406,21 @@ class TestPRationalityScan:
     def test_empty_below_three(self, field2):
         assert list(prationality_scan(field2, 2)) == []
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 13, 22, 94, 10009])
+    def test_one_classifier_matches_a_fresh_one_per_prime(self, d):
+        """The scan reuses one classifier, and with it the (disc|p) kept for
+        each class of p mod disc (disc = 8, 12, 5, 13, 88, 376, 10009);
+        classify_prime builds a fresh one for every p."""
+        F = make_field(d)
+        assert list(prationality_scan(F, 20000)) == [classify_prime(F, p) for p in sieve(20000)[1:]]
+
+    def test_verdict_is_an_immutable_record(self, field2):
+        v = classify_prime(field2, 5)
+        assert v == PRationalityVerdict(5, P_RATIONAL, "", ((25, True),))
+        assert PRationalityVerdict._fields == ("p", "verdict", "reason", "witnesses")
+        with pytest.raises(AttributeError):
+            v.verdict = NON_P_RATIONAL
+
 
 def _is_one_mod_p2_naive(F, w, P):
     p2 = P.p * P.p
