@@ -22,7 +22,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from . import abcaudit, factorint, numerics, scans
+from . import factorint, numerics   # scans and abcaudit in their handlers: field-info needs neither
 from .errors import (
     InsufficientRecordsError,
     NonConvergenceError,
@@ -184,27 +184,34 @@ def _csv_line(row) -> str:
     return ",".join(map(_csv_cell, row)) + "\n"
 
 
-def _emit(columns, rows, summary, fmt: str, out, command: str, csv_line=_csv_line) -> None:
+def _emit(
+    columns, rows, summary, fmt: str, out, command: str, csv_line=_csv_line, json_object=None
+) -> None:
     """Write the rows, tuples in column order, then ``summary()``, which is
     called after the last row, so it may count what the rows showed.  Rows
     stream: they are formatted and written in small batches as they arrive.
     CSV formats a row with ``csv_line`` and writes the header with the first,
     so no rows means no header.  JSON writes the bytes that
-    ``json.JSONEncoder(indent=2)`` gives for the whole document, a batch of
-    row objects at a time; ``csv_line`` plays no part in it."""
+    ``json.JSONEncoder(indent=2)`` gives for the whole document;
+    ``json_object`` formats a row as its object in the "rows" list (the
+    default encodes the dict of the columns), and ``csv_line`` plays no
+    part in it."""
     if fmt == "json":
         encode = json.JSONEncoder(indent=2).encode
 
         def nested(obj, level: int) -> str:   # a JSON string holds no raw newline
             return encode(obj).replace("\n", "\n" + "  " * level)
 
+        if json_object is None:
+            def json_object(row) -> str:
+                return nested(dict(zip(columns, row)), 2)
+
         out.write(
             f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "command": {encode(command)},\n  "rows": ['
         )
         sep = ""
         for batch in _batches(rows):
-            # the objects of a list at level 1, between its "[" and "\n  ]"
-            out.write(sep + nested([dict(zip(columns, row)) for row in batch], 1)[1:-4])
+            out.write(sep + ",".join(["\n    " + json_object(row) for row in batch]))
             sep = ","
         out.write("\n  ]" if sep else "]")
         out.write(f',\n  "summary": {nested(summary(), 1)}\n}}\n')
@@ -339,6 +346,8 @@ def cmd_field_info(args, out) -> int:
 
 
 def cmd_scan_wieferich(args, out) -> int:
+    from . import scans
+
     factor_opts = dict(rho_budget=args.factor_budget, seed=args.seed, cache=args.factor_table)
     tally = Counter()
     if args.minpoly is not None:
@@ -389,6 +398,8 @@ def cmd_scan_wieferich(args, out) -> int:
 
 
 def cmd_scan_prational(args, out) -> int:
+    from . import scans
+
     F = _field_from_args(args)
     counts = Counter()
 
@@ -397,11 +408,19 @@ def cmd_scan_prational(args, out) -> int:
             counts[v.verdict] += 1
             yield v
 
-    def witness_cells(v) -> list[str]:
-        return [f"{norm}:{flag:d}" for norm, flag in v.witnesses]
+    # p, verdict and reason hold no comma and nothing that JSON escapes, so
+    # a row is one f-string in either format
+    def csv_line(v) -> str:   # only the witnesses are quoted
+        witnesses = ";".join([f"{norm}:{flag:d}" for norm, flag in v.witnesses])
+        return f'{v.p},{v.verdict},{v.reason},"{witnesses}"\n'
 
-    def csv_line(v) -> str:   # p, verdict and reason hold no comma, so only the witnesses are quoted
-        return f'{v.p},{v.verdict},{v.reason},"{";".join(witness_cells(v))}"\n'
+    def json_object(v) -> str:   # as JSONEncoder(indent=2) writes it in the "rows" list
+        cells = ",".join([f'\n        "{norm}:{flag:d}"' for norm, flag in v.witnesses])
+        witnesses = f"[{cells}\n      ]" if cells else "[]"
+        return (
+            f'{{\n      "p": {v.p},\n      "verdict": "{v.verdict}",\n'
+            f'      "reason": "{v.reason}",\n      "witnesses": {witnesses}\n    }}'
+        )
 
     def summary():
         log_x = math.log(args.X) if args.X > 1 else 0.0
@@ -417,15 +436,14 @@ def cmd_scan_prational(args, out) -> int:
             "non_p_rational_is_criterion_level": True,
         }
 
-    rows = verdicts()
-    if args.format == "json":
-        rows = ((v.p, v.verdict, v.reason, witness_cells(v)) for v in rows)
     columns = ("p", "verdict", "reason", "witnesses")
-    _emit(columns, rows, summary, args.format, out, "scan-prational", csv_line)
+    _emit(columns, verdicts(), summary, args.format, out, "scan-prational", csv_line, json_object)
     return EXIT_OK
 
 
 def cmd_abc_quality(args, out) -> int:
+    from . import abcaudit
+
     F = _field_from_args(args)
     u = F.fundamental_unit
     factor_opts = dict(rho_budget=args.factor_budget, seed=args.seed, cache=args.factor_table)

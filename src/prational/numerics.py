@@ -1,15 +1,17 @@
 """Certified numeric embeddings of algebraic units.
 
 Roots of a unit's minimal polynomial are enclosed in pairwise-disjoint
-complex disks.  Approximations come from mpmath at increasing working
-precision; every certificate is then checked with exact rational
-arithmetic: for a dyadic center z, all the roots of f lie within
-deg(f) * |f(z)/f'(z)| of z, so disjoint disks of that radius isolate the
-roots.  ``certify_roots`` also proves the polynomial irreducible, and every
-AlgebraicUnit comes from it.  So a unit's polynomial f shares a root with
-its reciprocal f* only when f* = +-f; then f is either cyclotomic (on the
-circle, decided exactly) or not, and the disks decide it numerically, with
-an Undecided escape hatch at the precision cap.
+complex disks, at increasing working precision.  The centers of the two
+real roots of a quadratic come from an integer square root; mpmath
+serves only degree >= 3 or non-real roots.  Every certificate is then
+checked with exact rational arithmetic, whichever gave its centers: for
+a dyadic center z, all the roots of f lie within deg(f) * |f(z)/f'(z)|
+of z, so disjoint disks of that radius isolate the roots.
+``certify_roots`` also proves the polynomial irreducible, and every
+AlgebraicUnit comes from it.  So a unit's polynomial f shares a root
+with its reciprocal f* only when f* = +-f; then f is either cyclotomic
+(on the circle, decided exactly) or not, and the disks decide it
+numerically, with an Undecided escape hatch at the precision cap.
 """
 
 from __future__ import annotations
@@ -80,11 +82,27 @@ def _to_fraction(x, bits: int) -> Fraction:
     return Fraction(int(scaled), 1 << bits)
 
 
-def _certify_at_precision(f: IntPoly, prec: int, tol: Fraction) -> tuple[RootDisk, ...] | None:
-    import mpmath   # here, not at the top: scan-prational and abc-quality never load it
+def _real_quadratic_centers(b: int, disc: int, prec: int) -> list[tuple[Fraction, Fraction]]:
+    """floor(z * 2**prec) / 2**prec for the roots z = (-b -+ sqrt(disc)) / 2 of
+    x**2 + b*x + c, disc = b**2 - 4c > 0, in increasing order (polyroots'),
+    each with imaginary part 0.
 
-    deg = f.degree()
-    fp = f.derivative()
+    With sqrt(disc) * 2**prec = s + t, s an integer and 0 <= t < 1, and
+    a = -b * 2**prec: floor((a + s + t) / 2) = (a + s) >> 1, and
+    floor((a - s - t) / 2) = (a - s - [t > 0]) >> 1.
+    """
+    scaled = disc << 2 * prec
+    s = math.isqrt(scaled)
+    a = -b << prec
+    lo = (a - s - (s * s != scaled)) >> 1
+    return [(Fraction(lo, 1 << prec), Fraction(0)), (Fraction((a + s) >> 1, 1 << prec), Fraction(0))]
+
+
+def _polyroots_centers(f: IntPoly, prec: int) -> list[tuple[Fraction, Fraction]] | None:
+    """floor(z * 2**prec) / 2**prec, real and imaginary part, for mpmath's
+    approximations z of the roots of f; None when mpmath does not converge."""
+    import mpmath   # here, not at the top: only degree >= 3 or non-real roots need it
+
     with mpmath.workprec(prec + 64):
         try:
             approx = mpmath.polyroots(
@@ -94,10 +112,23 @@ def _certify_at_precision(f: IntPoly, prec: int, tol: Fraction) -> tuple[RootDis
             )
         except mpmath.libmp.NoConvergence:
             return None
-        centers = [
+        return [
             (_to_fraction(mpmath.mpc(z).real, prec), _to_fraction(mpmath.mpc(z).imag, prec))
             for z in approx
         ]
+
+
+def _certify_at_precision(f: IntPoly, prec: int, tol: Fraction) -> tuple[RootDisk, ...] | None:
+    deg = f.degree()
+    fp = f.derivative()
+    c, b = f.coeffs[:2]
+    disc = b * b - 4 * c
+    if deg == 2 and disc > 0:
+        centers = _real_quadratic_centers(b, disc, prec)
+    else:
+        centers = _polyroots_centers(f, prec)
+        if centers is None:
+            return None
     disks = []
     for re, im in centers:
         num_re, num_im = _ceval(f.coeffs, re, im)
@@ -309,6 +340,33 @@ def _pow2_upper(num: int, den: int, bits: int = 32) -> Fraction:
     return Fraction(t, 1 << bits)
 
 
+_MAX_POWER = 10 ** 6
+
+
+def _least_power(base: Fraction, target: int, strict: bool = False) -> int:
+    """The least k >= 1 with base**k > target (strict) or base**k >= target,
+    for base > 1 and target > 1.  k*ln(base) = ln(target) estimates it in
+    floating point; exact powers then move it until k holds and k - 1 does
+    not.  Raises NonConvergenceError when k exceeds _MAX_POWER."""
+    a, b = base.numerator, base.denominator
+    log_base, log_target = ln(base), math.log(target)
+    if log_base * (_MAX_POWER + 1) < log_target:
+        raise NonConvergenceError("no admissible power below 10^6")
+
+    def holds(k: int) -> bool:
+        lhs, rhs = a ** k, target * b ** k
+        return lhs > rhs if strict else lhs >= rhs
+
+    k = max(1, math.ceil(log_target / log_base))
+    while not holds(k):
+        k += 1
+    while k > 1 and holds(k - 1):
+        k -= 1
+    if k > _MAX_POWER:
+        raise NonConvergenceError("no admissible power below 10^6")
+    return k
+
+
 def growth_constants(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BITS) -> GrowthConstants:
     """Pick the power k and the certified growth/cap constants for a unit with
     no conjugate on the unit circle.
@@ -327,22 +385,12 @@ def growth_constants(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BIT
     conj_ub = max(ubs)
     threshold = 2 ** (m - 1) + 1
     # peak**k > threshold, lb**k >= 2 outside the circle and (1/ub)**k >= 2
-    # inside it, on running powers of the numerators and the denominators:
-    # one product each per step of k, and no gcd, since the powers of a
-    # reduced fraction stay reduced
-    bases = [
-        (x.numerator, x.denominator)
-        for x in (lb if side == +1 else 1 / ub for lb, ub, side in zip(lbs, ubs, sides))
-    ]
-    peak_num, peak_den = peak.numerator, peak.denominator
-    powers, k = bases, 1
-    while not (peak_num > threshold * peak_den and all(a >= 2 * b for a, b in powers)):
-        k += 1
-        if k > 10 ** 6:
-            raise NonConvergenceError("no admissible power below 10^6")
-        peak_num, peak_den = peak_num * peak.numerator, peak_den * peak.denominator
-        powers = [(a * c, b * e) for (a, b), (c, e) in zip(powers, bases)]
-    excess = Fraction(peak_num, peak_den) - 1
+    # inside it: each holds from its own least k on
+    k = max(
+        _least_power(peak, threshold, strict=True),
+        *(_least_power(lb if side == +1 else 1 / ub, 2) for lb, ub, side in zip(lbs, ubs, sides)),
+    )
+    excess = peak ** k - 1
     try:
         rate = 0.5 * math.log(float(excess) * 2.0 ** (1 - m))
     except OverflowError:   # a unit beyond the double range

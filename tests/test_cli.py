@@ -85,6 +85,17 @@ def test_streamed_json_is_the_encoders_document(n_rows):
     assert out.getvalue() == json.JSONEncoder(indent=2).encode(doc) + "\n"
 
 
+@pytest.mark.parametrize("n_rows", [0, 1, cli._BATCH_ROWS, 2 * cli._BATCH_ROWS + 3])
+def test_scan_prational_json_rows_are_the_encoders(n_rows, tmp_path):
+    """scan-prational writes each row object with one f-string; the document
+    is what JSONEncoder(indent=2) writes for it, excluded rows included."""
+    x = factorint.sieve(10 ** 4)[n_rows]   # the bound with n_rows odd primes up to it
+    payload = run_cli(["scan-prational", "--d", "94", "--X", str(x), "--format", "json"], tmp_path / "out")
+    doc = json.loads(payload)
+    assert len(doc["rows"]) == n_rows
+    assert payload.decode() == json.JSONEncoder(indent=2).encode(doc) + "\n"
+
+
 @pytest.mark.parametrize("d, expected", [(2, ["13", "31"]), (3, ["103"]), (13, ["241"])])
 def test_non_p_rational_primes_below_1e5(d, expected, tmp_path):
     payload = run_cli(["scan-prational", "--d", str(d), "--X", "100000"], tmp_path / "out")
@@ -501,21 +512,34 @@ def test_closed_pipe_ends_quietly():
     proc.stderr.close()
 
 
+WATCHED_MODULES = ("mpmath", "prational.abcaudit", "prational.scans")
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["scan-prational", "--d", "2", "--X", "100"], ["abc-quality", "--d", "2", "--n-max", "10"]],
+    "argv, loaded",
+    [
+        (["scan-prational", "--d", "2", "--X", "100"], ["prational.scans"]),
+        (["abc-quality", "--d", "2", "--n-max", "10"], ["prational.abcaudit"]),
+        (["field-info", "--d", "2"], []),
+        (["scan-wieferich", "--d", "2", "--n-max", "10"], ["prational.scans"]),
+        # a cubic unit's roots come from mpmath, so the check sees the import
+        (["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "10"], ["mpmath", "prational.scans"]),
+    ],
 )
-def test_commands_that_certify_no_roots_never_import_mpmath(argv, tmp_path):
+def test_each_command_loads_only_the_modules_it_uses(argv, loaded, tmp_path):
+    """A fresh process that runs the command loads of WATCHED_MODULES just
+    ``loaded``: no mpmath where roots are certified without it or not at
+    all, and no module of another command."""
     code = (
         "import sys\n"
         "from prational import cli\n"
         f"assert cli.main({[*argv, '--out', str(tmp_path / 'out')]!r}) == 0\n"
-        "print('mpmath' in sys.modules)\n"
+        f"print([m for m in {WATCHED_MODULES!r} if m in sys.modules])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"False\n"
+    assert proc.stdout.decode() == f"{loaded!r}\n"
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,12 @@ def next_prime_from(n):
     return n
 
 
+@pytest.mark.parametrize("limits", [range(3001), [3 * 10 ** 5, 10 ** 6]])
+def test_sieve_lists_the_primes_up_to_the_limit(limits):
+    for limit in limits:
+        assert sieve(limit) == list(sympy.primerange(limit + 1)), limit
+
+
 class TestIsPrime:
     def test_small_table(self):
         primes_100 = set(sieve(100))

@@ -14,6 +14,7 @@ from prational.numerics import (
     ln,
 )
 from prational.polyarith import IntPoly, cyclotomic, euler_phi, power_poly, resultant
+from prational.quadfield import make_field, minpoly_of
 
 PELL = IntPoly.of(-1, -2, 1)          # 1 + sqrt(2)
 GOLDEN_SQ = IntPoly.of(1, -3, 1)      # (3 + sqrt(5)) / 2
@@ -26,7 +27,48 @@ def compose_neg(f):
     return IntPoly.of(*(c if i % 2 == 0 else -c for i, c in enumerate(f.coeffs)))
 
 
+@pytest.fixture(scope="module")
+def quadratic_units():
+    """The monic minimal polynomials of eps for every squarefree d < 2000,
+    then x^2 - 3x - 1 and x^2 - 4x + 1."""
+    squarefree = [d for d in range(2, 2000) if all(d % (q * q) for q in range(2, math.isqrt(d) + 1))]
+    # the class number plays no part in the unit
+    polys = [minpoly_of(make_field(d, class_number_override=1).fundamental_unit) for d in squarefree]
+    polys += [IntPoly.of(-1, -3, 1), IntPoly.of(1, -4, 1)]
+    return [-f if f.lead() == -1 else f for f in polys]
+
+
 class TestCertifyRoots:
+    @pytest.mark.parametrize("prec", [64, 128, 256])
+    def test_real_quadratic_centers_are_the_floors_of_the_roots(self, prec, quadratic_units):
+        """The integer-square-root centers are floor(z * 2**prec) / 2**prec
+        of mpmath's roots z, taken at enough working precision that their
+        error is far below 2**-prec, in polyroots' order."""
+        import mpmath
+
+        for f in quadratic_units:
+            c, b = f.coeffs[:2]
+            work = prec + 2 * abs(b).bit_length() + 64
+            with mpmath.workprec(work):
+                roots = mpmath.polyroots([1, b, c], maxsteps=500, extraprec=work)
+                expected = [(Fraction(int(mpmath.floor(z * 2 ** prec)), 2 ** prec), Fraction(0)) for z in roots]
+            assert numerics._real_quadratic_centers(b, b * b - 4 * c, prec) == expected, f
+
+    def test_only_non_real_quadratic_roots_go_through_mpmath(self, monkeypatch):
+        calls = []
+        polyroots_centers = numerics._polyroots_centers
+
+        def recorded(f, prec):
+            calls.append(f)
+            return polyroots_centers(f, prec)
+
+        monkeypatch.setattr(numerics, "_polyroots_centers", recorded)
+        assert circle_test(certify_roots(PELL)) is CircleTest.CLEAR
+        assert calls == []
+        on_circle = IntPoly.of(1, 1, 1)
+        assert circle_test(certify_roots(on_circle)) is CircleTest.ON_CIRCLE
+        assert calls == [on_circle]
+
     def test_pell_roots_match_quadratic_formula(self):
         unit = certify_roots(PELL, tol=1e-12)
         assert unit.degree == 2
@@ -120,11 +162,19 @@ class TestCircleTest:
 
 class TestGrowthConstants:
     @pytest.mark.parametrize(
-        "minpoly", [PELL, GOLDEN_SQ, PLASTIC, IntPoly.of(-1, -1, 0, 0, 1), IntPoly.of(-1, -1, 0, 0, 0, 0, 1)]
+        "minpoly",
+        [
+            PELL,
+            GOLDEN_SQ,
+            PLASTIC,
+            IntPoly.of(-1, -1, 0, 0, 1),
+            IntPoly.of(-1, -1, 0, 0, 0, 0, 1),
+            IntPoly.of(-1, -1, *[0] * 10, 1),   # x^12 - x - 1, power 127
+        ],
     )
     def test_power_is_the_first_admissible_by_fraction_powers(self, minpoly):
-        """The running products pick the k that the rule gives with a
-        Fraction power at every k, and the same powered bounds."""
+        """The estimated crossings pick the k that the rule gives stepwise,
+        with a Fraction power at every k, and the same powered bounds."""
         unit = certify_roots(minpoly)
         refined, sides = numerics._sides(unit)
         lbs = [d.mod_lb() for d in refined.roots]
