@@ -515,6 +515,33 @@ def test_closed_pipe_ends_quietly():
 WATCHED_MODULES = ("mpmath", "prational.abcaudit", "prational.scans")
 
 
+def _loaded_modules(argv, tmp_path):
+    """The WATCHED_MODULES that a fresh process running the command loads."""
+    code = (
+        "import sys\n"
+        "from prational import cli\n"
+        f"assert cli.main({[*argv, '--out', str(tmp_path / 'out')]!r}) == 0\n"
+        f"print([m for m in {WATCHED_MODULES!r} if m in sys.modules])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.decode()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan-prational", "--d", "2", "--X", "100"],
+        ["abc-quality", "--d", "2", "--n-max", "10"],
+        # a quadratic unit's root disks come from isqrt
+        ["field-info", "--d", "2"],
+    ],
+)
+def test_commands_that_certify_no_roots_never_import_mpmath(argv, tmp_path):
+    assert "'mpmath'" not in _loaded_modules(argv, tmp_path)
+
+
 @pytest.mark.parametrize(
     "argv, loaded",
     [
@@ -528,18 +555,8 @@ WATCHED_MODULES = ("mpmath", "prational.abcaudit", "prational.scans")
 )
 def test_each_command_loads_only_the_modules_it_uses(argv, loaded, tmp_path):
     """A fresh process that runs the command loads of WATCHED_MODULES just
-    ``loaded``: no mpmath where roots are certified without it or not at
-    all, and no module of another command."""
-    code = (
-        "import sys\n"
-        "from prational import cli\n"
-        f"assert cli.main({[*argv, '--out', str(tmp_path / 'out')]!r}) == 0\n"
-        f"print([m for m in {WATCHED_MODULES!r} if m in sys.modules])\n"
-    )
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.decode() == f"{loaded!r}\n"
+    ``loaded``: no module of another command."""
+    assert _loaded_modules(argv, tmp_path) == f"{loaded!r}\n"
 
 
 @pytest.mark.parametrize(
