@@ -279,14 +279,17 @@ def _parse_bound(text: str) -> int:
     integer A and an integer B >= 0 (so 1e29 is 10**29).  AeB may have no
     more digits than int() converts to text, since footers print X."""
     mantissa, e, exponent = text.lower().partition("e")
-    if not e:
-        return int(text)
-    a, b = int(mantissa), int(exponent)
+    try:
+        if not e:
+            return int(text)
+        a, b = int(mantissa), int(exponent)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad bound {text!r}: {exc}") from None
     if b < 0:
-        raise ValueError(f"bound {text!r} is not an integer")
+        raise argparse.ArgumentTypeError(f"bound {text!r} is not an integer")
     max_digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
     if len(str(abs(a))) + b > max_digits:
-        raise ValueError(f"bound {text!r} has too many digits")
+        raise argparse.ArgumentTypeError(f"bound {text!r} has too many digits")
     return a * 10 ** b
 
 
@@ -294,7 +297,7 @@ def _parse_minpoly(text: str) -> IntPoly:
     try:
         coeffs = [int(part) for part in text.split(",")]
     except ValueError as exc:
-        raise ValueError(f"bad --minpoly {text!r}: {exc}") from None
+        raise argparse.ArgumentTypeError(f"bad --minpoly {text!r}: {exc}") from None
     return IntPoly.of(*coeffs)
 
 
@@ -304,13 +307,6 @@ def _field_from_args(args):
 
 def _constants_for_unit_poly(minpoly: IntPoly, precision_cap: int):
     unit = numerics.certify_roots(minpoly, precision_cap=precision_cap)
-    status = numerics.circle_test(unit, precision_cap)
-    if status is numerics.CircleTest.ON_CIRCLE:
-        raise ValueError(f"{unit.minpoly.pretty()} has a root on the unit circle")
-    if status is not numerics.CircleTest.CLEAR:
-        raise NonConvergenceError(
-            f"could not decide whether {unit.minpoly.pretty()} has a root on the unit circle"
-        )
     return unit, numerics.growth_constants(unit, precision_cap)
 
 
@@ -620,8 +616,12 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.flush()   # so that a closed pipe shows here, not at exit
         if cache_path:
             fresh = len(cache.new_keys)
-            cache_store(cache_path, cache)
-            log.info("cache: %d hits, %d new entries stored", cache.hits, fresh)
+            try:
+                cache_store(cache_path, cache)
+            except OSError as exc:   # the payload is out: warn, keep its exit code
+                log.warning("cache %s not written (%s)", cache_path, exc.strerror or exc)
+            else:
+                log.info("cache: %d hits, %d new entries stored", cache.hits, fresh)
         return code
     except _COMPUTE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import bisect
 import enum
+import functools
 import itertools
 import math
 import random
@@ -98,18 +99,15 @@ _SMALL_BOUND = 1000
 _TRIAL_CHUNK = 256
 _SMALL_PRIMES = sieve(_SMALL_BOUND)
 _SMALL_CHUNKS = [(_SMALL_PRIMES, math.prod(_SMALL_PRIMES))]
-_sieve_primes: list[int] | None = None
-_large_chunks: list[tuple[list[int], int]] = []
 
 
-def _large_sieve() -> list[int]:
-    global _sieve_primes, _large_chunks
-    if _sieve_primes is None:
-        _sieve_primes = sieve(_TRIAL_BOUND)
-        starts = range(0, len(_sieve_primes), _TRIAL_CHUNK)
-        runs = (_sieve_primes[i : i + _TRIAL_CHUNK] for i in starts)
-        _large_chunks = [(run, math.prod(run)) for run in runs]
-    return _sieve_primes
+@functools.cache
+def _large_sieve() -> tuple[list[int], list[tuple[list[int], int]]]:
+    """The primes up to _TRIAL_BOUND and their chunk table, built on the
+    first call."""
+    primes = sieve(_TRIAL_BOUND)
+    runs = (primes[i : i + _TRIAL_CHUNK] for i in range(0, len(primes), _TRIAL_CHUNK))
+    return primes, [(run, math.prod(run)) for run in runs]
 
 
 def _trial_divide(a: int, trial_bound: int, found: dict[int, int]) -> int:
@@ -119,8 +117,7 @@ def _trial_divide(a: int, trial_bound: int, found: dict[int, int]) -> int:
     if a < _SMALL_BOUND ** 2:
         chunks = _SMALL_CHUNKS
     else:
-        _large_sieve()
-        chunks = _large_chunks
+        _, chunks = _large_sieve()
     p = 2
     for primes, product in chunks:
         # no stop falls inside a chunk whose last prime is within both bounds
@@ -312,7 +309,7 @@ def _ecm(n: int, rng: random.Random) -> int | None:
     prev, cur, mD = G, _x_dbl(G, a24, n), 2 * _ECM_D
     xm, zm = cur
     acc = 1
-    primes = _large_sieve()
+    primes, _ = _large_sieve()
     lo = bisect.bisect_right(primes, _ECM_B1)
     hi = bisect.bisect_right(primes, _ECM_B2)
     for p in itertools.islice(primes, lo, hi):

@@ -8,15 +8,16 @@ checked with exact rational arithmetic, whichever gave its centers: for
 a dyadic center z, all the roots of f lie within deg(f) * |f(z)/f'(z)|
 of z, so disjoint disks of that radius isolate the roots.
 ``certify_roots`` also proves the polynomial irreducible, and every
-AlgebraicUnit comes from it.  So a unit's polynomial f shares a root
-with its reciprocal f* only when f* = +-f; then f is either cyclotomic
-(on the circle, decided exactly) or not, and the disks decide it
-numerically, with an Undecided escape hatch at the precision cap.
+AlgebraicUnit comes from it.  ``growth_constants`` alone decides, once,
+whether a unit has a conjugate on the unit circle.  Such a conjugate's
+inverse is its complex conjugate, so f shares a root with its reciprocal
+f*, and f being irreducible, f* = +-f.  A reciprocal f that is cyclotomic
+is on the circle, exactly; for any other f the disks are refined until
+each lies inside or outside the circle, unless the precision cap stops it.
 """
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -27,12 +28,6 @@ from .polyarith import IntPoly, cyclotomic, discriminant, iroot, prem, sqrt_boun
 
 PRECISION_CAP_BITS = 2 ** 14
 _SQRT_BITS = 48   # precision of the rational square-root bounds on moduli and radii
-
-
-class CircleTest(enum.Enum):
-    CLEAR = "clear"            # no conjugate on the unit circle
-    ON_CIRCLE = "on_circle"    # some conjugate provably on the unit circle
-    UNDECIDED = "undecided"
 
 
 @dataclass(frozen=True)
@@ -148,15 +143,12 @@ def _certify_at_precision(f: IntPoly, prec: int, tol: Fraction) -> tuple[RootDis
     return tuple(disks)
 
 
-def certify_roots(
-    minpoly: IntPoly,
-    tol: float = 1e-12,
-    precision_cap: int = PRECISION_CAP_BITS,
-) -> AlgebraicUnit:
-    """Enclose all roots of a unit's minimal polynomial in disjoint certified disks.
+def certify_roots(minpoly: IntPoly, precision_cap: int = PRECISION_CAP_BITS) -> AlgebraicUnit:
+    """Enclose all roots of a unit's minimal polynomial in disjoint certified
+    disks of radius below 1e-12.
 
     Raises NotSquarefreeError / NotAUnitError on bad input (NotAUnitError also
-    when f has a cyclotomic factor of lower degree) and
+    when f has a cyclotomic factor of lower degree or is reducible) and
     NonConvergenceError if disks cannot be separated below ``precision_cap`` bits.
     """
     f = minpoly
@@ -176,20 +168,26 @@ def certify_roots(
     for k in range(1, 2 * (m - 1) ** 2 + 1):
         if cyclotomic(k).degree() < m and prem(f, cyclotomic(k)).is_zero():
             raise NotAUnitError(f"{f.pretty()} has a cyclotomic factor of lower degree")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    tol_frac = Fraction(tol)
     if m == 1:
         root = -f.constant()
         return AlgebraicUnit(f, 1, (RootDisk(Fraction(root), Fraction(0), Fraction(0)),))
+    disks = _enclose(f, 1e-12, precision_cap)
+    h = _factor_from_roots(f, disks)
+    if h is not None:
+        raise NotAUnitError(f"{f.pretty()} is reducible: {h.pretty()} divides it")
+    return AlgebraicUnit(f, m, disks)
+
+
+def _enclose(f: IntPoly, tol: float, precision_cap: int) -> tuple[RootDisk, ...]:
+    """Disjoint certified disks of radius below tol > 0 around the roots of a
+    monic squarefree f of degree >= 2, at the first of 64, 128, 256, ... bits
+    that gives them.  Raises NonConvergenceError beyond ``precision_cap``."""
+    tol_frac = Fraction(tol)
     prec = 64
     while prec <= precision_cap:
         disks = _certify_at_precision(f, prec, tol_frac)
         if disks is not None:
-            h = _factor_from_roots(f, disks)
-            if h is not None:
-                raise NotAUnitError(f"{f.pretty()} is reducible: {h.pretty()} divides it")
-            return AlgebraicUnit(f, f.degree(), disks)
+            return disks
         prec *= 2
     raise NonConvergenceError(
         f"could not separate the roots of {f.pretty()} below {precision_cap} bits"
@@ -249,56 +247,32 @@ def _factor_from_roots(f: IntPoly, disks: tuple[RootDisk, ...]) -> IntPoly | Non
     return None
 
 
-def _sides(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BITS) -> tuple[AlgebraicUnit, list[int]]:
-    """Certify each disk entirely inside (-1) or outside (+1) the unit circle,
-    refining as needed.  Raises NonConvergenceError at the precision cap."""
-    current = unit
-    tol = float(min((d.radius for d in unit.roots if d.radius > 0), default=Fraction(1, 10 ** 12)))
+def _sides(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BITS) -> tuple[tuple[RootDisk, ...], list[int]]:
+    """Disks around the unit's roots, each certified entirely inside (-1) or
+    outside (+1) the unit circle, and those sides; the unit's own disks are
+    refined with ever smaller radii as needed.  Raises NonConvergenceError
+    at the precision cap."""
+    disks = unit.roots
+    tol = float(min((d.radius for d in disks if d.radius > 0), default=Fraction(1, 10 ** 12)))
     for _ in range(64):
         sides = []
-        ok = True
-        for disk in current.roots:
+        for disk in disks:
             if disk.mod_lb() > 1:
                 sides.append(+1)
             elif disk.mod_ub() < 1:
                 sides.append(-1)
             else:
-                ok = False
                 break
-        if ok:
-            return current, sides
+        else:
+            return disks, sides
         tol /= 2 ** 8
         if tol <= 0.0:
             break
         try:
-            current = certify_roots(unit.minpoly, tol, precision_cap)
+            disks = _enclose(unit.minpoly, tol, precision_cap)
         except NonConvergenceError:
             break
     raise NonConvergenceError("a root enclosure keeps straddling the unit circle")
-
-
-def circle_test(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BITS) -> CircleTest:
-    """Decide whether any conjugate lies on the unit circle.
-
-    A conjugate on the circle forces its inverse (= its complex conjugate) to
-    be a conjugate too, so f and its reciprocal f* share a root.  The unit's
-    f is irreducible (certify_roots proves it), so they share one only when
-    f* = +-f; otherwise the answer is CLEAR, exactly.  A reciprocal f equal
-    to a cyclotomic polynomial (of index at most 2m^2 + 1, since
-    phi(k) >= sqrt(k/2)) is ON_CIRCLE, exactly.  Any other reciprocal f falls
-    back to disk refinement and may come back UNDECIDED.
-    """
-    f = unit.minpoly
-    if f.reciprocal() not in (f, -f):
-        return CircleTest.CLEAR
-    m = f.degree()
-    if any(cyclotomic(k) == f for k in range(1, 2 * m * m + 2)):
-        return CircleTest.ON_CIRCLE
-    try:
-        _sides(unit, precision_cap)
-        return CircleTest.CLEAR
-    except NonConvergenceError:
-        return CircleTest.UNDECIDED
 
 
 @dataclass(frozen=True)
@@ -331,6 +305,22 @@ def ln(x: int | Fraction) -> float:
         return math.log(x.numerator) - math.log(x.denominator)
 
 
+def compare_with_power(a: int, gamma: Fraction, n: int) -> int:
+    """The sign of a - gamma**n (-1, 0 or 1), for a >= 1 and gamma > 1.
+
+    Decided by logarithms; gamma**n is built exactly only where the two
+    logarithms are too close for the floating-point error (about 1e-16
+    times log a + n) to be ruled out.  gamma can have a numerator and a
+    denominator of thousands of bits, and a can have thousands of digits.
+    """
+    log_a = math.log(a)
+    diff = log_a - n * ln(gamma)
+    if abs(diff) > 1e-9 * (abs(log_a) + n + 1):
+        return 1 if diff > 0 else -1
+    power = gamma ** n
+    return (a > power) - (a < power)
+
+
 def _pow2_upper(num: int, den: int, bits: int = 32) -> Fraction:
     """Rational upper bound for 2**(num/den)."""
     target = 1 << (num + den * bits)  # t^den >= 2^(num + den*bits)
@@ -345,17 +335,16 @@ _MAX_POWER = 10 ** 6
 
 def _least_power(base: Fraction, target: int, strict: bool = False) -> int:
     """The least k >= 1 with base**k > target (strict) or base**k >= target,
-    for base > 1 and target > 1.  k*ln(base) = ln(target) estimates it in
-    floating point; exact powers then move it until k holds and k - 1 does
-    not.  Raises NonConvergenceError when k exceeds _MAX_POWER."""
-    a, b = base.numerator, base.denominator
+    for base > 1 and target >= 1.  k*ln(base) = ln(target) estimates it in
+    floating point; compare_with_power then moves it until k holds and
+    k - 1 does not.  Raises NonConvergenceError when k exceeds _MAX_POWER."""
     log_base, log_target = ln(base), math.log(target)
     if log_base * (_MAX_POWER + 1) < log_target:
         raise NonConvergenceError("no admissible power below 10^6")
 
     def holds(k: int) -> bool:
-        lhs, rhs = a ** k, target * b ** k
-        return lhs > rhs if strict else lhs >= rhs
+        sign = compare_with_power(target, base, k)
+        return sign < 0 if strict else sign <= 0
 
     k = max(1, math.ceil(log_target / log_base))
     while not holds(k):
@@ -373,14 +362,26 @@ def growth_constants(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BIT
 
     k is the smallest positive integer such that every conjugate inside the
     circle has modulus**k <= 1/2, every conjugate outside has modulus**k >= 2,
-    and (peak**k - 1) * 2**(1-m) > 1, which makes the rate positive.
+    and (peak**k - 1) * 2**(1-m) > 1, which makes the rate positive.  It
+    decides the unit circle (module docstring): ValueError for a cyclotomic
+    f, NonConvergenceError for a reciprocal f that the cap leaves undecided.
     """
-    if circle_test(unit, precision_cap) is not CircleTest.CLEAR:
-        raise ValueError("growth constants need a unit with no conjugate on the unit circle")
-    refined, sides = _sides(unit, precision_cap)
-    m = refined.degree
-    lbs = [d.mod_lb() for d in refined.roots]
-    ubs = [d.mod_ub() for d in refined.roots]
+    f = unit.minpoly
+    m = unit.degree
+    reciprocal = f.reciprocal() in (f, -f)
+    # deg Phi_k = phi(k) >= sqrt(k/2), so Phi_k of degree m has k <= 2m^2 + 1
+    if reciprocal and any(cyclotomic(k) == f for k in range(1, 2 * m * m + 2)):
+        raise ValueError(f"{f.pretty()} has a root on the unit circle")
+    try:
+        disks, sides = _sides(unit, precision_cap)
+    except NonConvergenceError:
+        if not reciprocal:
+            raise
+        raise NonConvergenceError(
+            f"could not decide whether {f.pretty()} has a root on the unit circle"
+        ) from None
+    lbs = [d.mod_lb() for d in disks]
+    ubs = [d.mod_ub() for d in disks]
     peak = max(lb for lb, side in zip(lbs, sides) if side == +1)
     conj_ub = max(ubs)
     threshold = 2 ** (m - 1) + 1

@@ -68,7 +68,7 @@ from typing import NamedTuple
 
 from .errors import InsufficientRecordsError
 from .factorint import _TRIAL_BOUND, Status, factor, ideal_valuations, sieve
-from .numerics import AlgebraicUnit, CircleTest, GrowthConstants, circle_test, ln
+from .numerics import AlgebraicUnit, GrowthConstants, _least_power, compare_with_power
 from .polyarith import (
     common_root_mod_p,
     cyclotomic,
@@ -137,22 +137,6 @@ class CountReport:
     log_density: float
 
 
-def _compare_with_power(a: int, gamma: Fraction, n: int) -> int:
-    """The sign of a - gamma**n (-1, 0 or 1), for a >= 1 and gamma > 1.
-
-    Decided by logarithms; gamma**n is built exactly only where the two
-    logarithms are too close for the floating-point error (about 1e-16
-    times log a + n) to be ruled out.  gamma can have a numerator and a
-    denominator of thousands of bits, and a can have thousands of digits.
-    """
-    log_a = math.log(a)
-    diff = log_a - n * ln(gamma)
-    if abs(diff) > 1e-9 * (abs(log_a) + n + 1):
-        return 1 if diff > 0 else -1
-    power = gamma ** n
-    return (a > power) - (a < power)
-
-
 def _settled(fact_status: Status, found: bool, gamma: Fraction, n: int, trial_bound: int) -> bool:
     """Whether a row is decided without the search, from its trial phase.
 
@@ -163,7 +147,7 @@ def _settled(fact_status: Status, found: bool, gamma: Fraction, n: int, trial_bo
     return (
         fact_status is not Status.TRIAL
         or found
-        or _compare_with_power(trial_bound, gamma, n) >= 0
+        or compare_with_power(trial_bound, gamma, n) >= 0
     )
 
 
@@ -233,7 +217,7 @@ def wieferich_scan(
                 if val == 1
                 and P.splitting is not Splitting.RAMIFIED
                 and n % P.p != 0
-                and _compare_with_power(P.norm, gamma, n) <= 0
+                and compare_with_power(P.norm, gamma, n) <= 0
             ),
             key=lambda P: (P.p, P.hensel_root if P.hensel_root is not None else -1),
             default=None,
@@ -259,14 +243,10 @@ def count_report(records: list[ScanRecord], constants: GrowthConstants, X: int) 
     n_stop is the largest n with norm_base**n <= X."""
     if X < 1:
         raise ValueError("X must be >= 1")
-    gamma = constants.norm_base
-    # n_stop from logarithms (gamma**n has millions of digits at X = 1e4299),
-    # corrected where log X / log gamma is too close to an integer
-    n_stop = math.floor(math.log(X) / ln(gamma))
-    while _compare_with_power(X, gamma, n_stop) < 0:
-        n_stop -= 1
-    while _compare_with_power(X, gamma, n_stop + 1) >= 0:
-        n_stop += 1
+    # the least k with gamma**k > X, estimated from logarithms (gamma**k has
+    # millions of digits at X = 1e4299); gamma > 4, so k < 10^6 for every X
+    # of fewer than 600000 digits
+    n_stop = _least_power(constants.norm_base, X, strict=True) - 1
     max_n = max((r.n for r in records), default=0)
     if max_n < n_stop:
         raise InsufficientRecordsError(
@@ -380,10 +360,10 @@ def generic_unit_scan(
     (as p divides Res(g, Phi_n)), so gcd(g, Phi_n) mod p is x - r, r has
     order n, and its lift r2 mod p**2 has r2**n != 1.  Factoring runs its
     trial phase first and the search only where that leaves the row open,
-    with ``tally`` as in wieferich_scan.
+    with ``tally`` as in wieferich_scan.  ``constants`` come from
+    growth_constants(unit), which refuses a unit with a conjugate on the
+    unit circle.
     """
-    if circle_test(unit) is not CircleTest.CLEAR:
-        raise ValueError("the unit must have no conjugate on the unit circle")
     if n_max < 1:
         raise ValueError("n_max must be >= 1")
     g = power_poly(unit.minpoly, constants.power)
@@ -401,7 +381,7 @@ def generic_unit_scan(
                 if n % p != 0
                 and disc_g % p != 0
                 and r_full % (p * p) != 0
-                and _compare_with_power(p, gamma, n) <= 0
+                and compare_with_power(p, gamma, n) <= 0
             ),
             None,
         )

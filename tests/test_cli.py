@@ -18,6 +18,7 @@ import stat
 import subprocess
 import sys
 import threading
+from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 
@@ -117,6 +118,24 @@ def test_inexact_bound_is_a_usage_error(text, tmp_path):
     assert exc.value.code == cli.EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["scan-prational", "--d", "2", "--X", "1e-3"], "argument --X: bound '1e-3' is not an integer"),
+        (["scan-prational", "--d", "2", "--X", "1e99999"], "argument --X: bound '1e99999' has too many digits"),
+        (
+            ["scan-wieferich", "--minpoly=1,x", "--n-max", "4"],
+            "argument --minpoly: bad --minpoly '1,x': invalid literal for int() with base 10: 'x'",
+        ),
+    ],
+)
+def test_parse_error_names_its_reason(argv, reason, capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert capsys.readouterr().err.endswith(f" error: {reason}\n")
+
+
 def test_scan_prational_without_a_bound_is_a_usage_error(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         cli.main(["scan-prational", "--d", "2", "--out", str(tmp_path / "out")])
@@ -145,6 +164,22 @@ def test_field_info_answers_fields_a_search_bound_refused(d, tmp_path):
 def test_bound_too_large_to_sieve_is_a_compute_error(tmp_path):
     argv = ["scan-prational", "--d", "2", "--X", "1e40", "--out", str(tmp_path / "out")]
     assert cli.main(argv) == cli.EXIT_COMPUTE
+
+
+@pytest.mark.parametrize("through_env", [False, True])
+@pytest.mark.parametrize("where", ["directory", "missing directory"])
+def test_unwritable_cache_is_warned_after_the_payload(where, through_env, monkeypatch, caplog, tmp_path):
+    path = tmp_path if where == "directory" else tmp_path / "missing" / "cache.txt"
+    argv = ["field-info", "--d", "2"]
+    if through_env:
+        monkeypatch.setenv(cli.CACHE_ENV_VAR, str(path))
+    else:
+        argv += ["--cache", str(path)]
+    with caplog.at_level(logging.INFO, logger="prational"):
+        assert run_cli(argv, tmp_path / "out") == (GOLDEN / "field-info-d2.txt").read_bytes()
+    reason = "Is a directory" if where == "directory" else "No such file or directory"
+    assert caplog.messages[-1] == f"cache {path} not written ({reason})"
+    assert not any("entries stored" in message for message in caplog.messages)
 
 
 def test_cache_load_skips_inexact_partial_entries(tmp_path):
@@ -320,7 +355,7 @@ def test_warm_abc_run_builds_no_large_sieve(monkeypatch, tmp_path):
         return real_sieve(limit)
 
     monkeypatch.setattr(factorint, "sieve", sieve)
-    monkeypatch.setattr(factorint, "_sieve_primes", None)   # as in a fresh process
+    factorint._large_sieve.cache_clear()   # as in a fresh process
     run_cli(argv, tmp_path / "warm")
     assert all(limit <= 1000 for limit in limits)
 
@@ -492,6 +527,34 @@ def test_undecided_circle_test_is_a_compute_error(capsys, tmp_path):
     argv = ["scan-wieferich", "--minpoly=1,-1,-1,-1,1", "--n-max", "4", "--precision-cap", "512"]
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_COMPUTE
     assert "could not decide whether x^4 - x^3 - x^2 - x + 1 has a root" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["scan-wieferich", "--minpoly=1,-3,1", "--n-max", "4"], cli.EXIT_OK),
+        (["field-info", "--d", "3"], cli.EXIT_OK),
+        (["scan-wieferich", "--minpoly=1,-1,-1,-1,1", "--n-max", "4", "--precision-cap", "512"], cli.EXIT_COMPUTE),
+    ],
+)
+def test_each_command_certifies_and_decides_the_circle_once(argv, code, monkeypatch, tmp_path):
+    """One root enclosure, one irreducibility search and one decision of the
+    unit circle per command, the Salem number that it leaves undecided too."""
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(numerics, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, name, wrapper)
+
+    for name in ("certify_roots", "_factor_from_roots", "_sides"):
+        counted(name)
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == code
+    assert calls == {"certify_roots": 1, "_factor_from_roots": 1, "_sides": 1}
 
 
 @pytest.mark.parametrize("coeffs", ["-1,-1,1", "-1,-1,0,1", "-1,-1,0,0,1", "1,-3,1"])

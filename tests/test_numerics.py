@@ -1,18 +1,13 @@
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import pytest
 
 from prational import numerics
 from prational.errors import NonConvergenceError, NotAUnitError, NotSquarefreeError
-from prational.numerics import (
-    CircleTest,
-    certify_roots,
-    circle_test,
-    growth_constants,
-    ln,
-)
+from prational.numerics import certify_roots, growth_constants, ln
 from prational.polyarith import IntPoly, cyclotomic, euler_phi, power_poly, resultant
 from prational.quadfield import make_field, minpoly_of
 
@@ -63,14 +58,15 @@ class TestCertifyRoots:
             return polyroots_centers(f, prec)
 
         monkeypatch.setattr(numerics, "_polyroots_centers", recorded)
-        assert circle_test(certify_roots(PELL)) is CircleTest.CLEAR
+        growth_constants(certify_roots(PELL))
         assert calls == []
         on_circle = IntPoly.of(1, 1, 1)
-        assert circle_test(certify_roots(on_circle)) is CircleTest.ON_CIRCLE
+        with pytest.raises(ValueError, match="has a root on the unit circle"):
+            growth_constants(certify_roots(on_circle))
         assert calls == [on_circle]
 
     def test_pell_roots_match_quadratic_formula(self):
-        unit = certify_roots(PELL, tol=1e-12)
+        unit = certify_roots(PELL)
         assert unit.degree == 2
         expected = sorted((1 + math.sqrt(2), 1 - math.sqrt(2)))
         got = sorted(float(d.re) for d in unit.roots)
@@ -126,38 +122,53 @@ class TestCertifyRoots:
             certify_roots(IntPoly.of(1, -2, 1))
 
 
+def circle_error(poly):
+    """The type of the error by which growth_constants refuses poly's unit,
+    or None when it gives constants."""
+    try:
+        growth_constants(certify_roots(poly))
+    except (ValueError, NonConvergenceError) as exc:
+        return type(exc)
+    return None
+
+
 class TestCircleTest:
+    """growth_constants decides the unit circle: constants for a unit with
+    no conjugate on it, an error otherwise."""
+
     def test_pell_clear(self):
-        assert circle_test(certify_roots(PELL)) is CircleTest.CLEAR
+        assert growth_constants(certify_roots(PELL)).degree == 2
 
     def test_cyclotomic_on_circle(self):
-        assert circle_test(certify_roots(cyclotomic(5))) is CircleTest.ON_CIRCLE
-        assert circle_test(certify_roots(IntPoly.of(-1, 1))) is CircleTest.ON_CIRCLE
+        for poly in (cyclotomic(5), IntPoly.of(-1, 1), IntPoly.of(1, 1, 1)):
+            with pytest.raises(ValueError, match=f"^{re.escape(poly.pretty())} has a root on the unit circle$"):
+                growth_constants(certify_roots(poly))
 
     def test_plastic_clear(self):
-        assert circle_test(certify_roots(PLASTIC)) is CircleTest.CLEAR
+        assert growth_constants(certify_roots(PLASTIC)).degree == 3
 
     def test_self_reciprocal_but_off_circle(self):
         # (3+sqrt 5)/2 has reciprocal minimal polynomial yet no conjugate on the circle
-        assert circle_test(certify_roots(GOLDEN_SQ)) is CircleTest.CLEAR
+        assert growth_constants(certify_roots(GOLDEN_SQ)).degree == 2
 
     def test_salem_undecided_at_low_cap(self):
         # two conjugates genuinely on the circle but not roots of unity:
         # the numeric route cannot certify either way
-        unit = certify_roots(SALEM4)
-        assert circle_test(unit, precision_cap=512) is CircleTest.UNDECIDED
+        message = r"^could not decide whether x\^4 - x\^3 - x\^2 - x \+ 1 has a root on the unit circle$"
+        with pytest.raises(NonConvergenceError, match=message):
+            growth_constants(certify_roots(SALEM4, precision_cap=512), precision_cap=512)
 
     @pytest.mark.parametrize("poly", [PELL, GOLDEN_SQ, PLASTIC, cyclotomic(5), cyclotomic(12)])
     def test_invariant_under_inverse_and_negation(self, poly):
-        base = circle_test(certify_roots(poly))
+        base = circle_error(poly)
         inverse = poly.reciprocal()
         if inverse.lead() < 0:
             inverse = -inverse
         negated = compose_neg(poly)
         if negated.lead() < 0:
             negated = -negated
-        assert circle_test(certify_roots(inverse)) is base
-        assert circle_test(certify_roots(negated)) is base
+        assert circle_error(inverse) is base
+        assert circle_error(negated) is base
 
 
 class TestGrowthConstants:
@@ -176,13 +187,13 @@ class TestGrowthConstants:
         """The estimated crossings pick the k that the rule gives stepwise,
         with a Fraction power at every k, and the same powered bounds."""
         unit = certify_roots(minpoly)
-        refined, sides = numerics._sides(unit)
-        lbs = [d.mod_lb() for d in refined.roots]
-        ubs = [d.mod_ub() for d in refined.roots]
+        disks, sides = numerics._sides(unit)
+        lbs = [d.mod_lb() for d in disks]
+        ubs = [d.mod_ub() for d in disks]
         peak = max(lb for lb, side in zip(lbs, sides) if side == +1)
 
         def admissible(k):
-            return peak ** k > 2 ** (refined.degree - 1) + 1 and all(
+            return peak ** k > 2 ** (unit.degree - 1) + 1 and all(
                 lb ** k >= 2 if side == +1 else ub ** k <= Fraction(1, 2)
                 for lb, ub, side in zip(lbs, ubs, sides)
             )
@@ -229,7 +240,7 @@ class TestGrowthConstants:
             assert c.rate / 2 * n > c.degree * math.log(n)
 
     def test_rejects_on_circle_unit(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="has a root on the unit circle"):
             growth_constants(certify_roots(cyclotomic(5)))
 
     def test_plastic_constants_satisfy_rules(self):
@@ -256,3 +267,4 @@ def test_ln_matches_math_log_in_the_double_range_and_extends_it():
         assert ln(x) == math.log(float(x))
     assert abs(ln(Fraction(3 ** 2000, 2 ** 5)) - (2000 * math.log(3) - 5 * math.log(2))) < 1e-9
     assert abs(ln(Fraction(1, 7 ** 900)) + 900 * math.log(7)) < 1e-9
+

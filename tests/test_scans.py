@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 from collections import Counter
@@ -253,16 +254,18 @@ class TestCountReport:
 
     def test_window_end_matches_brute_force(self, field2, eps2, constants2):
         records = wieferich_scan(field2, eps2, constants2, 40)
-        gamma = constants2.norm_base
-        bounds = [1, 2, 35, 36, 10 ** 29, 10 ** 60]
-        for k in range(1, 41):
-            power = gamma ** k
-            bounds += [math.floor(power), math.ceil(power), math.ceil(power) + 1]
-        for X in bounds:
-            n_stop = 0
-            while gamma ** (n_stop + 1) <= X:
-                n_stop += 1
-            assert count_report(records, constants2, X).n_stop == n_stop
+        # the field's gamma, and an integer one that X = gamma**k meets exactly
+        for constants in (constants2, dataclasses.replace(constants2, norm_base=Fraction(36))):
+            gamma = constants.norm_base
+            bounds = [1, 2, 35, 36, 10 ** 29, 10 ** 60]
+            for k in range(1, 41):
+                power = gamma ** k
+                bounds += [math.floor(power), math.floor(power) - 1, math.ceil(power), math.ceil(power) + 1]
+            for X in bounds:
+                n_stop = 0
+                while gamma ** (n_stop + 1) <= X:
+                    n_stop += 1
+                assert count_report(records, constants, X).n_stop == n_stop
 
     def test_huge_bound_is_answered_at_once(self, field2, eps2, constants2):
         records = wieferich_scan(field2, eps2, constants2, 30)
@@ -465,12 +468,6 @@ class TestGenericUnitScan:
         ideal_ns = {r.n for r in ideal_level if r.status == SUCCESS}
         rational_ns = {r.n for r in rational_level if r.status == SUCCESS}
         assert rational_ns <= ideal_ns
-
-    def test_rejects_circle_units(self, constants2):
-        from prational.polyarith import cyclotomic
-
-        with pytest.raises(ValueError):
-            generic_unit_scan(certify_roots(cyclotomic(5)), constants2, 4)
 
     def test_deterministic(self, cubic):
         unit, constants = cubic
