@@ -469,6 +469,13 @@ class TestGenericUnitScan:
         rational_ns = {r.n for r in rational_level if r.status == SUCCESS}
         assert rational_ns <= ideal_ns
 
+    def test_rejects_circle_units(self):
+        # the scan's constants come from growth_constants, which refuses a
+        # unit with a conjugate on the unit circle before any row is made
+        unit = certify_roots(cyclotomic(5))
+        with pytest.raises(ValueError, match="has a root on the unit circle"):
+            generic_unit_scan(unit, growth_constants(unit), 4)
+
     def test_deterministic(self, cubic):
         unit, constants = cubic
         assert generic_unit_scan(unit, constants, 10) == generic_unit_scan(unit, constants, 10)
