@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PartialFactorizationError
 from .factorint import (
@@ -28,14 +28,12 @@ from .factorint import (
 from .quadfield import QuadField, QuadInt
 
 
-@dataclass(frozen=True)
-class Height:
+class Height(NamedTuple):
     value: float
     width: float
 
 
-@dataclass(frozen=True)
-class AbcTriple:
+class AbcTriple(NamedTuple):
     a: QuadInt
     b: QuadInt
     c: QuadInt
@@ -45,8 +43,7 @@ class AbcTriple:
     n: int | None = None
 
 
-@dataclass(frozen=True)
-class SquarefullRow:
+class SquarefullRow(NamedTuple):
     n: int
     squarefree_norm: int
     squarefull_norm: int

@@ -10,10 +10,7 @@ docs/formats.md.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import itertools
-import json
-import logging
 import math
 import os
 import stat
@@ -22,7 +19,11 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from . import factorint, numerics   # scans and abcaudit in their handlers: field-info needs neither
+# A process imports only what its command uses: scans and abcaudit in the
+# handlers that need them (field-info needs neither), json only where JSON is
+# written, logging only when a line is logged (_log).  The records are
+# NamedTuples, so no module imports the dataclass machinery.
+from . import factorint, numerics
 from .errors import (
     InsufficientRecordsError,
     NonConvergenceError,
@@ -42,7 +43,15 @@ EXIT_USAGE = 2
 EXIT_COMPUTE = 3
 EXIT_BROKEN_PIPE = 141   # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
-log = logging.getLogger("prational")
+
+def _log():
+    """The "prational" logger, which writes bare lines to stderr.  Built on
+    the first line logged, so a run that logs nothing never imports logging."""
+    import logging
+
+    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
+    return logging.getLogger("prational")
+
 
 _USAGE_ERRORS = (NotSquarefreeError, NotAUnitError, ValueError)
 _COMPUTE_ERRORS = (
@@ -106,7 +115,7 @@ def cache_load(path: str | Path) -> FactorCache:
     try:
         text = path.read_text()
     except OSError as exc:
-        log.warning("cache %s unreadable (%s); running cold", path, exc)
+        _log().warning("cache %s unreadable (%s); running cold", path, exc)
         return cache
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -139,7 +148,7 @@ def cache_load(path: str | Path) -> FactorCache:
                 status = factorint.Status.TRIAL
             cache.entries[value] = (tuple(factors), cofactor, status)
         except (ValueError, IndexError) as exc:
-            log.warning("cache %s line %d corrupt (%s); skipped", path, lineno, exc)
+            _log().warning("cache %s line %d corrupt (%s); skipped", path, lineno, exc)
     return cache
 
 
@@ -197,6 +206,8 @@ def _emit(
     default encodes the dict of the columns), and ``csv_line`` plays no
     part in it."""
     if fmt == "json":
+        import json
+
         encode = json.JSONEncoder(indent=2).encode
 
         def nested(obj, level: int) -> str:   # a JSON string holds no raw newline
@@ -333,6 +344,8 @@ def cmd_field_info(args, out) -> int:
         "n_start": constants.n_start,
     }
     if args.format == "json":
+        import json
+
         doc = {"schema_version": SCHEMA_VERSION, "command": "field-info", "summary": lines}
         out.write(json.dumps(doc, indent=2) + "\n")
     else:
@@ -354,7 +367,7 @@ def cmd_scan_wieferich(args, out) -> int:
         eps = F.fundamental_unit
         _, constants = _constants_for_unit_poly(minpoly_of(eps), args.precision_cap)
         records = scans.wieferich_scan(F, eps, constants, args.n_max, tally, **factor_opts)
-    log.info(
+    _log().info(
         "factoring: %d rows settled by trial division below %d, %d searched, %d partial",
         tally["settled"], factorint._TRIAL_BOUND, tally["searched"], tally["partial"],
     )
@@ -370,7 +383,7 @@ def cmd_scan_wieferich(args, out) -> int:
     if args.X is not None:
         report = scans.count_report(records, constants, args.X)
         if report.n_start > report.n_stop:
-            log.warning(
+            _log().warning(
                 "warning: the count window is empty (n_start=%d > n_stop=%d): "
                 "X is below norm_cap_base**n_start",
                 report.n_start,
@@ -388,8 +401,7 @@ def cmd_scan_wieferich(args, out) -> int:
                 "log_density": report.log_density,
             }
         )
-    columns = [f.name for f in dataclasses.fields(scans.ScanRecord)]
-    _emit(columns, map(dataclasses.astuple, records), lambda: summary, args.format, out, "scan-wieferich")
+    _emit(scans.ScanRecord._fields, records, lambda: summary, args.format, out, "scan-wieferich")
     return EXIT_OK
 
 
@@ -446,7 +458,7 @@ def cmd_abc_quality(args, out) -> int:
     tally = Counter()
     report = abcaudit.squarefull_report(F, u, args.n_max, tally, **factor_opts)
     partial = sum(r.status is not factorint.Status.COMPLETE for r in report)
-    log.info(
+    _log().info(
         "factoring: %d cyclotomic norms factored for %d rows, %d partial",
         tally["factored"], len(report), partial,
     )
@@ -601,7 +613,6 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
     parser = _build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
@@ -619,9 +630,9 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 cache_store(cache_path, cache)
             except OSError as exc:   # the payload is out: warn, keep its exit code
-                log.warning("cache %s not written (%s)", cache_path, exc.strerror or exc)
+                _log().warning("cache %s not written (%s)", cache_path, exc.strerror or exc)
             else:
-                log.info("cache: %d hits, %d new entries stored", cache.hits, fresh)
+                _log().info("cache: %d hits, %d new entries stored", cache.hits, fresh)
         return code
     except _COMPUTE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -42,7 +42,7 @@ import functools
 import itertools
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import PartialFactorizationError
 from .quadfield import (
@@ -191,8 +191,7 @@ class Status(enum.Enum):
     TRIAL = "trial"       # only the trial phase ran; the cofactor is unsearched
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """value = sign * cofactor * prod(p**e); cofactor 1 when complete."""
 
     value: int
@@ -230,7 +229,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
             ys = y
             for _ in range(min(m, r - k)):
                 y = (y * y + c) % n
-                q = q * abs(x - y) % n
+                q = q * (x - y) % n
             used += min(m, r - k)
             g = math.gcd(q, n)
             k += m
@@ -239,7 +238,7 @@ def _brent_rho(n: int, rng: random.Random, budget: int) -> tuple[int | None, int
         # backtrack one step at a time
         while True:
             ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
+            g = math.gcd(x - ys, n)
             if g > 1:
                 break
     if 1 < g < n:
@@ -472,8 +471,7 @@ def merge_factorizations(pieces: list[Factorization]) -> Factorization:
 
 # --- ideal splits -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdealSplit:
+class IdealSplit(NamedTuple):
     """Prime-ideal valuations of a principal ideal (element), with the norms of
     its squarefree (valuation 1) and squarefull (valuation >= 2) parts."""
 

@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import NonConvergenceError, NotAUnitError, NotSquarefreeError
 from .polyarith import IntPoly, cyclotomic, discriminant, iroot, prem, sqrt_bounds
@@ -30,8 +30,7 @@ PRECISION_CAP_BITS = 2 ** 14
 _SQRT_BITS = 48   # precision of the rational square-root bounds on moduli and radii
 
 
-@dataclass(frozen=True)
-class RootDisk:
+class RootDisk(NamedTuple):
     """Closed disk |z - (re + im*i)| <= radius certified to contain exactly
     one root of the minimal polynomial."""
 
@@ -52,8 +51,7 @@ class RootDisk:
         return d2 <= (self.radius + other.radius) ** 2
 
 
-@dataclass(frozen=True)
-class AlgebraicUnit:
+class AlgebraicUnit(NamedTuple):
     """An algebraic unit given by its (irreducible, monic) minimal polynomial
     together with certified enclosures of all its conjugates."""
 
@@ -275,8 +273,7 @@ def _sides(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BITS) -> tupl
     raise NonConvergenceError("a root enclosure keeps straddling the unit circle")
 
 
-@dataclass(frozen=True)
-class GrowthConstants:
+class GrowthConstants(NamedTuple):
     """Certified constants controlling the exponential growth of
     |N(cyclotomic value)| along the scan.
 

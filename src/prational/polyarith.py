@@ -19,13 +19,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(NamedTuple):
     """Dense integer polynomial; ``coeffs[i]`` multiplies ``x**i``.
 
     >>> IntPoly.of(-1, 0, 1)
@@ -144,7 +143,12 @@ def _coerce(v) -> IntPoly:
 
 
 def prem(a: IntPoly, b: IntPoly) -> IntPoly:
-    """Pseudo-remainder: ``lead(b)**(deg a - deg b + 1) * a = q*b + r``."""
+    """Pseudo-remainder: ``lead(b)**(deg a - deg b + 1) * a = q*b + r``.
+
+    Works on one coefficient list r: each step multiplies r by d = lead(b)
+    and subtracts lead(r) * x**(deg r - deg b) * b, which cancels its top
+    coefficient.  A step can drop the degree by more than one, so the
+    factors of d that no step applied are applied at the end."""
     if b.is_zero():
         raise ZeroDivisionError("pseudo-division by zero")
     da, db = a.degree(), b.degree()
@@ -152,14 +156,22 @@ def prem(a: IntPoly, b: IntPoly) -> IntPoly:
         return a
     d = b.lead()
     e = da - db + 1
-    r = a
-    while not r.is_zero() and r.degree() >= db:
-        s = IntPoly.of(*([0] * (r.degree() - db)), r.lead())
-        r = r * d - b * s
+    low = b.coeffs[:-1]
+    r = list(a.coeffs)
+    while len(r) > db:
+        lead = r.pop()
+        shift = len(r) - db
+        if d != 1:
+            r = [c * d for c in r]
+        for j, c in enumerate(low, shift):
+            r[j] -= lead * c
+        while r and not r[-1]:
+            r.pop()
         e -= 1
     if e > 0:
-        r = r * (d ** e)
-    return r
+        scale = d ** e
+        r = [c * scale for c in r]
+    return IntPoly(tuple(r))
 
 
 def _res_std(a: IntPoly, b: IntPoly) -> int:

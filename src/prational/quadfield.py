@@ -12,7 +12,8 @@ omega_root_mod_p2 gives a root r of w's minimal polynomial mod p**2 by one
 Newton step from its root mod p; w -> r identifies O/P**2 with Z/p**2, and the
 conjugate ideal P' uses the other root t - r.  At an inert p, O/p**2 is
 worked in through coordinate pairs, which pair_pow raises to a power.  Only
-unit_pow_mod_p2 uses pair_pow, and the tests use both as an oracle: the
+unit_pow_mod_p2 uses pair_pow, and only the tests call unit_pow_mod_p2: they
+use both, with residue_is_one of tests/residue_order.py, as an oracle.  The
 p-rationality classifier (scans, part (B)) works with a Lucas ladder on the
 trace of u**2 instead.
 """
@@ -21,8 +22,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     NonConvergenceError,
@@ -75,11 +76,10 @@ class QuadField:
         return f"QuadField(d={self.d}, disc={self.disc}, h={self.class_number})"
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class QuadInt(NamedTuple):
     """x + y*w in the ring of integers of its field."""
 
-    field: QuadField = field(repr=False)
+    field: QuadField
     x: int = 0
     y: int = 0
 
@@ -185,8 +185,7 @@ class QuadInt:
         return f"QuadInt({self}, d={self.field.d})"
 
 
-@dataclass(frozen=True)
-class PrimeIdealAboveP:
+class PrimeIdealAboveP(NamedTuple):
     """A prime ideal above a rational prime, with its residue data.
 
     ``hensel_root`` is present only when split: the root r of the minimal
@@ -408,13 +407,6 @@ def unit_pow_mod_p2(F: QuadField, u: QuadInt, e: int, P: PrimeIdealAboveP):
         img = (u.x + u.y * P.hensel_root) % p2
         return pow(img, e, p2)
     return pair_pow(u.x, u.y, e, F.t, F.s, p2)
-
-
-def residue_is_one(res, P: PrimeIdealAboveP) -> bool:
-    """Whether a unit_pow_mod_p2 result equals 1 mod P**2."""
-    if P.splitting is Splitting.SPLIT:
-        return res == 1
-    return res == (1, 0)
 
 
 def excluded_prime_bound(F: QuadField) -> int:

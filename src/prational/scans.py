@@ -62,7 +62,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -102,8 +101,7 @@ REASON_CLASS_NUMBER = "divides_class_number"
 REASON_BELOW_P0 = "below_p0"
 
 
-@dataclass(frozen=True)
-class ScanRecord:
+class ScanRecord(NamedTuple):
     """One row of the Wieferich-ideal scan: a success exactly when a prime is
     chosen, skipped when a reason is given, no_qualifying_prime otherwise."""
 
@@ -125,8 +123,7 @@ class PRationalityVerdict(NamedTuple):
     witnesses: tuple[tuple[int, bool], ...]   # (N(P), fermat quotient nonzero)
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     limit: int
     n_start: int
     n_stop: int

@@ -1,8 +1,16 @@
-"""Test oracle: the multiplicative order of a unit in a residue field O/P."""
+"""Test oracles: the multiplicative order of a unit in a residue field O/P,
+and whether a residue mod P**2 is 1."""
 
 from prational.errors import RamifiedUnsupportedError
 from prational.factorint import factor
 from prational.quadfield import Splitting, pair_pow
+
+
+def residue_is_one(res, P) -> bool:
+    """Whether a quadfield.unit_pow_mod_p2 result equals 1 mod P**2."""
+    if P.splitting is Splitting.SPLIT:
+        return res == 1
+    return res == (1, 0)
 
 
 def multiplicative_order(F, u, P):

@@ -306,6 +306,10 @@ def test_abc_run_factors_each_integer_once(monkeypatch, tmp_path):
     integer or is answered by the run's factor table."""
     calls, hits, field_built = [], [], []
     real_factor, real_lookup, real_make_field = factorint.factor, cli.FactorCache.lookup, cli.make_field
+    # the assertion's Phi_m come from the lru_cache, as after earlier tests,
+    # and not from new builds whose factor(m) calls would be recorded
+    for m in range(1, 31):
+        cyclotomic(m)
 
     def factor(n, *args, **kwargs):
         if field_built:
@@ -575,16 +579,19 @@ def test_closed_pipe_ends_quietly():
     proc.stderr.close()
 
 
-WATCHED_MODULES = ("mpmath", "prational.abcaudit", "prational.scans")
+WATCHED_MODULES = ("dataclasses", "json", "logging", "mpmath", "prational.abcaudit", "prational.scans")
 
 
 def _loaded_modules(argv, tmp_path):
-    """The WATCHED_MODULES that a fresh process running the command loads."""
+    """The WATCHED_MODULES that a fresh process running the command loads:
+    those in sys.modules at its end that were not there when the
+    interpreter had started, before prational was imported."""
     code = (
         "import sys\n"
+        "started = set(sys.modules)\n"
         "from prational import cli\n"
         f"assert cli.main({[*argv, '--out', str(tmp_path / 'out')]!r}) == 0\n"
-        f"print([m for m in {WATCHED_MODULES!r} if m in sys.modules])\n"
+        f"print([m for m in {WATCHED_MODULES!r} if m in sys.modules and m not in started])\n"
     )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=60)
@@ -609,17 +616,32 @@ def test_commands_that_certify_no_roots_never_import_mpmath(argv, tmp_path):
     "argv, loaded",
     [
         (["scan-prational", "--d", "2", "--X", "100"], ["prational.scans"]),
-        (["abc-quality", "--d", "2", "--n-max", "10"], ["prational.abcaudit"]),
+        # the scans that factor log a "factoring:" line
+        (["abc-quality", "--d", "2", "--n-max", "10"], ["logging", "prational.abcaudit"]),
         (["field-info", "--d", "2"], []),
-        (["scan-wieferich", "--d", "2", "--n-max", "10"], ["prational.scans"]),
+        (["scan-wieferich", "--d", "2", "--n-max", "10"], ["logging", "prational.scans"]),
         # a cubic unit's roots come from mpmath, so the check sees the import
-        (["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "10"], ["mpmath", "prational.scans"]),
+        (["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "10"], ["logging", "mpmath", "prational.scans"]),
+        # JSON output, and only it, loads json
+        (["field-info", "--d", "2", "--format", "json"], ["json"]),
+        (["scan-prational", "--d", "2", "--X", "100", "--format", "json"], ["json", "prational.scans"]),
+        (["scan-wieferich", "--d", "2", "--n-max", "10", "--format", "json"],
+         ["json", "logging", "prational.scans"]),
+        (["abc-quality", "--d", "2", "--n-max", "10", "--format", "json"],
+         ["json", "logging", "prational.abcaudit"]),
     ],
 )
 def test_each_command_loads_only_the_modules_it_uses(argv, loaded, tmp_path):
     """A fresh process that runs the command loads of WATCHED_MODULES just
-    ``loaded``: no module of another command."""
+    ``loaded``: no module of another command, never dataclasses, json only
+    where it writes JSON and logging only where it logs a line."""
     assert _loaded_modules(argv, tmp_path) == f"{loaded!r}\n"
+
+
+def test_field_info_loads_logging_only_to_log_its_cache_line(tmp_path):
+    argv = ["field-info", "--d", "2"]
+    assert "'logging'" not in _loaded_modules(argv, tmp_path)
+    assert "'logging'" in _loaded_modules([*argv, "--cache", str(tmp_path / "cache")], tmp_path)
 
 
 @pytest.mark.parametrize(

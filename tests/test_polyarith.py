@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -233,6 +234,16 @@ class TestPowerPoly:
             power_poly(IntPoly.of(1, 2), 2)
 
 
+class TestIntPoly:
+    def test_ints_act_as_ring_elements(self):
+        # IntPoly is a tuple: f * int and int + f must not repeat or concatenate it
+        f = IntPoly.of(1, 2)
+        assert f * 3 == 3 * f == IntPoly.of(3, 6)
+        assert f + 1 == 1 + f == IntPoly.of(2, 2)
+        assert f - 1 == IntPoly.of(0, 2) and f * 0 == IntPoly.zero()
+        assert f * f == IntPoly.of(1, 4, 4)
+
+
 class TestDivision:
     def test_prem_leaves_a_remainder(self):
         # x^2 + 1 = (x - 1)(x + 1) + 2
@@ -241,6 +252,35 @@ class TestDivision:
     @given(nonzero_polys, nonzero_polys)
     def test_prem_of_a_product_is_zero(self, f, g):
         assert prem(f * g, g).is_zero()
+
+    def test_prem_matches_sympy(self):
+        """sympy.prem also scales by lead(b)**(deg a - deg b + 1).  The leads
+        of b are never +-1; a = c*x**k*b + r with k >= 1 and deg r < deg b
+        drops k + 1 >= 2 degrees in its first step, and a sparse a drops
+        more than one degree in later steps too."""
+        rng = random.Random(18)
+        x = sympy.Symbol("x")
+
+        def poly(deg, lead, sparse=False):
+            low = [rng.choice((0, 0, rng.randint(-30, 30))) if sparse else rng.randint(-30, 30) for _ in range(deg)]
+            return IntPoly.of(*low, lead)
+
+        def sympy_prem(a, b):
+            got = sympy.prem(sympy.Poly(a.coeffs[::-1], x), sympy.Poly(b.coeffs[::-1], x))
+            return IntPoly.of(*got.all_coeffs()[::-1])
+
+        cases = [
+            (IntPoly.of(5, 0, 0, 2, 2), IntPoly.of(2, 2)),   # 2x^4 + 2x^3 + 5 by 2x + 2: 4 -> 0
+            (IntPoly.of(3), IntPoly.of(1, 4)),                # deg a < deg b: a itself
+            (IntPoly.of(1, 2, 3), IntPoly.of(-6)),            # constant b
+        ]
+        for _ in range(150):
+            b = poly(rng.randint(0, 5), rng.choice((-7, -3, 2, 5, 12)))
+            r = IntPoly.of(*[rng.randint(-30, 30) for _ in range(b.degree())])
+            c = IntPoly.of(*[0] * rng.randint(1, 4), rng.choice((-4, -1, 3, 8)))
+            cases += [(poly(rng.randint(0, 9), rng.randint(1, 30), sparse=True), b), (c * b + r, b)]
+        for a, b in cases:
+            assert prem(a, b) == sympy_prem(a, b), (a, b)
 
 
 class TestCommonRootModP:

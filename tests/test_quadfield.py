@@ -207,6 +207,13 @@ class TestArithmetic:
         assert (a * a.conj()).x == a.norm()
         assert (a + a.conj()).x == a.trace()
 
+    def test_ints_act_as_ring_elements(self, field2):
+        # QuadInt is a tuple: int * u and u + int must not repeat or concatenate it
+        u = field2.element(1, 1)
+        assert 3 * u == u * 3 == field2.element(3, 3)
+        assert u + 2 == 2 + u == field2.element(3, 1)
+        assert 2 - u == field2.element(1, -1) and u - 2 == field2.element(-1, 1)
+
     def test_minpoly(self, field2):
         u = field2.fundamental_unit
         f = minpoly_of(u)

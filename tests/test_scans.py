@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import time
 from collections import Counter
@@ -26,7 +25,6 @@ from prational.quadfield import (
     excluded_prime_bound,
     make_field,
     minpoly_of,
-    residue_is_one,
     split_prime,
     unit_pow_mod_p2,
 )
@@ -49,7 +47,7 @@ from prational.scans import (
     prationality_scan,
     wieferich_scan,
 )
-from residue_order import multiplicative_order
+from residue_order import multiplicative_order, residue_is_one
 
 
 def residue_mod_p(F, value, P):
@@ -255,7 +253,7 @@ class TestCountReport:
     def test_window_end_matches_brute_force(self, field2, eps2, constants2):
         records = wieferich_scan(field2, eps2, constants2, 40)
         # the field's gamma, and an integer one that X = gamma**k meets exactly
-        for constants in (constants2, dataclasses.replace(constants2, norm_base=Fraction(36))):
+        for constants in (constants2, constants2._replace(norm_base=Fraction(36))):
             gamma = constants.norm_base
             bounds = [1, 2, 35, 36, 10 ** 29, 10 ** 60]
             for k in range(1, 41):
@@ -525,3 +523,35 @@ def test_open_rows_are_settled_when_no_cofactor_prime_can_qualify():
     assert not scans._settled(Status.TRIAL, False, gamma, 3, 35 ** 3 - 1)
     assert scans._settled(Status.TRIAL, True, gamma, 4, 35 ** 3)
     assert scans._settled(Status.COMPLETE, False, gamma, 4, 35 ** 3)
+
+
+def test_records_are_immutable_tuples(field2, eps2, constants2):
+    """One value of each of the 13 record types: a tuple whose fields refuse
+    assignment and which takes no new attribute."""
+    from prational import abcaudit
+
+    rows = wieferich_scan(field2, eps2, constants2, 8)
+    unit = certify_roots(minpoly_of(eps2))
+    samples = [
+        factor(12),
+        ideal_valuations(field2, eps2 + 1),
+        unit.roots[0],
+        unit,
+        constants2,
+        unit.minpoly,
+        eps2,
+        split_prime(field2, 7)[0],
+        rows[0],
+        count_report(rows, constants2, int(constants2.norm_base ** 7) + 1),
+        abcaudit.height(field2, eps2, field2.one(), eps2 + 1),
+        abcaudit.unit_triple(field2, eps2, 3),
+        abcaudit.squarefull_report(field2, eps2, 3)[0],
+    ]
+    assert len({type(s) for s in samples}) == 13
+    for s in samples:
+        assert isinstance(s, tuple)
+        name = s._fields[0]
+        with pytest.raises(AttributeError):
+            setattr(s, name, getattr(s, name))
+        with pytest.raises(AttributeError):
+            s.extra = 1
