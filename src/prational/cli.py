@@ -20,9 +20,9 @@ from fractions import Fraction
 from pathlib import Path
 
 # A process imports only what its command uses: scans and abcaudit in the
-# handlers that need them (field-info needs neither), json only where JSON is
-# written, logging only when a line is logged (_log).  The records are
-# NamedTuples, so no module imports the dataclass machinery.
+# handlers that need them (field-info needs neither), and json only where JSON
+# is written.  Log lines are printed (_log), not sent through logging.  The
+# records are NamedTuples, so no module imports the dataclass machinery.
 from . import factorint, numerics
 from .errors import (
     InsufficientRecordsError,
@@ -44,13 +44,9 @@ EXIT_COMPUTE = 3
 EXIT_BROKEN_PIPE = 141   # 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
 
 
-def _log():
-    """The "prational" logger, which writes bare lines to stderr.  Built on
-    the first line logged, so a run that logs nothing never imports logging."""
-    import logging
-
-    logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(message)s")
-    return logging.getLogger("prational")
+def _log(message: str) -> None:
+    """Write one bare line to stderr, whatever sys.stderr is at the call."""
+    print(message, file=sys.stderr)
 
 
 _USAGE_ERRORS = (NotSquarefreeError, NotAUnitError, ValueError)
@@ -115,7 +111,7 @@ def cache_load(path: str | Path) -> FactorCache:
     try:
         text = path.read_text()
     except OSError as exc:
-        _log().warning("cache %s unreadable (%s); running cold", path, exc)
+        _log(f"cache {path} unreadable ({exc}); running cold")
         return cache
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
@@ -148,7 +144,7 @@ def cache_load(path: str | Path) -> FactorCache:
                 status = factorint.Status.TRIAL
             cache.entries[value] = (tuple(factors), cofactor, status)
         except (ValueError, IndexError) as exc:
-            _log().warning("cache %s line %d corrupt (%s); skipped", path, lineno, exc)
+            _log(f"cache {path} line {lineno} corrupt ({exc}); skipped")
     return cache
 
 
@@ -367,9 +363,9 @@ def cmd_scan_wieferich(args, out) -> int:
         eps = F.fundamental_unit
         _, constants = _constants_for_unit_poly(minpoly_of(eps), args.precision_cap)
         records = scans.wieferich_scan(F, eps, constants, args.n_max, tally, **factor_opts)
-    _log().info(
-        "factoring: %d rows settled by trial division below %d, %d searched, %d partial",
-        tally["settled"], factorint._TRIAL_BOUND, tally["searched"], tally["partial"],
+    _log(
+        f"factoring: {tally['settled']} rows settled by trial division below {factorint._TRIAL_BOUND}, "
+        f"{tally['searched']} searched, {tally['partial']} partial"
     )
     if args.strict and any(r.reason == scans.REASON_PARTIAL for r in records):
         raise PartialFactorizationError("factor budget exhausted under --strict")
@@ -383,11 +379,9 @@ def cmd_scan_wieferich(args, out) -> int:
     if args.X is not None:
         report = scans.count_report(records, constants, args.X)
         if report.n_start > report.n_stop:
-            _log().warning(
-                "warning: the count window is empty (n_start=%d > n_stop=%d): "
-                "X is below norm_cap_base**n_start",
-                report.n_start,
-                report.n_stop,
+            _log(
+                f"warning: the count window is empty (n_start={report.n_start} > n_stop={report.n_stop}): "
+                "X is below norm_cap_base**n_start"
             )
         summary.update(
             {
@@ -458,10 +452,7 @@ def cmd_abc_quality(args, out) -> int:
     tally = Counter()
     report = abcaudit.squarefull_report(F, u, args.n_max, tally, **factor_opts)
     partial = sum(r.status is not factorint.Status.COMPLETE for r in report)
-    _log().info(
-        "factoring: %d cyclotomic norms factored for %d rows, %d partial",
-        tally["factored"], len(report), partial,
-    )
+    _log(f"factoring: {tally['factored']} cyclotomic norms factored for {len(report)} rows, {partial} partial")
     if args.strict and partial:
         raise PartialFactorizationError("factor budget exhausted under --strict")
     columns = ("n", "squarefree_norm", "squarefull_norm", "norm_total",
@@ -630,9 +621,9 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 cache_store(cache_path, cache)
             except OSError as exc:   # the payload is out: warn, keep its exit code
-                _log().warning("cache %s not written (%s)", cache_path, exc.strerror or exc)
+                _log(f"cache {cache_path} not written ({exc.strerror or exc})")
             else:
-                _log().info("cache: %d hits, %d new entries stored", cache.hits, fresh)
+                _log(f"cache: {cache.hits} hits, {fresh} new entries stored")
         return code
     except _COMPUTE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

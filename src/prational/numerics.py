@@ -2,9 +2,10 @@
 
 Roots of a unit's minimal polynomial are enclosed in pairwise-disjoint
 complex disks, at increasing working precision.  The centers of the two
-real roots of a quadratic come from an integer square root; mpmath
-serves only degree >= 3 or non-real roots.  Every certificate is then
-checked with exact rational arithmetic, whichever gave its centers: for
+real roots of a quadratic come from an integer square root, and all
+others from ``rootfind``, a Weierstrass (Durand-Kerner) iteration in
+fixed-point Gaussian integers.  Every certificate is then checked with
+exact rational arithmetic, whichever gave its centers: for
 a dyadic center z, all the roots of f lie within deg(f) * |f(z)/f'(z)|
 of z, so disjoint disks of that radius isolate the roots.
 ``certify_roots`` also proves the polynomial irreducible, and every
@@ -24,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NonConvergenceError, NotAUnitError, NotSquarefreeError
-from .polyarith import IntPoly, cyclotomic, discriminant, iroot, prem, sqrt_bounds
+from .polyarith import IntPoly, cyclotomic, discriminant, prem, sqrt_bounds
 
 PRECISION_CAP_BITS = 2 ** 14
 _SQRT_BITS = 48   # precision of the rational square-root bounds on moduli and radii
@@ -68,17 +69,10 @@ def _ceval(coeffs: tuple[int, ...], re: Fraction, im: Fraction) -> tuple[Fractio
     return acc_re, acc_im
 
 
-def _to_fraction(x, bits: int) -> Fraction:
-    import mpmath
-
-    scaled = mpmath.floor(x * (1 << bits))
-    return Fraction(int(scaled), 1 << bits)
-
-
 def _real_quadratic_centers(b: int, disc: int, prec: int) -> list[tuple[Fraction, Fraction]]:
     """floor(z * 2**prec) / 2**prec for the roots z = (-b -+ sqrt(disc)) / 2 of
-    x**2 + b*x + c, disc = b**2 - 4c > 0, in increasing order (polyroots'),
-    each with imaginary part 0.
+    x**2 + b*x + c, disc = b**2 - 4c > 0, in increasing order (as
+    rootfind.root_centers sorts them), each with imaginary part 0.
 
     With sqrt(disc) * 2**prec = s + t, s an integer and 0 <= t < 1, and
     a = -b * 2**prec: floor((a + s + t) / 2) = (a + s) >> 1, and
@@ -91,26 +85,6 @@ def _real_quadratic_centers(b: int, disc: int, prec: int) -> list[tuple[Fraction
     return [(Fraction(lo, 1 << prec), Fraction(0)), (Fraction((a + s) >> 1, 1 << prec), Fraction(0))]
 
 
-def _polyroots_centers(f: IntPoly, prec: int) -> list[tuple[Fraction, Fraction]] | None:
-    """floor(z * 2**prec) / 2**prec, real and imaginary part, for mpmath's
-    approximations z of the roots of f; None when mpmath does not converge."""
-    import mpmath   # here, not at the top: only degree >= 3 or non-real roots need it
-
-    with mpmath.workprec(prec + 64):
-        try:
-            approx = mpmath.polyroots(
-                [mpmath.mpf(c) for c in reversed(f.coeffs)],
-                maxsteps=200,
-                extraprec=prec,
-            )
-        except mpmath.libmp.NoConvergence:
-            return None
-        return [
-            (_to_fraction(mpmath.mpc(z).real, prec), _to_fraction(mpmath.mpc(z).imag, prec))
-            for z in approx
-        ]
-
-
 def _certify_at_precision(f: IntPoly, prec: int, tol: Fraction) -> tuple[RootDisk, ...] | None:
     deg = f.degree()
     fp = f.derivative()
@@ -119,7 +93,9 @@ def _certify_at_precision(f: IntPoly, prec: int, tol: Fraction) -> tuple[RootDis
     if deg == 2 and disc > 0:
         centers = _real_quadratic_centers(b, disc, prec)
     else:
-        centers = _polyroots_centers(f, prec)
+        from .rootfind import root_centers   # here, not at the top: only these roots need it
+
+        centers = root_centers(f, prec)
         if centers is None:
             return None
     disks = []
@@ -319,12 +295,26 @@ def compare_with_power(a: int, gamma: Fraction, n: int) -> int:
 
 
 def _pow2_upper(num: int, den: int, bits: int = 32) -> Fraction:
-    """Rational upper bound for 2**(num/den)."""
-    target = 1 << (num + den * bits)  # t^den >= 2^(num + den*bits)
-    t = iroot(target, den)
-    if t ** den < target:
-        t += 1
-    return Fraction(t, 1 << bits)
+    """Rational upper bound for 2**(num/den): t / 2**bits for the least
+    integer t with t**den >= 2**(num + den*bits).
+
+    Integer Newton steps for the den-th root of 2**e, e = num + den*bits,
+    fall from a float estimate just above it to floor(2**(e/den)) and stop
+    there; t is that floor, or one more.  The estimate is within a relative
+    2**-40 of the root, so for the usual t of about 32 bits two steps, each
+    one power, settle it; a wider t takes a step per doubling of its bits.
+    """
+    e = num + den * bits
+    target = 1 << e
+    q, r = divmod(e, den)
+    shift = max(q - 50, 0)   # keeps the estimate within the double range
+    t = (math.ceil(2.0 ** (q - shift + r / den) * (1 + 2.0 ** -40)) + 1) << shift
+    while True:
+        power = t ** (den - 1)
+        lower = ((den - 1) * t + target // power) // den
+        if lower >= t:
+            return Fraction(t if power * t == target else t + 1, 1 << bits)
+        t = lower
 
 
 _MAX_POWER = 10 ** 6

@@ -11,7 +11,6 @@ from __future__ import annotations
 import errno
 import io
 import json
-import logging
 import os
 import re
 import stat
@@ -49,6 +48,8 @@ GOLDENS = {
     "scan-wieferich-d5.csv": ["scan-wieferich", "--d", "5", "--n-max", "60"],
     "scan-wieferich-cubic.csv": ["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "40"],
     "scan-wieferich-golden-ratio.csv": ["scan-wieferich", "--minpoly=-1,-1,1", "--n-max", "30"],
+    # x^3 - 10^400 x - 1: two roots near +-10^200, one near -10^-400
+    "scan-wieferich-wide-cubic.csv": ["scan-wieferich", f"--minpoly=-1,-{10 ** 400},0,1", "--n-max", "1"],
     "abc-quality-d2.csv": ["abc-quality", "--d", "2", "--n-max", "40"],
     "abc-quality-d2.json": ["abc-quality", "--d", "2", "--n-max", "40", "--format", "json"],
 }
@@ -168,18 +169,18 @@ def test_bound_too_large_to_sieve_is_a_compute_error(tmp_path):
 
 @pytest.mark.parametrize("through_env", [False, True])
 @pytest.mark.parametrize("where", ["directory", "missing directory"])
-def test_unwritable_cache_is_warned_after_the_payload(where, through_env, monkeypatch, caplog, tmp_path):
+def test_unwritable_cache_is_warned_after_the_payload(where, through_env, monkeypatch, capsys, tmp_path):
     path = tmp_path if where == "directory" else tmp_path / "missing" / "cache.txt"
     argv = ["field-info", "--d", "2"]
     if through_env:
         monkeypatch.setenv(cli.CACHE_ENV_VAR, str(path))
     else:
         argv += ["--cache", str(path)]
-    with caplog.at_level(logging.INFO, logger="prational"):
-        assert run_cli(argv, tmp_path / "out") == (GOLDEN / "field-info-d2.txt").read_bytes()
+    assert run_cli(argv, tmp_path / "out") == (GOLDEN / "field-info-d2.txt").read_bytes()
+    messages = capsys.readouterr().err.splitlines()
     reason = "Is a directory" if where == "directory" else "No such file or directory"
-    assert caplog.messages[-1] == f"cache {path} not written ({reason})"
-    assert not any("entries stored" in message for message in caplog.messages)
+    assert messages[-1] == f"cache {path} not written ({reason})"
+    assert not any("entries stored" in message for message in messages)
 
 
 def test_cache_load_skips_inexact_partial_entries(tmp_path):
@@ -195,12 +196,11 @@ def test_minpoly_value_may_follow_a_space(tmp_path):
     assert run_cli(argv, tmp_path / "out") == (GOLDEN / "scan-wieferich-cubic.csv").read_bytes()
 
 
-def test_empty_count_window_is_warned(caplog, tmp_path):
+def test_empty_count_window_is_warned(capsys, tmp_path):
     argv = ["scan-wieferich", "--d", "2", "--n-max", "30", "--X", "1e29"]
-    with caplog.at_level(logging.WARNING, logger="prational"):
-        payload = run_cli(argv, tmp_path / "out").decode()
+    payload = run_cli(argv, tmp_path / "out").decode()
     assert "# window_n_start=32\n# window_n_stop=18\n" in payload
-    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning: ")]
     assert len(warnings) == 1 and "n_start=32 > n_stop=18" in warnings[0]
 
 
@@ -208,6 +208,7 @@ def test_huge_bound_beyond_the_records_is_a_compute_error(capsys, tmp_path):
     argv = ["scan-wieferich", "--d", "2", "--n-max", "30", "--X", "1e4299"]
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_COMPUTE
     assert capsys.readouterr().err == (
+        "factoring: 19 rows settled by trial division below 1000000, 0 searched, 0 partial\n"
         "error: records cover n <= 30 but the window needs n <= 2773\n"
     )
 
@@ -258,7 +259,8 @@ def test_strict_refuses_partial_rows(argv, capsys, tmp_path):
     assert partial == PARTIAL_ROWS[argv[0]]
     capsys.readouterr()
     assert cli.main([*argv, "--strict", "--out", str(tmp_path / "strict")]) == cli.EXIT_COMPUTE
-    assert capsys.readouterr().err == "error: factor budget exhausted under --strict\n"
+    log, error = capsys.readouterr().err.splitlines()   # the factoring line comes first
+    assert log.startswith("factoring: ") and error == "error: factor budget exhausted under --strict"
 
 
 @pytest.mark.parametrize(
@@ -272,18 +274,17 @@ def test_strict_refuses_partial_rows(argv, capsys, tmp_path):
         "15\t3^1,5^2\t1",  # does not multiply back
     ],
 )
-def test_corrupt_cache_line_is_skipped_with_one_warning(bad_line, caplog, tmp_path):
+def test_corrupt_cache_line_is_skipped_with_one_warning(bad_line, capsys, tmp_path):
     path = tmp_path / "cache.txt"
     path.write_text(f"15\t3^1,5^1\t1\n{bad_line}\n21\t3^1,7^1\t1\n")
-    with caplog.at_level(logging.WARNING, logger="prational"):
-        cache = cli.cache_load(path)
+    cache = cli.cache_load(path)
     complete = factorint.Status.COMPLETE
     assert cache.entries == {15: (((3, 1), (5, 1)), 1, complete), 21: (((3, 1), (7, 1)), 1, complete)}
-    warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith(f"cache {path} ")]
     assert len(warnings) == 1 and "line 2 corrupt" in warnings[0]
 
 
-def test_warm_run_on_a_corrupt_cache_matches_the_cold_run(caplog, tmp_path):
+def test_warm_run_on_a_corrupt_cache_matches_the_cold_run(capsys, tmp_path):
     argv = ["abc-quality", "--d", "2", "--n-max", "40", "--cache", str(tmp_path / "cache.txt")]
     expected = (GOLDEN / "abc-quality-d2.csv").read_bytes()
     assert run_cli(argv, tmp_path / "cold") == expected
@@ -296,9 +297,9 @@ def test_warm_run_on_a_corrupt_cache_matches_the_cold_run(caplog, tmp_path):
     value, factors, cofactor = lines[25].split("\t")
     lines[25] = f"{value}\t{factors}\t{int(cofactor) + 1}"   # does not multiply back
     path.write_text("\n".join(lines) + "\n")
-    with caplog.at_level(logging.WARNING, logger="prational"):
-        assert run_cli(argv, tmp_path / "warm") == expected
-    assert re.findall(r" line (\d+) corrupt", caplog.text) == ["6", "16", "26"]
+    capsys.readouterr()
+    assert run_cli(argv, tmp_path / "warm") == expected
+    assert re.findall(r" line (\d+) corrupt", capsys.readouterr().err) == ["6", "16", "26"]
 
 
 def test_abc_run_factors_each_integer_once(monkeypatch, tmp_path):
@@ -341,11 +342,11 @@ def test_abc_run_factors_each_integer_once(monkeypatch, tmp_path):
     assert len(calls) - len(hits) == len(set(calls))
 
 
-def test_abc_run_logs_its_factoring(caplog, tmp_path):
+def test_abc_run_logs_its_factoring(capsys, tmp_path):
     argv = ["abc-quality", "--d", "2", "--n-max", "60", "--factor-budget", "0"]
-    with caplog.at_level(logging.INFO, logger="prational"):
-        run_cli(argv, tmp_path / "out")
-    assert "factoring: 60 cyclotomic norms factored for 60 rows, 1 partial" in caplog.messages
+    run_cli(argv, tmp_path / "out")
+    messages = capsys.readouterr().err.splitlines()
+    assert "factoring: 60 cyclotomic norms factored for 60 rows, 1 partial" in messages
 
 
 def test_warm_abc_run_builds_no_large_sieve(monkeypatch, tmp_path):
@@ -389,16 +390,15 @@ def test_wieferich_payload_does_not_depend_on_the_table(tmp_path):
     assert run_cli([*argv, "--cache", str(full)], tmp_path / "warm") == cold
 
 
-def test_scan_power_one_shares_the_table_with_abc_quality(caplog, tmp_path):
+def test_scan_power_one_shares_the_table_with_abc_quality(capsys, tmp_path):
     """At scan power 1 (d = 3) scan-wieferich factors the norms of the
     Phi_n(eps) that abc-quality factored: each is a hit, none is new."""
     argv = ["scan-wieferich", "--d", "3", "--n-max", "40"]
     cold = run_cli(argv, tmp_path / "cold")
     cache = tmp_path / "cache.txt"
     run_cli(["abc-quality", "--d", "3", "--n-max", "40", "--cache", str(cache)], tmp_path / "abc")
-    with caplog.at_level(logging.INFO, logger="prational"):
-        assert run_cli([*argv, "--cache", str(cache)], tmp_path / "shared") == cold
-    assert caplog.messages[-1] == "cache: 25 hits, 0 new entries stored"
+    assert run_cli([*argv, "--cache", str(cache)], tmp_path / "shared") == cold
+    assert capsys.readouterr().err.splitlines()[-1] == "cache: 25 hits, 0 new entries stored"
 
 
 def test_trial_phase_entries_round_trip_through_the_cache_file(tmp_path):
@@ -418,33 +418,31 @@ def test_trial_phase_entries_round_trip_through_the_cache_file(tmp_path):
     assert reloaded.entries == {n: (factors, 1, factorint.Status.COMPLETE)}
 
 
-def test_no_search_budget_leaves_trial_decided_rows_sufficient(caplog, tmp_path):
+def test_no_search_budget_leaves_trial_decided_rows_sufficient(capsys, tmp_path):
     # with --factor-budget 0 these rows were partial; their trial phase decides them
     argv = ["scan-wieferich", "--d", "5", "--n-max", "60", "--factor-budget", "0"]
-    with caplog.at_level(logging.INFO, logger="prational"):
-        rows = _rows(run_cli(argv, tmp_path / "out"))
+    rows = _rows(run_cli(argv, tmp_path / "out"))
     status = {row["n"]: row["factor_status"] for row in rows}
     assert [n for n, f in status.items() if f == "sufficient"] == ["31", "37", "49", "53", "55", "57", "59"]
     assert [n for n, f in status.items() if f == "partial"] == ["41", "47"]
     golden = _rows((GOLDEN / "scan-wieferich-d5.csv").read_bytes())
     assert [r for r in rows if r["n"] not in ("41", "47")] == [r for r in golden if r["n"] not in ("41", "47")]
-    assert caplog.messages == [
+    assert capsys.readouterr().err.splitlines() == [
         "factoring: 33 rows settled by trial division below 1000000, 2 searched, 2 partial"
     ]
 
 
-def test_cache_line_counts_the_factor_calls_the_table_answers(caplog, tmp_path):
+def test_cache_line_counts_the_factor_calls_the_table_answers(capsys, tmp_path):
     """A search resumed from a trial-phase entry is no hit: the cold run on an
     empty file has none, and the warm run one per factor call, which is one
     per settled row and two per searched row."""
     cache = tmp_path / "cache.txt"
     cache.write_text("")
     argv = ["scan-wieferich", "--d", "2", "--n-max", "110", "--cache", str(cache)]
-    with caplog.at_level(logging.INFO, logger="prational"):
-        cold = run_cli(argv, tmp_path / "cold")
-        warm = run_cli(argv, tmp_path / "warm")
+    cold = run_cli(argv, tmp_path / "cold")
+    warm = run_cli(argv, tmp_path / "warm")
     assert warm == cold
-    assert caplog.messages == [
+    assert capsys.readouterr().err.splitlines() == [
         "factoring: 54 rows settled by trial division below 1000000, 6 searched, 0 partial",
         "cache: 0 hits, 60 new entries stored",
         "factoring: 54 rows settled by trial division below 1000000, 6 searched, 0 partial",
@@ -579,7 +577,9 @@ def test_closed_pipe_ends_quietly():
     proc.stderr.close()
 
 
-WATCHED_MODULES = ("dataclasses", "json", "logging", "mpmath", "prational.abcaudit", "prational.scans")
+WATCHED_MODULES = (
+    "dataclasses", "json", "logging", "mpmath", "prational.abcaudit", "prational.rootfind", "prational.scans",
+)
 
 
 def _loaded_modules(argv, tmp_path):
@@ -617,31 +617,58 @@ def test_commands_that_certify_no_roots_never_import_mpmath(argv, tmp_path):
     [
         (["scan-prational", "--d", "2", "--X", "100"], ["prational.scans"]),
         # the scans that factor log a "factoring:" line
-        (["abc-quality", "--d", "2", "--n-max", "10"], ["logging", "prational.abcaudit"]),
+        (["abc-quality", "--d", "2", "--n-max", "10"], ["prational.abcaudit"]),
         (["field-info", "--d", "2"], []),
-        (["scan-wieferich", "--d", "2", "--n-max", "10"], ["logging", "prational.scans"]),
-        # a cubic unit's roots come from mpmath, so the check sees the import
-        (["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "10"], ["logging", "mpmath", "prational.scans"]),
+        (["scan-wieferich", "--d", "2", "--n-max", "10"], ["prational.scans"]),
+        # only a unit of degree >= 3 or with non-real roots needs the root finder
+        (["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "10"], ["prational.rootfind", "prational.scans"]),
         # JSON output, and only it, loads json
         (["field-info", "--d", "2", "--format", "json"], ["json"]),
         (["scan-prational", "--d", "2", "--X", "100", "--format", "json"], ["json", "prational.scans"]),
-        (["scan-wieferich", "--d", "2", "--n-max", "10", "--format", "json"],
-         ["json", "logging", "prational.scans"]),
-        (["abc-quality", "--d", "2", "--n-max", "10", "--format", "json"],
-         ["json", "logging", "prational.abcaudit"]),
+        (["scan-wieferich", "--d", "2", "--n-max", "10", "--format", "json"], ["json", "prational.scans"]),
+        (["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "10", "--format", "json"],
+         ["json", "prational.rootfind", "prational.scans"]),
+        (["abc-quality", "--d", "2", "--n-max", "10", "--format", "json"], ["json", "prational.abcaudit"]),
     ],
 )
 def test_each_command_loads_only_the_modules_it_uses(argv, loaded, tmp_path):
     """A fresh process that runs the command loads of WATCHED_MODULES just
-    ``loaded``: no module of another command, never dataclasses, json only
-    where it writes JSON and logging only where it logs a line."""
+    ``loaded``: no module of another command, never dataclasses, logging or
+    mpmath, json only where it writes JSON, and the root finder only where
+    a unit's roots are neither rational nor real quadratic."""
     assert _loaded_modules(argv, tmp_path) == f"{loaded!r}\n"
 
 
 def test_field_info_loads_logging_only_to_log_its_cache_line(tmp_path):
+    """It loaded logging only to log its cache line; now the line is
+    printed, and no run loads logging."""
     argv = ["field-info", "--d", "2"]
     assert "'logging'" not in _loaded_modules(argv, tmp_path)
-    assert "'logging'" in _loaded_modules([*argv, "--cache", str(tmp_path / "cache")], tmp_path)
+    assert "'logging'" not in _loaded_modules([*argv, "--cache", str(tmp_path / "cache")], tmp_path)
+
+
+def _run_without_mpmath(argv):
+    """Run the command in a fresh process in which importing mpmath fails."""
+    code = (
+        "import sys\n"
+        "sys.modules['mpmath'] = None\n"
+        "from prational import cli\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("name", ["scan-wieferich-cubic.csv", "scan-wieferich-wide-cubic.csv"])
+def test_roots_are_certified_without_mpmath(name):
+    proc = _run_without_mpmath(GOLDENS[name])
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_OK, (GOLDEN / name).read_bytes())
+
+
+def test_salem_quartic_is_undecided_without_mpmath():
+    proc = _run_without_mpmath(["scan-wieferich", "--minpoly=1,-1,-1,-1,1", "--n-max", "12", "--precision-cap", "512"])
+    assert proc.returncode == cli.EXIT_COMPUTE
+    assert proc.stderr == b"error: could not decide whether x^4 - x^3 - x^2 - x + 1 has a root on the unit circle\n"
 
 
 @pytest.mark.parametrize(

@@ -1,14 +1,15 @@
 import itertools
 import math
+import os
 import re
 from fractions import Fraction
 
 import pytest
 
-from prational import numerics
+from prational import numerics, rootfind
 from prational.errors import NonConvergenceError, NotAUnitError, NotSquarefreeError
 from prational.numerics import certify_roots, growth_constants, ln
-from prational.polyarith import IntPoly, cyclotomic, euler_phi, power_poly, resultant
+from prational.polyarith import IntPoly, cyclotomic, euler_phi, iroot, power_poly, resultant
 from prational.quadfield import make_field, minpoly_of
 
 PELL = IntPoly.of(-1, -2, 1)          # 1 + sqrt(2)
@@ -50,14 +51,16 @@ class TestCertifyRoots:
             assert numerics._real_quadratic_centers(b, b * b - 4 * c, prec) == expected, f
 
     def test_only_non_real_quadratic_roots_go_through_mpmath(self, monkeypatch):
+        """Only non-real quadratic roots go through the root finder that
+        replaced mpmath's polyroots, rootfind.root_centers."""
         calls = []
-        polyroots_centers = numerics._polyroots_centers
+        root_centers = rootfind.root_centers
 
         def recorded(f, prec):
             calls.append(f)
-            return polyroots_centers(f, prec)
+            return root_centers(f, prec)
 
-        monkeypatch.setattr(numerics, "_polyroots_centers", recorded)
+        monkeypatch.setattr(rootfind, "root_centers", recorded)
         growth_constants(certify_roots(PELL))
         assert calls == []
         on_circle = IntPoly.of(1, 1, 1)
@@ -120,6 +123,127 @@ class TestCertifyRoots:
     def test_not_squarefree(self):
         with pytest.raises(NotSquarefreeError):
             certify_roots(IntPoly.of(1, -2, 1))
+
+
+ORACLE_PRECS = (64, 128, 256, 1024)
+# every polynomial of degree 3, and about a hundred of each higher degree;
+# PRATIONAL_ORACLE_ALL=1 checks every one of them (about an hour)
+ORACLE_STRIDE = {3: 1, 4: 5, 5: 47, 6: 337}
+
+
+def small_units(degree, stride=1):
+    """The certifiable polynomials of the degree with constant term +-1 and
+    other coefficients in [-3, 3]: monic, irreducible over Q (sympy), so
+    squarefree units with no cyclotomic factor of lower degree.  One in
+    ``stride`` of them, in a fixed order."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    shapes = itertools.product(itertools.product(range(-3, 4), repeat=degree - 1), (-1, 1))
+    for middle, c0 in itertools.islice(shapes, 0, None, stride):
+        f = IntPoly.of(c0, *middle, 1)
+        if sympy.Poly(list(reversed(f.coeffs)), x).is_irreducible:
+            yield f
+
+
+def mpmath_centers(f, precs, extraprec=32):
+    """{prec: centers} with the centers as rootfind.root_centers defines them, from
+    mpmath.polyroots to max(precs) + 128 bits: each root z rounded to
+    prec + 64 bits, then floor(part * 2**prec) / 2**prec, in polyroots'
+    order.  None when polyroots does not converge."""
+    import mpmath
+
+    work = max(precs) + 128
+    with mpmath.workprec(work):
+        try:
+            roots = [mpmath.mpc(z) for z in mpmath.polyroots(list(reversed(f.coeffs)), maxsteps=400, extraprec=extraprec)]
+        except mpmath.libmp.NoConvergence:
+            return None
+    centers = {}
+    for prec in precs:
+        with mpmath.workprec(prec + 64):
+            centers[prec] = [
+                tuple(Fraction(int(mpmath.floor(+part * 2 ** prec)), 2 ** prec) for part in (z.real, z.imag))
+                for z in roots
+            ]
+    return centers
+
+
+def same_up_to_ties(got, expected, prec):
+    """The same centers in the same order, except that two non-real roots
+    whose |im| agree to within 2**-prec may trade places: polyroots orders
+    such roots (conjugates, and roots mirrored in the imaginary axis) by
+    its rounding errors."""
+    unit = Fraction(1, 2 ** prec)
+    return sorted(got) == sorted(expected) and all(
+        a == b or (a[1] != 0 != b[1] and abs(abs(a[1]) - abs(b[1])) <= unit) for a, b in zip(got, expected)
+    )
+
+
+class TestRootCenters:
+    @pytest.mark.parametrize("degree", sorted(ORACLE_STRIDE))
+    def test_centers_match_mpmath_at_ample_precision(self, degree):
+        """Against mpmath.polyroots (test-only): equal floors, imaginary part
+        exactly 0 on each real root (as many as sympy.real_roots finds), and
+        polyroots' order."""
+        import sympy
+
+        stride = 1 if os.environ.get("PRATIONAL_ORACLE_ALL") == "1" else ORACLE_STRIDE[degree]
+        x = sympy.Symbol("x")
+        checked = 0
+        for f in small_units(degree, stride):
+            expected = mpmath_centers(f, ORACLE_PRECS)
+            assert expected is not None, f
+            real = len(sympy.real_roots(sympy.Poly(list(reversed(f.coeffs)), x)))
+            for prec in ORACLE_PRECS:
+                got = rootfind.root_centers(f, prec)
+                assert got is not None, (f, prec)
+                assert same_up_to_ties(got, expected[prec], prec), (f, prec)
+                assert sum(im == 0 for _, im in got) == real, (f, prec)
+            checked += 1
+        assert checked >= 25
+
+    def test_roots_beyond_the_double_range(self):
+        """x^3 - 10^400 x - 1 has roots near +-10^200, whose cubes are beyond
+        the double range, and one near -10^-400, below 2**-(prec + 63) at
+        each prec here, so it is 0.  Rounded to prec + 64 significant bits,
+        the large roots are too coarse to certify at 256 bits, as with
+        mpmath; at 512 and 1024 bits they are exactly +-10^200."""
+        f = IntPoly.of(-1, -10 ** 400, 0, 1)
+        for prec in (512, 1024):
+            got = rootfind.root_centers(f, prec)
+            assert same_up_to_ties(got, mpmath_centers(f, (prec,), extraprec=2000)[prec], prec)
+            assert got[1] == (0, 0)
+        tol = Fraction(10 ** -12)
+        assert numerics._certify_at_precision(f, 256, tol) is None
+        assert numerics._certify_at_precision(f, 512, tol) is not None
+
+    def test_no_convergence_is_none(self, monkeypatch):
+        monkeypatch.setattr(rootfind, "_MAX_SWEEPS", 2)
+        assert rootfind.root_centers(PLASTIC, 64) is None
+        with pytest.raises(NonConvergenceError, match="could not separate the roots"):
+            certify_roots(PLASTIC)
+
+
+def pow2_upper_by_bisection(num, den, bits=32):
+    """The earlier _pow2_upper: t from a bisection for the den-th root."""
+    target = 1 << (num + den * bits)
+    t = iroot(target, den)
+    if t ** den < target:
+        t += 1
+    return Fraction(t, 1 << bits)
+
+
+@pytest.mark.parametrize("bits", [0, 1, 32, 53, 64])
+def test_pow2_upper_matches_the_bisection(bits):
+    for num in [*range(0, 25), 52, 53, 64, 1000, 5000]:
+        for den in [1, 2, 3, 7, 16, 24, 53, 1000, 1024]:
+            assert numerics._pow2_upper(num, den, bits) == pow2_upper_by_bisection(num, den, bits), (num, den)
+
+
+def test_pow2_upper_of_a_wide_root():
+    # the n_start of x^16 - x - 1
+    assert numerics._pow2_upper(16, 24824) == pow2_upper_by_bisection(16, 24824)
 
 
 def circle_error(poly):
