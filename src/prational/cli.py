@@ -45,8 +45,17 @@ EXIT_BROKEN_PIPE = 141   # 128 + SIGPIPE, as a shell reports a writer killed by 
 
 
 def _log(message: str) -> None:
-    """Write one bare line to stderr, whatever sys.stderr is at the call."""
-    print(message, file=sys.stderr)
+    """Write one bare line to stderr, whatever sys.stderr is at the call.
+    A line that stderr cannot take is dropped, as a logging handler drops
+    it: stderr closed (sys.stderr is None), full, or a pipe with no reader."""
+    stream = sys.stderr
+    if stream is None:
+        return
+    try:
+        stream.write(message + "\n")
+        stream.flush()
+    except OSError:
+        pass
 
 
 _USAGE_ERRORS = (NotSquarefreeError, NotAUnitError, ValueError)

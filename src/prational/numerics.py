@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NonConvergenceError, NotAUnitError, NotSquarefreeError
-from .polyarith import IntPoly, cyclotomic, discriminant, prem, sqrt_bounds
+from .polyarith import IntPoly, cyclotomic, discriminant, iroot, prem, sqrt_bounds
 
 PRECISION_CAP_BITS = 2 ** 14
 _SQRT_BITS = 48   # precision of the rational square-root bounds on moduli and radii
@@ -295,26 +295,12 @@ def compare_with_power(a: int, gamma: Fraction, n: int) -> int:
 
 
 def _pow2_upper(num: int, den: int, bits: int = 32) -> Fraction:
-    """Rational upper bound for 2**(num/den): t / 2**bits for the least
-    integer t with t**den >= 2**(num + den*bits).
-
-    Integer Newton steps for the den-th root of 2**e, e = num + den*bits,
-    fall from a float estimate just above it to floor(2**(e/den)) and stop
-    there; t is that floor, or one more.  The estimate is within a relative
-    2**-40 of the root, so for the usual t of about 32 bits two steps, each
-    one power, settle it; a wider t takes a step per doubling of its bits.
-    """
-    e = num + den * bits
-    target = 1 << e
-    q, r = divmod(e, den)
-    shift = max(q - 50, 0)   # keeps the estimate within the double range
-    t = (math.ceil(2.0 ** (q - shift + r / den) * (1 + 2.0 ** -40)) + 1) << shift
-    while True:
-        power = t ** (den - 1)
-        lower = ((den - 1) * t + target // power) // den
-        if lower >= t:
-            return Fraction(t if power * t == target else t + 1, 1 << bits)
-        t = lower
+    """Rational upper bound for 2**(num/den)."""
+    target = 1 << (num + den * bits)  # t^den >= 2^(num + den*bits)
+    t = iroot(target, den)
+    if t ** den < target:
+        t += 1
+    return Fraction(t, 1 << bits)
 
 
 _MAX_POWER = 10 ** 6

@@ -577,6 +577,28 @@ def test_closed_pipe_ends_quietly():
     proc.stderr.close()
 
 
+def _abc_run_with_stderr(redirect, tmp_path, *args):
+    """Run abc-quality, which logs a factoring line and a cache line, in a
+    shell with ``redirect`` applied to its stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "prational", *GOLDENS["abc-quality-d2.csv"], "--cache", str(tmp_path / "cache.txt"), *args]
+    return subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", *argv], stdout=subprocess.PIPE, env=env, timeout=60)
+
+
+def test_closed_stderr_leaves_the_payload_alone(tmp_path):
+    # sys.stderr is None: the log lines go nowhere, not to stdout
+    proc = _abc_run_with_stderr("2>&-", tmp_path)
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_OK, (GOLDEN / "abc-quality-d2.csv").read_bytes())
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_full_stderr_keeps_the_exit_code_and_the_out_file(tmp_path):
+    proc = _abc_run_with_stderr("2>/dev/full", tmp_path, "--out", str(tmp_path / "out.csv"))
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_OK, b"")
+    assert (tmp_path / "out.csv").read_bytes() == (GOLDEN / "abc-quality-d2.csv").read_bytes()
+    assert (tmp_path / "cache.txt").exists()
+
+
 WATCHED_MODULES = (
     "dataclasses", "json", "logging", "mpmath", "prational.abcaudit", "prational.rootfind", "prational.scans",
 )

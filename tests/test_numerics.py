@@ -1,15 +1,15 @@
 import itertools
 import math
-import os
 import re
 from fractions import Fraction
 
 import pytest
 
+from integer_root import iroot_by_bisection
 from prational import numerics, rootfind
 from prational.errors import NonConvergenceError, NotAUnitError, NotSquarefreeError
 from prational.numerics import certify_roots, growth_constants, ln
-from prational.polyarith import IntPoly, cyclotomic, euler_phi, iroot, power_poly, resultant
+from prational.polyarith import IntPoly, cyclotomic, euler_phi, power_poly, resultant
 from prational.quadfield import make_field, minpoly_of
 
 PELL = IntPoly.of(-1, -2, 1)          # 1 + sqrt(2)
@@ -126,8 +126,7 @@ class TestCertifyRoots:
 
 
 ORACLE_PRECS = (64, 128, 256, 1024)
-# every polynomial of degree 3, and about a hundred of each higher degree;
-# PRATIONAL_ORACLE_ALL=1 checks every one of them (about an hour)
+# every polynomial of degree 3, and about a hundred of each higher degree
 ORACLE_STRIDE = {3: 1, 4: 5, 5: 47, 6: 337}
 
 
@@ -188,10 +187,9 @@ class TestRootCenters:
         polyroots' order."""
         import sympy
 
-        stride = 1 if os.environ.get("PRATIONAL_ORACLE_ALL") == "1" else ORACLE_STRIDE[degree]
         x = sympy.Symbol("x")
         checked = 0
-        for f in small_units(degree, stride):
+        for f in small_units(degree, ORACLE_STRIDE[degree]):
             expected = mpmath_centers(f, ORACLE_PRECS)
             assert expected is not None, f
             real = len(sympy.real_roots(sympy.Poly(list(reversed(f.coeffs)), x)))
@@ -228,7 +226,7 @@ class TestRootCenters:
 def pow2_upper_by_bisection(num, den, bits=32):
     """The earlier _pow2_upper: t from a bisection for the den-th root."""
     target = 1 << (num + den * bits)
-    t = iroot(target, den)
+    t = iroot_by_bisection(target, den)
     if t ** den < target:
         t += 1
     return Fraction(t, 1 << bits)

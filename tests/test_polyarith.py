@@ -5,6 +5,7 @@ import pytest
 import sympy
 from hypothesis import given, strategies as st
 
+from integer_root import iroot_by_bisection
 from prational import factorint
 from prational.errors import PartialFactorizationError
 from prational.polyarith import (
@@ -318,6 +319,18 @@ class TestIntegerRoots:
     def test_iroot_is_the_floor(self, n, k):
         r = iroot(n, k)
         assert r ** k <= n < (r + 1) ** k
+
+    @pytest.mark.parametrize("k", [3, 5, 24, 53, 1000, 24824])
+    @pytest.mark.parametrize("bits", [1, 2, 40, 53, 64, 200, 3000])
+    def test_iroot_matches_the_bisection(self, k, bits):
+        """Roots from 1 to thousands of bits, exact powers and their
+        neighbours among them."""
+        for n in {2 ** bits - 1, 2 ** bits, 2 ** bits + 1, 3 ** (bits // 2 + 1), 10 ** (bits // 3 + 1) + 7}:
+            r = iroot_by_bisection(n, k)
+            assert iroot(n, k) == r, (n.bit_length(), k)
+            for m in {r ** k - 1, r ** k, r ** k + 1, (r + 1) ** k - 1}:
+                if m >= 0:
+                    assert iroot(m, k) == iroot_by_bisection(m, k), (m.bit_length(), k)
 
     @given(st.fractions(min_value=0, max_value=10 ** 9))
     def test_sqrt_bounds_enclose(self, q):
