@@ -25,6 +25,7 @@ from .factorint import (
     radical_of_ideal,
     split_unit_power,
 )
+from .numerics import ln
 from .quadfield import QuadField, QuadInt
 
 
@@ -62,13 +63,12 @@ def height(F: QuadField, a: QuadInt, b: QuadInt, c: QuadInt) -> Height:
     for x in (a, b, c):
         if x.is_zero():
             raise ValueError("height needs nonzero arguments")
-    lo = hi = 0.0
-    bounds = [x.embedding_bounds() for x in (a, b, c)]
-    for place in (0, 1):
-        best_lo = max(float(b_[place][0]) for b_ in bounds)
-        best_hi = max(float(b_[place][1]) for b_ in bounds)
-        lo += math.log(best_lo)
-        hi += math.log(best_hi)
+    # sqrt(d) to 2 bits per bit of the coordinates beyond 96, so that a
+    # conjugate near 1/|y| is bounded as tightly as one near |y|
+    bits = 96 + 2 * max(t.bit_length() for x in (a, b, c) for t in (x.x, x.y))
+    bounds = [x.embedding_bounds(bits) for x in (a, b, c)]
+    lo = sum(ln(max(b_[place][0] for b_ in bounds)) for place in (0, 1))
+    hi = sum(ln(max(b_[place][1] for b_ in bounds)) for place in (0, 1))
     finite = 0.0
     if math.gcd(a.norm(), b.norm(), c.norm()) > 1:
         splits = [ideal_valuations(F, x) for x in (a, b, c)]

@@ -21,17 +21,10 @@ from pathlib import Path
 
 # A process imports only what its command uses: scans and abcaudit in the
 # handlers that need them (field-info needs neither), and json only where JSON
-# is written.  Log lines are printed (_log), not sent through logging.  The
+# is written.  Every stderr line goes through _log, not logging.  The
 # records are NamedTuples, so no module imports the dataclass machinery.
 from . import factorint, numerics
-from .errors import (
-    InsufficientRecordsError,
-    NonConvergenceError,
-    NotAUnitError,
-    NotSquarefreeError,
-    PartialFactorizationError,
-    TooLargeDiscriminantError,
-)
+from .errors import PartialFactorizationError
 from .polyarith import IntPoly
 from .quadfield import excluded_prime_bound, make_field, minpoly_of
 
@@ -58,19 +51,6 @@ def _log(message: str) -> None:
         pass
 
 
-_USAGE_ERRORS = (NotSquarefreeError, NotAUnitError, ValueError)
-_COMPUTE_ERRORS = (
-    NonConvergenceError,
-    PartialFactorizationError,
-    TooLargeDiscriminantError,
-    InsufficientRecordsError,
-    # an internal inconsistency (factorint's ideal valuations, polyarith's
-    # power sums), or an OverflowError: scan-prational with an --X too large
-    # to sieve
-    ArithmeticError,
-)
-
-
 class FactorCache:
     """The factor table of one run: every integer the scans factor, keyed by
     its absolute value.  The handlers pass it to ``factorint.factor`` as
@@ -79,7 +59,7 @@ class FactorCache:
     ``entries`` maps each integer to (factors, cofactor, factorint.Status):
     a searched factorization (COMPLETE, or PARTIAL when the factor budget
     ran out) or a trial-phase one (TRIAL, the cofactor never searched).
-    ``hits`` counts the factor calls that the table answers.
+    ``hits`` counts the factor calls that the table answers, not a resumed search.
 
     File format: one entry per line, ``value<TAB>p1^e1,p2^e2,...<TAB>cofactor``,
     with a fourth field ``trial`` on a trial-phase entry.  Corrupt lines are
@@ -100,11 +80,16 @@ class FactorCache:
 
     def record(self, value: int, factors, cofactor: int, status):
         """Take what a factor call computed: a new integer, or the search it
-        resumed from a TRIAL entry, which the searched entry replaces.  The
-        lookup that found the TRIAL entry answered nothing, so it is no hit."""
-        if value in self.entries:
+        resumed from a TRIAL or PARTIAL entry, which the searched entry
+        replaces; an entry equal to the one held is not stored again.  The
+        lookup that found the entry answered nothing, so it is no hit."""
+        entry = (tuple(factors), cofactor, status)
+        held = self.entries.get(value)
+        if held is not None:
             self.hits -= 1
-        self.entries[value] = (tuple(factors), cofactor, status)
+            if held == entry:
+                return
+        self.entries[value] = entry
         self.new_keys[value] = None
 
 
@@ -558,6 +543,8 @@ def _validate(args) -> None:
         raise ValueError("--X must be >= 1")
     if getattr(args, "minpoly", None) is None and getattr(args, "d", None) is None:
         raise ValueError("select a field with --d (or --minpoly where supported)")
+    if getattr(args, "minpoly", None) is not None and (args.d, args.class_number) != (None, None):
+        raise ValueError("--minpoly excludes --d and --class-number")
     if getattr(args, "d", None) is not None and args.d < 2:
         raise ValueError("--d must be >= 2")
     if getattr(args, "factor_budget", 0) < 0:
@@ -634,11 +621,12 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 _log(f"cache: {cache.hits} hits, {fresh} new entries stored")
         return code
-    except _COMPUTE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # the class sets the exit code (see errors); no class is both
+    except ArithmeticError as exc:   # also an OverflowError: an --X too large to sieve
+        _log(f"error: {exc}")
         return EXIT_COMPUTE
-    except _USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except ValueError as exc:
+        _log(f"error: {exc}")
         return EXIT_USAGE
     except BrokenPipeError:
         # the reader stopped early (``| head``): no message; point stdout at

@@ -415,11 +415,12 @@ def factor(
 
     ``cache`` is a factor table with ``lookup`` and ``record`` (see
     cli.FactorCache): answered from it when it holds |n|, recorded in it
-    otherwise, once per call.  A TRIAL entry never answers a call that
-    searches; that call resumes the search on the entry's cofactor, without
+    otherwise, once per call.  A TRIAL or PARTIAL entry never answers a call
+    that searches; that call resumes the search from the trial phase (the
+    TRIAL entry, or what the trial phase gives on the PARTIAL one), without
     trial division, and records what it finds in the entry's place.  A
     searched entry answers a call with ``search=False`` by what the trial
-    phase alone would give, so the result depends only on n and the options."""
+    phase alone would give."""
     if n == 0:
         raise ValueError("cannot factor 0")
     sign = -1 if n < 0 else 1
@@ -432,7 +433,7 @@ def factor(
         cofactor = m ** mult
     else:
         factors, cofactor, status = hit
-        if status is not Status.TRIAL and not search:
+        if status is Status.PARTIAL or status is Status.COMPLETE and not search:
             factors, cofactor, status = _trial_view(factors, cofactor, trial_bound)
     if status is not Status.TRIAL or not search:
         if hit is None and cache is not None:

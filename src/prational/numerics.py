@@ -145,23 +145,23 @@ def certify_roots(minpoly: IntPoly, precision_cap: int = PRECISION_CAP_BITS) -> 
     if m == 1:
         root = -f.constant()
         return AlgebraicUnit(f, 1, (RootDisk(Fraction(root), Fraction(0), Fraction(0)),))
-    disks = _enclose(f, 1e-12, precision_cap)
+    disks, _ = _enclose(f, 1e-12, precision_cap)
     h = _factor_from_roots(f, disks)
     if h is not None:
         raise NotAUnitError(f"{f.pretty()} is reducible: {h.pretty()} divides it")
     return AlgebraicUnit(f, m, disks)
 
 
-def _enclose(f: IntPoly, tol: float, precision_cap: int) -> tuple[RootDisk, ...]:
+def _enclose(f: IntPoly, tol: float, precision_cap: int, prec: int = 64) -> tuple[tuple[RootDisk, ...], int]:
     """Disjoint certified disks of radius below tol > 0 around the roots of a
-    monic squarefree f of degree >= 2, at the first of 64, 128, 256, ... bits
-    that gives them.  Raises NonConvergenceError beyond ``precision_cap``."""
+    monic squarefree f of degree >= 2, at the first of prec, 2*prec,
+    4*prec, ... bits that gives them, and that precision.  Raises
+    NonConvergenceError beyond ``precision_cap``."""
     tol_frac = Fraction(tol)
-    prec = 64
     while prec <= precision_cap:
         disks = _certify_at_precision(f, prec, tol_frac)
         if disks is not None:
-            return disks
+            return disks, prec
         prec *= 2
     raise NonConvergenceError(
         f"could not separate the roots of {f.pretty()} below {precision_cap} bits"
@@ -225,9 +225,12 @@ def _sides(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BITS) -> tupl
     """Disks around the unit's roots, each certified entirely inside (-1) or
     outside (+1) the unit circle, and those sides; the unit's own disks are
     refined with ever smaller radii as needed.  Raises NonConvergenceError
-    at the precision cap."""
+    at the precision cap.  Each refinement starts at the precision that
+    certified the one before: a precision that fails a tol fails every
+    smaller one, so the disks are those that a start at 64 bits gives."""
     disks = unit.roots
     tol = float(min((d.radius for d in disks if d.radius > 0), default=Fraction(1, 10 ** 12)))
+    prec = 64
     for _ in range(64):
         sides = []
         for disk in disks:
@@ -243,7 +246,7 @@ def _sides(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BITS) -> tupl
         if tol <= 0.0:
             break
         try:
-            disks = _enclose(unit.minpoly, tol, precision_cap)
+            disks, prec = _enclose(unit.minpoly, tol, precision_cap, prec)
         except NonConvergenceError:
             break
     raise NonConvergenceError("a root enclosure keeps straddling the unit circle")

@@ -274,8 +274,8 @@ def cyclotomic(n: int) -> IntPoly:
 def power_poly(f: IntPoly, k: int) -> IntPoly:
     """Monic polynomial whose roots are the k-th powers of the roots of f.
 
-    f must be monic.  Computed through Newton's identities on power sums, so
-    the result is exact; it is the characteristic polynomial of ``alpha**k``
+    f must be monic.  Computed in integers through Newton's identities (each
+    division is exact); it is the characteristic polynomial of ``alpha**k``
     acting on Q[x]/(f), hence the minimal polynomial whenever ``alpha**k``
     still generates the same field.
     """
@@ -288,26 +288,20 @@ def power_poly(f: IntPoly, k: int) -> IntPoly:
         return f
     # a[i] = coefficient of x^(m-i), Newton recurrence for power sums
     a = [f.coeffs[m - i] for i in range(m + 1)]
-    p = [Fraction(0)] * (m * k + 1)
+    p = [0] * (m * k + 1)
     for j in range(1, m * k + 1):
-        acc = Fraction(j * a[j]) if j <= m else Fraction(0)
+        acc = j * a[j] if j <= m else 0
         for i in range(1, min(j, m) + 1):
             acc += a[i] * p[j - i]
         p[j] = -acc
     # elementary symmetric functions of the powered roots
-    e = [Fraction(1)] + [Fraction(0)] * m
+    e = [1] + [0] * m
     for j in range(1, m + 1):
-        acc = Fraction(0)
+        acc = 0
         for i in range(1, j + 1):
             acc += (-1) ** (i - 1) * e[j - i] * p[i * k]
-        e[j] = acc / j
-    coeffs = []
-    for j in range(m, -1, -1):
-        v = (-1) ** j * e[j]
-        if v.denominator != 1:
-            raise ArithmeticError("power sums did not yield integer coefficients")
-        coeffs.append(int(v))
-    return IntPoly.of(*coeffs)
+        e[j] = acc // j
+    return IntPoly.of(*((-1) ** j * e[j] for j in range(m, -1, -1)))
 
 
 def iroot(n: int, k: int) -> int:

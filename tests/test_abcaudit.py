@@ -71,6 +71,27 @@ class TestHeight:
         assert abs(h.value - arch) < 1e-6
         assert h.width < 1e-9
 
+    @pytest.mark.parametrize("d, n_max", [(2, 80), (3, 100), (6, 60), (94, 48)])
+    def test_unit_triples_match_mpmath(self, d, n_max):
+        # the rows of abc-quality: at the conjugate place u**n is near
+        # 1/|y|, so the bounds on sqrt(d) must grow with y
+        import mpmath
+
+        F = make_field(d)
+        u = F.fundamental_unit
+        with mpmath.workdps(600):
+            w = [mpmath.sqrt(d), -mpmath.sqrt(d)]
+            if F.omega_half:
+                w = [(1 + r) / 2 for r in w]
+            for n in range(1, n_max + 1):
+                c = u ** n
+                a = c - 1
+                expected = sum(
+                    mpmath.log(max(abs(a.x + a.y * r), 1, abs(c.x + c.y * r))) for r in w
+                )
+                got = height(F, a, F.one(), c).value
+                assert abs(got - expected) <= 1e-12 * expected, n
+
     @pytest.mark.parametrize("k", [2, 3, 6, 7])
     def test_common_factor_cancels(self, field2, eps2, k):
         # the height is projective: scaling by k (2 ramified, 3 inert, 7 split

@@ -25,7 +25,7 @@ import pytest
 
 import sympy
 
-from prational import cli, factorint, numerics, quadfield
+from prational import cli, errors, factorint, numerics, quadfield
 from prational.polyarith import cyclotomic
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -191,6 +191,13 @@ def test_cache_load_skips_inexact_partial_entries(tmp_path):
     assert cli.cache_load(path).entries == {315: (((3, 2),), 35, factorint.Status.PARTIAL)}
 
 
+@pytest.mark.parametrize("field", [["--d", "2"], ["--class-number", "1"]])
+def test_minpoly_excludes_the_field_options(field, capsys):
+    argv = ["scan-wieferich", *field, "--minpoly=-1,-1,0,1", "--n-max", "3"]
+    assert cli.main(argv) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: --minpoly excludes --d and --class-number\n")
+
+
 def test_minpoly_value_may_follow_a_space(tmp_path):
     argv = ["scan-wieferich", "--minpoly", "-1,-1,0,1", "--n-max", "40"]
     assert run_cli(argv, tmp_path / "out") == (GOLDEN / "scan-wieferich-cubic.csv").read_bytes()
@@ -229,6 +236,38 @@ def test_non_convergence_is_a_compute_error(stall, argv, message, monkeypatch, c
     monkeypatch.setattr(*stall)
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_COMPUTE
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# the exit code of each error of prational.errors, as docs/formats.md gives it
+ERROR_EXIT_CODES = {
+    "NotSquarefreeError": cli.EXIT_USAGE,
+    "NotAUnitError": cli.EXIT_USAGE,
+    "RamifiedUnsupportedError": cli.EXIT_USAGE,
+    "NonConvergenceError": cli.EXIT_COMPUTE,
+    "PartialFactorizationError": cli.EXIT_COMPUTE,
+    "TooLargeDiscriminantError": cli.EXIT_COMPUTE,
+    "InsufficientRecordsError": cli.EXIT_COMPUTE,
+}
+
+
+def test_the_error_class_sets_the_exit_code(monkeypatch, capsys):
+    """Each error is a ValueError (exit 2) or an ArithmeticError (exit 3),
+    never both, and a run that raises it exits with that code."""
+    classes = {
+        name: cls for name, cls in vars(errors).items() if isinstance(cls, type) and issubclass(cls, Exception)
+    }
+    assert set(classes) == set(ERROR_EXIT_CODES)
+    for name, cls in classes.items():
+        usage = issubclass(cls, ValueError)
+        assert usage != issubclass(cls, ArithmeticError)
+        assert ERROR_EXIT_CODES[name] == (cli.EXIT_USAGE if usage else cli.EXIT_COMPUTE)
+
+        def fail(args, out, cls=cls):
+            raise cls("stopped")
+
+        monkeypatch.setattr(cli, "cmd_field_info", fail)
+        assert cli.main(["field-info", "--d", "2"]) == ERROR_EXIT_CODES[name]
+        assert capsys.readouterr() == ("", "error: stopped\n")
 
 
 def test_arithmetic_error_is_a_compute_error(monkeypatch, capsys, tmp_path):
@@ -388,6 +427,29 @@ def test_wieferich_payload_does_not_depend_on_the_table(tmp_path):
     cli.cache_store(full, table)
     assert run_cli([*argv, "--cache", str(full)], tmp_path / "complete") == cold
     assert run_cli([*argv, "--cache", str(full)], tmp_path / "warm") == cold
+    # a table whose searched rows a small budget left partial
+    partial = tmp_path / "partial.txt"
+    small = run_cli([*argv, "--factor-budget", "10", "--cache", str(partial)], tmp_path / "small")
+    assert [row["n"] for row in _rows(small) if row["factor_status"] == "partial"] == ["53", "67", "73", "77", "93"]
+    assert run_cli([*argv, "--cache", str(partial)], tmp_path / "after-small") == cold
+
+
+def test_abc_payload_does_not_depend_on_the_budget_of_the_table(capsys, tmp_path):
+    """A partial entry answers no search: on a table that --factor-budget 10
+    filled, the default budget writes the cold bytes.  The same small budget
+    again finds each partial entry as the table holds it and stores none."""
+    argv = ["abc-quality", "--d", "2", "--n-max", "80"]
+    cold = run_cli(argv, tmp_path / "cold")
+    table = tmp_path / "cache.txt"
+    small_argv = [*argv, "--factor-budget", "10", "--cache", str(table)]
+    small = run_cli(small_argv, tmp_path / "small")
+    assert [row["n"] for row in _rows(small) if row["factor_status"] == "partial"] == ["53", "67", "73", "77", "79"]
+    held = table.read_bytes()
+    capsys.readouterr()
+    assert run_cli(small_argv, tmp_path / "small-again") == small
+    assert capsys.readouterr().err.endswith(" 0 new entries stored\n")
+    assert table.read_bytes() == held
+    assert run_cli([*argv, "--cache", str(table)], tmp_path / "after-small") == cold
 
 
 def test_scan_power_one_shares_the_table_with_abc_quality(capsys, tmp_path):
@@ -531,6 +593,26 @@ def test_undecided_circle_test_is_a_compute_error(capsys, tmp_path):
     assert "could not decide whether x^4 - x^3 - x^2 - x + 1 has a root" in capsys.readouterr().err
 
 
+def test_refinements_of_the_circle_test_carry_their_precision(monkeypatch, capsys, tmp_path):
+    """Each refinement of the Salem number's disks starts at the precision
+    that certified the one before: 60 certifications, where restarting at
+    64 bits made 195, and the same exit code and message."""
+    precisions = []
+    real = numerics._certify_at_precision
+
+    def counted(f, prec, tol):
+        precisions.append(prec)
+        return real(f, prec, tol)
+
+    monkeypatch.setattr(numerics, "_certify_at_precision", counted)
+    argv = ["scan-wieferich", "--minpoly=1,-1,-1,-1,1", "--n-max", "12", "--precision-cap", "512"]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_COMPUTE
+    assert capsys.readouterr().err == (
+        "error: could not decide whether x^4 - x^3 - x^2 - x + 1 has a root on the unit circle\n"
+    )
+    assert len(precisions) == 60
+
+
 @pytest.mark.parametrize(
     "argv, code",
     [
@@ -577,12 +659,17 @@ def test_closed_pipe_ends_quietly():
     proc.stderr.close()
 
 
-def _abc_run_with_stderr(redirect, tmp_path, *args):
-    """Run abc-quality, which logs a factoring line and a cache line, in a
-    shell with ``redirect`` applied to its stderr."""
+def _run_with_stderr(redirect, argv):
+    """Run the command in a shell with ``redirect`` applied to its stderr."""
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    argv = [sys.executable, "-m", "prational", *GOLDENS["abc-quality-d2.csv"], "--cache", str(tmp_path / "cache.txt"), *args]
-    return subprocess.run(["sh", "-c", f'exec "$@" {redirect}', "sh", *argv], stdout=subprocess.PIPE, env=env, timeout=60)
+    shell = ["sh", "-c", f'exec "$@" {redirect}', "sh", sys.executable, "-m", "prational", *argv]
+    return subprocess.run(shell, stdout=subprocess.PIPE, env=env, timeout=60)
+
+
+def _abc_run_with_stderr(redirect, tmp_path, *args):
+    """Run abc-quality, which logs a factoring line and a cache line, with
+    ``redirect`` applied to its stderr."""
+    return _run_with_stderr(redirect, [*GOLDENS["abc-quality-d2.csv"], "--cache", str(tmp_path / "cache.txt"), *args])
 
 
 def test_closed_stderr_leaves_the_payload_alone(tmp_path):
@@ -591,12 +678,30 @@ def test_closed_stderr_leaves_the_payload_alone(tmp_path):
     assert (proc.returncode, proc.stdout) == (cli.EXIT_OK, (GOLDEN / "abc-quality-d2.csv").read_bytes())
 
 
-@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+
+
+@needs_dev_full
 def test_full_stderr_keeps_the_exit_code_and_the_out_file(tmp_path):
     proc = _abc_run_with_stderr("2>/dev/full", tmp_path, "--out", str(tmp_path / "out.csv"))
     assert (proc.returncode, proc.stdout) == (cli.EXIT_OK, b"")
     assert (tmp_path / "out.csv").read_bytes() == (GOLDEN / "abc-quality-d2.csv").read_bytes()
     assert (tmp_path / "cache.txt").exists()
+
+
+@pytest.mark.parametrize("redirect", ["2>&-", pytest.param("2>/dev/full", marks=needs_dev_full)])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["field-info", "--d", "4"], cli.EXIT_USAGE),
+        (["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "4", "--precision-cap", "0"], cli.EXIT_COMPUTE),
+    ],
+)
+def test_an_error_keeps_its_exit_code_when_stderr_cannot_take_it(redirect, argv, code):
+    # the error line is dropped as a log line is; it neither reaches stdout
+    # nor turns the exit code into 1
+    proc = _run_with_stderr(redirect, argv)
+    assert (proc.returncode, proc.stdout) == (code, b"")
 
 
 WATCHED_MODULES = (

@@ -234,6 +234,18 @@ class TestPowerPoly:
         with pytest.raises(ValueError):
             power_poly(IntPoly.of(1, 2), 2)
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_sympy_resultant(self, seed):
+        # Res_y(f(y), x - y**k) is prod (x - beta**k) over the roots beta of
+        # f, up to sign; degree <= 7, k <= 30, the extremes included
+        rng = random.Random(seed)
+        m, k = (7, 30) if seed == 0 else (rng.randint(1, 7), rng.randint(1, 30))
+        coeffs = [rng.randint(-5, 5) for _ in range(m)] + [1]
+        x, y = sympy.symbols("x y")
+        res = sympy.Poly(sympy.resultant(sum(c * y ** i for i, c in enumerate(coeffs)), x - y ** k, y), x)
+        expected = IntPoly.of(*(int(c) for c in reversed(res.monic().all_coeffs())))
+        assert power_poly(IntPoly.of(*coeffs), k) == expected
+
 
 class TestIntPoly:
     def test_ints_act_as_ring_elements(self):
