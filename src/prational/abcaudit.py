@@ -99,7 +99,7 @@ def unit_triple(F: QuadField, u: QuadInt, n: int, **factor_opts) -> AbcTriple:
     return _unit_triple_of(F, split_unit_power(F, u, n, **factor_opts), n)
 
 
-_UNIT_NORM = Factorization(1, 1, (), 1, Status.COMPLETE)
+_UNIT_NORM = Factorization(1, (), 1, Status.COMPLETE)
 
 
 def unit_power_factorizations(

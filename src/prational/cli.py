@@ -52,14 +52,15 @@ def _log(message: str) -> None:
 
 
 class FactorCache:
-    """The factor table of one run: every integer the scans factor, keyed by
-    its absolute value.  The handlers pass it to ``factorint.factor`` as
-    ``cache``; ``--cache`` loads it from a file and appends what the run added.
+    """The factor table of one run: the ``factorint.Factorization`` of every
+    integer the scans factor, keyed by its value.  The handlers pass it to
+    ``factorint.factor`` as ``cache``, which decides which entry answers
+    which call and counts those calls in ``hits``; ``--cache`` loads the
+    table from a file and appends what the run added.
 
-    ``entries`` maps each integer to (factors, cofactor, factorint.Status):
-    a searched factorization (COMPLETE, or PARTIAL when the factor budget
-    ran out) or a trial-phase one (TRIAL, the cofactor never searched).
-    ``hits`` counts the factor calls that the table answers, not a resumed search.
+    An entry is a proven fact: a COMPLETE factorization, or the TRIAL result
+    of the trial phase, whose cofactor was never searched.  A search that
+    ran out of budget is not an entry.
 
     File format: one entry per line, ``value<TAB>p1^e1,p2^e2,...<TAB>cofactor``,
     with a fourth field ``trial`` on a trial-phase entry.  Corrupt lines are
@@ -67,30 +68,18 @@ class FactorCache:
     """
 
     def __init__(self):
-        self.entries: dict[int, tuple[tuple[tuple[int, int], ...], int, factorint.Status]] = {}
+        self.entries: dict[int, factorint.Factorization] = {}
         self.new_keys: dict[int, None] = {}   # in insertion order
         self.hits = 0
 
     def lookup(self, value: int):
-        """(factors, cofactor, factorint.Status) of value, or None."""
-        got = self.entries.get(value)
-        if got is not None:
-            self.hits += 1
-        return got
+        """The entry of value, or None."""
+        return self.entries.get(value)
 
-    def record(self, value: int, factors, cofactor: int, status):
-        """Take what a factor call computed: a new integer, or the search it
-        resumed from a TRIAL or PARTIAL entry, which the searched entry
-        replaces; an entry equal to the one held is not stored again.  The
-        lookup that found the entry answered nothing, so it is no hit."""
-        entry = (tuple(factors), cofactor, status)
-        held = self.entries.get(value)
-        if held is not None:
-            self.hits -= 1
-            if held == entry:
-                return
-        self.entries[value] = entry
-        self.new_keys[value] = None
+    def record(self, fact):
+        """Store ``fact``, in place of the entry of its value if there is one."""
+        self.entries[fact.value] = fact
+        self.new_keys[fact.value] = None
 
 
 _TRIAL_MARK = "trial"
@@ -98,8 +87,9 @@ _TRIAL_MARK = "trial"
 
 def cache_load(path: str | Path) -> FactorCache:
     """Load a cache file; unreadable paths or corrupt lines degrade gracefully.
-    A searched line supersedes a trial line of the same value, never the
-    other way round."""
+    A complete line supersedes a trial line of the same value, never the
+    other way round.  A line with a cofactor and no marker, the partial
+    search that earlier versions stored, is no entry and is skipped."""
     cache = FactorCache()
     path = Path(path)
     try:
@@ -114,49 +104,45 @@ def cache_load(path: str | Path) -> FactorCache:
             value_s, factors_s, cofactor_s, *mark = line.split("\t")
             if mark not in ([], [_TRIAL_MARK]):
                 raise ValueError("a fourth field other than 'trial'")
-            value = int(value_s)
-            cofactor = int(cofactor_s)
             factors = []
             if factors_s:
                 for part in factors_s.split(","):
                     p_s, e_s = part.split("^")
                     factors.append((int(p_s), int(e_s)))
-            product = cofactor
-            for p, e in factors:
-                product *= p ** e
-            if product != value:
+            status = factorint.Status.TRIAL if mark else factorint.Status.COMPLETE
+            fact = factorint.Factorization(int(value_s), tuple(factors), int(cofactor_s), status)
+            if fact.product() != fact.value:
                 raise ValueError("entry does not multiply back")
-            if any(cofactor % p == 0 for p, _ in factors):
+            if any(fact.cofactor % p == 0 for p, _ in factors):
                 raise ValueError("a listed prime divides the cofactor")
             if not mark:
-                status = factorint.Status.COMPLETE if cofactor == 1 else factorint.Status.PARTIAL
-            elif cofactor == 1:
+                if fact.cofactor != 1:   # a partial search
+                    continue
+            elif fact.cofactor == 1:
                 raise ValueError("a trial-phase entry without a cofactor")
-            elif value in cache.entries:
+            elif fact.value in cache.entries:
                 continue
-            else:
-                status = factorint.Status.TRIAL
-            cache.entries[value] = (tuple(factors), cofactor, status)
+            cache.entries[fact.value] = fact
         except (ValueError, IndexError) as exc:
             _log(f"cache {path} line {lineno} corrupt ({exc}); skipped")
     return cache
 
 
 def cache_store(path: str | Path, cache: FactorCache) -> None:
-    """Append entries recorded since load; an entry searched after its trial
-    phase was recorded is written once, as searched."""
+    """Append entries recorded since load; an entry completed after its trial
+    phase was recorded is written once, as complete."""
     path = Path(path)
     with path.open("a") as fh:
         for value in cache.new_keys:
-            factors, cofactor, status = cache.entries[value]
-            mark = "\t" + _TRIAL_MARK if status is factorint.Status.TRIAL else ""
-            factors_s = ",".join(f"{p}^{e}" for p, e in factors)
-            fh.write(f"{value}\t{factors_s}\t{cofactor}{mark}\n")
+            fact = cache.entries[value]
+            mark = "\t" + _TRIAL_MARK if fact.status is factorint.Status.TRIAL else ""
+            factors_s = ",".join(f"{p}^{e}" for p, e in fact.factors)
+            fh.write(f"{value}\t{factors_s}\t{fact.cofactor}{mark}\n")
     cache.new_keys.clear()
 
 
 def format_value(v) -> str:
-    """The text of one value, in a CSV cell (before quoting) or a field-info line."""
+    """The text of one value, in a CSV cell or a field-info line."""
     kind = type(v)
     if kind is int or kind is str:   # most cells; bool is not int here
         return str(v)
@@ -179,8 +165,8 @@ def _batches(rows):
         yield batch
 
 
-def _csv_line(row) -> str:
-    return ",".join(map(_csv_cell, row)) + "\n"
+def _csv_line(row) -> str:   # no cell holds a comma
+    return ",".join(map(format_value, row)) + "\n"
 
 
 def _emit(
@@ -222,7 +208,7 @@ def _emit(
         out.write(header + "".join(map(csv_line, batch)))
         header = ""
     for k, v in summary().items():
-        out.write(f"# {k}={_csv_cell(v)}\n")
+        out.write(f"# {k}={format_value(v)}\n")
 
 
 def _g12(x: Fraction) -> str:
@@ -264,15 +250,6 @@ def _unit_approx(eps) -> float | str:
         if _g12(lo) == _g12(hi):
             return _g12(lo)
         bits *= 2
-
-
-def _csv_cell(v) -> str:
-    if isinstance(v, list):
-        return '"' + ";".join(_csv_cell(x) for x in v) + '"'
-    s = format_value(v)
-    if "," in s:
-        return '"' + s + '"'
-    return s
 
 
 def _parse_bound(text: str) -> int:

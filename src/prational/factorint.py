@@ -25,7 +25,8 @@ composite leftover is reported as a ``cofactor`` with status ``PARTIAL``
 instead of being mislabeled, and the listed primes keep exact exponents
 (none of them divides the cofactor).  A caller that factors many integers
 passes one factor table (see cli.FactorCache) as ``cache``, so no integer is
-factored twice in one run.  Primality is certified deterministically below
+factored twice in one run; ``factor`` alone decides which entry answers
+which call.  Primality is certified deterministically below
 3.3e24 (fixed Miller-Rabin witness sets) and probabilistically (64 seeded
 rounds) above.
 
@@ -192,10 +193,9 @@ class Status(enum.Enum):
 
 
 class Factorization(NamedTuple):
-    """value = sign * cofactor * prod(p**e); cofactor 1 when complete."""
+    """value = cofactor * prod(p**e), value >= 1; cofactor 1 when complete."""
 
     value: int
-    sign: int
     factors: tuple[tuple[int, int], ...]
     cofactor: int
     status: Status
@@ -206,7 +206,7 @@ class Factorization(NamedTuple):
         return self.factors
 
     def product(self) -> int:
-        out = self.sign * self.cofactor
+        out = self.cofactor
         for p, e in self.factors:
             out *= p ** e
         return out
@@ -380,18 +380,19 @@ def _divide_out(found: dict[int, int], cofactor: int) -> int:
     return cofactor
 
 
-def _trial_view(factors, cofactor: int, trial_bound: int):
-    """The trial phase's (factors, cofactor, status) for a searched entry.
+def _trial_view(fact: Factorization, trial_bound: int) -> Factorization:
+    """What the trial phase alone gives on ``fact``, an entry of the table.
 
     The trial phase lists the primes up to trial_bound and is COMPLETE when
     at most one prime is left above it (trial division up to the square
     root, the primality test or the perfect-power check then finds it);
-    otherwise everything above trial_bound is its open cofactor."""
-    large = [(p, e) for p, e in factors if p > trial_bound]
-    if cofactor == 1 and len(large) <= 1:
-        return factors, 1, Status.COMPLETE
-    small = tuple((p, e) for p, e in factors if p <= trial_bound)
-    return small, cofactor * math.prod(p ** e for p, e in large), Status.TRIAL
+    otherwise everything above trial_bound is its open cofactor.  A TRIAL
+    entry lists no prime above trial_bound, so it is its own view."""
+    large = [(p, e) for p, e in fact.factors if p > trial_bound]
+    if len(large) <= 1:
+        return fact
+    small = tuple((p, e) for p, e in fact.factors if p <= trial_bound)
+    return Factorization(fact.value, small, math.prod(p ** e for p, e in large), Status.TRIAL)
 
 
 def factor(
@@ -402,8 +403,8 @@ def factor(
     cache=None,
     search: bool = True,
 ) -> Factorization:
-    """Factor n; sign is tracked separately and the composite leftover (if the
-    budget runs out) lands in ``cofactor`` with status PARTIAL.
+    """Factor n >= 1; the composite leftover (if the budget runs out) lands
+    in ``cofactor`` with status PARTIAL.
 
     The trial phase is everything before the first rho iteration: trial
     division up to trial_bound, then the primality test and the perfect-power
@@ -413,41 +414,39 @@ def factor(
     then ECM) starts from the same state either way, so a searched result
     does not depend on whether the trial phase ran in an earlier call.
 
-    ``cache`` is a factor table with ``lookup`` and ``record`` (see
-    cli.FactorCache): answered from it when it holds |n|, recorded in it
-    otherwise, once per call.  A TRIAL or PARTIAL entry never answers a call
-    that searches; that call resumes the search from the trial phase (the
-    TRIAL entry, or what the trial phase gives on the PARTIAL one), without
-    trial division, and records what it finds in the entry's place.  A
-    searched entry answers a call with ``search=False`` by what the trial
-    phase alone would give."""
-    if n == 0:
-        raise ValueError("cannot factor 0")
-    sign = -1 if n < 0 else 1
-    a = abs(n)
-    hit = None if cache is None else cache.lookup(a)
-    if hit is None:
+    ``cache`` is a factor table with ``lookup``, ``record`` and ``hits``
+    (see cli.FactorCache) that holds COMPLETE and TRIAL results only.  A
+    COMPLETE entry answers every call, a call with ``search=False`` by what
+    the trial phase alone would give; a TRIAL entry answers only calls with
+    ``search=False``.  Each call an entry answers adds 1 to ``cache.hits``.
+    A call that searches on a TRIAL entry resumes the search on its
+    cofactor, without trial division.  A call that finds no entry records
+    its trial phase, and a search that ends COMPLETE records that in its
+    place; a PARTIAL search records nothing, so the TRIAL entry stays."""
+    if n < 1:
+        raise ValueError(f"cannot factor {n}; factor takes n >= 1")
+    fact = None if cache is None else cache.lookup(n)
+    if fact is None:
         found: dict[int, int] = {}
-        m, mult = _reduce(_trial_divide(a, trial_bound, found), 1, found, seed)
-        factors, status = tuple(sorted(found.items())), Status.TRIAL if m > 1 else Status.COMPLETE
-        cofactor = m ** mult
+        m, mult = _reduce(_trial_divide(n, trial_bound, found), 1, found, seed)
+        status = Status.TRIAL if m > 1 else Status.COMPLETE
+        fact = Factorization(n, tuple(sorted(found.items())), m ** mult, status)
+        if cache is not None:
+            cache.record(fact)
+        if status is Status.COMPLETE or not search:
+            return fact
+    elif fact.status is Status.COMPLETE or not search:
+        cache.hits += 1
+        return fact if search else _trial_view(fact, trial_bound)
     else:
-        factors, cofactor, status = hit
-        if status is Status.PARTIAL or status is Status.COMPLETE and not search:
-            factors, cofactor, status = _trial_view(factors, cofactor, trial_bound)
-    if status is not Status.TRIAL or not search:
-        if hit is None and cache is not None:
-            cache.record(a, factors, cofactor, status)
-        return Factorization(n, sign, factors, cofactor, status)
-    found = dict(factors)
-    if hit is not None:
-        m, mult = _reduce(cofactor, 1, found, seed)
+        found = dict(fact.factors)
+        m, mult = _reduce(fact.cofactor, 1, found, seed)
     cofactor = _search(m, mult, found, rho_budget, seed) if m > 1 else 1
-    factors = tuple(sorted(found.items()))
     status = Status.COMPLETE if cofactor == 1 else Status.PARTIAL
-    if cache is not None:
-        cache.record(a, factors, cofactor, status)
-    return Factorization(n, sign, factors, cofactor, status)
+    fact = Factorization(n, tuple(sorted(found.items())), cofactor, status)
+    if cache is not None and status is Status.COMPLETE:
+        cache.record(fact)
+    return fact
 
 
 def merge_factorizations(pieces: list[Factorization]) -> Factorization:
@@ -467,7 +466,7 @@ def merge_factorizations(pieces: list[Factorization]) -> Factorization:
     cofactor = _divide_out(found, cofactor)
     complete = all(piece.status is Status.COMPLETE for piece in pieces)
     status = Status.COMPLETE if complete else Status.PARTIAL
-    return Factorization(value, 1, tuple(sorted(found.items())), cofactor, status)
+    return Factorization(value, tuple(sorted(found.items())), cofactor, status)
 
 
 # --- ideal splits -----------------------------------------------------------

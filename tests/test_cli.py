@@ -183,12 +183,27 @@ def test_unwritable_cache_is_warned_after_the_payload(where, through_env, monkey
     assert not any("entries stored" in message for message in messages)
 
 
-def test_cache_load_skips_inexact_partial_entries(tmp_path):
+def test_cache_load_skips_inexact_partial_entries(capsys, tmp_path):
     path = tmp_path / "cache.txt"
     # 3^2 * 35 and 3 * 105 both multiply back to 315; the second lists 3
-    # with a short exponent, since 3 still divides its cofactor
+    # with a short exponent, since 3 still divides its cofactor.  The first
+    # is a partial search, which earlier versions stored: no entry, no warning
     path.write_text("315\t3^2\t35\n945\t3^1\t315\n")
-    assert cli.cache_load(path).entries == {315: (((3, 2),), 35, factorint.Status.PARTIAL)}
+    assert cli.cache_load(path).entries == {}
+    warnings = capsys.readouterr().err.splitlines()
+    assert len(warnings) == 1 and "line 2 corrupt" in warnings[0]
+    # such a line for a norm the command factors answers nothing: the run
+    # writes the cold bytes and appends the norm's complete entry
+    argv = ["abc-quality", "--d", "2", "--n-max", "60"]
+    cold = run_cli(argv, tmp_path / "cold")
+    norm = abs(cyclotomic(53).evaluate(quadfield.make_field(2).fundamental_unit).norm())
+    small = factorint.factor(norm, rho_budget=10)
+    assert small.status is factorint.Status.PARTIAL
+    factors = ",".join(f"{p}^{e}" for p, e in small.factors)
+    path.write_text(f"{norm}\t{factors}\t{small.cofactor}\n")
+    assert run_cli([*argv, "--cache", str(path)], tmp_path / "warm") == cold
+    assert "corrupt" not in capsys.readouterr().err
+    assert cli.cache_load(path).entries[norm] == factorint.factor(norm)
 
 
 @pytest.mark.parametrize("field", [["--d", "2"], ["--class-number", "1"]])
@@ -317,8 +332,7 @@ def test_corrupt_cache_line_is_skipped_with_one_warning(bad_line, capsys, tmp_pa
     path = tmp_path / "cache.txt"
     path.write_text(f"15\t3^1,5^1\t1\n{bad_line}\n21\t3^1,7^1\t1\n")
     cache = cli.cache_load(path)
-    complete = factorint.Status.COMPLETE
-    assert cache.entries == {15: (((3, 1), (5, 1)), 1, complete), 21: (((3, 1), (7, 1)), 1, complete)}
+    assert cache.entries == {15: factorint.factor(15), 21: factorint.factor(21)}
     warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith(f"cache {path} ")]
     assert len(warnings) == 1 and "line 2 corrupt" in warnings[0]
 
@@ -409,6 +423,12 @@ def _rows(payload: bytes) -> list[dict[str, str]]:
     return [dict(zip(header.split(","), line.split(","))) for line in lines]
 
 
+def _partial_lines(path: Path) -> list[list[str]]:
+    """The lines of a cache file with a cofactor and no `trial` marker, split."""
+    lines = [line.split("\t") for line in path.read_text().splitlines()]
+    return [fields for fields in lines if len(fields) == 3 and fields[2] != "1"]
+
+
 def test_wieferich_payload_does_not_depend_on_the_table(tmp_path):
     """Cold, on a table that abc-quality filled, on one that holds a complete
     factorization of every norm, and warm: the same bytes, since a row's
@@ -427,23 +447,27 @@ def test_wieferich_payload_does_not_depend_on_the_table(tmp_path):
     cli.cache_store(full, table)
     assert run_cli([*argv, "--cache", str(full)], tmp_path / "complete") == cold
     assert run_cli([*argv, "--cache", str(full)], tmp_path / "warm") == cold
-    # a table whose searched rows a small budget left partial
+    # a table whose searched rows a small budget left partial: those rows
+    # keep the trial entries of their trial phase, and no partial entry
     partial = tmp_path / "partial.txt"
     small = run_cli([*argv, "--factor-budget", "10", "--cache", str(partial)], tmp_path / "small")
     assert [row["n"] for row in _rows(small) if row["factor_status"] == "partial"] == ["53", "67", "73", "77", "93"]
+    assert _partial_lines(partial) == []
     assert run_cli([*argv, "--cache", str(partial)], tmp_path / "after-small") == cold
 
 
 def test_abc_payload_does_not_depend_on_the_budget_of_the_table(capsys, tmp_path):
-    """A partial entry answers no search: on a table that --factor-budget 10
-    filled, the default budget writes the cold bytes.  The same small budget
-    again finds each partial entry as the table holds it and stores none."""
+    """A partial search is no entry: a table that --factor-budget 10 filled
+    holds the trial entries of its partial rows, and on it the default
+    budget writes the cold bytes.  The same small budget again ends each of
+    those searches partial and stores nothing."""
     argv = ["abc-quality", "--d", "2", "--n-max", "80"]
     cold = run_cli(argv, tmp_path / "cold")
     table = tmp_path / "cache.txt"
     small_argv = [*argv, "--factor-budget", "10", "--cache", str(table)]
     small = run_cli(small_argv, tmp_path / "small")
     assert [row["n"] for row in _rows(small) if row["factor_status"] == "partial"] == ["53", "67", "73", "77", "79"]
+    assert _partial_lines(table) == []
     held = table.read_bytes()
     capsys.readouterr()
     assert run_cli(small_argv, tmp_path / "small-again") == small
@@ -464,6 +488,9 @@ def test_scan_power_one_shares_the_table_with_abc_quality(capsys, tmp_path):
 
 
 def test_trial_phase_entries_round_trip_through_the_cache_file(tmp_path):
+    """Each kind of record the table holds goes through the file unchanged:
+    a trial entry, the complete entry its resumed search gives, and a
+    complete entry of the trial phase."""
     path = tmp_path / "cache.txt"
     table = cli.FactorCache()
     n = 12 * 1000003 * 1000033
@@ -472,12 +499,14 @@ def test_trial_phase_entries_round_trip_through_the_cache_file(tmp_path):
     cli.cache_store(path, table)
     assert path.read_text() == f"{n}\t2^2,3^1\t{1000003 * 1000033}\ttrial\n"
     loaded = cli.cache_load(path)
-    assert loaded.entries == {n: (((2, 2), (3, 1)), 1000003 * 1000033, factorint.Status.TRIAL)}
-    assert factorint.factor(n, cache=loaded) == factorint.factor(n)   # resumes the search
+    assert loaded.entries == {n: trial}
+    searched = factorint.factor(n, cache=loaded)   # resumes the search
+    assert searched == factorint.factor(n) and searched.status is factorint.Status.COMPLETE
+    settled = factorint.factor(4 * 1000003, cache=loaded, search=False)
+    assert settled.status is factorint.Status.COMPLETE
     cli.cache_store(path, loaded)
-    reloaded = cli.cache_load(path)   # the searched line supersedes the trial line
-    factors = ((2, 2), (3, 1), (1000003, 1), (1000033, 1))
-    assert reloaded.entries == {n: (factors, 1, factorint.Status.COMPLETE)}
+    reloaded = cli.cache_load(path)   # the complete line supersedes the trial line
+    assert reloaded.entries == {n: searched, 4 * 1000003: settled}
 
 
 def test_no_search_budget_leaves_trial_decided_rows_sufficient(capsys, tmp_path):
@@ -518,7 +547,7 @@ def test_resumed_search_does_no_trial_division(monkeypatch):
     factorint.factor(n, cache=table, search=False)
     monkeypatch.setattr(factorint, "_trial_divide", None)   # any call fails
     assert factorint.factor(n, cache=table) == factorint.Factorization(
-        n, 1, ((2, 2), (3, 1), (1000003, 1), (1000033, 1)), 1, factorint.Status.COMPLETE
+        n, ((2, 2), (3, 1), (1000003, 1), (1000033, 1)), 1, factorint.Status.COMPLETE
     )
     assert table.hits == 0
 

@@ -56,10 +56,8 @@ class TestFactor:
         assert f.factors == ((7, 1),) and f.status is Status.COMPLETE
 
     def test_negative(self):
-        f = factor(-14)
-        assert f.sign == -1
-        assert f.factors == ((2, 1), (7, 1))
-        assert f.product() == -14
+        with pytest.raises(ValueError, match="factor takes n >= 1"):
+            factor(-14)
 
     def test_roundtrip_construction(self):
         n = 2 ** 12 * 3 ** 5 * 1000003
@@ -280,11 +278,12 @@ class TestTrialPhase:
 
         table = FactorCache()
         trial = factor(n, cache=table, search=False)
-        assert table.entries == {n: (trial.factors, trial.cofactor, Status.TRIAL)}
+        assert trial.status is Status.TRIAL and table.entries == {n: trial}
         cold = factor(n, rho_budget=budget)
         assert factor(n, rho_budget=budget, cache=table) == cold
-        assert table.entries == {n: (cold.factors, cold.cofactor, cold.status)}
-        # the searched entry answers the trial phase as the trial phase would
+        # a partial search is no entry: the trial entry stays
+        assert table.entries == {n: cold if cold.status is Status.COMPLETE else trial}
+        # the entry answers the trial phase as the trial phase would
         assert factor(n, cache=table, search=False) == trial
         assert table.hits == 1   # the resumed search is no hit
 
