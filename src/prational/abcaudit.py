@@ -23,7 +23,6 @@ from .factorint import (
     ideal_valuations,
     merge_factorizations,
     radical_of_ideal,
-    split_unit_power,
 )
 from .numerics import ln
 from .quadfield import QuadField, QuadInt
@@ -95,8 +94,9 @@ def _unit_triple_of(F: QuadField, split: IdealSplit, n: int) -> AbcTriple:
 
 
 def unit_triple(F: QuadField, u: QuadInt, n: int, **factor_opts) -> AbcTriple:
-    """The triple (u**n - 1) + 1 = u**n."""
-    return _unit_triple_of(F, split_unit_power(F, u, n, **factor_opts), n)
+    """The triple (u**n - 1) + 1 = u**n, factored as squarefull_report does."""
+    *_, (_, alpha, fact) = unit_power_factorizations(u, n, **factor_opts)
+    return _unit_triple_of(F, ideal_split(F, alpha, fact), n)
 
 
 _UNIT_NORM = Factorization(1, (), 1, Status.COMPLETE)

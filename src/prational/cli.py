@@ -109,6 +109,11 @@ def cache_load(path: str | Path) -> FactorCache:
                 for part in factors_s.split(","):
                     p_s, e_s = part.split("^")
                     factors.append((int(p_s), int(e_s)))
+            # as factor writes them: the scans take the first candidate as the smallest
+            if any(p >= q for (p, _), (q, _) in itertools.pairwise(factors)):
+                raise ValueError("primes not in increasing order")
+            if any(e < 1 for _, e in factors):
+                raise ValueError("an exponent below 1")
             status = factorint.Status.TRIAL if mark else factorint.Status.COMPLETE
             fact = factorint.Factorization(int(value_s), tuple(factors), int(cofactor_s), status)
             if fact.product() != fact.value:
@@ -255,7 +260,8 @@ def _unit_approx(eps) -> float | str:
 def _parse_bound(text: str) -> int:
     """Integer bound, exactly: an integer A, or AeB meaning A * 10**B for an
     integer A and an integer B >= 0 (so 1e29 is 10**29).  AeB may have no
-    more digits than int() converts to text, since footers print X."""
+    more digits than int() reads from text by default, so that a huge B is
+    refused at once instead of building 10**B."""
     mantissa, e, exponent = text.lower().partition("e")
     try:
         if not e:
@@ -579,6 +585,9 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    # what is written from here on is computed, and an integer may be of any length
+    int_digits = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
     try:
         _validate(args)
@@ -610,6 +619,8 @@ def main(argv: list[str] | None = None) -> int:
         # devnull so that the flush at exit does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
+    finally:
+        sys.set_int_max_str_digits(int_digits)
 
 
 if __name__ == "__main__":

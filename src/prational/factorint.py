@@ -1,34 +1,33 @@
 """Integer primality/factorization and squarefree/squarefull ideal splits.
 
 Factoring runs in two phases.  The trial phase is everything before the
-first rho iteration: trial division by the primes of a sieve up to
-``trial_bound``, skipping each chunk of consecutive primes whose product has
-gcd 1 with the integer (after Bernstein, "How to find smooth parts of
-integers", 2004), then the primality test and the perfect-power check on
-what is left.  It lists every prime up to the bound with its exact exponent;
-when what is left has two or more distinct primes, all above the bound, it
-stays an open cofactor (status TRIAL).  The search then runs on that
-cofactor: Brent-cycle Pollard rho capped at _RHO_CAP iterations per
-composite (enough for factors up to about 30 bits), then elliptic-curve
-(ECM) curves.  A caller that needs only the small primes (the Wieferich
-scans) stops after the trial phase with ``search=False``.  Trial division
-divides the primes out in increasing order and stops where one ``%`` per
-prime would, so the search gets the composite that loop would leave.
-One budget, ``rho_budget``, counted in rho iterations, covers the search:
-each curve is charged _ECM_CURVE_COST, about its time in rho iterations, and
-runs only while that much budget is left, so ``rho_budget=0`` means the
-trial phase only.  The random starts come from one generator seeded with
-``seed`` when the search starts, so a searched result is the same whether
-or not its trial phase ran in an earlier call.  A perfect power r**k is
-factored through r, once.  Giving up is a first-class outcome: the
-composite leftover is reported as a ``cofactor`` with status ``PARTIAL``
-instead of being mislabeled, and the listed primes keep exact exponents
-(none of them divides the cofactor).  A caller that factors many integers
-passes one factor table (see cli.FactorCache) as ``cache``, so no integer is
-factored twice in one run; ``factor`` alone decides which entry answers
-which call.  Primality is certified deterministically below
-3.3e24 (fixed Miller-Rabin witness sets) and probabilistically (64 seeded
-rounds) above.
+first rho iteration: trial division by the primes up to 10**6, skipping each
+chunk of consecutive primes whose product has gcd 1 with the integer (after
+Bernstein, "How to find smooth parts of integers", 2004), then the primality
+test and the perfect-power check on what is left.  It lists every prime up
+to the bound with its exact exponent; when what is left has two or more
+distinct primes, all above the bound, it stays an open cofactor (status
+TRIAL).  The search then runs on that cofactor: Brent-cycle Pollard rho
+capped at _RHO_CAP iterations per composite (enough for factors up to about
+30 bits), then elliptic-curve (ECM) curves.  A caller that needs only the
+small primes (the Wieferich scans) stops after the trial phase with
+``search=False``.  Trial division divides the primes out in increasing order
+and stops where one ``%`` per prime would, so the search gets the composite
+that loop would leave.  One budget, ``rho_budget``, counted in rho
+iterations, covers the search: each curve is charged _ECM_CURVE_COST, about
+its time in rho iterations, and runs only while that much budget is left, so
+``rho_budget=0`` means the trial phase only.  The random starts come from
+one generator seeded with ``seed`` when the search starts, so a searched
+result is the same whether or not its trial phase ran in an earlier call.  A
+perfect power r**k is factored through r, once.  Giving up is a first-class
+outcome: the composite leftover is reported as a ``cofactor`` with status
+``PARTIAL`` instead of being mislabeled, and the listed primes keep exact
+exponents (none of them divides the cofactor).  A caller that factors many
+integers passes one factor table (see cli.FactorCache) as ``cache``, so no
+integer is factored twice in one run; ``factor`` alone decides which entry
+answers which call.  Primality is certified deterministically below 3.3e24
+(fixed Miller-Rabin witness sets) and probabilistically (64 seeded rounds)
+above.
 
 The ideal layer splits a principal ideal of a real quadratic field into
 prime-ideal powers and separates the squarefree part (valuation exactly 1)
@@ -111,8 +110,8 @@ def _large_sieve() -> tuple[list[int], list[tuple[list[int], int]]]:
     return primes, [(run, math.prod(run)) for run in runs]
 
 
-def _trial_divide(a: int, trial_bound: int, found: dict[int, int]) -> int:
-    """Divide the primes p <= trial_bound out of a, in increasing order, into
+def _trial_divide(a: int, found: dict[int, int]) -> int:
+    """Divide the primes p <= _TRIAL_BOUND out of a, in increasing order, into
     ``found``, stopping at the first p with p*p above what is left; return
     what is left, or 1 when that is prime (and then in ``found``)."""
     if a < _SMALL_BOUND ** 2:
@@ -121,12 +120,12 @@ def _trial_divide(a: int, trial_bound: int, found: dict[int, int]) -> int:
         _, chunks = _large_sieve()
     p = 2
     for primes, product in chunks:
-        # no stop falls inside a chunk whose last prime is within both bounds
+        # no stop falls inside a chunk whose last prime squared is within a
         last = primes[-1]
-        if last <= trial_bound and last * last <= a and math.gcd(product, a) == 1:
+        if last * last <= a and math.gcd(product, a) == 1:
             continue
         for p in primes:
-            if p > trial_bound or p * p > a:
+            if p * p > a:
                 break
             while a % p == 0:
                 a //= p
@@ -380,24 +379,23 @@ def _divide_out(found: dict[int, int], cofactor: int) -> int:
     return cofactor
 
 
-def _trial_view(fact: Factorization, trial_bound: int) -> Factorization:
+def _trial_view(fact: Factorization) -> Factorization:
     """What the trial phase alone gives on ``fact``, an entry of the table.
 
-    The trial phase lists the primes up to trial_bound and is COMPLETE when
+    The trial phase lists the primes up to _TRIAL_BOUND and is COMPLETE when
     at most one prime is left above it (trial division up to the square
     root, the primality test or the perfect-power check then finds it);
-    otherwise everything above trial_bound is its open cofactor.  A TRIAL
-    entry lists no prime above trial_bound, so it is its own view."""
-    large = [(p, e) for p, e in fact.factors if p > trial_bound]
+    otherwise everything above _TRIAL_BOUND is its open cofactor.  A TRIAL
+    entry lists no prime above _TRIAL_BOUND, so it is its own view."""
+    large = [(p, e) for p, e in fact.factors if p > _TRIAL_BOUND]
     if len(large) <= 1:
         return fact
-    small = tuple((p, e) for p, e in fact.factors if p <= trial_bound)
+    small = tuple((p, e) for p, e in fact.factors if p <= _TRIAL_BOUND)
     return Factorization(fact.value, small, math.prod(p ** e for p, e in large), Status.TRIAL)
 
 
 def factor(
     n: int,
-    trial_bound: int = _TRIAL_BOUND,
     rho_budget: int = _RHO_BUDGET,
     seed: int = 0,
     cache=None,
@@ -407,10 +405,10 @@ def factor(
     in ``cofactor`` with status PARTIAL.
 
     The trial phase is everything before the first rho iteration: trial
-    division up to trial_bound, then the primality test and the perfect-power
-    check on what is left.  With ``search=False`` only it runs, and the result
-    is COMPLETE or TRIAL: a TRIAL cofactor is unsearched, its primes all
-    exceed trial_bound, and the listed exponents are exact.  The search (rho,
+    division up to 10**6, then the primality test and the perfect-power
+    check on what is left.  With ``search=False`` only it runs, and the
+    result is COMPLETE or TRIAL: a TRIAL cofactor is unsearched, its primes
+    all exceed 10**6, and the listed exponents are exact.  The search (rho,
     then ECM) starts from the same state either way, so a searched result
     does not depend on whether the trial phase ran in an earlier call.
 
@@ -428,7 +426,7 @@ def factor(
     fact = None if cache is None else cache.lookup(n)
     if fact is None:
         found: dict[int, int] = {}
-        m, mult = _reduce(_trial_divide(n, trial_bound, found), 1, found, seed)
+        m, mult = _reduce(_trial_divide(n, found), 1, found, seed)
         status = Status.TRIAL if m > 1 else Status.COMPLETE
         fact = Factorization(n, tuple(sorted(found.items())), m ** mult, status)
         if cache is not None:
@@ -437,7 +435,7 @@ def factor(
             return fact
     elif fact.status is Status.COMPLETE or not search:
         cache.hits += 1
-        return fact if search else _trial_view(fact, trial_bound)
+        return fact if search else _trial_view(fact)
     else:
         found = dict(fact.factors)
         m, mult = _reduce(fact.cofactor, 1, found, seed)
@@ -542,14 +540,3 @@ def radical_of_ideal(split: IdealSplit) -> int:
         out *= P.norm
     return out
 
-
-def split_unit_power(F: QuadField, u: QuadInt, n: int, **factor_opts) -> IdealSplit:
-    """Squarefree/squarefull split of (u**n - 1) for a unit u."""
-    if not u.is_unit():
-        raise ValueError("u must be a unit")
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    alpha = u ** n - 1
-    if alpha.is_zero():
-        raise ValueError("u**n = 1; the split is undefined")
-    return ideal_valuations(F, alpha, **factor_opts)

@@ -223,28 +223,29 @@ def _fundamental_unit(d: int, omega_half: bool) -> tuple[int, int]:
     """Coordinates of the fundamental unit > 1 from the continued fraction of w.
 
     Every unit > 1 appears as h - k*conj(w) = (h - t*k) + k*w with h/k a
-    convergent of w, so the first convergent with |norm| 1 is fundamental.
+    convergent of w = (P_0 + sqrt(d)) / Q_0.  The convergent before the
+    complete quotient (P + sqrt(d)) / Q has |norm| |Q| / Q_0, so the first
+    one after which |Q| = Q_0 again is fundamental.  P and Q stay below
+    2*sqrt(d); h and k, as long as the unit, are built once, at the end.
     """
-    t = 1 if omega_half else 0
-    s_const = (d - 1) // 4 if omega_half else d
     P, Q = (1, 2) if omega_half else (0, 1)  # w = (P + sqrt(d)) / Q
+    start = Q
     sq = math.isqrt(d)
-    h1, h2 = 1, 0  # h_{i-1}, h_{i-2}
-    k1, k2 = 0, 1
+    quotients = []
     for _ in range(_CF_MAX_STEPS):
-        if Q > 0:
-            a = (P + sq) // Q
-        else:
-            a = (-P - sq - 1) // (-Q)
-        h, k = a * h1 + h2, a * k1 + k2
-        x, y = h - t * k, k
-        if abs(x * x + t * x * y - s_const * y * y) == 1:
-            return x, y
-        h2, h1 = h1, h
-        k2, k1 = k1, k
+        a = (P + sq) // Q if Q > 0 else (-P - sq - 1) // (-Q)
+        quotients.append(a)
         P = a * Q - P
         Q = (d - P * P) // Q
-    raise NonConvergenceError("continued fraction did not produce a unit")
+        if abs(Q) == start:
+            break
+    else:
+        raise NonConvergenceError("continued fraction did not produce a unit")
+    h, h_prev, k, k_prev = 1, 0, 0, 1
+    for a in quotients:
+        h, h_prev = a * h + h_prev, h
+        k, k_prev = a * k + k_prev, k
+    return h - k if omega_half else h, k
 
 
 def _class_number(F: QuadField) -> int:

@@ -134,17 +134,17 @@ class CountReport(NamedTuple):
     log_density: float
 
 
-def _settled(fact_status: Status, found: bool, gamma: Fraction, n: int, trial_bound: int) -> bool:
+def _settled(fact_status: Status, found: bool, gamma: Fraction, n: int) -> bool:
     """Whether a row is decided without the search, from its trial phase.
 
-    Every prime of a TRIAL cofactor exceeds trial_bound, and every prime the
+    Every prime of a TRIAL cofactor exceeds _TRIAL_BOUND, and every prime the
     trial phase lists is below it, with its exact exponent.  So a candidate
     among the listed primes beats any prime of the cofactor, and when
-    trial_bound >= gamma**n no prime of the cofactor is a candidate at all."""
+    _TRIAL_BOUND >= gamma**n no prime of the cofactor is a candidate at all."""
     return (
         fact_status is not Status.TRIAL
         or found
-        or compare_with_power(trial_bound, gamma, n) >= 0
+        or compare_with_power(_TRIAL_BOUND, gamma, n) >= 0
     )
 
 
@@ -163,7 +163,7 @@ def _scan_row(
         return ScanRecord(n, cyclo_norm, None, *_NO_CHOICE, SKIPPED, REASON_PHI)
     fact = factorize(search=False, **factor_opts)
     chosen = choose(fact)
-    if _settled(fact.status, chosen is not None, gamma, n, factor_opts.get("trial_bound", _TRIAL_BOUND)):
+    if _settled(fact.status, chosen is not None, gamma, n):
         tally["settled"] += 1
         factor_status = SUFFICIENT if fact.status is Status.TRIAL else COMPLETE
     else:

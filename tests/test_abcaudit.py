@@ -11,7 +11,7 @@ from prational.abcaudit import (
     unit_power_factorizations,
     unit_triple,
 )
-from prational.factorint import Status, radical_of_ideal, split_unit_power
+from prational.factorint import Status, ideal_valuations, radical_of_ideal
 from prational.quadfield import make_field
 
 
@@ -122,17 +122,20 @@ class TestUnitTriple:
     def test_radical_two_routes_agree(self, field2, eps2):
         for n in range(1, 13):
             t = unit_triple(field2, eps2, n)
-            assert t.radical == radical_of_ideal(split_unit_power(field2, eps2, n))
+            assert t.radical == radical_of_ideal(ideal_valuations(field2, eps2 ** n - 1))
 
 
 def whole_norm_row(F, u, n):
-    """The row of level n from |N(u**n - 1)| factored whole."""
-    split = split_unit_power(F, u, n)
+    """The row of level n from |N(u**n - 1)| factored whole; the quality of
+    (u**n - 1) + 1 = u**n is its height over the log of its radical."""
+    split = ideal_valuations(F, u ** n - 1)
     total = abs(split.element.norm())
     nj = split.squarefull_norm
     if split.status is Status.COMPLETE:
         share = 0.0 if nj == 1 else math.log(nj) / math.log(total)
-        quality = unit_triple(F, u, n).quality
+        rad = radical_of_ideal(split)
+        h = height(F, split.element, F.one(), u ** n).value
+        quality = h / math.log(rad) if rad > 1 else None
     else:
         share = quality = None
     return SquarefullRow(n, split.squarefree_norm, nj, total, share, quality, split.status)
@@ -176,14 +179,14 @@ class TestSquarefullReport:
 
     def test_partial_rows_flagged(self, field2):
         # a unit big enough that the norm resists a zero rho budget
-        big = field2.fundamental_unit ** 41
-        rows = squarefull_report(field2, big, 2, rho_budget=0, trial_bound=100)
+        big = field2.fundamental_unit ** 53
+        rows = squarefull_report(field2, big, 2, rho_budget=0)
         assert any(r.status is Status.PARTIAL for r in rows)
         for r in rows:
             if r.status is Status.PARTIAL:
                 assert r.log_share is None
         # the merged factorizations keep exact exponents
-        for _, _, fact in unit_power_factorizations(big, 2, rho_budget=0, trial_bound=100):
+        for _, _, fact in unit_power_factorizations(big, 2, rho_budget=0):
             assert fact.product() == fact.value
             exact = sympy.factorint(fact.value)
             for p, e in fact.factors:

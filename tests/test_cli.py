@@ -326,6 +326,9 @@ def test_strict_refuses_partial_rows(argv, capsys, tmp_path):
         "15\t3^1\tfive",   # a cofactor that is not an integer
         "15\t3^1,5",       # an item without an exponent
         "15\t3^1,5^2\t1",  # does not multiply back
+        "15\t5^1,3^1\t1",  # primes not in increasing order
+        "15\t3^1,5^1,7^0\t1",  # an exponent below 1
+        "45\t3^1,3^1,5^1\t1",  # a prime listed twice
     ],
 )
 def test_corrupt_cache_line_is_skipped_with_one_warning(bad_line, capsys, tmp_path):
@@ -353,6 +356,24 @@ def test_warm_run_on_a_corrupt_cache_matches_the_cold_run(capsys, tmp_path):
     capsys.readouterr()
     assert run_cli(argv, tmp_path / "warm") == expected
     assert re.findall(r" line (\d+) corrupt", capsys.readouterr().err) == ["6", "16", "26"]
+
+
+def test_warm_run_on_a_cache_of_reordered_factors_matches_the_cold_run(capsys, tmp_path):
+    # the scan takes the first candidate of a factor list as the smallest, so
+    # a line whose primes do not increase is no entry; 27 of these 60 rows
+    # came out different when such lines were read
+    path = tmp_path / "cache.txt"
+    argv = ["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "60", "--cache", str(path)]
+    cold = run_cli(argv, tmp_path / "cold")
+    lines = [line.split("\t") for line in path.read_text().splitlines()]
+    for fields in lines:
+        fields[1] = ",".join(reversed(fields[1].split(",")))
+    path.write_text("".join("\t".join(fields) + "\n" for fields in lines))
+    capsys.readouterr()
+    assert run_cli(argv, tmp_path / "warm") == cold
+    reordered = sum("," in fields[1] for fields in lines)
+    assert reordered > 0
+    assert len(re.findall(r" corrupt \(primes not in increasing order\)", capsys.readouterr().err)) == reordered
 
 
 def test_abc_run_factors_each_integer_once(monkeypatch, tmp_path):
@@ -598,6 +619,37 @@ def test_field_beyond_the_double_range(tmp_path):
     assert lines["norm_cap_base"].endswith("e+764")
     argv = ["scan-wieferich", "--d", "100291", "--n-max", "3", "--factor-budget", "0"]
     assert "# norm_cap_base=2.98710883003e+764" in run_cli(argv, tmp_path / "scan").decode()
+
+
+def _run_module(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run the command in a fresh process, under the interpreter's own limit
+    on the digits of int text."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "prational", *argv], capture_output=True, env=env, timeout=30)
+
+
+def test_field_info_writes_a_unit_of_any_length():
+    # y of the unit of Q(sqrt(10**9 + 7)) has 6377 digits, beyond the 4300
+    # that str() of an int allows by default
+    proc = _run_module(["field-info", "--d", "1000000007", "--class-number", "1"])
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, b"")
+    lines = dict(line.split("=", 1) for line in proc.stdout.decode().splitlines())
+    x, y = re.fullmatch(r"(\d+)\+(\d+)\*sqrt\(1000000007\)", lines["fundamental_unit"]).groups()
+    assert len(y) == 6377 and lines["unit_norm"] == "1"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert int(x) ** 2 - 1000000007 * int(y) ** 2 == 1
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_long_continued_fraction_fails_fast():
+    # the period of sqrt(999999000001) is 818047, beyond the step cap; the
+    # steps must not form convergents, which grow to ~50000 digits by then
+    proc = _run_module(["field-info", "--d", "999999000001", "--class-number", "1"])
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_COMPUTE, b"")
+    assert proc.stderr == b"error: continued fraction did not produce a unit\n"
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from prational.factorint import (
     merge_factorizations,
     radical_of_ideal,
     sieve,
-    split_unit_power,
 )
 from prational.polyarith import IntPoly, cyclotomic, hensel_lift
 from prational.quadfield import Splitting, make_field, split_prime
@@ -26,6 +25,10 @@ def next_prime_from(n):
     while not is_prime(n):
         n += 1
     return n
+
+
+# primes above 10**6, which trial division cannot remove
+_BIG_PRIMES = [sympy.nextprime(10 ** 6 + 7919 * i) for i in range(12)]
 
 
 @pytest.mark.parametrize("limits", [range(3001), [3 * 10 ** 5, 10 ** 6]])
@@ -88,12 +91,12 @@ class TestFactor:
         assert f.factors == ((p, 3),)
 
     @given(
-        st.lists(st.sampled_from(sieve(20000)[1000:]), min_size=2, max_size=7),
-        st.integers(min_value=0, max_value=300),
+        st.lists(st.sampled_from(_BIG_PRIMES), min_size=2, max_size=7),
+        st.integers(min_value=0, max_value=3000),   # rho needs about sqrt(p) iterations
     )
     def test_partial_exponents_are_exact(self, primes, budget):
         n = math.prod(primes)
-        f = factor(n, trial_bound=10, rho_budget=budget)
+        f = factor(n, rho_budget=budget)
         assert f.product() == n
         for p, e in f.factors:
             assert e == primes.count(p)
@@ -125,12 +128,12 @@ class TestMergeFactorizations:
 
     @given(
         st.lists(
-            st.lists(st.sampled_from(sieve(3000)[4:]), min_size=1, max_size=4), min_size=1, max_size=4
+            st.lists(st.sampled_from(_BIG_PRIMES), min_size=1, max_size=4), min_size=1, max_size=4
         ),
-        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=400),
     )
     def test_exponents_are_exact(self, piece_primes, budget):
-        pieces = [factor(math.prod(primes), trial_bound=10, rho_budget=budget) for primes in piece_primes]
+        pieces = [factor(math.prod(primes), rho_budget=budget) for primes in piece_primes]
         merged = merge_factorizations(pieces)
         every = [p for primes in piece_primes for p in primes]
         assert merged.value == merged.product() == math.prod(every)
@@ -141,22 +144,19 @@ class TestMergeFactorizations:
         assert merged.status is (Status.COMPLETE if complete else Status.PARTIAL)
 
 
-# primes on both sides of each boundary between trial chunks, the primes just
-# under 10**6 (the last chunk), and primes above 10**6 that trial division
-# cannot remove
+# primes on both sides of each boundary between trial chunks, and the primes
+# just under 10**6 (the last chunk)
 _CHUNK = factorint._TRIAL_CHUNK
 _EDGE_PRIMES = [PRIMES[i] for k in range(_CHUNK, len(PRIMES), _CHUNK) for i in (k - 1, k)]
 _TOP_PRIMES = PRIMES[-8:]
-_BIG_PRIMES = [sympy.nextprime(10 ** 6 + 7919 * i) for i in range(12)]
-_TRIAL_BOUNDS = [10, 1000, PRIMES[_CHUNK - 1], PRIMES[_CHUNK], 10 ** 6]
 
 
 class TestTrialDivision:
-    def check(self, n, bound):
+    def check(self, n):
         want, got = {}, {}
-        assert factorint._trial_divide(n, bound, got) == trial_divide_by_remainders(n, bound, want)
+        assert factorint._trial_divide(n, got) == trial_divide_by_remainders(n, want)
         assert got == want
-        f = factor(n, trial_bound=bound)
+        f = factor(n)
         assert f.status is Status.COMPLETE
         assert dict(f.factors) == sympy.factorint(n)
 
@@ -166,19 +166,17 @@ class TestTrialDivision:
             max_size=4,
         ),
         st.lists(st.sampled_from(_BIG_PRIMES), min_size=1, max_size=3),
-        st.sampled_from(_TRIAL_BOUNDS),
     )
-    def test_matches_one_remainder_per_prime(self, powers, big, bound):
-        self.check(math.prod(p ** e for p, e in powers) * math.prod(big), bound)
+    def test_matches_one_remainder_per_prime(self, powers, big):
+        self.check(math.prod(p ** e for p, e in powers) * math.prod(big))
 
-    @pytest.mark.parametrize("bound", _TRIAL_BOUNDS)
     @pytest.mark.parametrize("k", [_CHUNK, 40 * _CHUNK, len(PRIMES) - 1])
-    def test_stops_at_the_square_root_across_a_boundary(self, k, bound):
+    def test_stops_at_the_square_root_across_a_boundary(self, k):
         # the leftover turns prime at the last prime of one chunk, at the
         # first of the next, or at the end of the sieve
         q, r = PRIMES[k - 1], PRIMES[k]
         for n in (q * r, q * q, r ** 3, 2 * q * r, q * r * _BIG_PRIMES[0]):
-            self.check(n, bound)
+            self.check(n)
 
 
 def count_searches(monkeypatch):
@@ -218,7 +216,7 @@ class TestSearch:
     def test_products_of_large_primes(self, starts):
         primes = [sympy.nextprime(a) for a in starts]
         n = math.prod(primes)
-        f = factor(n, trial_bound=10)
+        f = factor(n)
         assert f.product() == n
         if f.status is Status.COMPLETE:
             assert dict(f.factors) == sympy.factorint(n)
@@ -402,16 +400,16 @@ class TestRadical:
 
 class TestUnitPowerSplits:
     def test_n3(self, field2, eps2):
-        split = split_unit_power(field2, eps2, 3)
+        split = ideal_valuations(field2, eps2 ** 3 - 1)
         assert (split.squarefree_norm, split.squarefull_norm) == (14, 1)
 
     def test_n1(self, field2, eps2):
-        split = split_unit_power(field2, eps2, 1)
+        split = ideal_valuations(field2, eps2 - 1)
         assert (split.squarefree_norm, split.squarefull_norm) == (2, 1)
 
     def test_conservation(self, field2, eps2):
         for n in range(1, 16):
-            split = split_unit_power(field2, eps2, n)
+            split = ideal_valuations(field2, eps2 ** n - 1)
             assert split.status is Status.COMPLETE
             norm = abs((eps2 ** n - 1).norm())
             assert split.squarefree_norm * split.squarefull_norm == norm
@@ -425,11 +423,10 @@ class TestUnitPowerSplits:
                 prod *= abs(value.norm())
             assert prod == total
 
-    def test_rejects_bad_input(self, field2, eps2):
+    def test_rejects_bad_input(self, field2):
+        # u**n = 1 leaves no ideal to split
         with pytest.raises(ValueError):
-            split_unit_power(field2, field2.element(2, 0), 3)
-        with pytest.raises(ValueError):
-            split_unit_power(field2, field2.one(), 3)
+            ideal_valuations(field2, field2.one() ** 3 - 1)
 
 
 class TestCyclotomicValueSplits:
@@ -446,7 +443,7 @@ class TestCyclotomicValueSplits:
             return (P.p, P.splitting.value, P.hensel_root)
 
         for n in range(1, 25):
-            top = {key(P): v for P, v in split_unit_power(field2, eps2, n).entries}
+            top = {key(P): v for P, v in ideal_valuations(field2, eps2 ** n - 1).entries}
             for P, v in ideal_valuations(field2, cyclotomic(n).evaluate(eps2)).entries:
                 if v >= 2:
                     assert top.get(key(P), 0) >= v

@@ -168,7 +168,7 @@ class TestEulerPhi:
 
     def test_refuses_a_partial_factorization(self, monkeypatch):
         real_factor = factorint.factor
-        monkeypatch.setattr(factorint, "factor", lambda n: real_factor(n, trial_bound=2, rho_budget=1))
+        monkeypatch.setattr(factorint, "factor", lambda n: real_factor(n, rho_budget=0))
         with pytest.raises(PartialFactorizationError):
             euler_phi(1000003 * 1000033)
 

@@ -16,6 +16,7 @@ from prational.quadfield import (
     unit_pow_mod_p2,
 )
 from residue_order import multiplicative_order
+from unit_search import fundamental_unit_by_norms
 
 # discriminant -> class number, standard table values
 KNOWN_CLASS_NUMBERS = {2: 1, 3: 1, 5: 1, 6: 1, 7: 1, 10: 2, 13: 1, 15: 2, 26: 2, 79: 3, 82: 4, 85: 2, 229: 3}
@@ -151,6 +152,11 @@ class TestMakeField:
     def test_class_number_override(self):
         F = make_field(2, class_number_override=7)
         assert F.class_number == 7
+
+    def test_fundamental_unit_matches_a_search_by_norms(self):
+        for d in squarefree_ds(1999):
+            F = make_field(d, class_number_override=1)
+            assert (F.fundamental_unit.x, F.fundamental_unit.y) == fundamental_unit_by_norms(d), d
 
     def test_fundamental_unit_minimality_brute_force(self):
         # no unit 1 < v < eps exists with coordinates up to 1000

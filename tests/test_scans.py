@@ -144,7 +144,7 @@ class TestWieferichScan:
         assert wieferich_scan(field2, eps2, constants2, 16) == records
 
     def test_partial_budget_rows_skipped(self, field2, eps2, constants2):
-        records = wieferich_scan(field2, eps2, constants2, 16, rho_budget=0, trial_bound=10)
+        records = wieferich_scan(field2, eps2, constants2, 53, rho_budget=0)
         assert any(r.reason == "partial_factorization" for r in records)
 
 
@@ -488,16 +488,12 @@ def _decisions(records):
     return [(r.n, r.prime, r.root, r.status) for r in records]
 
 
-@pytest.mark.parametrize(
-    "d, n_max, trial_bound",
-    [(2, 96, None), (3, 100, None), (5, 60, None), (13, 70, None), (5, 60, 1000), (13, 60, 1000)],
-)
-def test_trial_phase_decides_rows_as_a_complete_factorization(d, n_max, trial_bound, monkeypatch):
+@pytest.mark.parametrize("d, n_max", [(2, 96), (3, 100), (5, 60), (13, 70)])
+def test_trial_phase_decides_rows_as_a_complete_factorization(d, n_max, monkeypatch):
     F = make_field(d)
     eps = F.fundamental_unit
     constants = growth_constants(certify_roots(minpoly_of(eps)))
-    opts = {} if trial_bound is None else {"trial_bound": trial_bound}
-    records = wieferich_scan(F, eps, constants, n_max, **opts)
+    records = wieferich_scan(F, eps, constants, n_max)
     assert "sufficient" in {r.factor_status for r in records}
     assert {r.factor_status for r in records} <= {"complete", "sufficient", None}
     monkeypatch.setattr(factorint, "factor", _complete_factor)
@@ -505,11 +501,9 @@ def test_trial_phase_decides_rows_as_a_complete_factorization(d, n_max, trial_bo
     assert _decisions(records) == _decisions(full)
 
 
-@pytest.mark.parametrize("trial_bound", [None, 100])
-def test_trial_phase_decides_cubic_rows_as_a_complete_factorization(cubic, trial_bound, monkeypatch):
+def test_trial_phase_decides_cubic_rows_as_a_complete_factorization(cubic, monkeypatch):
     unit, constants = cubic
-    opts = {} if trial_bound is None else {"trial_bound": trial_bound}
-    records = generic_unit_scan(unit, constants, 60, **opts)
+    records = generic_unit_scan(unit, constants, 60)
     assert "sufficient" in {r.factor_status for r in records}
     monkeypatch.setattr(scans, "factor", _complete_factor)
     full = generic_unit_scan(unit, constants, 60)
@@ -517,11 +511,12 @@ def test_trial_phase_decides_cubic_rows_as_a_complete_factorization(cubic, trial
 
 
 def test_open_rows_are_settled_when_no_cofactor_prime_can_qualify():
-    gamma = Fraction(35)
-    assert scans._settled(Status.TRIAL, False, gamma, 3, 35 ** 3)
-    assert not scans._settled(Status.TRIAL, False, gamma, 3, 35 ** 3 - 1)
-    assert scans._settled(Status.TRIAL, True, gamma, 4, 35 ** 3)
-    assert scans._settled(Status.COMPLETE, False, gamma, 4, 35 ** 3)
+    gamma = Fraction(100)
+    assert gamma ** 3 == factorint._TRIAL_BOUND
+    assert scans._settled(Status.TRIAL, False, gamma, 3)
+    assert not scans._settled(Status.TRIAL, False, gamma + Fraction(1, 10 ** 9), 3)
+    assert scans._settled(Status.TRIAL, True, gamma, 4)
+    assert scans._settled(Status.COMPLETE, False, gamma, 4)
 
 
 def test_records_are_immutable_tuples(field2, eps2, constants2):
