@@ -135,14 +135,20 @@ def cache_load(path: str | Path) -> FactorCache:
 
 def cache_store(path: str | Path, cache: FactorCache) -> None:
     """Append entries recorded since load; an entry completed after its trial
-    phase was recorded is written once, as complete."""
+    phase was recorded is written once, as complete.  A last line left
+    without its newline is ended first, so no entry joins it."""
     path = Path(path)
-    with path.open("a") as fh:
+    with path.open("ab+") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        if end:
+            fh.seek(end - 1)
+            if fh.read(1) != b"\n":
+                fh.write(b"\n")
         for value in cache.new_keys:
             fact = cache.entries[value]
             mark = "\t" + _TRIAL_MARK if fact.status is factorint.Status.TRIAL else ""
             factors_s = ",".join(f"{p}^{e}" for p, e in fact.factors)
-            fh.write(f"{value}\t{factors_s}\t{fact.cofactor}{mark}\n")
+            fh.write(f"{value}\t{factors_s}\t{fact.cofactor}{mark}\n".encode())
     cache.new_keys.clear()
 
 
@@ -291,7 +297,7 @@ def _field_from_args(args):
 
 def _constants_for_unit_poly(minpoly: IntPoly, precision_cap: int):
     unit = numerics.certify_roots(minpoly, precision_cap=precision_cap)
-    return unit, numerics.growth_constants(unit, precision_cap)
+    return unit, numerics.growth_constants(unit)
 
 
 def cmd_field_info(args, out) -> int:

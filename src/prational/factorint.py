@@ -325,12 +325,14 @@ def _reduce(m: int, mult: int, found: dict[int, int], seed: int) -> tuple[int, i
     bound: a prime m goes into ``found`` and gives (1, 0); a perfect power
     r**k is taken through r (once, which also spares rho the powers of one
     prime, where it cannot find a cycle).  What is left is (m, mult) with m
-    composite and no perfect power."""
+    composite and no perfect power.  Only prime k <= bits // 19 are tried: r
+    above _TRIAL_BOUND > 2**19 gives r**k over 19*k bits, and a composite k
+    is taken one prime factor at a time."""
     while m > 1:
         if is_prime(m, seed=seed):
             found[m] = found.get(m, 0) + mult
             return 1, 0
-        for k in range(2, m.bit_length() + 1):
+        for k in sieve(m.bit_length() // 19):
             r = iroot(m, k)
             if r > 1 and r ** k == m:
                 m, mult = r, mult * k

@@ -13,8 +13,9 @@ AlgebraicUnit comes from it.  ``growth_constants`` alone decides, once,
 whether a unit has a conjugate on the unit circle.  Such a conjugate's
 inverse is its complex conjugate, so f shares a root with its reciprocal
 f*, and f being irreducible, f* = +-f.  A reciprocal f that is cyclotomic
-is on the circle, exactly; for any other f the disks are refined until
-each lies inside or outside the circle, unless the precision cap stops it.
+is on the circle, exactly.  For any other f, a disk that meets the circle
+holds a root r with ||r| - 1| < 2 * _RADIUS, whose powers |r|**k reach 2
+or 1/2 only beyond _MAX_POWER: no smaller disk could admit the unit.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .errors import NonConvergenceError, NotAUnitError, NotSquarefreeError
 from .polyarith import IntPoly, cyclotomic, discriminant, iroot, prem, sqrt_bounds
 
 PRECISION_CAP_BITS = 2 ** 14
+_RADIUS = Fraction(1e-12)   # every certified disk has a radius below this
 _SQRT_BITS = 48   # precision of the rational square-root bounds on moduli and radii
 
 
@@ -85,7 +87,7 @@ def _real_quadratic_centers(b: int, disc: int, prec: int) -> list[tuple[Fraction
     return [(Fraction(lo, 1 << prec), Fraction(0)), (Fraction((a + s) >> 1, 1 << prec), Fraction(0))]
 
 
-def _certify_at_precision(f: IntPoly, prec: int, tol: Fraction) -> tuple[RootDisk, ...] | None:
+def _certify_at_precision(f: IntPoly, prec: int) -> tuple[RootDisk, ...] | None:
     deg = f.degree()
     fp = f.derivative()
     c, b = f.coeffs[:2]
@@ -107,7 +109,7 @@ def _certify_at_precision(f: IntPoly, prec: int, tol: Fraction) -> tuple[RootDis
             return None
         r2 = Fraction(deg * deg) * (num_re * num_re + num_im * num_im) / den2
         _, radius = sqrt_bounds(r2, _SQRT_BITS)
-        if radius >= tol:
+        if radius >= _RADIUS:
             return None
         disks.append(RootDisk(re, im, radius))
     for i in range(len(disks)):
@@ -145,23 +147,22 @@ def certify_roots(minpoly: IntPoly, precision_cap: int = PRECISION_CAP_BITS) -> 
     if m == 1:
         root = -f.constant()
         return AlgebraicUnit(f, 1, (RootDisk(Fraction(root), Fraction(0), Fraction(0)),))
-    disks, _ = _enclose(f, 1e-12, precision_cap)
+    disks = _enclose(f, precision_cap)
     h = _factor_from_roots(f, disks)
     if h is not None:
         raise NotAUnitError(f"{f.pretty()} is reducible: {h.pretty()} divides it")
     return AlgebraicUnit(f, m, disks)
 
 
-def _enclose(f: IntPoly, tol: float, precision_cap: int, prec: int = 64) -> tuple[tuple[RootDisk, ...], int]:
-    """Disjoint certified disks of radius below tol > 0 around the roots of a
-    monic squarefree f of degree >= 2, at the first of prec, 2*prec,
-    4*prec, ... bits that gives them, and that precision.  Raises
-    NonConvergenceError beyond ``precision_cap``."""
-    tol_frac = Fraction(tol)
+def _enclose(f: IntPoly, precision_cap: int) -> tuple[RootDisk, ...]:
+    """Disjoint certified disks of radius below _RADIUS around the roots of a
+    monic squarefree f of degree >= 2, at the first of 64, 128, 256, ... bits
+    that gives them.  Raises NonConvergenceError beyond ``precision_cap``."""
+    prec = 64
     while prec <= precision_cap:
-        disks = _certify_at_precision(f, prec, tol_frac)
+        disks = _certify_at_precision(f, prec)
         if disks is not None:
-            return disks, prec
+            return disks
         prec *= 2
     raise NonConvergenceError(
         f"could not separate the roots of {f.pretty()} below {precision_cap} bits"
@@ -219,37 +220,6 @@ def _factor_from_roots(f: IntPoly, disks: tuple[RootDisk, ...]) -> IntPoly | Non
                 if prem(f, h).is_zero():
                     return h
     return None
-
-
-def _sides(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BITS) -> tuple[tuple[RootDisk, ...], list[int]]:
-    """Disks around the unit's roots, each certified entirely inside (-1) or
-    outside (+1) the unit circle, and those sides; the unit's own disks are
-    refined with ever smaller radii as needed.  Raises NonConvergenceError
-    at the precision cap.  Each refinement starts at the precision that
-    certified the one before: a precision that fails a tol fails every
-    smaller one, so the disks are those that a start at 64 bits gives."""
-    disks = unit.roots
-    tol = float(min((d.radius for d in disks if d.radius > 0), default=Fraction(1, 10 ** 12)))
-    prec = 64
-    for _ in range(64):
-        sides = []
-        for disk in disks:
-            if disk.mod_lb() > 1:
-                sides.append(+1)
-            elif disk.mod_ub() < 1:
-                sides.append(-1)
-            else:
-                break
-        else:
-            return disks, sides
-        tol /= 2 ** 8
-        if tol <= 0.0:
-            break
-        try:
-            disks, prec = _enclose(unit.minpoly, tol, precision_cap, prec)
-        except NonConvergenceError:
-            break
-    raise NonConvergenceError("a root enclosure keeps straddling the unit circle")
 
 
 class GrowthConstants(NamedTuple):
@@ -332,7 +302,7 @@ def _least_power(base: Fraction, target: int, strict: bool = False) -> int:
     return k
 
 
-def growth_constants(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BITS) -> GrowthConstants:
+def growth_constants(unit: AlgebraicUnit) -> GrowthConstants:
     """Pick the power k and the certified growth/cap constants for a unit with
     no conjugate on the unit circle.
 
@@ -340,7 +310,7 @@ def growth_constants(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BIT
     circle has modulus**k <= 1/2, every conjugate outside has modulus**k >= 2,
     and (peak**k - 1) * 2**(1-m) > 1, which makes the rate positive.  It
     decides the unit circle (module docstring): ValueError for a cyclotomic
-    f, NonConvergenceError for a reciprocal f that the cap leaves undecided.
+    f, NonConvergenceError when one of the unit's disks meets the circle.
     """
     f = unit.minpoly
     m = unit.degree
@@ -348,24 +318,21 @@ def growth_constants(unit: AlgebraicUnit, precision_cap: int = PRECISION_CAP_BIT
     # deg Phi_k = phi(k) >= sqrt(k/2), so Phi_k of degree m has k <= 2m^2 + 1
     if reciprocal and any(cyclotomic(k) == f for k in range(1, 2 * m * m + 2)):
         raise ValueError(f"{f.pretty()} has a root on the unit circle")
-    try:
-        disks, sides = _sides(unit, precision_cap)
-    except NonConvergenceError:
-        if not reciprocal:
-            raise
+    lbs = [d.mod_lb() for d in unit.roots]
+    ubs = [d.mod_ub() for d in unit.roots]
+    if any(lb <= 1 <= ub for lb, ub in zip(lbs, ubs)):
         raise NonConvergenceError(
             f"could not decide whether {f.pretty()} has a root on the unit circle"
-        ) from None
-    lbs = [d.mod_lb() for d in disks]
-    ubs = [d.mod_ub() for d in disks]
-    peak = max(lb for lb, side in zip(lbs, sides) if side == +1)
+            if reciprocal else "no admissible power below 10^6"
+        )
+    peak = max(lbs)   # > 1: the moduli multiply to 1 and no disk meets the circle
     conj_ub = max(ubs)
     threshold = 2 ** (m - 1) + 1
     # peak**k > threshold, lb**k >= 2 outside the circle and (1/ub)**k >= 2
     # inside it: each holds from its own least k on
     k = max(
         _least_power(peak, threshold, strict=True),
-        *(_least_power(lb if side == +1 else 1 / ub, 2) for lb, ub, side in zip(lbs, ubs, sides)),
+        *(_least_power(lb if lb > 1 else 1 / ub, 2) for lb, ub in zip(lbs, ubs)),
     )
     excess = peak ** k - 1
     try:

@@ -530,6 +530,21 @@ def test_trial_phase_entries_round_trip_through_the_cache_file(tmp_path):
     assert reloaded.entries == {n: searched, 4 * 1000003: settled}
 
 
+def test_new_entries_do_not_join_an_unterminated_last_line(capsys, tmp_path):
+    """A table whose last line has no newline keeps that line: the first new
+    entry goes on a line of its own, and the next run reads every line."""
+    cache = tmp_path / "cache.txt"
+    cache.write_text("1\t\t1")
+    argv = ["scan-wieferich", "--d", "2", "--n-max", "12", "--cache", str(cache)]
+    cold = run_cli(argv, tmp_path / "cold")
+    text = cache.read_text()
+    assert text.startswith("1\t\t1\n") and text.endswith("\n")
+    assert set(cli.cache_load(cache).entries) == {int(line.split("\t")[0]) for line in text.splitlines()}
+    capsys.readouterr()
+    assert run_cli(argv, tmp_path / "warm") == cold
+    assert "corrupt" not in capsys.readouterr().err
+
+
 def test_no_search_budget_leaves_trial_decided_rows_sufficient(capsys, tmp_path):
     # with --factor-budget 0 these rows were partial; their trial phase decides them
     argv = ["scan-wieferich", "--d", "5", "--n-max", "60", "--factor-budget", "0"]
@@ -674,16 +689,16 @@ def test_undecided_circle_test_is_a_compute_error(capsys, tmp_path):
     assert "could not decide whether x^4 - x^3 - x^2 - x + 1 has a root" in capsys.readouterr().err
 
 
-def test_refinements_of_the_circle_test_carry_their_precision(monkeypatch, capsys, tmp_path):
-    """Each refinement of the Salem number's disks starts at the precision
-    that certified the one before: 60 certifications, where restarting at
-    64 bits made 195, and the same exit code and message."""
+def test_the_salem_number_is_certified_once(monkeypatch, capsys, tmp_path):
+    """The Salem number's disks meet the unit circle, and no smaller disk
+    could settle it: one certification, where refining the disks made 60,
+    with the same exit code and message."""
     precisions = []
     real = numerics._certify_at_precision
 
-    def counted(f, prec, tol):
+    def counted(f, prec):
         precisions.append(prec)
-        return real(f, prec, tol)
+        return real(f, prec)
 
     monkeypatch.setattr(numerics, "_certify_at_precision", counted)
     argv = ["scan-wieferich", "--minpoly=1,-1,-1,-1,1", "--n-max", "12", "--precision-cap", "512"]
@@ -691,7 +706,7 @@ def test_refinements_of_the_circle_test_carry_their_precision(monkeypatch, capsy
     assert capsys.readouterr().err == (
         "error: could not decide whether x^4 - x^3 - x^2 - x + 1 has a root on the unit circle\n"
     )
-    assert len(precisions) == 60
+    assert precisions == [64]
 
 
 @pytest.mark.parametrize(
@@ -716,10 +731,10 @@ def test_each_command_certifies_and_decides_the_circle_once(argv, code, monkeypa
 
         monkeypatch.setattr(numerics, name, wrapper)
 
-    for name in ("certify_roots", "_factor_from_roots", "_sides"):
+    for name in ("certify_roots", "_factor_from_roots", "growth_constants"):
         counted(name)
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == code
-    assert calls == {"certify_roots": 1, "_factor_from_roots": 1, "_sides": 1}
+    assert calls == {"certify_roots": 1, "_factor_from_roots": 1, "growth_constants": 1}
 
 
 @pytest.mark.parametrize("coeffs", ["-1,-1,1", "-1,-1,0,1", "-1,-1,0,0,1", "1,-3,1"])

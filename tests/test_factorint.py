@@ -90,6 +90,21 @@ class TestFactor:
         f = factor(p ** 3)
         assert f.factors == ((p, 3),)
 
+    @pytest.mark.parametrize("n", [(1000003 * 1000033) ** 6, 1000003 ** 12])
+    def test_composite_exponents_are_taken_a_prime_at_a_time(self, n):
+        assert dict(factor(n).factors) == sympy.factorint(n)
+
+    def test_perfect_power_check_tries_prime_exponents_up_to_a_nineteenth_of_the_bits(self, monkeypatch):
+        """A wide integer with no prime below 10**6 that is no perfect power
+        takes one iroot per prime k <= bits // 19, not one per k <= bits."""
+        m = sympy.nextprime(2 ** 1000) * sympy.nextprime(2 ** 1001)
+        exponents = []
+        real = factorint.iroot
+        monkeypatch.setattr(factorint, "iroot", lambda n, k: exponents.append(k) or real(n, k))
+        f = factor(m, search=False)
+        assert (f.status, f.cofactor) == (Status.TRIAL, m)
+        assert exponents == sieve(m.bit_length() // 19)
+
     @given(
         st.lists(st.sampled_from(_BIG_PRIMES), min_size=2, max_size=7),
         st.integers(min_value=0, max_value=3000),   # rho needs about sqrt(p) iterations

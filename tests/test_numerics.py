@@ -212,9 +212,8 @@ class TestRootCenters:
             got = rootfind.root_centers(f, prec)
             assert same_up_to_ties(got, mpmath_centers(f, (prec,), extraprec=2000)[prec], prec)
             assert got[1] == (0, 0)
-        tol = Fraction(10 ** -12)
-        assert numerics._certify_at_precision(f, 256, tol) is None
-        assert numerics._certify_at_precision(f, 512, tol) is not None
+        assert numerics._certify_at_precision(f, 256) is None
+        assert numerics._certify_at_precision(f, 512) is not None
 
     def test_no_convergence_is_none(self, monkeypatch):
         monkeypatch.setattr(rootfind, "_MAX_SWEEPS", 2)
@@ -278,7 +277,36 @@ class TestCircleTest:
         # the numeric route cannot certify either way
         message = r"^could not decide whether x\^4 - x\^3 - x\^2 - x \+ 1 has a root on the unit circle$"
         with pytest.raises(NonConvergenceError, match=message):
-            growth_constants(certify_roots(SALEM4, precision_cap=512), precision_cap=512)
+            growth_constants(certify_roots(SALEM4, precision_cap=512))
+
+    def test_a_disk_on_the_circle_is_beyond_every_admissible_power(self):
+        """A disk of radius below _RADIUS that meets the circle holds a root
+        r with ||r| - 1| < 2 * _RADIUS, and |r|**k reaches 2 or 1/2 only
+        beyond _MAX_POWER: no smaller disk could admit the unit."""
+        assert math.log(2) / math.log1p(2 * float(numerics._RADIUS)) > numerics._MAX_POWER
+        for poly in (PELL, GOLDEN_SQ, PLASTIC, SALEM4, IntPoly.of(-1, -1, *[0] * 10, 1)):
+            assert all(d.radius < numerics._RADIUS for d in certify_roots(poly).roots)
+
+    def test_a_non_reciprocal_unit_with_a_disk_on_the_circle_has_no_power(self):
+        unit = certify_roots(PLASTIC)
+        on_circle = numerics.RootDisk(Fraction(1), Fraction(0), unit.roots[0].radius)
+        with pytest.raises(NonConvergenceError, match=r"^no admissible power below 10\^6$"):
+            growth_constants(unit._replace(roots=(on_circle, *unit.roots[1:])))
+
+    @pytest.mark.parametrize("poly, error", [(PELL, None), (PLASTIC, None), (SALEM4, NonConvergenceError)])
+    def test_growth_constants_certifies_nothing(self, poly, error, monkeypatch):
+        """growth_constants reads the sides from the unit's own disks, also
+        when one of them meets the circle."""
+        unit = certify_roots(poly)
+        calls = []
+        real = numerics._certify_at_precision
+        monkeypatch.setattr(numerics, "_certify_at_precision", lambda *args: calls.append(args) or real(*args))
+        if error is None:
+            growth_constants(unit)
+        else:
+            with pytest.raises(error):
+                growth_constants(unit)
+        assert calls == []
 
     @pytest.mark.parametrize("poly", [PELL, GOLDEN_SQ, PLASTIC, cyclotomic(5), cyclotomic(12)])
     def test_invariant_under_inverse_and_negation(self, poly):
@@ -309,9 +337,10 @@ class TestGrowthConstants:
         """The estimated crossings pick the k that the rule gives stepwise,
         with a Fraction power at every k, and the same powered bounds."""
         unit = certify_roots(minpoly)
-        disks, sides = numerics._sides(unit)
-        lbs = [d.mod_lb() for d in disks]
-        ubs = [d.mod_ub() for d in disks]
+        lbs = [d.mod_lb() for d in unit.roots]
+        ubs = [d.mod_ub() for d in unit.roots]
+        assert all(lb > 1 or ub < 1 for lb, ub in zip(lbs, ubs))   # every disk off the circle
+        sides = [+1 if lb > 1 else -1 for lb in lbs]
         peak = max(lb for lb, side in zip(lbs, sides) if side == +1)
 
         def admissible(k):
