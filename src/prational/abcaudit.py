@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
-from .errors import PartialFactorizationError
 from .factorint import (
     Factorization,
     IdealSplit,
@@ -72,7 +71,7 @@ def height(F: QuadField, a: QuadInt, b: QuadInt, c: QuadInt) -> Height:
     if math.gcd(a.norm(), b.norm(), c.norm()) > 1:
         splits = [ideal_valuations(F, x) for x in (a, b, c)]
         if any(s.status is not Status.COMPLETE for s in splits):
-            raise PartialFactorizationError("height needs complete ideal valuations")
+            raise ArithmeticError("height needs complete ideal valuations")
         vals = [dict(s.entries) for s in splits]
         for P in set().union(*vals):
             vmin = min(v.get(P, 0) for v in vals)
@@ -94,8 +93,10 @@ def _unit_triple_of(F: QuadField, split: IdealSplit, n: int) -> AbcTriple:
 
 
 def unit_triple(F: QuadField, u: QuadInt, n: int, **factor_opts) -> AbcTriple:
-    """The triple (u**n - 1) + 1 = u**n, factored as squarefull_report does."""
-    *_, (_, alpha, fact) = unit_power_factorizations(u, n, **factor_opts)
+    """The triple (u**n - 1) + 1 = u**n, factored as squarefull_report does,
+    through the Phi_m(u) with m | n only."""
+    divisors = [m for m in range(1, n + 1) if n % m == 0]
+    *_, (_, alpha, fact) = unit_power_factorizations(u, divisors, **factor_opts)
     return _unit_triple_of(F, ideal_split(F, alpha, fact), n)
 
 
@@ -103,9 +104,10 @@ _UNIT_NORM = Factorization(1, (), 1, Status.COMPLETE)
 
 
 def unit_power_factorizations(
-    u: QuadInt, n_max: int, tally: Counter | None = None, **factor_opts
+    u: QuadInt, levels: Iterable[int], tally: Counter | None = None, **factor_opts
 ) -> Iterator[tuple[int, QuadInt, Factorization]]:
-    """(n, u**n - 1, the factorization of |N(u**n - 1)|) for n = 1..n_max.
+    """(n, u**n - 1, the factorization of |N(u**n - 1)|) for each n of
+    ``levels``, increasing positive integers that hold every divisor of each.
 
     u**n - 1 is the product of Phi_m(u) over the divisors m of n, so
     |N(Phi_n(u))| is |N(u**n - 1)| divided by |N(Phi_m(u))| over the divisors
@@ -118,20 +120,20 @@ def unit_power_factorizations(
     """
     if not u.is_unit():
         raise ValueError("u must be a unit")
-    pieces: list[Factorization] = []   # pieces[m - 1] factors |N(Phi_m(u))|
-    power = u
-    for n in range(1, n_max + 1):
+    pieces: dict[int, Factorization] = {}   # pieces[m] factors |N(Phi_m(u))|
+    power, level = u.field.one(), 0   # power = u**level
+    for n in levels:
+        power, level = power * u ** (n - level), n
         alpha = power - 1
-        below = [pieces[m - 1] for m in range(1, n // 2 + 1) if n % m == 0]
+        below = [pieces[m] for m in range(1, n // 2 + 1) if n % m == 0]
         norm = abs(alpha.norm()) // math.prod(piece.value for piece in below)
         if norm == 1:
-            pieces.append(_UNIT_NORM)
+            pieces[n] = _UNIT_NORM
         else:
-            pieces.append(factor(norm, **factor_opts))
+            pieces[n] = factor(norm, **factor_opts)
             if tally is not None:
                 tally["factored"] += 1
-        yield n, alpha, merge_factorizations([*below, pieces[-1]])
-        power = power * u
+        yield n, alpha, merge_factorizations([*below, pieces[n]])
 
 
 def squarefull_report(
@@ -148,7 +150,7 @@ def squarefull_report(
     Partial factorizations are flagged rather than dropped.
     """
     rows = []
-    for n, alpha, fact in unit_power_factorizations(u, n_max, tally, **factor_opts):
+    for n, alpha, fact in unit_power_factorizations(u, range(1, n_max + 1), tally, **factor_opts):
         split = ideal_split(F, alpha, fact)
         total = fact.value
         nj = split.squarefull_norm

@@ -24,7 +24,6 @@ from pathlib import Path
 # is written.  Every stderr line goes through _log, not logging.  The
 # records are NamedTuples, so no module imports the dataclass machinery.
 from . import factorint, numerics
-from .errors import PartialFactorizationError
 from .polyarith import IntPoly
 from .quadfield import excluded_prime_bound, make_field, minpoly_of
 
@@ -351,7 +350,7 @@ def cmd_scan_wieferich(args, out) -> int:
         f"{tally['searched']} searched, {tally['partial']} partial"
     )
     if args.strict and any(r.reason == scans.REASON_PARTIAL for r in records):
-        raise PartialFactorizationError("factor budget exhausted under --strict")
+        raise ArithmeticError("factor budget exhausted under --strict")
     summary = {
         "schema_version": SCHEMA_VERSION,
         "power": constants.power,
@@ -437,7 +436,7 @@ def cmd_abc_quality(args, out) -> int:
     partial = sum(r.status is not factorint.Status.COMPLETE for r in report)
     _log(f"factoring: {tally['factored']} cyclotomic norms factored for {len(report)} rows, {partial} partial")
     if args.strict and partial:
-        raise PartialFactorizationError("factor budget exhausted under --strict")
+        raise ArithmeticError("factor budget exhausted under --strict")
     columns = ("n", "squarefree_norm", "squarefull_norm", "norm_total",
                "squarefull_log_share", "quality", "factor_status")
     rows = (
@@ -467,7 +466,13 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         if n_max:
             p.add_argument("--n-max", type=int, required=True, help="scan levels n = 1..n_max")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument(
+            "--seed",
+            type=int,
+            default=0,
+            help="seed of the random starts of the factoring search; every command "
+            "takes it, and only the search of scan-wieferich and abc-quality uses it",
+        )
         p.add_argument("--cache", type=str, default=None, help="factorization cache path")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", type=str, default=None, help="write output here instead of stdout")
@@ -613,7 +618,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 _log(f"cache: {cache.hits} hits, {fresh} new entries stored")
         return code
-    # the class sets the exit code (see errors); no class is both
+    # the class sets the exit code: an ArithmeticError exits 3, a ValueError 2
     except ArithmeticError as exc:   # also an OverflowError: an --X too large to sieve
         _log(f"error: {exc}")
         return EXIT_COMPUTE

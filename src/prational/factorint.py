@@ -9,25 +9,26 @@ to the bound with its exact exponent; when what is left has two or more
 distinct primes, all above the bound, it stays an open cofactor (status
 TRIAL).  The search then runs on that cofactor: Brent-cycle Pollard rho
 capped at _RHO_CAP iterations per composite (enough for factors up to about
-30 bits), then elliptic-curve (ECM) curves.  A caller that needs only the
-small primes (the Wieferich scans) stops after the trial phase with
-``search=False``.  Trial division divides the primes out in increasing order
-and stops where one ``%`` per prime would, so the search gets the composite
-that loop would leave.  One budget, ``rho_budget``, counted in rho
-iterations, covers the search: each curve is charged _ECM_CURVE_COST, about
-its time in rho iterations, and runs only while that much budget is left, so
-``rho_budget=0`` means the trial phase only.  The random starts come from
-one generator seeded with ``seed`` when the search starts, so a searched
-result is the same whether or not its trial phase ran in an earlier call.  A
-perfect power r**k is factored through r, once.  Giving up is a first-class
-outcome: the composite leftover is reported as a ``cofactor`` with status
-``PARTIAL`` instead of being mislabeled, and the listed primes keep exact
-exponents (none of them divides the cofactor).  A caller that factors many
-integers passes one factor table (see cli.FactorCache) as ``cache``, so no
-integer is factored twice in one run; ``factor`` alone decides which entry
-answers which call.  Primality is certified deterministically below 3.3e24
-(fixed Miller-Rabin witness sets) and probabilistically (64 seeded rounds)
-above.
+30 bits), then elliptic-curve (ECM) curves.  Trial division divides the
+primes out in increasing order and stops where one ``%`` per prime would, so
+the search gets the composite that loop would leave.  One budget,
+``rho_budget``, counted in rho iterations, covers the search: each curve is
+charged _ECM_CURVE_COST, about its time in rho iterations, and runs only
+while that much budget is left, so ``rho_budget=0`` means the trial phase
+only; a caller that needs only the small primes (the Wieferich scans) asks
+that first.  The trial phase depends on the integer alone.  The random
+starts of the search come from one generator seeded with ``seed`` when the
+search starts, so a searched result is the same whether or not its trial
+phase ran in an earlier call.  A perfect power r**k is factored through r,
+once.  Giving up is a first-class outcome: the composite leftover is
+reported as a ``cofactor`` with status ``PARTIAL`` instead of being
+mislabeled, and the listed primes keep exact exponents (none of them
+divides the cofactor).  A caller that factors many integers passes one
+factor table (see cli.FactorCache) as ``cache``, so no integer is factored
+twice in one run; ``factor`` alone decides which entry answers which call.
+Primality is certified deterministically below 3.3e24 (fixed Miller-Rabin
+witness sets) and probabilistically above, by 64 rounds whose bases come
+from a generator seeded with the integer's low 32 bits.
 
 The ideal layer splits a principal ideal of a real quadratic field into
 prime-ideal powers and separates the squarefree part (valuation exactly 1)
@@ -44,7 +45,6 @@ import math
 import random
 from typing import NamedTuple
 
-from .errors import PartialFactorizationError
 from .quadfield import (
     PrimeIdealAboveP,
     QuadField,
@@ -154,7 +154,7 @@ def _prime_power_product(bound: int) -> int:
 _ECM_K = _prime_power_product(_ECM_B1)   # the multiplier of ECM stage 1
 
 
-def is_prime(n: int, seed: int = 0) -> bool:
+def is_prime(n: int) -> bool:
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
@@ -163,7 +163,7 @@ def is_prime(n: int, seed: int = 0) -> bool:
     if n < _MR_DETERMINISTIC_BOUND:
         bases = _MR_BASES
     else:
-        rng = random.Random((seed << 16) ^ (n & 0xFFFFFFFF))
+        rng = random.Random(n & 0xFFFFFFFF)
         bases = tuple(rng.randrange(2, n - 1) for _ in range(64))
     d, s = n - 1, 0
     while d % 2 == 0:
@@ -201,7 +201,7 @@ class Factorization(NamedTuple):
 
     def complete_factors(self) -> tuple[tuple[int, int], ...]:
         if self.status is not Status.COMPLETE:
-            raise PartialFactorizationError(f"cannot completely factor {self.value}")
+            raise ArithmeticError(f"cannot completely factor {self.value}")
         return self.factors
 
     def product(self) -> int:
@@ -320,7 +320,7 @@ def _ecm(n: int, rng: random.Random) -> int | None:
     return g if 1 < g < n else None
 
 
-def _reduce(m: int, mult: int, found: dict[int, int], seed: int) -> tuple[int, int]:
+def _reduce(m: int, mult: int, found: dict[int, int]) -> tuple[int, int]:
     """Reduce the part m**mult of an integer, m having no prime below the trial
     bound: a prime m goes into ``found`` and gives (1, 0); a perfect power
     r**k is taken through r (once, which also spares rho the powers of one
@@ -329,7 +329,7 @@ def _reduce(m: int, mult: int, found: dict[int, int], seed: int) -> tuple[int, i
     above _TRIAL_BOUND > 2**19 gives r**k over 19*k bits, and a composite k
     is taken one prime factor at a time."""
     while m > 1:
-        if is_prime(m, seed=seed):
+        if is_prime(m):
             found[m] = found.get(m, 0) + mult
             return 1, 0
         for k in sieve(m.bit_length() // 19):
@@ -364,7 +364,7 @@ def _search(m: int, mult: int, found: dict[int, int], rho_budget: int, seed: int
             cofactor *= m ** mult
             continue
         for part in (divisor, m // divisor):
-            part, k = _reduce(part, mult, found, seed)
+            part, k = _reduce(part, mult, found)
             if part > 1:
                 stack.append((part, k))
     # a prime split off one branch can still divide a branch the search gave up on
@@ -396,29 +396,24 @@ def _trial_view(fact: Factorization) -> Factorization:
     return Factorization(fact.value, small, math.prod(p ** e for p, e in large), Status.TRIAL)
 
 
-def factor(
-    n: int,
-    rho_budget: int = _RHO_BUDGET,
-    seed: int = 0,
-    cache=None,
-    search: bool = True,
-) -> Factorization:
+def factor(n: int, rho_budget: int = _RHO_BUDGET, seed: int = 0, cache=None) -> Factorization:
     """Factor n >= 1; the composite leftover (if the budget runs out) lands
     in ``cofactor`` with status PARTIAL.
 
     The trial phase is everything before the first rho iteration: trial
     division up to 10**6, then the primality test and the perfect-power
-    check on what is left.  With ``search=False`` only it runs, and the
-    result is COMPLETE or TRIAL: a TRIAL cofactor is unsearched, its primes
-    all exceed 10**6, and the listed exponents are exact.  The search (rho,
-    then ECM) starts from the same state either way, so a searched result
-    does not depend on whether the trial phase ran in an earlier call.
+    check on what is left; it depends on n alone.  With ``rho_budget=0``
+    only it runs, and the result is COMPLETE or TRIAL: a TRIAL cofactor is
+    unsearched, its primes all exceed 10**6, and the listed exponents are
+    exact.  The search (rho, then ECM) starts from the same state either
+    way, so a searched result does not depend on whether the trial phase
+    ran in an earlier call.
 
     ``cache`` is a factor table with ``lookup``, ``record`` and ``hits``
-    (see cli.FactorCache) that holds COMPLETE and TRIAL results only.  A
-    COMPLETE entry answers every call, a call with ``search=False`` by what
-    the trial phase alone would give; a TRIAL entry answers only calls with
-    ``search=False``.  Each call an entry answers adds 1 to ``cache.hits``.
+    (see cli.FactorCache) that holds COMPLETE and TRIAL results only.  Any
+    entry answers a call with ``rho_budget=0``, by what the trial phase
+    alone would give; a COMPLETE entry answers every other call too, and a
+    TRIAL entry none.  Each call an entry answers adds 1 to ``cache.hits``.
     A call that searches on a TRIAL entry resumes the search on its
     cofactor, without trial division.  A call that finds no entry records
     its trial phase, and a search that ends COMPLETE records that in its
@@ -428,19 +423,19 @@ def factor(
     fact = None if cache is None else cache.lookup(n)
     if fact is None:
         found: dict[int, int] = {}
-        m, mult = _reduce(_trial_divide(n, found), 1, found, seed)
+        m, mult = _reduce(_trial_divide(n, found), 1, found)
         status = Status.TRIAL if m > 1 else Status.COMPLETE
         fact = Factorization(n, tuple(sorted(found.items())), m ** mult, status)
         if cache is not None:
             cache.record(fact)
-        if status is Status.COMPLETE or not search:
+        if status is Status.COMPLETE or rho_budget == 0:
             return fact
-    elif fact.status is Status.COMPLETE or not search:
+    elif fact.status is Status.COMPLETE or rho_budget == 0:
         cache.hits += 1
-        return fact if search else _trial_view(fact)
+        return fact if rho_budget else _trial_view(fact)
     else:
         found = dict(fact.factors)
-        m, mult = _reduce(fact.cofactor, 1, found, seed)
+        m, mult = _reduce(fact.cofactor, 1, found)
     cofactor = _search(m, mult, found, rho_budget, seed) if m > 1 else 1
     status = Status.COMPLETE if cofactor == 1 else Status.PARTIAL
     fact = Factorization(n, tuple(sorted(found.items())), cofactor, status)
@@ -536,7 +531,7 @@ def _valuations_above(F: QuadField, alpha: QuadInt, p: int, e: int):
 def radical_of_ideal(split: IdealSplit) -> int:
     """Product of N(P) over the distinct prime ideals dividing the element."""
     if split.status is not Status.COMPLETE:
-        raise PartialFactorizationError("radical needs a complete factorization")
+        raise ArithmeticError("radical needs a complete factorization")
     out = 1
     for P, _ in split.entries:
         out *= P.norm

@@ -25,7 +25,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import NonConvergenceError, NotAUnitError, NotSquarefreeError
 from .polyarith import IntPoly, cyclotomic, discriminant, iroot, prem, sqrt_bounds
 
 PRECISION_CAP_BITS = 2 ** 14
@@ -123,9 +122,9 @@ def certify_roots(minpoly: IntPoly, precision_cap: int = PRECISION_CAP_BITS) -> 
     """Enclose all roots of a unit's minimal polynomial in disjoint certified
     disks of radius below 1e-12.
 
-    Raises NotSquarefreeError / NotAUnitError on bad input (NotAUnitError also
-    when f has a cyclotomic factor of lower degree or is reducible) and
-    NonConvergenceError if disks cannot be separated below ``precision_cap`` bits.
+    Raises ValueError on bad input (also when f has a cyclotomic factor of
+    lower degree or is reducible) and ArithmeticError if disks cannot be
+    separated below ``precision_cap`` bits.
     """
     f = minpoly
     if f.is_zero() or f.degree() < 1:
@@ -133,40 +132,38 @@ def certify_roots(minpoly: IntPoly, precision_cap: int = PRECISION_CAP_BITS) -> 
     if f.lead() == -1:
         f = -f
     if not f.is_monic():
-        raise NotAUnitError("an algebraic integer needs a monic minimal polynomial")
+        raise ValueError("an algebraic integer needs a monic minimal polynomial")
     if abs(f.constant()) != 1:
-        raise NotAUnitError(f"constant term {f.constant()} has absolute value != 1")
+        raise ValueError(f"constant term {f.constant()} has absolute value != 1")
     if discriminant(f) == 0:
-        raise NotSquarefreeError("minimal polynomial has a repeated factor")
+        raise ValueError("minimal polynomial has a repeated factor")
     m = f.degree()
     # a cyclotomic factor of lower degree makes f reducible, so f is no minimal
     # polynomial; deg Phi_k = phi(k) >= sqrt(k/2) and phi(k) < m give k <= 2(m-1)^2
     for k in range(1, 2 * (m - 1) ** 2 + 1):
         if cyclotomic(k).degree() < m and prem(f, cyclotomic(k)).is_zero():
-            raise NotAUnitError(f"{f.pretty()} has a cyclotomic factor of lower degree")
+            raise ValueError(f"{f.pretty()} has a cyclotomic factor of lower degree")
     if m == 1:
         root = -f.constant()
         return AlgebraicUnit(f, 1, (RootDisk(Fraction(root), Fraction(0), Fraction(0)),))
     disks = _enclose(f, precision_cap)
     h = _factor_from_roots(f, disks)
     if h is not None:
-        raise NotAUnitError(f"{f.pretty()} is reducible: {h.pretty()} divides it")
+        raise ValueError(f"{f.pretty()} is reducible: {h.pretty()} divides it")
     return AlgebraicUnit(f, m, disks)
 
 
 def _enclose(f: IntPoly, precision_cap: int) -> tuple[RootDisk, ...]:
     """Disjoint certified disks of radius below _RADIUS around the roots of a
     monic squarefree f of degree >= 2, at the first of 64, 128, 256, ... bits
-    that gives them.  Raises NonConvergenceError beyond ``precision_cap``."""
+    that gives them.  Raises ArithmeticError beyond ``precision_cap``."""
     prec = 64
     while prec <= precision_cap:
         disks = _certify_at_precision(f, prec)
         if disks is not None:
             return disks
         prec *= 2
-    raise NonConvergenceError(
-        f"could not separate the roots of {f.pretty()} below {precision_cap} bits"
-    )
+    raise ArithmeticError(f"could not separate the roots of {f.pretty()} below {precision_cap} bits")
 
 
 def _factor_from_roots(f: IntPoly, disks: tuple[RootDisk, ...]) -> IntPoly | None:
@@ -192,7 +189,7 @@ def _factor_from_roots(f: IntPoly, disks: tuple[RootDisk, ...]) -> IntPoly | Non
         mirror = RootDisk(disk.re, -disk.im, disk.radius)
         meets = [j for j, other in enumerate(disks) if mirror.overlaps(other)]
         if len(meets) != 1:
-            raise NonConvergenceError(f"could not pair the roots of {f.pretty()} with their conjugates")
+            raise ArithmeticError(f"could not pair the roots of {f.pretty()} with their conjugates")
         if meets[0] >= i:
             classes.append((i,) if meets[0] == i else (i, meets[0]))
     ubs = [d.mod_ub() for d in disks]
@@ -206,7 +203,7 @@ def _factor_from_roots(f: IntPoly, disks: tuple[RootDisk, ...]) -> IntPoly | Non
                 continue
             err = math.prod(1 + ubs[i] + disks[i].radius for i in S) - math.prod(1 + ubs[i] for i in S)
             if err >= Fraction(1, 2):
-                raise NonConvergenceError(f"could not decide whether {f.pretty()} is irreducible")
+                raise ArithmeticError(f"could not decide whether {f.pretty()} is irreducible")
             coeffs = [(Fraction(1), Fraction(0))]   # prod (x - c), highest degree first
             for i in S:
                 c_re, c_im = disks[i].re, disks[i].im
@@ -283,10 +280,10 @@ def _least_power(base: Fraction, target: int, strict: bool = False) -> int:
     """The least k >= 1 with base**k > target (strict) or base**k >= target,
     for base > 1 and target >= 1.  k*ln(base) = ln(target) estimates it in
     floating point; compare_with_power then moves it until k holds and
-    k - 1 does not.  Raises NonConvergenceError when k exceeds _MAX_POWER."""
+    k - 1 does not.  Raises ArithmeticError when k exceeds _MAX_POWER."""
     log_base, log_target = ln(base), math.log(target)
     if log_base * (_MAX_POWER + 1) < log_target:
-        raise NonConvergenceError("no admissible power below 10^6")
+        raise ArithmeticError("no admissible power below 10^6")
 
     def holds(k: int) -> bool:
         sign = compare_with_power(target, base, k)
@@ -298,7 +295,7 @@ def _least_power(base: Fraction, target: int, strict: bool = False) -> int:
     while k > 1 and holds(k - 1):
         k -= 1
     if k > _MAX_POWER:
-        raise NonConvergenceError("no admissible power below 10^6")
+        raise ArithmeticError("no admissible power below 10^6")
     return k
 
 
@@ -310,7 +307,7 @@ def growth_constants(unit: AlgebraicUnit) -> GrowthConstants:
     circle has modulus**k <= 1/2, every conjugate outside has modulus**k >= 2,
     and (peak**k - 1) * 2**(1-m) > 1, which makes the rate positive.  It
     decides the unit circle (module docstring): ValueError for a cyclotomic
-    f, NonConvergenceError when one of the unit's disks meets the circle.
+    f, ArithmeticError when one of the unit's disks meets the circle.
     """
     f = unit.minpoly
     m = unit.degree
@@ -321,7 +318,7 @@ def growth_constants(unit: AlgebraicUnit) -> GrowthConstants:
     lbs = [d.mod_lb() for d in unit.roots]
     ubs = [d.mod_ub() for d in unit.roots]
     if any(lb <= 1 <= ub for lb, ub in zip(lbs, ubs)):
-        raise NonConvergenceError(
+        raise ArithmeticError(
             f"could not decide whether {f.pretty()} has a root on the unit circle"
             if reciprocal else "no admissible power below 10^6"
         )

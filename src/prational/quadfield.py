@@ -25,12 +25,6 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import (
-    NonConvergenceError,
-    NotSquarefreeError,
-    RamifiedUnsupportedError,
-    TooLargeDiscriminantError,
-)
 from .polyarith import IntPoly, hensel_lift, sqrt_bounds
 
 _CLASS_NUMBER_DISC_CAP = 10 ** 6
@@ -215,7 +209,7 @@ def _squarefree(n: int) -> bool:
 
     f = factor(n)
     if f.status.value != "complete":
-        raise TooLargeDiscriminantError(f"cannot certify {n} squarefree")
+        raise ArithmeticError(f"cannot certify {n} squarefree")
     return all(e == 1 for _, e in f.factors)
 
 
@@ -240,7 +234,7 @@ def _fundamental_unit(d: int, omega_half: bool) -> tuple[int, int]:
         if abs(Q) == start:
             break
     else:
-        raise NonConvergenceError("continued fraction did not produce a unit")
+        raise ArithmeticError("continued fraction did not produce a unit")
     h, h_prev, k, k_prev = 1, 0, 0, 1
     for a in quotients:
         h, h_prev = a * h + h_prev, h
@@ -287,7 +281,7 @@ def make_field(d: int, class_number_override: int | None = None) -> QuadField:
     if d < 2:
         raise ValueError("d must be >= 2 for a real quadratic field")
     if not _squarefree(d):
-        raise NotSquarefreeError(f"d = {d} is not squarefree")
+        raise ValueError(f"d = {d} is not squarefree")
     omega_half = d % 4 == 1
     disc = d if omega_half else 4 * d
     F = QuadField(d, disc, omega_half, _fundamental_unit(d, omega_half))
@@ -296,7 +290,7 @@ def make_field(d: int, class_number_override: int | None = None) -> QuadField:
             raise ValueError("class number must be positive")
         F.class_number = class_number_override
     elif disc > _CLASS_NUMBER_DISC_CAP:
-        raise TooLargeDiscriminantError(
+        raise ArithmeticError(
             f"disc = {disc} exceeds the certified class-number bound; "
             "pass the class number explicitly"
         )
@@ -400,7 +394,7 @@ def unit_pow_mod_p2(F: QuadField, u: QuadInt, e: int, P: PrimeIdealAboveP):
     (x, y) mod p**2.
     """
     if P.splitting is Splitting.RAMIFIED:
-        raise RamifiedUnsupportedError("mod-P^2 arithmetic at ramified primes is not supported")
+        raise ValueError("mod-P^2 arithmetic at ramified primes is not supported")
     if e < 0:
         raise ValueError("exponent must be nonnegative")
     p2 = P.p * P.p

@@ -65,7 +65,6 @@ from collections.abc import Callable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import InsufficientRecordsError
 from .factorint import _TRIAL_BOUND, Status, factor, ideal_valuations, sieve
 from .numerics import AlgebraicUnit, GrowthConstants, _least_power, compare_with_power
 from .polyarith import (
@@ -157,11 +156,12 @@ def _scan_row(
     """The row of level n.  ``factorize(**opts)`` factors its integer (or
     ideal), and ``choose`` picks (p, residue degree, N(P), root) of the
     candidate from that, or None.  A level with 2*phi(n) < n is skipped
-    unfactored.  The trial phase runs first, the search only where _settled
-    leaves the row open; a PARTIAL search gives no choice."""
+    unfactored.  The trial phase (``rho_budget=0``) runs first, the search
+    only where _settled leaves the row open; a search that does not
+    complete gives no choice."""
     if 2 * euler_phi(n) < n:
         return ScanRecord(n, cyclo_norm, None, *_NO_CHOICE, SKIPPED, REASON_PHI)
-    fact = factorize(search=False, **factor_opts)
+    fact = factorize(**{**factor_opts, "rho_budget": 0})
     chosen = choose(fact)
     if _settled(fact.status, chosen is not None, gamma, n):
         tally["settled"] += 1
@@ -169,7 +169,7 @@ def _scan_row(
     else:
         tally["searched"] += 1
         fact = factorize(**factor_opts)
-        if fact.status is Status.PARTIAL:
+        if fact.status is not Status.COMPLETE:   # PARTIAL, or TRIAL at budget 0
             tally["partial"] += 1
             return ScanRecord(n, cyclo_norm, PARTIAL, *_NO_CHOICE, SKIPPED, REASON_PARTIAL)
         chosen, factor_status = choose(fact), COMPLETE
@@ -246,9 +246,7 @@ def count_report(records: list[ScanRecord], constants: GrowthConstants, X: int) 
     n_stop = _least_power(constants.norm_base, X, strict=True) - 1
     max_n = max((r.n for r in records), default=0)
     if max_n < n_stop:
-        raise InsufficientRecordsError(
-            f"records cover n <= {max_n} but the window needs n <= {n_stop}"
-        )
+        raise ArithmeticError(f"records cover n <= {max_n} but the window needs n <= {n_stop}")
     window = [r for r in records if constants.n_start <= r.n <= n_stop and r.reason != REASON_PHI]
     successes = [r for r in window if r.status == SUCCESS]
     distinct = len({r.prime for r in successes})

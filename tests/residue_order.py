@@ -1,7 +1,6 @@
 """Test oracles: the multiplicative order of a unit in a residue field O/P,
 and whether a residue mod P**2 is 1."""
 
-from prational.errors import RamifiedUnsupportedError
 from prational.factorint import factor
 from prational.quadfield import Splitting, pair_pow
 
@@ -17,7 +16,7 @@ def multiplicative_order(F, u, P):
     """Order of u in (O/P)^x, by factoring the group order and descending
     through its prime divisors."""
     if P.splitting is Splitting.RAMIFIED:
-        raise RamifiedUnsupportedError("ramified primes are excluded")
+        raise ValueError("ramified primes are excluded")
     if not u.is_unit():
         raise ValueError("u must be a unit")
     p = P.p

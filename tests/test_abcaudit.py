@@ -4,7 +4,9 @@ import random
 import pytest
 import sympy
 
+from prational import abcaudit
 from prational.abcaudit import (
+    AbcTriple,
     SquarefullRow,
     height,
     squarefull_report,
@@ -12,6 +14,7 @@ from prational.abcaudit import (
     unit_triple,
 )
 from prational.factorint import Status, ideal_valuations, radical_of_ideal
+from prational.polyarith import cyclotomic
 from prational.quadfield import make_field
 
 
@@ -124,6 +127,31 @@ class TestUnitTriple:
             t = unit_triple(field2, eps2, n)
             assert t.radical == radical_of_ideal(ideal_valuations(field2, eps2 ** n - 1))
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 13])
+    def test_triples_match_the_whole_norm_route(self, d):
+        F = make_field(d)
+        u = F.fundamental_unit
+        for n in range(1, 25):
+            a, c = u ** n - 1, u ** n
+            rad = radical_of_ideal(ideal_valuations(F, a))
+            h = height(F, a, F.one(), c).value
+            quality = h / math.log(rad) if rad > 1 else None
+            assert unit_triple(F, u, n) == AbcTriple(a, F.one(), c, h, rad, quality, n)
+
+    def test_factors_only_the_divisors_of_n(self, monkeypatch):
+        """u**n - 1 is the product of the Phi_m(u) with m | n, so no other
+        level is factored: d = 94, n = 24 factors 8 norms, not 24."""
+        F = make_field(94)
+        u = F.fundamental_unit
+        calls = []
+        real = abcaudit.factor
+        monkeypatch.setattr(abcaudit, "factor", lambda m, **opts: calls.append(m) or real(m, **opts))
+        t = unit_triple(F, u, 24)
+        divisors = [m for m in range(1, 25) if 24 % m == 0]
+        norms = [abs(cyclotomic(m).evaluate(u).norm()) for m in divisors]
+        assert calls == [norm for norm in norms if norm != 1] and len(calls) == 8
+        assert t.radical == radical_of_ideal(ideal_valuations(F, u ** 24 - 1))
+
 
 def whole_norm_row(F, u, n):
     """The row of level n from |N(u**n - 1)| factored whole; the quality of
@@ -154,7 +182,7 @@ class TestSquarefullReport:
     @pytest.mark.parametrize("d", ORACLE_FIELDS)
     def test_merged_factorization_is_sympys(self, d):
         u = make_field(d).fundamental_unit
-        for n, alpha, fact in unit_power_factorizations(u, 40):
+        for n, alpha, fact in unit_power_factorizations(u, range(1, 41)):
             assert alpha == u ** n - 1
             assert fact.value == abs(alpha.norm())
             assert fact.status is Status.COMPLETE
@@ -186,7 +214,7 @@ class TestSquarefullReport:
             if r.status is Status.PARTIAL:
                 assert r.log_share is None
         # the merged factorizations keep exact exponents
-        for _, _, fact in unit_power_factorizations(big, 2, rho_budget=0):
+        for _, _, fact in unit_power_factorizations(big, range(1, 3), rho_budget=0):
             assert fact.product() == fact.value
             exact = sympy.factorint(fact.value)
             for p, e in fact.factors:

@@ -25,7 +25,7 @@ import pytest
 
 import sympy
 
-from prational import cli, errors, factorint, numerics, quadfield
+from prational import cli, factorint, numerics, quadfield
 from prational.polyarith import cyclotomic
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -253,35 +253,22 @@ def test_non_convergence_is_a_compute_error(stall, argv, message, monkeypatch, c
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-# the exit code of each error of prational.errors, as docs/formats.md gives it
-ERROR_EXIT_CODES = {
-    "NotSquarefreeError": cli.EXIT_USAGE,
-    "NotAUnitError": cli.EXIT_USAGE,
-    "RamifiedUnsupportedError": cli.EXIT_USAGE,
-    "NonConvergenceError": cli.EXIT_COMPUTE,
-    "PartialFactorizationError": cli.EXIT_COMPUTE,
-    "TooLargeDiscriminantError": cli.EXIT_COMPUTE,
-    "InsufficientRecordsError": cli.EXIT_COMPUTE,
-}
-
-
 def test_the_error_class_sets_the_exit_code(monkeypatch, capsys):
-    """Each error is a ValueError (exit 2) or an ArithmeticError (exit 3),
-    never both, and a run that raises it exits with that code."""
-    classes = {
-        name: cls for name, cls in vars(errors).items() if isinstance(cls, type) and issubclass(cls, Exception)
-    }
-    assert set(classes) == set(ERROR_EXIT_CODES)
-    for name, cls in classes.items():
-        usage = issubclass(cls, ValueError)
-        assert usage != issubclass(cls, ArithmeticError)
-        assert ERROR_EXIT_CODES[name] == (cli.EXIT_USAGE if usage else cli.EXIT_COMPUTE)
+    """A run that a ValueError ends exits 2, and one that an ArithmeticError
+    (an overflow or a division by zero among them) ends exits 3, each with
+    one error line, as docs/formats.md gives it."""
+    for cls, code in [
+        (ValueError, cli.EXIT_USAGE),
+        (ArithmeticError, cli.EXIT_COMPUTE),
+        (OverflowError, cli.EXIT_COMPUTE),
+        (ZeroDivisionError, cli.EXIT_COMPUTE),
+    ]:
 
         def fail(args, out, cls=cls):
             raise cls("stopped")
 
         monkeypatch.setattr(cli, "cmd_field_info", fail)
-        assert cli.main(["field-info", "--d", "2"]) == ERROR_EXIT_CODES[name]
+        assert cli.main(["field-info", "--d", "2"]) == code
         assert capsys.readouterr() == ("", "error: stopped\n")
 
 
@@ -453,7 +440,9 @@ def _partial_lines(path: Path) -> list[list[str]]:
 def test_wieferich_payload_does_not_depend_on_the_table(tmp_path):
     """Cold, on a table that abc-quality filled, on one that holds a complete
     factorization of every norm, and warm: the same bytes, since a row's
-    factor_status comes from its trial phase, not from what the table held."""
+    factor_status comes from its trial phase, not from what the table held.
+    So also under --factor-budget 0, whatever the seed: the complete entries
+    that a search found answer a budget-0 call by their trial view."""
     argv = ["scan-wieferich", "--d", "2", "--n-max", "100"]
     cold = run_cli(argv, tmp_path / "cold")
     sufficient = [row["n"] for row in _rows(cold) if row["factor_status"] == "sufficient"]
@@ -468,6 +457,11 @@ def test_wieferich_payload_does_not_depend_on_the_table(tmp_path):
     cli.cache_store(full, table)
     assert run_cli([*argv, "--cache", str(full)], tmp_path / "complete") == cold
     assert run_cli([*argv, "--cache", str(full)], tmp_path / "warm") == cold
+    zero = [*argv, "--factor-budget", "0"]
+    trial_only = run_cli(zero, tmp_path / "zero")
+    assert [row["n"] for row in _rows(trial_only) if row["factor_status"] == "partial"] == ["53", "67", "73", "77", "93"]
+    assert run_cli([*zero, "--cache", str(full)], tmp_path / "zero-on-complete") == trial_only
+    assert run_cli([*zero, "--seed", "5", "--cache", str(full)], tmp_path / "zero-seed-5") == trial_only
     # a table whose searched rows a small budget left partial: those rows
     # keep the trial entries of their trial phase, and no partial entry
     partial = tmp_path / "partial.txt"
@@ -495,6 +489,11 @@ def test_abc_payload_does_not_depend_on_the_budget_of_the_table(capsys, tmp_path
     assert capsys.readouterr().err.endswith(" 0 new entries stored\n")
     assert table.read_bytes() == held
     assert run_cli([*argv, "--cache", str(table)], tmp_path / "after-small") == cold
+    # the complete entries that run stored do not answer a budget-0 run
+    zero = [*argv, "--factor-budget", "0"]
+    trial_only = run_cli(zero, tmp_path / "zero")
+    assert [row["n"] for row in _rows(trial_only) if row["factor_status"] == "partial"] == ["53", "67", "73", "77", "79"]
+    assert run_cli([*zero, "--cache", str(table)], tmp_path / "zero-on-complete") == trial_only
 
 
 def test_scan_power_one_shares_the_table_with_abc_quality(capsys, tmp_path):
@@ -515,7 +514,7 @@ def test_trial_phase_entries_round_trip_through_the_cache_file(tmp_path):
     path = tmp_path / "cache.txt"
     table = cli.FactorCache()
     n = 12 * 1000003 * 1000033
-    trial = factorint.factor(n, cache=table, search=False)
+    trial = factorint.factor(n, cache=table, rho_budget=0)
     assert trial.status is factorint.Status.TRIAL
     cli.cache_store(path, table)
     assert path.read_text() == f"{n}\t2^2,3^1\t{1000003 * 1000033}\ttrial\n"
@@ -523,7 +522,7 @@ def test_trial_phase_entries_round_trip_through_the_cache_file(tmp_path):
     assert loaded.entries == {n: trial}
     searched = factorint.factor(n, cache=loaded)   # resumes the search
     assert searched == factorint.factor(n) and searched.status is factorint.Status.COMPLETE
-    settled = factorint.factor(4 * 1000003, cache=loaded, search=False)
+    settled = factorint.factor(4 * 1000003, cache=loaded, rho_budget=0)
     assert settled.status is factorint.Status.COMPLETE
     cli.cache_store(path, loaded)
     reloaded = cli.cache_load(path)   # the complete line supersedes the trial line
@@ -580,7 +579,7 @@ def test_cache_line_counts_the_factor_calls_the_table_answers(capsys, tmp_path):
 def test_resumed_search_does_no_trial_division(monkeypatch):
     table = cli.FactorCache()
     n = 12 * 1000003 * 1000033
-    factorint.factor(n, cache=table, search=False)
+    factorint.factor(n, cache=table, rho_budget=0)
     monkeypatch.setattr(factorint, "_trial_divide", None)   # any call fails
     assert factorint.factor(n, cache=table) == factorint.Factorization(
         n, ((2, 2), (3, 1), (1000003, 1), (1000033, 1)), 1, factorint.Status.COMPLETE

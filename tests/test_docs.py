@@ -1,12 +1,13 @@
-"""docs/formats.md names the same row vocabulary as the scans, and the same
-columns as the golden payloads."""
+"""docs/formats.md names the same row vocabulary as the scans, the same
+columns as the golden payloads, and every option of the command line."""
 
+import argparse
 import re
 from pathlib import Path
 
 import pytest
 
-from prational import scans
+from prational import cli, scans
 
 ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ROOT / "docs" / "formats.md"
@@ -48,3 +49,21 @@ def test_column_table_lists_the_golden_header(section):
         if not path.read_text().startswith("#")   # a payload without rows has no header
     }
     assert [header.split(",") for header in headers] == [documented]
+
+
+def test_every_cli_option_is_documented():
+    """Each long option of each subcommand, --help aside, appears in a
+    backtick span of docs/formats.md, alone or followed by its value."""
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        option
+        for sub in commands.choices.values()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+    }
+    assert {"--d", "--seed", "--factor-budget", "--minpoly"} <= options   # every subcommand is walked
+    spans = re.findall(r"`([^`]+)`", FORMATS.read_text())
+    documented = {token.split("=", 1)[0] for span in spans for token in span.split()}
+    assert sorted(options - documented) == []

@@ -6,7 +6,6 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from prational import factorint
-from prational.errors import PartialFactorizationError
 from prational.factorint import (
     Status,
     factor,
@@ -73,13 +72,15 @@ class TestFactor:
             factor(0)
 
     def test_partial_when_budget_exhausted(self):
+        # budget 0 runs the trial phase only, which leaves the cofactor open
         p = next_prime_from(10 ** 9 + 7)
         q = next_prime_from(10 ** 10 + 19)
-        f = factor(4 * p * q, rho_budget=0)
-        assert f.status is Status.PARTIAL
-        assert f.cofactor == p * q
-        assert f.factors == ((2, 2),)
-        assert f.product() == 4 * p * q
+        for budget, status in [(0, Status.TRIAL), (1, Status.PARTIAL)]:
+            f = factor(4 * p * q, rho_budget=budget)
+            assert f.status is status
+            assert f.cofactor == p * q
+            assert f.factors == ((2, 2),)
+            assert f.product() == 4 * p * q
 
     def test_deterministic(self):
         n = next_prime_from(10 ** 8 + 37) * next_prime_from(10 ** 9 + 7) * 6
@@ -101,7 +102,7 @@ class TestFactor:
         exponents = []
         real = factorint.iroot
         monkeypatch.setattr(factorint, "iroot", lambda n, k: exponents.append(k) or real(n, k))
-        f = factor(m, search=False)
+        f = factor(m, rho_budget=0)
         assert (f.status, f.cofactor) == (Status.TRIAL, m)
         assert exponents == sieve(m.bit_length() // 19)
 
@@ -254,14 +255,14 @@ class TestSearch:
     def test_small_budget_runs_no_curve(self, budget, monkeypatch):
         searched = count_searches(monkeypatch)
         f = factor(4 * HARD_P * HARD_Q, rho_budget=budget)
-        assert f.status is Status.PARTIAL
+        assert f.status is (Status.TRIAL if budget == 0 else Status.PARTIAL)
         assert f.factors == ((2, 2),) and f.cofactor == HARD_P * HARD_Q
         assert all(kind == "rho" for kind, _ in searched)
         assert (budget == 0) == (searched == [])
 
 
 class TestTrialPhase:
-    """factor(..., search=False) stops before the first rho iteration."""
+    """factor(..., rho_budget=0) stops before the first rho iteration."""
 
     # open after trial division: two primes above the bound, a square of such a
     # product, and the 48-bit factor only ECM finds
@@ -273,7 +274,7 @@ class TestTrialPhase:
 
     @pytest.mark.parametrize("n", OPEN)
     def test_open_cofactor_has_only_primes_above_the_bound(self, n):
-        f = factor(n, search=False)
+        f = factor(n, rho_budget=0)
         assert f.status is Status.TRIAL and f.product() == n
         full = sympy.factorint(n)
         assert f.factors == tuple((p, e) for p, e in sorted(full.items()) if p <= factorint._TRIAL_BOUND)
@@ -281,7 +282,7 @@ class TestTrialPhase:
 
     @pytest.mark.parametrize("n", [97 * 1000003, 3 * 1000003 ** 5, 2 ** 40, 10 ** 6 + 3])
     def test_at_most_one_prime_above_the_bound_completes(self, n):
-        f = factor(n, search=False)
+        f = factor(n, rho_budget=0)
         assert f.status is Status.COMPLETE and dict(f.factors) == sympy.factorint(n)
 
     @pytest.mark.parametrize("n", OPEN)
@@ -290,15 +291,16 @@ class TestTrialPhase:
         from prational.cli import FactorCache
 
         table = FactorCache()
-        trial = factor(n, cache=table, search=False)
+        trial = factor(n, cache=table, rho_budget=0)
         assert trial.status is Status.TRIAL and table.entries == {n: trial}
         cold = factor(n, rho_budget=budget)
         assert factor(n, rho_budget=budget, cache=table) == cold
         # a partial search is no entry: the trial entry stays
         assert table.entries == {n: cold if cold.status is Status.COMPLETE else trial}
         # the entry answers the trial phase as the trial phase would
-        assert factor(n, cache=table, search=False) == trial
-        assert table.hits == 1   # the resumed search is no hit
+        assert factor(n, cache=table, rho_budget=0) == trial
+        # a budget-0 call is answered by the entry; a resumed search is no hit
+        assert table.hits == (2 if budget == 0 else 1)
 
 
 class TestIdealValuations:
@@ -398,8 +400,8 @@ class TestRadical:
         q = next_prime_from(10 ** 10 + 19)
         alpha = field2.element(p * q, 0)
         split = ideal_valuations(field2, alpha, rho_budget=0)
-        assert split.status is Status.PARTIAL
-        with pytest.raises(PartialFactorizationError):
+        assert split.status is Status.TRIAL   # budget 0: the trial phase only
+        with pytest.raises(ArithmeticError, match="^radical needs a complete factorization$"):
             radical_of_ideal(split)
 
     @given(st.integers(-40, 40), st.integers(-40, 40))

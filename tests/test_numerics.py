@@ -7,7 +7,6 @@ import pytest
 
 from integer_root import iroot_by_bisection
 from prational import numerics, rootfind
-from prational.errors import NonConvergenceError, NotAUnitError, NotSquarefreeError
 from prational.numerics import certify_roots, growth_constants, ln
 from prational.polyarith import IntPoly, cyclotomic, euler_phi, power_poly, resultant
 from prational.quadfield import make_field, minpoly_of
@@ -92,7 +91,7 @@ class TestCertifyRoots:
         assert unit.roots[0].re == 1 and unit.roots[0].radius == 0
 
     def test_not_a_unit(self):
-        with pytest.raises(NotAUnitError):
+        with pytest.raises(ValueError, match="^constant term -3 has absolute value != 1$"):
             certify_roots(IntPoly.of(-3, 0, 1))
 
     def test_cyclotomic_factor_of_lower_degree_is_not_a_unit(self):
@@ -100,7 +99,7 @@ class TestCertifyRoots:
         small = [1, 2, 3, 4, 5, 6, 8, 10, 12]
         for a in small:
             for g in [PELL, *(cyclotomic(b) for b in small if b != a)]:
-                with pytest.raises(NotAUnitError, match="cyclotomic factor of lower degree"):
+                with pytest.raises(ValueError, match="cyclotomic factor of lower degree"):
                     certify_roots(cyclotomic(a) * g)
 
     @pytest.mark.parametrize(
@@ -111,7 +110,7 @@ class TestCertifyRoots:
         h = f * g
         if h.lead() < 0:
             h = -h
-        with pytest.raises(NotAUnitError, match="is reducible: .* divides it"):
+        with pytest.raises(ValueError, match="is reducible: .* divides it"):
             certify_roots(h)
 
     @pytest.mark.parametrize(
@@ -121,7 +120,7 @@ class TestCertifyRoots:
         assert certify_roots(f).degree == f.degree()
 
     def test_not_squarefree(self):
-        with pytest.raises(NotSquarefreeError):
+        with pytest.raises(ValueError, match="^minimal polynomial has a repeated factor$"):
             certify_roots(IntPoly.of(1, -2, 1))
 
 
@@ -218,7 +217,7 @@ class TestRootCenters:
     def test_no_convergence_is_none(self, monkeypatch):
         monkeypatch.setattr(rootfind, "_MAX_SWEEPS", 2)
         assert rootfind.root_centers(PLASTIC, 64) is None
-        with pytest.raises(NonConvergenceError, match="could not separate the roots"):
+        with pytest.raises(ArithmeticError, match="could not separate the roots"):
             certify_roots(PLASTIC)
 
 
@@ -248,7 +247,7 @@ def circle_error(poly):
     or None when it gives constants."""
     try:
         growth_constants(certify_roots(poly))
-    except (ValueError, NonConvergenceError) as exc:
+    except (ValueError, ArithmeticError) as exc:
         return type(exc)
     return None
 
@@ -276,7 +275,7 @@ class TestCircleTest:
         # two conjugates genuinely on the circle but not roots of unity:
         # the numeric route cannot certify either way
         message = r"^could not decide whether x\^4 - x\^3 - x\^2 - x \+ 1 has a root on the unit circle$"
-        with pytest.raises(NonConvergenceError, match=message):
+        with pytest.raises(ArithmeticError, match=message):
             growth_constants(certify_roots(SALEM4, precision_cap=512))
 
     def test_a_disk_on_the_circle_is_beyond_every_admissible_power(self):
@@ -290,10 +289,10 @@ class TestCircleTest:
     def test_a_non_reciprocal_unit_with_a_disk_on_the_circle_has_no_power(self):
         unit = certify_roots(PLASTIC)
         on_circle = numerics.RootDisk(Fraction(1), Fraction(0), unit.roots[0].radius)
-        with pytest.raises(NonConvergenceError, match=r"^no admissible power below 10\^6$"):
+        with pytest.raises(ArithmeticError, match=r"^no admissible power below 10\^6$"):
             growth_constants(unit._replace(roots=(on_circle, *unit.roots[1:])))
 
-    @pytest.mark.parametrize("poly, error", [(PELL, None), (PLASTIC, None), (SALEM4, NonConvergenceError)])
+    @pytest.mark.parametrize("poly, error", [(PELL, None), (PLASTIC, None), (SALEM4, ArithmeticError)])
     def test_growth_constants_certifies_nothing(self, poly, error, monkeypatch):
         """growth_constants reads the sides from the unit's own disks, also
         when one of them meets the circle."""
@@ -304,7 +303,7 @@ class TestCircleTest:
         if error is None:
             growth_constants(unit)
         else:
-            with pytest.raises(error):
+            with pytest.raises(error, match="^could not decide whether .* has a root on the unit circle$"):
                 growth_constants(unit)
         assert calls == []
 

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 
 from integer_root import iroot_by_bisection
 from prational import factorint
-from prational.errors import PartialFactorizationError
 from prational.polyarith import (
     IntPoly,
     common_root_mod_p,
@@ -169,7 +168,7 @@ class TestEulerPhi:
     def test_refuses_a_partial_factorization(self, monkeypatch):
         real_factor = factorint.factor
         monkeypatch.setattr(factorint, "factor", lambda n: real_factor(n, rho_budget=0))
-        with pytest.raises(PartialFactorizationError):
+        with pytest.raises(ArithmeticError, match=f"^cannot completely factor {1000003 * 1000033}$"):
             euler_phi(1000003 * 1000033)
 
 
