@@ -1,8 +1,14 @@
-"""Integer primality/factorization and squarefree/squarefull ideal splits.
+"""Primes, integer primality/factorization and squarefree/squarefull ideal
+splits.
+
+Every list of primes comes from one sieve of the odd numbers, and none is
+kept: ``primes(limit)`` yields the odd primes a segment at a time, and the
+trial-division table holds the sieve's flags up to 10**6 with one product
+per chunk of them.
 
 Factoring runs in two phases.  The trial phase is everything before the
 first rho iteration: trial division by the primes up to 10**6, skipping each
-chunk of consecutive primes whose product has gcd 1 with the integer (after
+chunk of the table whose product has gcd 1 with the integer (after
 Bernstein, "How to find smooth parts of integers", 2004), then the primality
 test and the perfect-power check on what is left.  It lists every prime up
 to the bound with its exact exponent; when what is left has two or more
@@ -37,12 +43,12 @@ from the squarefull part (valuation >= 2).
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import itertools
 import math
 import random
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .quadfield import (
@@ -71,60 +77,123 @@ _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def sieve(limit: int) -> list[int]:
-    """The primes <= limit, in increasing order: 2, then an Eratosthenes
-    sieve of the odd numbers alone, flags[i] standing for 2*i + 1."""
-    if limit < 2:
-        return []
+_SEGMENT = 1 << 17   # odd numbers per segment of primes()
+
+
+def _cross_off(flags: bytearray, lo: int, base) -> bytearray:
+    """The one sieve core: flags[i] stands for the odd number 2*(lo + i) + 1;
+    cross off the odd multiples >= p*p of each odd prime p of ``base``, taken
+    in increasing order, and the number 1.  Every prime up to the square root
+    of the top of the range must be in ``base``."""
+    hi = lo + len(flags)
+    for p in base:
+        if p * p // 2 >= hi:
+            break
+        # odd multiples of p have indices = p // 2 (mod p); p*p's is p*p // 2
+        start = max(p * p // 2, lo + (p // 2 - lo) % p)
+        flags[start - lo :: p] = bytes(len(range(start, hi, p)))
+    if lo == 0 and flags:
+        flags[0] = 0
+    return flags
+
+
+def _odd_flags(limit: int) -> bytearray:
+    """Eratosthenes' sieve of the odd numbers up to limit: flags[i] is 1
+    exactly when 2*i + 1 is prime.  The base primes are read from the flags
+    themselves, each after every smaller prime has crossed off its
+    multiples, so each flag is final when it is read."""
     flags = bytearray([1]) * ((limit + 1) // 2)
-    flags[0] = 0
-    for i in range(1, (math.isqrt(limit) + 1) // 2):
-        if flags[i]:
-            p = 2 * i + 1
-            start = p * p // 2   # the index of p**2; later odd multiples are p indices apart
-            flags[start::p] = bytes(len(range(start, len(flags), p)))
-    return [2, *itertools.compress(range(1, limit + 1, 2), flags)]
+    base = itertools.compress(itertools.count(3, 2), itertools.islice(flags, 1, None))
+    return _cross_off(flags, 0, base)
+
+
+def _flagged(flags: bytearray, lo: int = 0) -> Iterator[int]:
+    """The primes that flags mark, flags[i] standing for 2*(lo + i) + 1."""
+    return itertools.compress(range(2 * lo + 1, 2 * (lo + len(flags)), 2), flags)
+
+
+def _segment(lo: int, hi: int, base: list[int]) -> Iterator[int]:
+    """The primes among the odd numbers 2*lo + 1 .. 2*hi - 1."""
+    return _flagged(_cross_off(bytearray([1]) * (hi - lo), lo, base), lo)
+
+
+def primes(limit: int) -> Iterator[int]:
+    """The odd primes <= limit, in increasing order, sieved one segment of
+    _SEGMENT odd numbers at a time by the odd primes up to sqrt(limit)
+    (Bays and Hudson, BIT 17, 1977), so memory stays flat in limit.  Those
+    base primes are sieved before the first prime is asked for, so a limit
+    whose square root is too large to sieve fails here."""
+    base_flags = _odd_flags(math.isqrt(max(limit, 0)))
+    base = list(_flagged(base_flags))
+    end = (limit + 1) // 2   # the index of the first odd number above limit
+    return itertools.chain.from_iterable(
+        _segment(lo, min(lo + _SEGMENT, end), base) for lo in range(0, end, _SEGMENT)
+    )
+
+
+def sieve(limit: int) -> list[int]:
+    """The primes <= limit, in increasing order."""
+    return [2, *primes(limit)] if limit >= 2 else []
 
 
 # Trial division by the primes below 1000 settles every integer below 1000**2,
 # such as d, n and 2*disc*h of a small field, so a run that factors nothing
-# larger never builds the sieve up to _TRIAL_BOUND and its chunk table (about
-# 0.04 s together); both are built on the first larger integer, once per
-# process, and the sieve also gives ECM its stage-2 primes.  Trial division of
-# the 331 integers >= 10^6 that the abc-quality and scan-wieferich benchmark
-# commands factor, with the table's build, took 0.38 s at 128 primes per
-# chunk, 0.26 s at 256, 0.27 s at 512 and 0.33 s at 1024, against 2.0 s for
-# one `%` per prime (2-core x86_64 host).
+# larger never builds the table up to _TRIAL_BOUND (about 0.03 s); it is
+# built on the first larger integer, once per process, and its flags also
+# give ECM its stage-2 primes.  A table is the flags of the odd numbers up to
+# its bound and one entry (lo, hi, last, product) per _CHUNK_FLAGS of them:
+# the chunk flags[lo:hi], its largest prime and the product of its primes.
+# A chunk's primes are read from the flags only when trial division enters
+# it.  Trial division of the 293 integers >= 10^6 that the abc-quality and
+# scan-wieferich benchmark commands factor, with the table's build, took
+# 0.31-0.34 s at 1024, 2048 and 4096 flags per chunk and 0.36-0.38 s at 512
+# and 8192, against 1.45 s for one `%` per prime; the gcds with the products
+# take most of it, whatever the span (2-core x86_64 host).
 _SMALL_BOUND = 1000
-_TRIAL_CHUNK = 256
-_SMALL_PRIMES = sieve(_SMALL_BOUND)
-_SMALL_CHUNKS = [(_SMALL_PRIMES, math.prod(_SMALL_PRIMES))]
+_CHUNK_FLAGS = 2048
+
+
+def _chunk_table(bound: int) -> tuple[bytearray, list[tuple[int, int, int, int]]]:
+    """The flags of the odd numbers up to bound and their chunk entries.  The
+    products skip 2 (_trial_divide divides it out first) and read the flags
+    on a 2*3 wheel: 2*i + 1 is 1 mod 6 when i = 0 mod 3 and 5 mod 6 when
+    i = 2 mod 3, and the only prime 3 mod 6 is 3, which the first chunk
+    takes."""
+    flags = _odd_flags(bound)
+    chunks = []
+    for lo in range(0, len(flags), _CHUNK_FLAGS):
+        hi = min(lo + _CHUNK_FLAGS, len(flags))
+        product = 3 if lo == 0 else 1
+        for r in (0, 2):
+            i = lo + (r - lo) % 3
+            product *= math.prod(itertools.compress(range(2 * i + 1, 2 * hi, 6), flags[i:hi:3]))
+        chunks.append((lo, hi, 2 * flags.rindex(1, lo, hi) + 1, product))
+    return flags, chunks
+
+
+_SMALL_TABLE = _chunk_table(_SMALL_BOUND)
 
 
 @functools.cache
-def _large_sieve() -> tuple[list[int], list[tuple[list[int], int]]]:
-    """The primes up to _TRIAL_BOUND and their chunk table, built on the
-    first call."""
-    primes = sieve(_TRIAL_BOUND)
-    runs = (primes[i : i + _TRIAL_CHUNK] for i in range(0, len(primes), _TRIAL_CHUNK))
-    return primes, [(run, math.prod(run)) for run in runs]
+def _large_sieve() -> tuple[bytearray, list[tuple[int, int, int, int]]]:
+    """The chunk table up to _TRIAL_BOUND, built on the first call."""
+    return _chunk_table(_TRIAL_BOUND)
 
 
 def _trial_divide(a: int, found: dict[int, int]) -> int:
     """Divide the primes p <= _TRIAL_BOUND out of a, in increasing order, into
     ``found``, stopping at the first p with p*p above what is left; return
     what is left, or 1 when that is prime (and then in ``found``)."""
-    if a < _SMALL_BOUND ** 2:
-        chunks = _SMALL_CHUNKS
-    else:
-        _, chunks = _large_sieve()
+    flags, chunks = _SMALL_TABLE if a < _SMALL_BOUND ** 2 else _large_sieve()
+    while a % 2 == 0:
+        a //= 2
+        found[2] = found.get(2, 0) + 1
     p = 2
-    for primes, product in chunks:
+    for lo, hi, last, product in chunks:
         # no stop falls inside a chunk whose last prime squared is within a
-        last = primes[-1]
         if last * last <= a and math.gcd(product, a) == 1:
             continue
-        for p in primes:
+        for p in _flagged(flags[lo:hi], lo):
             if p * p > a:
                 break
             while a % p == 0:
@@ -307,10 +376,9 @@ def _ecm(n: int, rng: random.Random) -> int | None:
     prev, cur, mD = G, _x_dbl(G, a24, n), 2 * _ECM_D
     xm, zm = cur
     acc = 1
-    primes, _ = _large_sieve()
-    lo = bisect.bisect_right(primes, _ECM_B1)
-    hi = bisect.bisect_right(primes, _ECM_B2)
-    for p in itertools.islice(primes, lo, hi):
+    flags, _ = _large_sieve()
+    lo = (_ECM_B1 + 1) // 2   # the index of the first odd number above B1
+    for p in _flagged(flags[lo : (_ECM_B2 + 1) // 2], lo):   # the primes in (B1, B2]
         while mD + half < p:
             prev, cur, mD = cur, _x_add(cur, G, prev, n), mD + _ECM_D
             xm, zm = cur

@@ -65,7 +65,7 @@ from collections.abc import Callable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .factorint import _TRIAL_BOUND, Status, factor, ideal_valuations, sieve
+from .factorint import _TRIAL_BOUND, Status, factor, ideal_valuations, primes
 from .numerics import AlgebraicUnit, GrowthConstants, _least_power, compare_with_power
 from .polyarith import (
     common_root_mod_p,
@@ -157,8 +157,8 @@ def _scan_row(
     ideal), and ``choose`` picks (p, residue degree, N(P), root) of the
     candidate from that, or None.  A level with 2*phi(n) < n is skipped
     unfactored.  The trial phase (``rho_budget=0``) runs first, the search
-    only where _settled leaves the row open; a search that does not
-    complete gives no choice."""
+    only where _settled leaves the row open and the budget is above 0; a row
+    left open without a complete search gives no choice."""
     if 2 * euler_phi(n) < n:
         return ScanRecord(n, cyclo_norm, None, *_NO_CHOICE, SKIPPED, REASON_PHI)
     fact = factorize(**{**factor_opts, "rho_budget": 0})
@@ -167,9 +167,10 @@ def _scan_row(
         tally["settled"] += 1
         factor_status = SUFFICIENT if fact.status is Status.TRIAL else COMPLETE
     else:
-        tally["searched"] += 1
-        fact = factorize(**factor_opts)
-        if fact.status is not Status.COMPLETE:   # PARTIAL, or TRIAL at budget 0
+        if factor_opts.get("rho_budget") != 0:   # at budget 0 the TRIAL result stands
+            tally["searched"] += 1
+            fact = factorize(**factor_opts)
+        if fact.status is not Status.COMPLETE:
             tally["partial"] += 1
             return ScanRecord(n, cyclo_norm, PARTIAL, *_NO_CHOICE, SKIPPED, REASON_PARTIAL)
         chosen, factor_status = choose(fact), COMPLETE
@@ -331,7 +332,7 @@ def prationality_scan(F: QuadField, X: int, unit: QuadInt | None = None) -> Iter
     """The verdicts of the odd primes p <= X, in order, as they are computed."""
     if X < 1:
         raise ValueError("X must be >= 1")
-    return map(_classifier(F, unit, None), sieve(X)[1:])
+    return map(_classifier(F, unit, None), primes(X))
 
 
 # --- rational-prime-level scan for user-supplied units ----------------------

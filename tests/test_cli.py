@@ -163,8 +163,41 @@ def test_field_info_answers_fields_a_search_bound_refused(d, tmp_path):
 
 
 def test_bound_too_large_to_sieve_is_a_compute_error(tmp_path):
+    # the base sieve of the odd numbers up to 10**20 cannot be indexed
     argv = ["scan-prational", "--d", "2", "--X", "1e40", "--out", str(tmp_path / "out")]
     assert cli.main(argv) == cli.EXIT_COMPUTE
+
+
+# Runs the command given as its arguments and prints its exit status and
+# peak RSS (KiB).  A child's ru_maxrss starts from the RSS of the process
+# that starts it, so the command is started from this small process, not
+# from the test process.
+_PEAK_RSS = """
+import os, subprocess, sys
+_, status, usage = os.wait4(subprocess.Popen(sys.argv[1:]).pid, 0)
+print(status, usage.ru_maxrss)
+"""
+
+
+def _peak_rss_kib(argv: list[str], out: Path) -> int:
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    command = [sys.executable, "-m", "prational", *argv, "--out", str(out)]
+    done = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *command], capture_output=True, text=True, env=env, timeout=120
+    )
+    status, kib = map(int, done.stdout.split())
+    assert status == 0, done.stderr
+    return kib
+
+
+def test_scan_prational_memory_is_flat_in_X(tmp_path):
+    """The primes come one segment at a time: a hundred times the bound
+    costs less than 1.5 MB more (a list of the primes below 10**6 alone
+    would take about 3 MB)."""
+    small = _peak_rss_kib(["scan-prational", "--d", "2", "--X", "10000"], tmp_path / "small")
+    large = _peak_rss_kib(["scan-prational", "--d", "2", "--X", "1000000"], tmp_path / "large")
+    assert (tmp_path / "large").read_bytes().count(b"\n") > 78000   # one row per odd prime
+    assert large - small <= 1536
 
 
 @pytest.mark.parametrize("through_env", [False, True])
@@ -410,20 +443,16 @@ def test_abc_run_logs_its_factoring(capsys, tmp_path):
     assert "factoring: 60 cyclotomic norms factored for 60 rows, 1 partial" in messages
 
 
-def test_warm_abc_run_builds_no_large_sieve(monkeypatch, tmp_path):
+def test_warm_abc_run_builds_no_large_sieve(tmp_path):
+    """The cold run builds the trial table up to 10**6; the warm run, whose
+    integers the table file answers, does not."""
     argv = ["abc-quality", "--d", "2", "--n-max", "30", "--cache", str(tmp_path / "cache.txt")]
-    run_cli(argv, tmp_path / "cold")
-    limits = []
-    real_sieve = factorint.sieve
-
-    def sieve(limit):
-        limits.append(limit)
-        return real_sieve(limit)
-
-    monkeypatch.setattr(factorint, "sieve", sieve)
     factorint._large_sieve.cache_clear()   # as in a fresh process
+    run_cli(argv, tmp_path / "cold")
+    assert factorint._large_sieve.cache_info().misses == 1
+    factorint._large_sieve.cache_clear()
     run_cli(argv, tmp_path / "warm")
-    assert all(limit <= 1000 for limit in limits)
+    assert factorint._large_sieve.cache_info().misses == 0
 
 def _rows(payload: bytes) -> list[dict[str, str]]:
     """The CSV rows of a scan-wieferich payload, keyed by column name."""
@@ -554,7 +583,21 @@ def test_no_search_budget_leaves_trial_decided_rows_sufficient(capsys, tmp_path)
     golden = _rows((GOLDEN / "scan-wieferich-d5.csv").read_bytes())
     assert [r for r in rows if r["n"] not in ("41", "47")] == [r for r in golden if r["n"] not in ("41", "47")]
     assert capsys.readouterr().err.splitlines() == [
-        "factoring: 33 rows settled by trial division below 1000000, 2 searched, 2 partial"
+        "factoring: 33 rows settled by trial division below 1000000, 0 searched, 2 partial"
+    ]
+
+
+def test_no_search_budget_searches_no_row(capsys, tmp_path):
+    """At --factor-budget 0 a row the trial phase leaves open is partial
+    without a second factor call, so no row counts as searched and the
+    table answers no call of a cold run."""
+    cache = tmp_path / "cache.txt"
+    cache.write_text("")
+    argv = ["scan-wieferich", "--d", "2", "--n-max", "70", "--factor-budget", "0", "--cache", str(cache)]
+    run_cli(argv, tmp_path / "out")
+    assert capsys.readouterr().err.splitlines() == [
+        "factoring: 39 rows settled by trial division below 1000000, 0 searched, 2 partial",
+        "cache: 0 hits, 41 new entries stored",
     ]
 
 

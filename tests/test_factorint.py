@@ -1,3 +1,4 @@
+import bisect
 import math
 import random
 
@@ -12,6 +13,7 @@ from prational.factorint import (
     ideal_valuations,
     is_prime,
     merge_factorizations,
+    primes,
     radical_of_ideal,
     sieve,
 )
@@ -34,6 +36,31 @@ _BIG_PRIMES = [sympy.nextprime(10 ** 6 + 7919 * i) for i in range(12)]
 def test_sieve_lists_the_primes_up_to_the_limit(limits):
     for limit in limits:
         assert sieve(limit) == list(sympy.primerange(limit + 1)), limit
+
+
+_SEGMENT = factorint._SEGMENT
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [range(3001), [2 * k * _SEGMENT + j for k in (1, 2, 3) for j in range(-2, 3)]],   # segment ends
+)
+def test_primes_are_the_odd_primes_up_to_the_limit(limits):
+    odd = list(sympy.primerange(3, max(limits) + 1))
+    for limit in limits:
+        assert list(primes(limit)) == odd[: bisect.bisect_right(odd, limit)], limit
+
+
+def test_chunk_table_lists_each_chunks_last_prime_and_product():
+    flags, chunks = factorint._large_sieve()
+    assert [(lo, hi) for lo, hi, *_ in chunks] == [
+        (lo, min(lo + factorint._CHUNK_FLAGS, len(flags))) for lo in range(0, len(flags), factorint._CHUNK_FLAGS)
+    ]
+    assert len(flags) == 5 * 10 ** 5
+    odd = PRIMES[1:]
+    for lo, hi, last, product in chunks:
+        inside = odd[bisect.bisect_left(odd, 2 * lo) : bisect.bisect_left(odd, 2 * hi)]
+        assert (last, product) == (inside[-1], math.prod(inside))
 
 
 class TestIsPrime:
@@ -160,10 +187,13 @@ class TestMergeFactorizations:
         assert merged.status is (Status.COMPLETE if complete else Status.PARTIAL)
 
 
-# primes on both sides of each boundary between trial chunks, and the primes
-# just under 10**6 (the last chunk)
-_CHUNK = factorint._TRIAL_CHUNK
-_EDGE_PRIMES = [PRIMES[i] for k in range(_CHUNK, len(PRIMES), _CHUNK) for i in (k - 1, k)]
+# the primes on both sides of each boundary between trial chunks (the last
+# prime of one chunk, then the first of the next), and the primes just under
+# 10**6 (the last chunk)
+_CHUNKS = factorint._large_sieve()[1]
+_EDGE_PAIRS = [(last, sympy.nextprime(2 * lo)) for (_, _, last, _), (lo, *_) in zip(_CHUNKS, _CHUNKS[1:])]
+_EDGE_PRIMES = [p for pair in _EDGE_PAIRS for p in pair]
+_EDGE_INDICES = [bisect.bisect_left(PRIMES, first) for _, first in _EDGE_PAIRS]   # PRIMES[k] starts a chunk
 _TOP_PRIMES = PRIMES[-8:]
 
 
@@ -186,7 +216,7 @@ class TestTrialDivision:
     def test_matches_one_remainder_per_prime(self, powers, big):
         self.check(math.prod(p ** e for p, e in powers) * math.prod(big))
 
-    @pytest.mark.parametrize("k", [_CHUNK, 40 * _CHUNK, len(PRIMES) - 1])
+    @pytest.mark.parametrize("k", [_EDGE_INDICES[0], _EDGE_INDICES[40], len(PRIMES) - 1])
     def test_stops_at_the_square_root_across_a_boundary(self, k):
         # the leftover turns prime at the last prime of one chunk, at the
         # first of the next, or at the end of the sieve
