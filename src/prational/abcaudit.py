@@ -9,11 +9,11 @@ parts go through certified rational bounds on sqrt(d).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from .factorint import (
+    FactorCache,
     Factorization,
     IdealSplit,
     Status,
@@ -92,11 +92,11 @@ def _unit_triple_of(F: QuadField, split: IdealSplit, n: int) -> AbcTriple:
     return AbcTriple(a=a, b=b, c=c, height=h.value, radical=rad, quality=quality, n=n)
 
 
-def unit_triple(F: QuadField, u: QuadInt, n: int, **factor_opts) -> AbcTriple:
+def unit_triple(F: QuadField, u: QuadInt, n: int, table: FactorCache | None = None) -> AbcTriple:
     """The triple (u**n - 1) + 1 = u**n, factored as squarefull_report does,
     through the Phi_m(u) with m | n only."""
     divisors = [m for m in range(1, n + 1) if n % m == 0]
-    *_, (_, alpha, fact) = unit_power_factorizations(u, divisors, **factor_opts)
+    *_, (_, alpha, fact) = unit_power_factorizations(u, divisors, table)
     return _unit_triple_of(F, ideal_split(F, alpha, fact), n)
 
 
@@ -104,22 +104,23 @@ _UNIT_NORM = Factorization(1, (), 1, Status.COMPLETE)
 
 
 def unit_power_factorizations(
-    u: QuadInt, levels: Iterable[int], tally: Counter | None = None, **factor_opts
+    u: QuadInt, levels: Iterable[int], table: FactorCache | None = None
 ) -> Iterator[tuple[int, QuadInt, Factorization]]:
     """(n, u**n - 1, the factorization of |N(u**n - 1)|) for each n of
     ``levels``, increasing positive integers that hold every divisor of each.
 
     u**n - 1 is the product of Phi_m(u) over the divisors m of n, so
     |N(Phi_n(u))| is |N(u**n - 1)| divided by |N(Phi_m(u))| over the divisors
-    m < n.  Each of these norms is factored once, with ``factor_opts`` (and
-    its factor table), and the factorization of |N(u**n - 1)| is merged from
-    those of its divisors' norms; ``tally["factored"]``, when given, counts
-    the norms factored (a norm of 1 is not).  A prime of Phi_m(u) is found
+    m < n.  Each of these norms is factored once, in ``table`` (fresh when
+    None), and the factorization of |N(u**n - 1)| is merged from those of
+    its divisors' norms; ``table.counts["factored"]`` counts the norms
+    factored (a norm of 1 is not).  A prime of Phi_m(u) is found
     once, not again in every row that m divides, and the search never meets
     a composite that holds the large primes of several Phi_m(u) together.
     """
     if not u.is_unit():
         raise ValueError("u must be a unit")
+    table = FactorCache() if table is None else table
     pieces: dict[int, Factorization] = {}   # pieces[m] factors |N(Phi_m(u))|
     power, level = u.field.one(), 0   # power = u**level
     for n in levels:
@@ -130,27 +131,26 @@ def unit_power_factorizations(
         if norm == 1:
             pieces[n] = _UNIT_NORM
         else:
-            pieces[n] = factor(norm, **factor_opts)
-            if tally is not None:
-                tally["factored"] += 1
+            pieces[n] = factor(norm, table)
+            table.counts["factored"] += 1
         yield n, alpha, merge_factorizations([*below, pieces[n]])
 
 
 def squarefull_report(
-    F: QuadField, u: QuadInt, n_max: int, tally: Counter | None = None, **factor_opts
+    F: QuadField, u: QuadInt, n_max: int, table: FactorCache | None = None
 ) -> list[SquarefullRow]:
     """Table of squarefree/squarefull norm splits of (u**n - 1) for n <= n_max,
     with the quality of the triple (u**n - 1) + 1 = u**n from the same split.
 
     Each row's split comes from the factorization that
-    unit_power_factorizations merges from the norms of the Phi_m(u), m | n;
-    ``tally`` and ``factor_opts`` go to it.
+    unit_power_factorizations merges from the norms of the Phi_m(u), m | n,
+    in ``table``.
     The log_share column is the empirical exponent of the squarefull part;
     no bound is asserted on it (the abc inequality is an input, not a fact).
     Partial factorizations are flagged rather than dropped.
     """
     rows = []
-    for n, alpha, fact in unit_power_factorizations(u, range(1, n_max + 1), tally, **factor_opts):
+    for n, alpha, fact in unit_power_factorizations(u, range(1, n_max + 1), table):
         split = ideal_split(F, alpha, fact)
         total = fact.value
         nj = split.squarefull_norm

@@ -2,9 +2,10 @@
 
 Outputs are deterministic CSV (default) or JSON carrying the same data plus a
 schema version; summaries ride along as '#'-prefixed footer lines in CSV and
-as a separate object in JSON.  Cache hit statistics go to stderr so payloads
-stay byte-identical between cold and warm runs.  Column meanings live in
-docs/formats.md.
+as a separate object in JSON.  ``main`` builds a run's factor table once;
+``--cache`` loads it from a file and appends what the run added.  Cache hit
+statistics go to stderr so payloads stay byte-identical between cold and
+warm runs.  Column meanings live in docs/formats.md.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from pathlib import Path
 # is written.  Every stderr line goes through _log, not logging.  The
 # records are NamedTuples, so no module imports the dataclass machinery.
 from . import factorint, numerics
+from .factorint import FactorCache
 from .polyarith import IntPoly
 from .quadfield import excluded_prime_bound, make_field, minpoly_of
 
@@ -50,52 +52,26 @@ def _log(message: str) -> None:
         pass
 
 
-class FactorCache:
-    """The factor table of one run: the ``factorint.Factorization`` of every
-    integer the scans factor, keyed by its value.  The handlers pass it to
-    ``factorint.factor`` as ``cache``, which decides which entry answers
-    which call and counts those calls in ``hits``; ``--cache`` loads the
-    table from a file and appends what the run added.
-
-    An entry is a proven fact: a COMPLETE factorization, or the TRIAL result
-    of the trial phase, whose cofactor was never searched.  A search that
-    ran out of budget is not an entry.
-
-    File format: one entry per line, ``value<TAB>p1^e1,p2^e2,...<TAB>cofactor``,
-    with a fourth field ``trial`` on a trial-phase entry.  Corrupt lines are
-    skipped with a warning.
-    """
-
-    def __init__(self):
-        self.entries: dict[int, factorint.Factorization] = {}
-        self.new_keys: dict[int, None] = {}   # in insertion order
-        self.hits = 0
-
-    def lookup(self, value: int):
-        """The entry of value, or None."""
-        return self.entries.get(value)
-
-    def record(self, fact):
-        """Store ``fact``, in place of the entry of its value if there is one."""
-        self.entries[fact.value] = fact
-        self.new_keys[fact.value] = None
-
-
 _TRIAL_MARK = "trial"
 
 
-def cache_load(path: str | Path) -> FactorCache:
-    """Load a cache file; unreadable paths or corrupt lines degrade gracefully.
-    A complete line supersedes a trial line of the same value, never the
-    other way round.  A line with a cofactor and no marker, the partial
-    search that earlier versions stored, is no entry and is skipped."""
-    cache = FactorCache()
+def cache_load(path: str | Path, table: FactorCache | None = None) -> FactorCache:
+    """Load a cache file into ``table`` (a fresh FactorCache when None) and
+    return it; unreadable paths or corrupt lines degrade gracefully.
+
+    File format: one entry per line, ``value<TAB>p1^e1,p2^e2,...<TAB>cofactor``,
+    with a fourth field ``trial`` on a trial-phase entry.  Corrupt lines are
+    skipped with a warning.  A complete line supersedes a trial line of the
+    same value, never the other way round.  A line with a cofactor and no
+    marker, the partial search that earlier versions stored, is no entry
+    and is skipped."""
+    table = FactorCache() if table is None else table
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         _log(f"cache {path} unreadable ({exc}); running cold")
-        return cache
+        return table
     for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
@@ -124,15 +100,15 @@ def cache_load(path: str | Path) -> FactorCache:
                     continue
             elif fact.cofactor == 1:
                 raise ValueError("a trial-phase entry without a cofactor")
-            elif fact.value in cache.entries:
+            elif fact.value in table.entries:
                 continue
-            cache.entries[fact.value] = fact
+            table.entries[fact.value] = fact
         except (ValueError, IndexError) as exc:
             _log(f"cache {path} line {lineno} corrupt ({exc}); skipped")
-    return cache
+    return table
 
 
-def cache_store(path: str | Path, cache: FactorCache) -> None:
+def cache_store(path: str | Path, table: FactorCache) -> None:
     """Append entries recorded since load; an entry completed after its trial
     phase was recorded is written once, as complete.  A last line left
     without its newline is ended first, so no entry joins it."""
@@ -143,12 +119,12 @@ def cache_store(path: str | Path, cache: FactorCache) -> None:
             fh.seek(end - 1)
             if fh.read(1) != b"\n":
                 fh.write(b"\n")
-        for value in cache.new_keys:
-            fact = cache.entries[value]
+        for value in table.new_keys:
+            fact = table.entries[value]
             mark = "\t" + _TRIAL_MARK if fact.status is factorint.Status.TRIAL else ""
             factors_s = ",".join(f"{p}^{e}" for p, e in fact.factors)
             fh.write(f"{value}\t{factors_s}\t{fact.cofactor}{mark}\n".encode())
-    cache.new_keys.clear()
+    table.new_keys.clear()
 
 
 def format_value(v) -> str:
@@ -299,7 +275,7 @@ def _constants_for_unit_poly(minpoly: IntPoly, precision_cap: int):
     return unit, numerics.growth_constants(unit)
 
 
-def cmd_field_info(args, out) -> int:
+def cmd_field_info(args, out, table) -> int:
     F = _field_from_args(args)
     eps = F.fundamental_unit
     unit, constants = _constants_for_unit_poly(minpoly_of(eps), args.precision_cap)
@@ -332,22 +308,20 @@ def cmd_field_info(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_scan_wieferich(args, out) -> int:
+def cmd_scan_wieferich(args, out, table) -> int:
     from . import scans
 
-    factor_opts = dict(rho_budget=args.factor_budget, seed=args.seed, cache=args.factor_table)
-    tally = Counter()
     if args.minpoly is not None:
         unit, constants = _constants_for_unit_poly(args.minpoly, args.precision_cap)
-        records = scans.generic_unit_scan(unit, constants, args.n_max, tally, **factor_opts)
+        records = scans.generic_unit_scan(unit, constants, args.n_max, table)
     else:
         F = _field_from_args(args)
         eps = F.fundamental_unit
         _, constants = _constants_for_unit_poly(minpoly_of(eps), args.precision_cap)
-        records = scans.wieferich_scan(F, eps, constants, args.n_max, tally, **factor_opts)
+        records = scans.wieferich_scan(F, eps, constants, args.n_max, table)
     _log(
-        f"factoring: {tally['settled']} rows settled by trial division below {factorint._TRIAL_BOUND}, "
-        f"{tally['searched']} searched, {tally['partial']} partial"
+        f"factoring: {table.counts['settled']} rows settled by trial division below {factorint._TRIAL_BOUND}, "
+        f"{table.counts['searched']} searched, {table.counts['partial']} partial"
     )
     if args.strict and any(r.reason == scans.REASON_PARTIAL for r in records):
         raise ArithmeticError("factor budget exhausted under --strict")
@@ -381,7 +355,7 @@ def cmd_scan_wieferich(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_scan_prational(args, out) -> int:
+def cmd_scan_prational(args, out, table) -> int:
     from . import scans
 
     F = _field_from_args(args)
@@ -425,16 +399,13 @@ def cmd_scan_prational(args, out) -> int:
     return EXIT_OK
 
 
-def cmd_abc_quality(args, out) -> int:
+def cmd_abc_quality(args, out, table) -> int:
     from . import abcaudit
 
     F = _field_from_args(args)
-    u = F.fundamental_unit
-    factor_opts = dict(rho_budget=args.factor_budget, seed=args.seed, cache=args.factor_table)
-    tally = Counter()
-    report = abcaudit.squarefull_report(F, u, args.n_max, tally, **factor_opts)
+    report = abcaudit.squarefull_report(F, F.fundamental_unit, args.n_max, table)
     partial = sum(r.status is not factorint.Status.COMPLETE for r in report)
-    _log(f"factoring: {tally['factored']} cyclotomic norms factored for {len(report)} rows, {partial} partial")
+    _log(f"factoring: {table.counts['factored']} cyclotomic norms factored for {len(report)} rows, {partial} partial")
     if args.strict and partial:
         raise ArithmeticError("factor budget exhausted under --strict")
     columns = ("n", "squarefree_norm", "squarefull_norm", "norm_total",
@@ -602,25 +573,31 @@ def main(argv: list[str] | None = None) -> int:
     cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
     try:
         _validate(args)
-        cache = cache_load(cache_path) if cache_path else FactorCache()
-        args.factor_table = cache   # the handlers pass it to every factor call of the run
+        # the factoring context of every factor call of the run
+        table = FactorCache(getattr(args, "factor_budget", factorint._RHO_BUDGET), args.seed)
+        if cache_path:
+            cache_load(cache_path, table)
         if args.out:
-            code = _write_out(args.out, lambda fh: args.handler(args, fh))
+            code = _write_out(args.out, lambda fh: args.handler(args, fh, table))
         else:
-            code = args.handler(args, sys.stdout)
+            code = args.handler(args, sys.stdout, table)
             sys.stdout.flush()   # so that a closed pipe shows here, not at exit
         if cache_path:
-            fresh = len(cache.new_keys)
+            fresh = len(table.new_keys)
             try:
-                cache_store(cache_path, cache)
+                cache_store(cache_path, table)
             except OSError as exc:   # the payload is out: warn, keep its exit code
                 _log(f"cache {cache_path} not written ({exc.strerror or exc})")
             else:
-                _log(f"cache: {cache.hits} hits, {fresh} new entries stored")
+                _log(f"cache: {table.hits} hits, {fresh} new entries stored")
         return code
-    # the class sets the exit code: an ArithmeticError exits 3, a ValueError 2
+    # the class sets the exit code: an ArithmeticError or a MemoryError exits
+    # 3, a ValueError 2
     except ArithmeticError as exc:   # also an OverflowError: an --X too large to sieve
         _log(f"error: {exc}")
+        return EXIT_COMPUTE
+    except MemoryError as exc:   # an --X whose base sieve does not fit in memory
+        _log(f"error: {str(exc) or 'out of memory'}")
         return EXIT_COMPUTE
     except ValueError as exc:
         _log(f"error: {exc}")

@@ -22,16 +22,16 @@ the search gets the composite that loop would leave.  One budget,
 charged _ECM_CURVE_COST, about its time in rho iterations, and runs only
 while that much budget is left, so ``rho_budget=0`` means the trial phase
 only; a caller that needs only the small primes (the Wieferich scans) asks
-that first.  The trial phase depends on the integer alone.  The random
-starts of the search come from one generator seeded with ``seed`` when the
-search starts, so a searched result is the same whether or not its trial
-phase ran in an earlier call.  A perfect power r**k is factored through r,
+that first (``trial=True``).  The trial phase depends on the integer alone.
+The random starts of the search come from one generator seeded with ``seed``
+when the search starts, so a searched result is the same whether or not its
+trial phase ran in an earlier call.  A perfect power r**k is factored through r,
 once.  Giving up is a first-class outcome: the composite leftover is
 reported as a ``cofactor`` with status ``PARTIAL`` instead of being
 mislabeled, and the listed primes keep exact exponents (none of them
-divides the cofactor).  A caller that factors many integers passes one
-factor table (see cli.FactorCache) as ``cache``, so no integer is factored
-twice in one run; ``factor`` alone decides which entry answers which call.
+divides the cofactor).  A run's FactorCache carries its budget, seed,
+counters and factor table, so no integer is factored twice in one run;
+``factor`` alone decides which entry answers which call.
 Primality is certified deterministically below 3.3e24 (fixed Miller-Rabin
 witness sets) and probabilistically above, by 64 rounds whose bases come
 from a generator seeded with the integer's low 32 bits.
@@ -48,6 +48,7 @@ import functools
 import itertools
 import math
 import random
+from collections import Counter
 from collections.abc import Iterator
 from typing import NamedTuple
 
@@ -464,51 +465,77 @@ def _trial_view(fact: Factorization) -> Factorization:
     return Factorization(fact.value, small, math.prod(p ** e for p, e in large), Status.TRIAL)
 
 
-def factor(n: int, rho_budget: int = _RHO_BUDGET, seed: int = 0, cache=None) -> Factorization:
-    """Factor n >= 1; the composite leftover (if the budget runs out) lands
-    in ``cofactor`` with status PARTIAL.
+class FactorCache:
+    """The factoring context of one run: the ``rho_budget`` and ``seed`` of
+    every search; the factor table ``entries``, keyed by value, whose entry
+    is a proven fact (a COMPLETE factorization, or the TRIAL result of the
+    trial phase; a search that ran out of budget is none); ``hits``, the
+    calls ``factor`` answered from it; and ``counts``, which the scans keep."""
+
+    def __init__(self, rho_budget: int = _RHO_BUDGET, seed: int = 0):
+        self.rho_budget = rho_budget
+        self.seed = seed
+        self.entries: dict[int, Factorization] = {}
+        self.new_keys: dict[int, None] = {}   # in insertion order
+        self.hits = 0
+        self.counts = Counter()
+
+    def lookup(self, value: int):
+        """The entry of value, or None."""
+        return self.entries.get(value)
+
+    def record(self, fact: Factorization) -> None:
+        """Store ``fact``, in place of the entry of its value if there is one."""
+        self.entries[fact.value] = fact
+        self.new_keys[fact.value] = None
+
+
+def factor(n: int, table: FactorCache | None = None, trial: bool = False) -> Factorization:
+    """Factor n >= 1 under the budget and seed of ``table`` (a fresh
+    FactorCache when None); the composite leftover (if the budget runs out)
+    lands in ``cofactor`` with status PARTIAL.
 
     The trial phase is everything before the first rho iteration: trial
     division up to 10**6, then the primality test and the perfect-power
-    check on what is left; it depends on n alone.  With ``rho_budget=0``
-    only it runs, and the result is COMPLETE or TRIAL: a TRIAL cofactor is
-    unsearched, its primes all exceed 10**6, and the listed exponents are
-    exact.  The search (rho, then ECM) starts from the same state either
-    way, so a searched result does not depend on whether the trial phase
-    ran in an earlier call.
+    check on what is left; it depends on n alone.  With ``trial=True`` (or
+    a budget of 0) only it runs, and the result is COMPLETE or TRIAL: a
+    TRIAL cofactor is unsearched, its primes all exceed 10**6, and the
+    listed exponents are exact.  The search (rho, then ECM) starts from the
+    same state either way, so a searched result does not depend on whether
+    the trial phase ran in an earlier call.
 
-    ``cache`` is a factor table with ``lookup``, ``record`` and ``hits``
-    (see cli.FactorCache) that holds COMPLETE and TRIAL results only.  Any
-    entry answers a call with ``rho_budget=0``, by what the trial phase
-    alone would give; a COMPLETE entry answers every other call too, and a
-    TRIAL entry none.  Each call an entry answers adds 1 to ``cache.hits``.
-    A call that searches on a TRIAL entry resumes the search on its
-    cofactor, without trial division.  A call that finds no entry records
-    its trial phase, and a search that ends COMPLETE records that in its
-    place; a PARTIAL search records nothing, so the TRIAL entry stays."""
+    The table holds COMPLETE and TRIAL results only.  Any entry answers a
+    trial-phase call, by what the trial phase alone would give; a COMPLETE
+    entry answers every other call too, and a TRIAL entry none.  Each call
+    an entry answers adds 1 to ``table.hits``.  A call that searches on a
+    TRIAL entry resumes the search on its cofactor, without trial division.
+    A call that finds no entry records its trial phase, and a search that
+    ends COMPLETE records that in its place; a PARTIAL search records
+    nothing, so the TRIAL entry stays."""
     if n < 1:
         raise ValueError(f"cannot factor {n}; factor takes n >= 1")
-    fact = None if cache is None else cache.lookup(n)
+    table = FactorCache() if table is None else table
+    budget = 0 if trial else table.rho_budget
+    fact = table.lookup(n)
     if fact is None:
         found: dict[int, int] = {}
         m, mult = _reduce(_trial_divide(n, found), 1, found)
         status = Status.TRIAL if m > 1 else Status.COMPLETE
         fact = Factorization(n, tuple(sorted(found.items())), m ** mult, status)
-        if cache is not None:
-            cache.record(fact)
-        if status is Status.COMPLETE or rho_budget == 0:
+        table.record(fact)
+        if status is Status.COMPLETE or budget == 0:
             return fact
-    elif fact.status is Status.COMPLETE or rho_budget == 0:
-        cache.hits += 1
-        return fact if rho_budget else _trial_view(fact)
+    elif fact.status is Status.COMPLETE or budget == 0:
+        table.hits += 1
+        return fact if budget else _trial_view(fact)
     else:
         found = dict(fact.factors)
         m, mult = _reduce(fact.cofactor, 1, found)
-    cofactor = _search(m, mult, found, rho_budget, seed) if m > 1 else 1
+    cofactor = _search(m, mult, found, budget, table.seed) if m > 1 else 1
     status = Status.COMPLETE if cofactor == 1 else Status.PARTIAL
     fact = Factorization(n, tuple(sorted(found.items())), cofactor, status)
-    if cache is not None and status is Status.COMPLETE:
-        cache.record(fact)
+    if status is Status.COMPLETE:
+        table.record(fact)
     return fact
 
 
@@ -545,14 +572,17 @@ class IdealSplit(NamedTuple):
     status: Status
 
 
-def ideal_valuations(F: QuadField, alpha: QuadInt, **factor_opts) -> IdealSplit:
-    """Factor (alpha) into prime-ideal powers via the norm factorization."""
+def ideal_valuations(
+    F: QuadField, alpha: QuadInt, table: FactorCache | None = None, trial: bool = False
+) -> IdealSplit:
+    """Factor (alpha) into prime-ideal powers via the norm factorization,
+    ``factor(|N(alpha)|, table, trial)``."""
     if alpha.is_zero():
         raise ValueError("alpha must be nonzero")
     n = alpha.norm()
     if abs(n) == 1:
         return IdealSplit(alpha, (), 1, 1, Status.COMPLETE)
-    return ideal_split(F, alpha, factor(abs(n), **factor_opts))
+    return ideal_split(F, alpha, factor(abs(n), table, trial))
 
 
 def ideal_split(F: QuadField, alpha: QuadInt, fact: Factorization) -> IdealSplit:

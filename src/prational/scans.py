@@ -60,12 +60,11 @@ degree.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from collections.abc import Callable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .factorint import _TRIAL_BOUND, Status, factor, ideal_valuations, primes
+from .factorint import _TRIAL_BOUND, FactorCache, Status, factor, ideal_valuations, primes
 from .numerics import AlgebraicUnit, GrowthConstants, _least_power, compare_with_power
 from .polyarith import (
     common_root_mod_p,
@@ -151,27 +150,27 @@ _NO_CHOICE = (None, None, None, None)   # prime, residue_degree, ideal_norm, roo
 
 
 def _scan_row(
-    n: int, cyclo_norm: int, factorize, choose, gamma: Fraction, factor_opts: dict, tally: Counter
+    n: int, cyclo_norm: int, factorize, choose, gamma: Fraction, table: FactorCache
 ) -> ScanRecord:
-    """The row of level n.  ``factorize(**opts)`` factors its integer (or
-    ideal), and ``choose`` picks (p, residue degree, N(P), root) of the
-    candidate from that, or None.  A level with 2*phi(n) < n is skipped
-    unfactored.  The trial phase (``rho_budget=0``) runs first, the search
-    only where _settled leaves the row open and the budget is above 0; a row
-    left open without a complete search gives no choice."""
+    """The row of level n.  ``factorize(trial)`` factors its integer (or
+    ideal) in ``table``, and ``choose`` picks (p, residue degree, N(P), root)
+    of the candidate from that, or None.  A level with 2*phi(n) < n is
+    skipped unfactored.  The trial phase runs first, the search only where
+    _settled leaves the row open and the budget is above 0; a row left open
+    without a complete search gives no choice."""
     if 2 * euler_phi(n) < n:
         return ScanRecord(n, cyclo_norm, None, *_NO_CHOICE, SKIPPED, REASON_PHI)
-    fact = factorize(**{**factor_opts, "rho_budget": 0})
+    fact = factorize(True)
     chosen = choose(fact)
     if _settled(fact.status, chosen is not None, gamma, n):
-        tally["settled"] += 1
+        table.counts["settled"] += 1
         factor_status = SUFFICIENT if fact.status is Status.TRIAL else COMPLETE
     else:
-        if factor_opts.get("rho_budget") != 0:   # at budget 0 the TRIAL result stands
-            tally["searched"] += 1
-            fact = factorize(**factor_opts)
+        if table.rho_budget:   # at budget 0 the TRIAL result stands
+            table.counts["searched"] += 1
+            fact = factorize(False)
         if fact.status is not Status.COMPLETE:
-            tally["partial"] += 1
+            table.counts["partial"] += 1
             return ScanRecord(n, cyclo_norm, PARTIAL, *_NO_CHOICE, SKIPPED, REASON_PARTIAL)
         chosen, factor_status = choose(fact), COMPLETE
     if chosen is None:
@@ -184,8 +183,7 @@ def wieferich_scan(
     u: QuadInt,
     constants: GrowthConstants,
     n_max: int,
-    tally: Counter | None = None,
-    **factor_opts,
+    table: FactorCache | None = None,
 ) -> list[ScanRecord]:
     """Scan n = 1..n_max for Wieferich-free prime ideals of the cyclotomic
     values of v = u**power.
@@ -195,17 +193,15 @@ def wieferich_scan(
     norm is at most norm_base**n.  Each meets v**n != 1 mod P**2 (module
     docstring, part (A)), so the smallest (p, hensel root) wins.  Each row
     runs the trial phase of factoring first and the search only when that
-    leaves the row open (see _settled); ``tally``, when given, counts the
-    rows "settled" by the trial phase, "searched" and "partial".
+    leaves the row open (see _settled), in ``table`` (fresh when None),
+    whose ``counts`` keep the rows "settled", "searched" and "partial".
     Rows are emitted for every n, including failures and skips.
     """
     if not u.is_unit():
         raise ValueError("u must be a unit")
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     v = u ** constants.power
     gamma = constants.norm_base
-    tally = Counter() if tally is None else tally
+    table = FactorCache() if table is None else table
 
     def chosen_ideal(split, n):
         P = min(
@@ -228,9 +224,9 @@ def wieferich_scan(
         records.append(
             _scan_row(
                 n, abs(value.norm()),
-                lambda **opts: ideal_valuations(F, value, **opts),
+                lambda trial: ideal_valuations(F, value, table, trial),
                 lambda split: chosen_ideal(split, n),
-                gamma, factor_opts, tally,
+                gamma, table,
             )
         )
     return records
@@ -239,8 +235,6 @@ def wieferich_scan(
 def count_report(records: list[ScanRecord], constants: GrowthConstants, X: int) -> CountReport:
     """Window count of scan successes for n in [n_start, n_stop], where
     n_stop is the largest n with norm_base**n <= X."""
-    if X < 1:
-        raise ValueError("X must be >= 1")
     # the least k with gamma**k > X, estimated from logarithms (gamma**k has
     # millions of digits at X = 1e4299); gamma > 4, so k < 10^6 for every X
     # of fewer than 600000 digits
@@ -330,8 +324,6 @@ def classify_prime(
 
 def prationality_scan(F: QuadField, X: int, unit: QuadInt | None = None) -> Iterator[PRationalityVerdict]:
     """The verdicts of the odd primes p <= X, in order, as they are computed."""
-    if X < 1:
-        raise ValueError("X must be >= 1")
     return map(_classifier(F, unit, None), primes(X))
 
 
@@ -341,8 +333,7 @@ def generic_unit_scan(
     unit: AlgebraicUnit,
     constants: GrowthConstants,
     n_max: int,
-    tally: Counter | None = None,
-    **factor_opts,
+    table: FactorCache | None = None,
 ) -> list[ScanRecord]:
     """Rational-prime-level scan for a user-supplied unit of any degree.
 
@@ -356,18 +347,16 @@ def generic_unit_scan(
     (as p divides Res(g, Phi_n)), so gcd(g, Phi_n) mod p is x - r, r has
     order n, and its lift r2 mod p**2 has r2**n != 1.  Factoring runs its
     trial phase first and the search only where that leaves the row open,
-    with ``tally`` as in wieferich_scan.  ``constants`` come from
+    in ``table`` as in wieferich_scan.  ``constants`` come from
     growth_constants(unit), which refuses a unit with a conjugate on the
     unit circle.
     """
-    if n_max < 1:
-        raise ValueError("n_max must be >= 1")
     g = power_poly(unit.minpoly, constants.power)
     disc_g = abs(discriminant(g))
     if disc_g == 0:
         raise ValueError("powered unit has repeated conjugates; use a different power or unit")
     gamma = constants.norm_base
-    tally = Counter() if tally is None else tally
+    table = FactorCache() if table is None else table
 
     def first_prime(fact, n, r_full):
         p = next(
@@ -395,9 +384,9 @@ def generic_unit_scan(
         records.append(
             _scan_row(
                 n, r_cyclo,
-                lambda **opts: factor(r_cyclo, **opts),
+                lambda trial: factor(r_cyclo, table, trial),
                 lambda fact: first_prime(fact, n, r_full),
-                gamma, factor_opts, tally,
+                gamma, table,
             )
         )
     return records

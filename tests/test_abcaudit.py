@@ -13,7 +13,7 @@ from prational.abcaudit import (
     unit_power_factorizations,
     unit_triple,
 )
-from prational.factorint import Status, ideal_valuations, radical_of_ideal
+from prational.factorint import FactorCache, Status, ideal_valuations, radical_of_ideal
 from prational.polyarith import cyclotomic
 from prational.quadfield import make_field
 
@@ -145,7 +145,7 @@ class TestUnitTriple:
         u = F.fundamental_unit
         calls = []
         real = abcaudit.factor
-        monkeypatch.setattr(abcaudit, "factor", lambda m, **opts: calls.append(m) or real(m, **opts))
+        monkeypatch.setattr(abcaudit, "factor", lambda m, *args: calls.append(m) or real(m, *args))
         t = unit_triple(F, u, 24)
         divisors = [m for m in range(1, 25) if 24 % m == 0]
         norms = [abs(cyclotomic(m).evaluate(u).norm()) for m in divisors]
@@ -208,13 +208,13 @@ class TestSquarefullReport:
     def test_partial_rows_flagged(self, field2):
         # a unit big enough that the norm resists a zero rho budget
         big = field2.fundamental_unit ** 53
-        rows = squarefull_report(field2, big, 2, rho_budget=0)
+        rows = squarefull_report(field2, big, 2, FactorCache(rho_budget=0))
         assert any(r.status is Status.PARTIAL for r in rows)
         for r in rows:
             if r.status is Status.PARTIAL:
                 assert r.log_share is None
         # the merged factorizations keep exact exponents
-        for _, _, fact in unit_power_factorizations(big, range(1, 3), rho_budget=0):
+        for _, _, fact in unit_power_factorizations(big, range(1, 3), FactorCache(rho_budget=0)):
             assert fact.product() == fact.value
             exact = sympy.factorint(fact.value)
             for p, e in fact.factors:

@@ -13,6 +13,7 @@ import io
 import json
 import os
 import re
+import resource
 import stat
 import subprocess
 import sys
@@ -168,6 +169,39 @@ def test_bound_too_large_to_sieve_is_a_compute_error(tmp_path):
     assert cli.main(argv) == cli.EXIT_COMPUTE
 
 
+def _limit_address_space_to_1_gib():   # in the child, before it runs Python
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_bound_whose_sieve_does_not_fit_in_memory_is_a_compute_error(tmp_path):
+    # the base sieve of the odd numbers up to 10**10 takes 5 GB; the command
+    # runs only under the limit, so it never asks the host for that
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    argv = [sys.executable, "-m", "prational", "scan-prational", "--d", "2", "--X", "1e20", "--out", str(out)]
+    proc = subprocess.run(
+        argv, capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_address_space_to_1_gib
+    )
+    assert proc.returncode == cli.EXIT_COMPUTE
+    assert proc.stderr == "error: out of memory\n"
+    assert list(tmp_path.iterdir()) == []   # neither the --out file nor its temporary file
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["scan-wieferich", "--d", "2", "--n-max", "0"], "--n-max must be >= 1"),
+        (["abc-quality", "--d", "2", "--n-max", "0"], "--n-max must be >= 1"),
+        (["scan-prational", "--d", "2", "--X", "0"], "--X must be >= 1"),
+        (["scan-wieferich", "--d", "2", "--n-max", "4", "--X", "0"], "--X must be >= 1"),
+    ],
+)
+def test_bounds_below_1_are_usage_errors(argv, message, capsys, tmp_path):
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 # Runs the command given as its arguments and prints its exit status and
 # peak RSS (KiB).  A child's ru_maxrss starts from the RSS of the process
 # that starts it, so the command is started from this small process, not
@@ -230,7 +264,7 @@ def test_cache_load_skips_inexact_partial_entries(capsys, tmp_path):
     argv = ["abc-quality", "--d", "2", "--n-max", "60"]
     cold = run_cli(argv, tmp_path / "cold")
     norm = abs(cyclotomic(53).evaluate(quadfield.make_field(2).fundamental_unit).norm())
-    small = factorint.factor(norm, rho_budget=10)
+    small = factorint.factor(norm, factorint.FactorCache(rho_budget=10))
     assert small.status is factorint.Status.PARTIAL
     factors = ",".join(f"{p}^{e}" for p, e in small.factors)
     path.write_text(f"{norm}\t{factors}\t{small.cofactor}\n")
@@ -288,16 +322,17 @@ def test_non_convergence_is_a_compute_error(stall, argv, message, monkeypatch, c
 
 def test_the_error_class_sets_the_exit_code(monkeypatch, capsys):
     """A run that a ValueError ends exits 2, and one that an ArithmeticError
-    (an overflow or a division by zero among them) ends exits 3, each with
-    one error line, as docs/formats.md gives it."""
+    (an overflow or a division by zero among them) or a MemoryError ends
+    exits 3, each with one error line, as docs/formats.md gives it."""
     for cls, code in [
         (ValueError, cli.EXIT_USAGE),
         (ArithmeticError, cli.EXIT_COMPUTE),
         (OverflowError, cli.EXIT_COMPUTE),
         (ZeroDivisionError, cli.EXIT_COMPUTE),
+        (MemoryError, cli.EXIT_COMPUTE),
     ]:
 
-        def fail(args, out, cls=cls):
+        def fail(args, out, table, cls=cls):
             raise cls("stopped")
 
         monkeypatch.setattr(cli, "cmd_field_info", fail)
@@ -480,9 +515,9 @@ def test_wieferich_payload_does_not_depend_on_the_table(tmp_path):
     run_cli(["abc-quality", "--d", "2", "--n-max", "40", "--cache", str(cache)], tmp_path / "abc")
     assert run_cli([*argv, "--cache", str(cache)], tmp_path / "after-abc") == cold
     full = tmp_path / "full.txt"
-    table = cli.FactorCache()
+    table = factorint.FactorCache()
     for row in _rows(cold):
-        assert factorint.factor(int(row["cyclo_norm"]), cache=table).status is factorint.Status.COMPLETE
+        assert factorint.factor(int(row["cyclo_norm"]), table).status is factorint.Status.COMPLETE
     cli.cache_store(full, table)
     assert run_cli([*argv, "--cache", str(full)], tmp_path / "complete") == cold
     assert run_cli([*argv, "--cache", str(full)], tmp_path / "warm") == cold
@@ -541,17 +576,17 @@ def test_trial_phase_entries_round_trip_through_the_cache_file(tmp_path):
     a trial entry, the complete entry its resumed search gives, and a
     complete entry of the trial phase."""
     path = tmp_path / "cache.txt"
-    table = cli.FactorCache()
+    table = factorint.FactorCache()
     n = 12 * 1000003 * 1000033
-    trial = factorint.factor(n, cache=table, rho_budget=0)
+    trial = factorint.factor(n, table, trial=True)
     assert trial.status is factorint.Status.TRIAL
     cli.cache_store(path, table)
     assert path.read_text() == f"{n}\t2^2,3^1\t{1000003 * 1000033}\ttrial\n"
     loaded = cli.cache_load(path)
     assert loaded.entries == {n: trial}
-    searched = factorint.factor(n, cache=loaded)   # resumes the search
+    searched = factorint.factor(n, loaded)   # resumes the search
     assert searched == factorint.factor(n) and searched.status is factorint.Status.COMPLETE
-    settled = factorint.factor(4 * 1000003, cache=loaded, rho_budget=0)
+    settled = factorint.factor(4 * 1000003, loaded, trial=True)
     assert settled.status is factorint.Status.COMPLETE
     cli.cache_store(path, loaded)
     reloaded = cli.cache_load(path)   # the complete line supersedes the trial line
@@ -620,11 +655,11 @@ def test_cache_line_counts_the_factor_calls_the_table_answers(capsys, tmp_path):
 
 
 def test_resumed_search_does_no_trial_division(monkeypatch):
-    table = cli.FactorCache()
+    table = factorint.FactorCache()
     n = 12 * 1000003 * 1000033
-    factorint.factor(n, cache=table, rho_budget=0)
+    factorint.factor(n, table, trial=True)
     monkeypatch.setattr(factorint, "_trial_divide", None)   # any call fails
-    assert factorint.factor(n, cache=table) == factorint.Factorization(
+    assert factorint.factor(n, table) == factorint.Factorization(
         n, ((2, 2), (3, 1), (1000003, 1), (1000033, 1)), 1, factorint.Status.COMPLETE
     )
     assert table.hits == 0

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from prational import factorint
 from prational.factorint import (
+    FactorCache,
     Status,
     factor,
     ideal_valuations,
@@ -103,7 +104,7 @@ class TestFactor:
         p = next_prime_from(10 ** 9 + 7)
         q = next_prime_from(10 ** 10 + 19)
         for budget, status in [(0, Status.TRIAL), (1, Status.PARTIAL)]:
-            f = factor(4 * p * q, rho_budget=budget)
+            f = factor(4 * p * q, FactorCache(rho_budget=budget))
             assert f.status is status
             assert f.cofactor == p * q
             assert f.factors == ((2, 2),)
@@ -111,7 +112,7 @@ class TestFactor:
 
     def test_deterministic(self):
         n = next_prime_from(10 ** 8 + 37) * next_prime_from(10 ** 9 + 7) * 6
-        assert factor(n, seed=3) == factor(n, seed=3)
+        assert factor(n, FactorCache(seed=3)) == factor(n, FactorCache(seed=3))
 
     def test_perfect_power(self):
         p = next_prime_from(10 ** 7 + 9)
@@ -129,7 +130,7 @@ class TestFactor:
         exponents = []
         real = factorint.iroot
         monkeypatch.setattr(factorint, "iroot", lambda n, k: exponents.append(k) or real(n, k))
-        f = factor(m, rho_budget=0)
+        f = factor(m, trial=True)
         assert (f.status, f.cofactor) == (Status.TRIAL, m)
         assert exponents == sieve(m.bit_length() // 19)
 
@@ -139,7 +140,7 @@ class TestFactor:
     )
     def test_partial_exponents_are_exact(self, primes, budget):
         n = math.prod(primes)
-        f = factor(n, rho_budget=budget)
+        f = factor(n, FactorCache(rho_budget=budget))
         assert f.product() == n
         for p, e in f.factors:
             assert e == primes.count(p)
@@ -159,7 +160,7 @@ class TestMergeFactorizations:
         p = next_prime_from(10 ** 9 + 7)
         q = next_prime_from(10 ** 10 + 19)
         listed = factor(2 * p)                       # p is listed here
-        unsplit = factor(p * q, rho_budget=0)        # and hides in this cofactor
+        unsplit = factor(p * q, trial=True)          # and hides in this cofactor
         merged = merge_factorizations([listed, unsplit])
         assert merged.factors == ((2, 1), (p, 2))
         assert merged.cofactor == q
@@ -176,7 +177,7 @@ class TestMergeFactorizations:
         st.integers(min_value=0, max_value=400),
     )
     def test_exponents_are_exact(self, piece_primes, budget):
-        pieces = [factor(math.prod(primes), rho_budget=budget) for primes in piece_primes]
+        pieces = [factor(math.prod(primes), FactorCache(rho_budget=budget)) for primes in piece_primes]
         merged = merge_factorizations(pieces)
         every = [p for primes in piece_primes for p in primes]
         assert merged.value == merged.product() == math.prod(every)
@@ -284,7 +285,7 @@ class TestSearch:
     @pytest.mark.parametrize("budget", [0, 1, 5000, factorint._ECM_CURVE_COST - 1])
     def test_small_budget_runs_no_curve(self, budget, monkeypatch):
         searched = count_searches(monkeypatch)
-        f = factor(4 * HARD_P * HARD_Q, rho_budget=budget)
+        f = factor(4 * HARD_P * HARD_Q, FactorCache(rho_budget=budget))
         assert f.status is (Status.TRIAL if budget == 0 else Status.PARTIAL)
         assert f.factors == ((2, 2),) and f.cofactor == HARD_P * HARD_Q
         assert all(kind == "rho" for kind, _ in searched)
@@ -292,7 +293,7 @@ class TestSearch:
 
 
 class TestTrialPhase:
-    """factor(..., rho_budget=0) stops before the first rho iteration."""
+    """factor(..., trial=True) stops before the first rho iteration."""
 
     # open after trial division: two primes above the bound, a square of such a
     # product, and the 48-bit factor only ECM finds
@@ -304,7 +305,7 @@ class TestTrialPhase:
 
     @pytest.mark.parametrize("n", OPEN)
     def test_open_cofactor_has_only_primes_above_the_bound(self, n):
-        f = factor(n, rho_budget=0)
+        f = factor(n, trial=True)
         assert f.status is Status.TRIAL and f.product() == n
         full = sympy.factorint(n)
         assert f.factors == tuple((p, e) for p, e in sorted(full.items()) if p <= factorint._TRIAL_BOUND)
@@ -312,23 +313,21 @@ class TestTrialPhase:
 
     @pytest.mark.parametrize("n", [97 * 1000003, 3 * 1000003 ** 5, 2 ** 40, 10 ** 6 + 3])
     def test_at_most_one_prime_above_the_bound_completes(self, n):
-        f = factor(n, rho_budget=0)
+        f = factor(n, trial=True)
         assert f.status is Status.COMPLETE and dict(f.factors) == sympy.factorint(n)
 
     @pytest.mark.parametrize("n", OPEN)
     @pytest.mark.parametrize("budget", [0, 5000, factorint._RHO_BUDGET])
     def test_table_with_a_trial_entry_answers_like_a_cold_call(self, n, budget):
-        from prational.cli import FactorCache
-
-        table = FactorCache()
-        trial = factor(n, cache=table, rho_budget=0)
+        table = FactorCache(rho_budget=budget)
+        trial = factor(n, table, trial=True)
         assert trial.status is Status.TRIAL and table.entries == {n: trial}
-        cold = factor(n, rho_budget=budget)
-        assert factor(n, rho_budget=budget, cache=table) == cold
+        cold = factor(n, FactorCache(rho_budget=budget))
+        assert factor(n, table) == cold
         # a partial search is no entry: the trial entry stays
         assert table.entries == {n: cold if cold.status is Status.COMPLETE else trial}
         # the entry answers the trial phase as the trial phase would
-        assert factor(n, cache=table, rho_budget=0) == trial
+        assert factor(n, table, trial=True) == trial
         # a budget-0 call is answered by the entry; a resumed search is no hit
         assert table.hits == (2 if budget == 0 else 1)
 
@@ -429,7 +428,7 @@ class TestRadical:
         p = next_prime_from(10 ** 9 + 7)
         q = next_prime_from(10 ** 10 + 19)
         alpha = field2.element(p * q, 0)
-        split = ideal_valuations(field2, alpha, rho_budget=0)
+        split = ideal_valuations(field2, alpha, trial=True)
         assert split.status is Status.TRIAL   # budget 0: the trial phase only
         with pytest.raises(ArithmeticError, match="^radical needs a complete factorization$"):
             radical_of_ideal(split)

@@ -167,7 +167,7 @@ class TestEulerPhi:
 
     def test_refuses_a_partial_factorization(self, monkeypatch):
         real_factor = factorint.factor
-        monkeypatch.setattr(factorint, "factor", lambda n: real_factor(n, rho_budget=0))
+        monkeypatch.setattr(factorint, "factor", lambda n: real_factor(n, trial=True))
         with pytest.raises(ArithmeticError, match=f"^cannot completely factor {1000003 * 1000033}$"):
             euler_phi(1000003 * 1000033)
 

@@ -8,7 +8,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from prational import factorint, scans
-from prational.factorint import Factorization, Status, factor, ideal_valuations, sieve
+from prational.factorint import FactorCache, Factorization, Status, factor, ideal_valuations, sieve
 from prational.numerics import certify_roots, growth_constants
 from prational.polyarith import (
     IntPoly,
@@ -143,7 +143,7 @@ class TestWieferichScan:
         assert wieferich_scan(field2, eps2, constants2, 16) == records
 
     def test_partial_budget_rows_skipped(self, field2, eps2, constants2):
-        records = wieferich_scan(field2, eps2, constants2, 53, rho_budget=0)
+        records = wieferich_scan(field2, eps2, constants2, 53, FactorCache(rho_budget=0))
         assert any(r.reason == "partial_factorization" for r in records)
 
 
@@ -478,7 +478,7 @@ class TestGenericUnitScan:
         assert generic_unit_scan(unit, constants, 10) == generic_unit_scan(unit, constants, 10)
 
 
-def _complete_factor(n, **_):
+def _complete_factor(n, *_):
     """sympy's complete factorization, in the form factorint.factor returns."""
     return Factorization(n, tuple(sorted(sympy.factorint(n).items())), 1, Status.COMPLETE)
 
