@@ -92,7 +92,7 @@ def _unit_triple_of(F: QuadField, split: IdealSplit, n: int) -> AbcTriple:
     return AbcTriple(a=a, b=b, c=c, height=h.value, radical=rad, quality=quality, n=n)
 
 
-def unit_triple(F: QuadField, u: QuadInt, n: int, table: FactorCache | None = None) -> AbcTriple:
+def unit_triple(F: QuadField, u: QuadInt, n: int, table: FactorCache) -> AbcTriple:
     """The triple (u**n - 1) + 1 = u**n, factored as squarefull_report does,
     through the Phi_m(u) with m | n only."""
     divisors = [m for m in range(1, n + 1) if n % m == 0]
@@ -104,23 +104,22 @@ _UNIT_NORM = Factorization(1, (), 1, Status.COMPLETE)
 
 
 def unit_power_factorizations(
-    u: QuadInt, levels: Iterable[int], table: FactorCache | None = None
+    u: QuadInt, levels: Iterable[int], table: FactorCache
 ) -> Iterator[tuple[int, QuadInt, Factorization]]:
     """(n, u**n - 1, the factorization of |N(u**n - 1)|) for each n of
     ``levels``, increasing positive integers that hold every divisor of each.
 
     u**n - 1 is the product of Phi_m(u) over the divisors m of n, so
     |N(Phi_n(u))| is |N(u**n - 1)| divided by |N(Phi_m(u))| over the divisors
-    m < n.  Each of these norms is factored once, in ``table`` (fresh when
-    None), and the factorization of |N(u**n - 1)| is merged from those of
-    its divisors' norms; ``table.counts["factored"]`` counts the norms
+    m < n.  Each of these norms is factored once, in ``table``, and the
+    factorization of |N(u**n - 1)| is merged from those of its divisors'
+    norms; ``table.counts["factored"]`` counts the norms
     factored (a norm of 1 is not).  A prime of Phi_m(u) is found
     once, not again in every row that m divides, and the search never meets
     a composite that holds the large primes of several Phi_m(u) together.
     """
     if not u.is_unit():
         raise ValueError("u must be a unit")
-    table = FactorCache() if table is None else table
     pieces: dict[int, Factorization] = {}   # pieces[m] factors |N(Phi_m(u))|
     power, level = u.field.one(), 0   # power = u**level
     for n in levels:
@@ -137,7 +136,7 @@ def unit_power_factorizations(
 
 
 def squarefull_report(
-    F: QuadField, u: QuadInt, n_max: int, table: FactorCache | None = None
+    F: QuadField, u: QuadInt, n_max: int, table: FactorCache
 ) -> list[SquarefullRow]:
     """Table of squarefree/squarefull norm splits of (u**n - 1) for n <= n_max,
     with the quality of the triple (u**n - 1) + 1 = u**n from the same split.

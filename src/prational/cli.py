@@ -3,9 +3,10 @@
 Outputs are deterministic CSV (default) or JSON carrying the same data plus a
 schema version; summaries ride along as '#'-prefixed footer lines in CSV and
 as a separate object in JSON.  ``main`` builds a run's factor table once;
-``--cache`` loads it from a file and appends what the run added.  Cache hit
-statistics go to stderr so payloads stay byte-identical between cold and
-warm runs.  Column meanings live in docs/formats.md.
+for the commands that factor, ``--cache`` loads it from a file and appends
+what the run added.  Cache hit statistics go to stderr so payloads stay
+byte-identical between cold and warm runs.  Column meanings live in
+docs/formats.md.
 """
 
 from __future__ import annotations
@@ -55,20 +56,21 @@ def _log(message: str) -> None:
 _TRIAL_MARK = "trial"
 
 
-def cache_load(path: str | Path, table: FactorCache | None = None) -> FactorCache:
-    """Load a cache file into ``table`` (a fresh FactorCache when None) and
-    return it; unreadable paths or corrupt lines degrade gracefully.
+def cache_load(path: str | Path, table: FactorCache) -> FactorCache:
+    """Load a cache file into ``table`` and return it; unreadable paths or
+    corrupt lines degrade gracefully.
 
     File format: one entry per line, ``value<TAB>p1^e1,p2^e2,...<TAB>cofactor``,
-    with a fourth field ``trial`` on a trial-phase entry.  Corrupt lines are
-    skipped with a warning.  A complete line supersedes a trial line of the
-    same value, never the other way round.  A line with a cofactor and no
-    marker, the partial search that earlier versions stored, is no entry
-    and is skipped."""
-    table = FactorCache() if table is None else table
+    with a fourth field ``trial`` on a trial-phase entry.  Corrupt lines,
+    those with bytes that are not UTF-8 among them, are skipped with a
+    warning.  A complete line supersedes a trial line of the same value,
+    never the other way round.  A line with a cofactor and no marker, the
+    partial search that earlier versions stored, is no entry and is
+    skipped."""
     path = Path(path)
     try:
-        text = path.read_text()
+        # an undecodable byte becomes U+FFFD, which no field parses
+        text = path.read_text(encoding="utf-8", errors="replace")
     except OSError as exc:
         _log(f"cache {path} unreadable ({exc}); running cold")
         return table
@@ -444,7 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
             help="seed of the random starts of the factoring search; every command "
             "takes it, and only the search of scan-wieferich and abc-quality uses it",
         )
-        p.add_argument("--cache", type=str, default=None, help="factorization cache path")
+        p.add_argument("--cache", type=str, default=None,
+                       help="factorization cache path; only scan-wieferich and abc-quality use it")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
         p.add_argument("--out", type=str, default=None, help="write output here instead of stdout")
 
@@ -570,7 +573,9 @@ def main(argv: list[str] | None = None) -> int:
     # what is written from here on is computed, and an integer may be of any length
     int_digits = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
-    cache_path = args.cache or os.environ.get(CACHE_ENV_VAR)
+    # only the commands with --factor-budget read the table, so only they
+    # load and store the cache file
+    cache_path = (args.cache or os.environ.get(CACHE_ENV_VAR)) if hasattr(args, "factor_budget") else None
     try:
         _validate(args)
         # the factoring context of every factor call of the run

@@ -8,7 +8,9 @@ with no polynomial division: Phi_n is the product of (1 - x^d)^mu(n/d) over
 the divisors d of n, taken as a power series truncated above degree n
 (Arnold and Monagan, *Calculating cyclotomic polynomials*, Math. Comp. 80,
 2011), and cached.  Resultants go through the subresultant polynomial
-remainder sequence so intermediate coefficients stay integral.
+remainder sequence so intermediate coefficients stay integral.  IntPoly has
+evaluation and negation but no sum or product: the routines here compute
+on its coefficients.
 
 The integer primitives live here too: integer k-th roots, rational bounds on
 square roots, Hensel lifting of simple roots, and the common root of two
@@ -42,10 +44,6 @@ class IntPoly(NamedTuple):
             end -= 1
         return IntPoly(tuple(int(c) for c in coeffs[:end]))
 
-    @staticmethod
-    def zero() -> "IntPoly":
-        return IntPoly(())
-
     def degree(self) -> int:
         """Degree; the zero polynomial has degree -1."""
         return len(self.coeffs) - 1
@@ -62,36 +60,12 @@ class IntPoly(NamedTuple):
     def is_monic(self) -> bool:
         return bool(self.coeffs) and self.coeffs[-1] == 1
 
-    def __add__(self, other):
-        other = _coerce(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return IntPoly.of(*(x + y for x, y in zip(a, b)))
-
-    def __sub__(self, other):
-        return self + (-_coerce(other))
-
     def __neg__(self):
         return IntPoly(tuple(-c for c in self.coeffs))
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return IntPoly.zero()
-            return IntPoly(tuple(c * other for c in self.coeffs))
-        other = _coerce(other)
-        if self.is_zero() or other.is_zero():
-            return IntPoly.zero()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, c in enumerate(self.coeffs):
-            if c:
-                for j, d in enumerate(other.coeffs):
-                    out[i + j] += c * d
-        return IntPoly.of(*out)
-
-    __radd__ = __add__
-    __rmul__ = __mul__
+    # IntPoly has no sum or product: + and * would otherwise be the tuple's
+    # concatenation and repetition, and None makes each a TypeError
+    __add__ = __mul__ = __rmul__ = None
 
     def evaluate(self, x):
         """Horner evaluation; works for any ring element supporting + and *."""
@@ -132,14 +106,6 @@ class IntPoly(NamedTuple):
                 sign = "-"
             parts.append(sign + term)
         return "".join(parts)
-
-
-def _coerce(v) -> IntPoly:
-    if isinstance(v, IntPoly):
-        return v
-    if isinstance(v, int):
-        return IntPoly.of(v)
-    raise TypeError(f"cannot coerce {type(v)!r} to IntPoly")
 
 
 def prem(a: IntPoly, b: IntPoly) -> IntPoly:

@@ -2,10 +2,13 @@
 
 The ring of integers is Z[w] with w = sqrt(d) for d != 1 (mod 4) and
 w = (1 + sqrt(d))/2 otherwise, so w^2 = t*w + s with (t, s) = (0, d) or
-(1, (d-1)/4).  Elements are exact coordinate pairs x + y*w.  The fundamental
-unit comes from the continued fraction of w; the class number from the
-cycles of reduced binary quadratic forms of discriminant disc (exact, and
-computed up to disc = 10**6; a larger field needs the class number given).
+(1, (d-1)/4).  Elements are exact coordinate pairs x + y*w, with the
+operations the commands use: + and - with an element or an integer on the
+right, * with either on either side, and ** with an exponent >= 0; there
+is no negation or conjugate.  The fundamental unit comes from the
+continued fraction of w; the class number from the cycles of reduced binary
+quadratic forms of discriminant disc (exact, and computed up to
+disc = 10**6; a larger field needs the class number given).
 
 Arithmetic modulo P**2 has one primitive per kind of prime.  At a split p,
 omega_root_mod_p2 gives a root r of w's minimal polynomial mod p**2 by one
@@ -53,9 +56,6 @@ class QuadField:
     def one(self) -> "QuadInt":
         return QuadInt(self, 1, 0)
 
-    def element(self, x: int, y: int) -> "QuadInt":
-        return QuadInt(self, x, y)
-
     def omega_value(self) -> float:
         r = math.sqrt(self.d)
         return (1 + r) / 2 if self.omega_half else r
@@ -87,19 +87,11 @@ class QuadInt(NamedTuple):
         self._check(other)
         return QuadInt(self.field, self.x + other.x, self.y + other.y)
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         if isinstance(other, int):
             return QuadInt(self.field, self.x - other, self.y)
         self._check(other)
         return QuadInt(self.field, self.x - other.x, self.y - other.y)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return QuadInt(self.field, -self.x, -self.y)
 
     def __mul__(self, other):
         if isinstance(other, int):
@@ -126,10 +118,6 @@ class QuadInt(NamedTuple):
             base = base * base
             e >>= 1
         return result
-
-    def conj(self) -> "QuadInt":
-        F = self.field
-        return QuadInt(F, self.x + F.t * self.y, -self.y)
 
     def norm(self) -> int:
         F = self.field

@@ -183,7 +183,7 @@ def wieferich_scan(
     u: QuadInt,
     constants: GrowthConstants,
     n_max: int,
-    table: FactorCache | None = None,
+    table: FactorCache,
 ) -> list[ScanRecord]:
     """Scan n = 1..n_max for Wieferich-free prime ideals of the cyclotomic
     values of v = u**power.
@@ -193,7 +193,7 @@ def wieferich_scan(
     norm is at most norm_base**n.  Each meets v**n != 1 mod P**2 (module
     docstring, part (A)), so the smallest (p, hensel root) wins.  Each row
     runs the trial phase of factoring first and the search only when that
-    leaves the row open (see _settled), in ``table`` (fresh when None),
+    leaves the row open (see _settled), in ``table``,
     whose ``counts`` keep the rows "settled", "searched" and "partial".
     Rows are emitted for every n, including failures and skips.
     """
@@ -201,7 +201,6 @@ def wieferich_scan(
         raise ValueError("u must be a unit")
     v = u ** constants.power
     gamma = constants.norm_base
-    table = FactorCache() if table is None else table
 
     def chosen_ideal(split, n):
         P = min(
@@ -333,7 +332,7 @@ def generic_unit_scan(
     unit: AlgebraicUnit,
     constants: GrowthConstants,
     n_max: int,
-    table: FactorCache | None = None,
+    table: FactorCache,
 ) -> list[ScanRecord]:
     """Rational-prime-level scan for a user-supplied unit of any degree.
 
@@ -356,7 +355,6 @@ def generic_unit_scan(
     if disc_g == 0:
         raise ValueError("powered unit has repeated conjugates; use a different power or unit")
     gamma = constants.norm_base
-    table = FactorCache() if table is None else table
 
     def first_prime(fact, n, r_full):
         p = next(

@@ -15,14 +15,15 @@ from prational.abcaudit import (
 )
 from prational.factorint import FactorCache, Status, ideal_valuations, radical_of_ideal
 from prational.polyarith import cyclotomic
-from prational.quadfield import make_field
+from prational.quadfield import QuadInt, make_field
+from ring_ops import conj
 
 
 def small_nonzero_elements(F, count, seed=11):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        a = F.element(rng.randrange(-30, 31), rng.randrange(-30, 31))
+        a = QuadInt(F, rng.randrange(-30, 31), rng.randrange(-30, 31))
         if not a.is_zero():
             out.append(a)
     return out
@@ -44,7 +45,7 @@ class TestProductFormula:
 class TestHeight:
     def test_rejects_zero(self, field2):
         with pytest.raises(ValueError):
-            height(field2, field2.element(0, 0), field2.one(), field2.one())
+            height(field2, QuadInt(field2, 0, 0), field2.one(), field2.one())
 
     def test_permutation_symmetry(self, field2, eps2):
         a = eps2 ** 3 - 1
@@ -59,8 +60,8 @@ class TestHeight:
         b = field2.one()
         c = eps2 ** 5
         base = height(field2, a, b, c).value
-        conj = height(field2, a.conj(), b.conj(), c.conj()).value
-        assert abs(base - conj) < 1e-9
+        conjugate = height(field2, conj(a), conj(b), conj(c)).value
+        assert abs(base - conjugate) < 1e-9
 
     def test_integral_triple_is_archimedean_only(self, field2, eps2):
         # b = 1 has valuation 0 everywhere, so no finite place contributes
@@ -102,29 +103,29 @@ class TestHeight:
         # back at the finite places dividing all three norms
         a = eps2 ** 3
         base = height(field2, a, field2.one(), a + 1).value
-        kk = field2.element(k, 0)
+        kk = QuadInt(field2, k, 0)
         assert abs(height(field2, kk * a, kk, kk * (a + 1)).value - base) < 1e-9
 
 
 class TestUnitTriple:
     def test_n3(self, field2, eps2):
-        t = unit_triple(field2, eps2, 3)
+        t = unit_triple(field2, eps2, 3, FactorCache())
         assert t.radical == 14
         assert (t.a.x, t.a.y) == (6, 5)
         assert t.quality is not None and t.quality > 0
 
     def test_n1(self, field2, eps2):
-        t = unit_triple(field2, eps2, 1)
+        t = unit_triple(field2, eps2, 1, FactorCache())
         assert t.radical == 2
 
     def test_quality_positive(self, field2, eps2):
         for n in range(1, 13):
-            t = unit_triple(field2, eps2, n)
+            t = unit_triple(field2, eps2, n, FactorCache())
             assert t.quality is None or t.quality > 0
 
     def test_radical_two_routes_agree(self, field2, eps2):
         for n in range(1, 13):
-            t = unit_triple(field2, eps2, n)
+            t = unit_triple(field2, eps2, n, FactorCache())
             assert t.radical == radical_of_ideal(ideal_valuations(field2, eps2 ** n - 1))
 
     @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 13])
@@ -136,7 +137,7 @@ class TestUnitTriple:
             rad = radical_of_ideal(ideal_valuations(F, a))
             h = height(F, a, F.one(), c).value
             quality = h / math.log(rad) if rad > 1 else None
-            assert unit_triple(F, u, n) == AbcTriple(a, F.one(), c, h, rad, quality, n)
+            assert unit_triple(F, u, n, FactorCache()) == AbcTriple(a, F.one(), c, h, rad, quality, n)
 
     def test_factors_only_the_divisors_of_n(self, monkeypatch):
         """u**n - 1 is the product of the Phi_m(u) with m | n, so no other
@@ -146,7 +147,7 @@ class TestUnitTriple:
         calls = []
         real = abcaudit.factor
         monkeypatch.setattr(abcaudit, "factor", lambda m, *args: calls.append(m) or real(m, *args))
-        t = unit_triple(F, u, 24)
+        t = unit_triple(F, u, 24, FactorCache())
         divisors = [m for m in range(1, 25) if 24 % m == 0]
         norms = [abs(cyclotomic(m).evaluate(u).norm()) for m in divisors]
         assert calls == [norm for norm in norms if norm != 1] and len(calls) == 8
@@ -177,12 +178,12 @@ class TestSquarefullReport:
     def test_rows_match_the_whole_norm_route(self, d):
         F = make_field(d)
         u = F.fundamental_unit
-        assert squarefull_report(F, u, 40) == [whole_norm_row(F, u, n) for n in range(1, 41)]
+        assert squarefull_report(F, u, 40, FactorCache()) == [whole_norm_row(F, u, n) for n in range(1, 41)]
 
     @pytest.mark.parametrize("d", ORACLE_FIELDS)
     def test_merged_factorization_is_sympys(self, d):
         u = make_field(d).fundamental_unit
-        for n, alpha, fact in unit_power_factorizations(u, range(1, 41)):
+        for n, alpha, fact in unit_power_factorizations(u, range(1, 41), FactorCache()):
             assert alpha == u ** n - 1
             assert fact.value == abs(alpha.norm())
             assert fact.status is Status.COMPLETE
@@ -190,7 +191,7 @@ class TestSquarefullReport:
 
 
     def test_rows(self, field2, eps2):
-        rows = squarefull_report(field2, eps2, 12)
+        rows = squarefull_report(field2, eps2, 12, FactorCache())
         assert [r.n for r in rows] == list(range(1, 13))
         for r in rows:
             assert r.status is Status.COMPLETE
@@ -201,7 +202,7 @@ class TestSquarefullReport:
                 assert 0 < r.log_share <= 1
 
     def test_n3_share_zero(self, field2, eps2):
-        rows = squarefull_report(field2, eps2, 3)
+        rows = squarefull_report(field2, eps2, 3, FactorCache())
         assert rows[2].squarefull_norm == 1
         assert rows[2].log_share == 0.0
 

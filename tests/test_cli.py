@@ -238,16 +238,52 @@ def test_scan_prational_memory_is_flat_in_X(tmp_path):
 @pytest.mark.parametrize("where", ["directory", "missing directory"])
 def test_unwritable_cache_is_warned_after_the_payload(where, through_env, monkeypatch, capsys, tmp_path):
     path = tmp_path if where == "directory" else tmp_path / "missing" / "cache.txt"
-    argv = ["field-info", "--d", "2"]
+    argv = GOLDENS["abc-quality-d2.csv"]
     if through_env:
         monkeypatch.setenv(cli.CACHE_ENV_VAR, str(path))
     else:
-        argv += ["--cache", str(path)]
-    assert run_cli(argv, tmp_path / "out") == (GOLDEN / "field-info-d2.txt").read_bytes()
+        argv = [*argv, "--cache", str(path)]
+    assert run_cli(argv, tmp_path / "out") == (GOLDEN / "abc-quality-d2.csv").read_bytes()
     messages = capsys.readouterr().err.splitlines()
     reason = "Is a directory" if where == "directory" else "No such file or directory"
     assert messages[-1] == f"cache {path} not written ({reason})"
     assert not any("entries stored" in message for message in messages)
+
+
+@pytest.mark.parametrize("through_env", [False, True])
+@pytest.mark.parametrize("name", ["field-info-d2.txt", "scan-prational-d2.csv"])
+def test_commands_that_factor_nothing_leave_the_cache_alone(name, through_env, monkeypatch, capsys, tmp_path):
+    """field-info and scan-prational read no factor table: they neither
+    create nor read nor append to the cache file, and log no cache line."""
+    path = tmp_path / "cache.txt"
+    argv = GOLDENS[name]
+    if through_env:
+        monkeypatch.setenv(cli.CACHE_ENV_VAR, str(path))
+    else:
+        argv = [*argv, "--cache", str(path)]
+    assert run_cli(argv, tmp_path / "out") == (GOLDEN / name).read_bytes()
+    assert not path.exists()
+    path.write_text("15\t3^1\n")   # a corrupt line, which a load would warn of
+    assert run_cli(argv, tmp_path / "out") == (GOLDEN / name).read_bytes()
+    assert path.read_text() == "15\t3^1\n"
+    assert capsys.readouterr().err == ""
+
+
+def test_cache_line_that_is_not_utf8_is_one_corrupt_line(capsys, tmp_path):
+    """Bytes that are not UTF-8 make their line corrupt, not the run a usage
+    error; the valid line before them answers its factor call."""
+    argv = GOLDENS["abc-quality-d2.csv"]
+    path = tmp_path / "cache.txt"
+    table = factorint.FactorCache()
+    factorint.factor(7, table)   # |N(Phi_3(1 + sqrt(2)))| = |N(5 + 3*sqrt(2))|
+    cli.cache_store(path, table)
+    path.write_bytes(path.read_bytes() + b"\xff\xfe\x00bad\n")
+    assert run_cli([*argv, "--cache", str(path)], tmp_path / "out") == (GOLDEN / "abc-quality-d2.csv").read_bytes()
+    messages = capsys.readouterr().err.splitlines()
+    warnings = [m for m in messages if "corrupt" in m]
+    assert len(warnings) == 1 and warnings[0].startswith(f"cache {path} line 2 corrupt")
+    # one hit more and one entry fewer than the cold run's 10 hits and 30 entries
+    assert messages[-1] == "cache: 11 hits, 29 new entries stored"
 
 
 def test_cache_load_skips_inexact_partial_entries(capsys, tmp_path):
@@ -256,7 +292,7 @@ def test_cache_load_skips_inexact_partial_entries(capsys, tmp_path):
     # with a short exponent, since 3 still divides its cofactor.  The first
     # is a partial search, which earlier versions stored: no entry, no warning
     path.write_text("315\t3^2\t35\n945\t3^1\t315\n")
-    assert cli.cache_load(path).entries == {}
+    assert cli.cache_load(path, factorint.FactorCache()).entries == {}
     warnings = capsys.readouterr().err.splitlines()
     assert len(warnings) == 1 and "line 2 corrupt" in warnings[0]
     # such a line for a norm the command factors answers nothing: the run
@@ -270,7 +306,7 @@ def test_cache_load_skips_inexact_partial_entries(capsys, tmp_path):
     path.write_text(f"{norm}\t{factors}\t{small.cofactor}\n")
     assert run_cli([*argv, "--cache", str(path)], tmp_path / "warm") == cold
     assert "corrupt" not in capsys.readouterr().err
-    assert cli.cache_load(path).entries[norm] == factorint.factor(norm)
+    assert cli.cache_load(path, factorint.FactorCache()).entries[norm] == factorint.factor(norm)
 
 
 @pytest.mark.parametrize("field", [["--d", "2"], ["--class-number", "1"]])
@@ -389,7 +425,7 @@ def test_strict_refuses_partial_rows(argv, capsys, tmp_path):
 def test_corrupt_cache_line_is_skipped_with_one_warning(bad_line, capsys, tmp_path):
     path = tmp_path / "cache.txt"
     path.write_text(f"15\t3^1,5^1\t1\n{bad_line}\n21\t3^1,7^1\t1\n")
-    cache = cli.cache_load(path)
+    cache = cli.cache_load(path, factorint.FactorCache())
     assert cache.entries == {15: factorint.factor(15), 21: factorint.factor(21)}
     warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith(f"cache {path} ")]
     assert len(warnings) == 1 and "line 2 corrupt" in warnings[0]
@@ -582,14 +618,14 @@ def test_trial_phase_entries_round_trip_through_the_cache_file(tmp_path):
     assert trial.status is factorint.Status.TRIAL
     cli.cache_store(path, table)
     assert path.read_text() == f"{n}\t2^2,3^1\t{1000003 * 1000033}\ttrial\n"
-    loaded = cli.cache_load(path)
+    loaded = cli.cache_load(path, factorint.FactorCache())
     assert loaded.entries == {n: trial}
     searched = factorint.factor(n, loaded)   # resumes the search
     assert searched == factorint.factor(n) and searched.status is factorint.Status.COMPLETE
     settled = factorint.factor(4 * 1000003, loaded, trial=True)
     assert settled.status is factorint.Status.COMPLETE
     cli.cache_store(path, loaded)
-    reloaded = cli.cache_load(path)   # the complete line supersedes the trial line
+    reloaded = cli.cache_load(path, factorint.FactorCache())   # the complete line supersedes the trial line
     assert reloaded.entries == {n: searched, 4 * 1000003: settled}
 
 
@@ -602,7 +638,8 @@ def test_new_entries_do_not_join_an_unterminated_last_line(capsys, tmp_path):
     cold = run_cli(argv, tmp_path / "cold")
     text = cache.read_text()
     assert text.startswith("1\t\t1\n") and text.endswith("\n")
-    assert set(cli.cache_load(cache).entries) == {int(line.split("\t")[0]) for line in text.splitlines()}
+    entries = cli.cache_load(cache, factorint.FactorCache()).entries
+    assert set(entries) == {int(line.split("\t")[0]) for line in text.splitlines()}
     capsys.readouterr()
     assert run_cli(argv, tmp_path / "warm") == cold
     assert "corrupt" not in capsys.readouterr().err
@@ -940,11 +977,74 @@ def test_each_command_loads_only_the_modules_it_uses(argv, loaded, tmp_path):
 
 
 def test_field_info_loads_logging_only_to_log_its_cache_line(tmp_path):
-    """It loaded logging only to log its cache line; now the line is
-    printed, and no run loads logging."""
+    """It loaded logging only to log its cache line; no run loads logging,
+    and field-info now logs no cache line."""
     argv = ["field-info", "--d", "2"]
     assert "'logging'" not in _loaded_modules(argv, tmp_path)
     assert "'logging'" not in _loaded_modules([*argv, "--cache", str(tmp_path / "cache")], tmp_path)
+
+
+# the package's functions and methods that no run of
+# test_the_package_holds_only_what_a_command_runs enters, each with its reason
+NEVER_ENTERED = {
+    "abcaudit.unit_triple": "bench/traced_cli.LAYERS names it; it stays until the benchmark changes",
+    "scans.classify_prime": "bench/traced_cli.LAYERS names it; it stays until the benchmark changes",
+    "quadfield.unit_pow_mod_p2": "bench/traced_cli.LAYERS names it; it stays until the benchmark changes",
+    "quadfield.pair_pow": "unit_pow_mod_p2 computes with it at inert primes",
+    "factorint._ecm": "no cheap command exhausts rho; test_factorint runs ECM",
+    "factorint._x_add": "a step of _ecm",
+    "factorint._x_dbl": "a step of _ecm",
+    "factorint._x_mul": "a step of _ecm",
+    "polyarith.IntPoly.__repr__": "a debugging aid; the doctests print it",
+    "quadfield.QuadField.__repr__": "a debugging aid",
+    "quadfield.QuadInt.__repr__": "a debugging aid",
+    "quadfield.QuadField.__hash__": "keeps QuadField, and so QuadInt, hashable beside __eq__",
+}
+
+_ENTRY_PROFILE = """
+import importlib, inspect, json, pkgutil, sys
+entered = set()
+sys.setprofile(lambda frame, event, arg: event == "call" and entered.add(frame.f_code))
+import prational
+from prational import cli
+codes = [cli.main(argv) for argv in ARGVS]
+sys.setprofile(None)
+never = set()
+for info in pkgutil.iter_modules(prational.__path__):
+    if info.name == "__main__":   # importing it runs a command
+        continue
+    module = importlib.import_module("prational." + info.name)
+    for obj in vars(module).values():
+        for fn in [obj, *(vars(obj).values() if inspect.isclass(obj) else ())]:
+            fn = inspect.unwrap(getattr(fn, "__func__", fn))
+            code = getattr(fn, "__code__", None)
+            if code is not None and code.co_filename == module.__file__ and code not in entered:
+                never.add(info.name + "." + fn.__qualname__)
+print(json.dumps([codes, sorted(never)]))
+"""
+
+
+def test_the_package_holds_only_what_a_command_runs(tmp_path):
+    """A fresh process runs every GOLDENS command cold and then warm on one
+    --cache, a scan-wieferich with a count window (no golden has one), and
+    an error that prints a polynomial.  Every function and method that the
+    package defines at module or class level is entered, NEVER_ENTERED
+    aside: code that only the tests need belongs under tests/."""
+    runs = [
+        *GOLDENS.values(),
+        *GOLDENS.values(),
+        [*GOLDENS["scan-wieferich-d2.csv"], "--X", "1e63"],   # window n = 32..40
+        ["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "4", "--precision-cap", "0"],
+    ]
+    argvs = [[*argv, "--cache", str(tmp_path / "cache.txt"), "--out", str(tmp_path / "out")] for argv in runs]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    code = _ENTRY_PROFILE.replace("ARGVS", repr(argvs))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    codes, never = json.loads(proc.stdout)
+    assert codes == [cli.EXIT_OK] * (len(runs) - 1) + [cli.EXIT_COMPUTE]
+    assert "error: could not separate the roots of x^3 - x - 1 below 0 bits" in proc.stderr.decode()
+    assert never == sorted(NEVER_ENTERED)
 
 
 def _run_without_mpmath(argv):

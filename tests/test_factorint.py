@@ -19,7 +19,7 @@ from prational.factorint import (
     sieve,
 )
 from prational.polyarith import IntPoly, cyclotomic, hensel_lift
-from prational.quadfield import Splitting, make_field, split_prime
+from prational.quadfield import QuadInt, Splitting, make_field, split_prime
 from trial_division import PRIMES, trial_divide as trial_divide_by_remainders
 
 
@@ -343,7 +343,7 @@ class TestIdealValuations:
         assert split.squarefree_norm == 14 and split.squarefull_norm == 1
 
     def test_split_rational_prime(self, field2):
-        split = ideal_valuations(field2, field2.element(7, 0))
+        split = ideal_valuations(field2, QuadInt(field2, 7, 0))
         assert sorted(v for _, v in split.entries) == [1, 1]
         assert split.squarefree_norm == 49
 
@@ -354,7 +354,7 @@ class TestIdealValuations:
 
     def test_rejects_zero(self, field2):
         with pytest.raises(ValueError):
-            ideal_valuations(field2, field2.element(0, 0))
+            ideal_valuations(field2, QuadInt(field2, 0, 0))
 
     @pytest.mark.parametrize("d", [2, 5, 17])
     def test_split_valuations_match_membership_in_prime_powers(self, d):
@@ -376,7 +376,7 @@ class TestIdealValuations:
                 x = -y * hensel_lift(f, P.root_mod_p(), p, k) + p ** k * rng.randrange(-50, 51)
             else:
                 x = rng.randrange(-200, 201)
-            alpha = F.element(p ** j * x, p ** j * y)
+            alpha = QuadInt(F, p ** j * x, p ** j * y)
             got = {Q.hensel_root: v for Q, v in ideal_valuations(F, alpha).entries if Q.p == p}
             e = sympy.multiplicity(p, abs(alpha.norm()))
             for Q in split_prime(F, p):
@@ -391,7 +391,7 @@ class TestIdealValuations:
     @given(st.integers(-60, 60), st.integers(-60, 60))
     def test_valuation_consistency(self, x, y):
         F = make_field(2)
-        alpha = F.element(x, y)
+        alpha = QuadInt(F, x, y)
         if alpha.is_zero():
             return
         split = ideal_valuations(F, alpha)
@@ -414,7 +414,7 @@ class TestIdealValuations:
 class TestRadical:
     def test_squared_prime_ideal(self, field2):
         # (w - 3)^2 generates the square of one prime above 7
-        w = field2.element(0, 1)
+        w = QuadInt(field2, 0, 1)
         alpha = (w - 3) ** 2
         split = ideal_valuations(field2, alpha)
         assert [v for _, v in split.entries] == [2]
@@ -427,7 +427,7 @@ class TestRadical:
     def test_partial_raises(self, field2):
         p = next_prime_from(10 ** 9 + 7)
         q = next_prime_from(10 ** 10 + 19)
-        alpha = field2.element(p * q, 0)
+        alpha = QuadInt(field2, p * q, 0)
         split = ideal_valuations(field2, alpha, trial=True)
         assert split.status is Status.TRIAL   # budget 0: the trial phase only
         with pytest.raises(ArithmeticError, match="^radical needs a complete factorization$"):
@@ -436,7 +436,7 @@ class TestRadical:
     @given(st.integers(-40, 40), st.integers(-40, 40))
     def test_radical_divides_norm(self, x, y):
         F = make_field(2)
-        alpha = F.element(x, y)
+        alpha = QuadInt(F, x, y)
         if alpha.is_zero() or abs(alpha.norm()) == 1:
             return
         split = ideal_valuations(F, alpha)

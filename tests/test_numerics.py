@@ -10,6 +10,7 @@ from prational import numerics, rootfind
 from prational.numerics import certify_roots, growth_constants, ln
 from prational.polyarith import IntPoly, cyclotomic, euler_phi, power_poly, resultant
 from prational.quadfield import make_field, minpoly_of
+from ring_ops import poly_mul
 
 PELL = IntPoly.of(-1, -2, 1)          # 1 + sqrt(2)
 GOLDEN_SQ = IntPoly.of(1, -3, 1)      # (3 + sqrt(5)) / 2
@@ -100,14 +101,14 @@ class TestCertifyRoots:
         for a in small:
             for g in [PELL, *(cyclotomic(b) for b in small if b != a)]:
                 with pytest.raises(ValueError, match="cyclotomic factor of lower degree"):
-                    certify_roots(cyclotomic(a) * g)
+                    certify_roots(poly_mul(cyclotomic(a), g))
 
     @pytest.mark.parametrize(
         "f, g",
         [(PELL, PLASTIC), (PELL, GOLDEN_SQ), (PLASTIC, PLASTIC.reciprocal()), (IntPoly.of(1, -1, -1), SALEM4)],
     )
     def test_product_of_units_is_reducible(self, f, g):
-        h = f * g
+        h = poly_mul(f, g)
         if h.lead() < 0:
             h = -h
         with pytest.raises(ValueError, match="is reducible: .* divides it"):

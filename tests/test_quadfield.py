@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from prational.factorint import sieve
 from prational.quadfield import (
+    QuadInt,
     Splitting,
     excluded_prime_bound,
     make_field,
@@ -15,6 +16,7 @@ from prational.quadfield import (
     unit_pow_mod_p2,
 )
 from residue_order import multiplicative_order
+from ring_ops import conj
 from unit_search import fundamental_unit_by_norms
 
 # discriminant -> class number, standard table values
@@ -180,7 +182,7 @@ class TestMakeField:
                         x = num // 2
                         if abs(x) > 1000:
                             continue
-                        v = F.element(x, y)
+                        v = QuadInt(F, x, y)
                         if not v.is_unit():
                             continue
                         val = v.approx()
@@ -196,28 +198,31 @@ class TestArithmetic:
         assert (u * u).x == 3 and (u * u).y == 2
 
     def test_norm_example(self, field2):
-        assert field2.element(5, 3).norm() == 7
+        assert QuadInt(field2, 5, 3).norm() == 7
 
     @given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50))
     def test_norm_multiplicative(self, x1, y1, x2, y2):
         F = make_field(5)
-        a, b = F.element(x1, y1), F.element(x2, y2)
+        a, b = QuadInt(F, x1, y1), QuadInt(F, x2, y2)
         assert (a * b).norm() == a.norm() * b.norm()
 
     @given(st.integers(-50, 50), st.integers(-50, 50))
     def test_conj_and_trace(self, x, y):
         F = make_field(13)
-        a = F.element(x, y)
-        assert (a * a.conj()).y == 0
-        assert (a * a.conj()).x == a.norm()
-        assert (a + a.conj()).x == a.trace()
+        a = QuadInt(F, x, y)
+        assert (a * conj(a)).y == 0
+        assert (a * conj(a)).x == a.norm()
+        assert (a + conj(a)).x == a.trace()
 
-    def test_ints_act_as_ring_elements(self, field2):
-        # QuadInt is a tuple: int * u and u + int must not repeat or concatenate it
-        u = field2.element(1, 1)
-        assert 3 * u == u * 3 == field2.element(3, 3)
-        assert u + 2 == 2 + u == field2.element(3, 1)
-        assert 2 - u == field2.element(1, -1) and u - 2 == field2.element(-1, 1)
+    def test_ints_act_on_either_side_of_times_and_the_right_of_plus(self, field2):
+        # QuadInt is a tuple: int * u and u + int must not repeat or concatenate
+        # it, and an int left of + or -, or a negation, is a TypeError
+        u = QuadInt(field2, 1, 1)
+        assert 3 * u == u * 3 == QuadInt(field2, 3, 3)
+        assert u + 2 == QuadInt(field2, 3, 1) and u - 2 == QuadInt(field2, -1, 1)
+        for op in (lambda: 2 + u, lambda: 2 - u, lambda: -u):
+            with pytest.raises(TypeError):
+                op()
 
     def test_minpoly(self, field2):
         u = field2.fundamental_unit
@@ -291,7 +296,7 @@ class TestUnitPowModP2:
             if split_prime(F, p)[0].splitting is not Splitting.INERT:
                 continue
             p2 = p * p
-            for u in (F.fundamental_unit, F.element(3, -5)):
+            for u in (F.fundamental_unit, QuadInt(F, 3, -5)):
                 for e in [*range(65), p - 1, p + 1, p2 - 1]:
                     power = u ** e
                     assert pair_pow(u.x, u.y, e, F.t, F.s, p2) == (power.x % p2, power.y % p2)
@@ -310,9 +315,9 @@ class TestUnitPowModP2:
         for _ in range(100):
             p = rng.choice(split_ps)
             P = rng.choice(split_prime(F, p))
-            u = F.element(rng.randrange(1, 50), rng.randrange(1, 50))
+            u = QuadInt(F, rng.randrange(1, 50), rng.randrange(1, 50))
             while math.gcd(u.norm(), p) != 1:
-                u = F.element(rng.randrange(1, 50), rng.randrange(1, 50))
+                u = QuadInt(F, rng.randrange(1, 50), rng.randrange(1, 50))
             e = rng.randrange(0, 5000)
             p2 = p * p
             # pair arithmetic in O/p^2 O
@@ -337,7 +342,7 @@ class TestUnitPowModP2:
             P, Pbar = split_prime(field2, p)
             for e in (3, 10, p - 1):
                 lhs = unit_pow_mod_p2(field2, eps2, e, Pbar)
-                rhs = unit_pow_mod_p2(field2, eps2.conj(), e, P)
+                rhs = unit_pow_mod_p2(field2, conj(eps2), e, P)
                 assert lhs == rhs
 
 
@@ -359,7 +364,7 @@ class TestMultiplicativeOrder:
                 assert (P.norm - 1) % multiplicative_order(field2, eps2, P) == 0
 
     def test_order_invariances(self, field2, eps2):
-        inv = eps2.conj() * field2.unit_norm  # eps^-1
+        inv = conj(eps2) * field2.unit_norm  # eps^-1
         assert (eps2 * inv).x == 1 and (eps2 * inv).y == 0
         for p in (7, 11, 17, 29, 5, 13):
             for P in split_prime(field2, p):
@@ -367,7 +372,7 @@ class TestMultiplicativeOrder:
                     continue
                 o = multiplicative_order(field2, eps2, P)
                 assert multiplicative_order(field2, inv, P) == o
-                assert multiplicative_order(field2, eps2.conj(), P.conjugate(field2)) == o
+                assert multiplicative_order(field2, conj(eps2), P.conjugate(field2)) == o
 
 
 class TestExcludedPrimeBound:

@@ -20,6 +20,7 @@ from prational.polyarith import (
     resultant,
 )
 from prational.quadfield import (
+    QuadInt,
     Splitting,
     excluded_prime_bound,
     make_field,
@@ -47,6 +48,7 @@ from prational.scans import (
     wieferich_scan,
 )
 from residue_order import multiplicative_order, residue_is_one
+from ring_ops import conj
 
 
 def residue_mod_p(F, value, P):
@@ -69,7 +71,7 @@ def brute_force_order(F, v, P, n_cap):
         acc = F.one()
         for j in range(1, n_cap + 1):
             acc = acc * v
-            acc = F.element(acc.x % p, acc.y % p)
+            acc = QuadInt(F, acc.x % p, acc.y % p)
             if (acc.x, acc.y) == (1, 0):
                 return j
     return None
@@ -77,7 +79,7 @@ def brute_force_order(F, v, P, n_cap):
 
 @pytest.fixture(scope="module")
 def records(field2, eps2, constants2):
-    return wieferich_scan(field2, eps2, constants2, 16)
+    return wieferich_scan(field2, eps2, constants2, 16, FactorCache())
 
 
 @pytest.fixture(scope="module")
@@ -140,7 +142,7 @@ class TestWieferichScan:
                 assert r.prime is None
 
     def test_deterministic(self, field2, eps2, constants2, records):
-        assert wieferich_scan(field2, eps2, constants2, 16) == records
+        assert wieferich_scan(field2, eps2, constants2, 16, FactorCache()) == records
 
     def test_partial_budget_rows_skipped(self, field2, eps2, constants2):
         records = wieferich_scan(field2, eps2, constants2, 53, FactorCache(rho_budget=0))
@@ -226,7 +228,7 @@ class TestCountReport:
         records = []  # no records needed when the window is empty
         # gamma > 35, so X = 1000 caps the window below n_start
         report = count_report(
-            [r for r in wieferich_scan(make_field(2), make_field(2).fundamental_unit, constants2, 2)],
+            wieferich_scan(make_field(2), make_field(2).fundamental_unit, constants2, 2, FactorCache()),
             constants2,
             1000,
         )
@@ -235,13 +237,13 @@ class TestCountReport:
         assert report.prime_lower_bound == 0 and report.log_density == 0.0
 
     def test_insufficient_records(self, field2, eps2, constants2):
-        records = wieferich_scan(field2, eps2, constants2, 5)
+        records = wieferich_scan(field2, eps2, constants2, 5, FactorCache())
         X = int(float(constants2.norm_base) ** 10)
         with pytest.raises(ArithmeticError, match=r"^records cover n <= 5 but the window needs n <= \d+$"):
             count_report(records, constants2, X)
 
     def test_window_edges_exact(self, field2, eps2, constants2):
-        records = wieferich_scan(field2, eps2, constants2, 8)
+        records = wieferich_scan(field2, eps2, constants2, 8, FactorCache())
         gamma = constants2.norm_base
         X = int(gamma ** 7) + 1  # gamma**7 <= X < gamma**8
         report = count_report(records, constants2, X)
@@ -250,7 +252,7 @@ class TestCountReport:
 
 
     def test_window_end_matches_brute_force(self, field2, eps2, constants2):
-        records = wieferich_scan(field2, eps2, constants2, 40)
+        records = wieferich_scan(field2, eps2, constants2, 40, FactorCache())
         # the field's gamma, and an integer one that X = gamma**k meets exactly
         for constants in (constants2, constants2._replace(norm_base=Fraction(36))):
             gamma = constants.norm_base
@@ -265,7 +267,7 @@ class TestCountReport:
                 assert count_report(records, constants, X).n_stop == n_stop
 
     def test_huge_bound_is_answered_at_once(self, field2, eps2, constants2):
-        records = wieferich_scan(field2, eps2, constants2, 30)
+        records = wieferich_scan(field2, eps2, constants2, 30, FactorCache())
         X = 10 ** 4299
         start = time.perf_counter()
         with pytest.raises(ArithmeticError, match=r"^records cover n <= 30 but the window needs n <= \d+$") as exc:
@@ -302,7 +304,7 @@ class TestClassifyPrime:
         F = make_field(d)
         eps = F.fundamental_unit
         p0 = excluded_prime_bound(F)
-        for u in (eps, -eps, eps.conj(), eps * eps, F.one(), -F.one()):
+        for u in (eps, eps * -1, conj(eps), eps * eps, F.one(), F.one() * -1):
             for p in sieve(2 * 10 ** 4)[1:]:
                 assert classify_prime(F, p, unit=u, p0=p0) == _two_ideal_verdict(F, u, p, p0)
 
@@ -368,7 +370,7 @@ def test_wieferich_successes_are_p_rational(d):
     eps = F.fundamental_unit
     p0 = excluded_prime_bound(F)
     verdicts = Counter()
-    for r in wieferich_scan(F, eps, growth_constants(certify_roots(minpoly_of(eps))), 60):
+    for r in wieferich_scan(F, eps, growth_constants(certify_roots(minpoly_of(eps))), 60, FactorCache()):
         if r.status != SUCCESS:
             continue
         got = classify_prime(F, r.prime, p0=p0)
@@ -398,8 +400,8 @@ class TestPRationalityScan:
 
     def test_invariance_under_unit_choice(self, field2, eps2):
         base = [(v.p, v.verdict) for v in prationality_scan(field2, 300)]
-        inv = eps2.conj() * field2.unit_norm
-        for alt in (-eps2, inv, eps2.conj()):
+        inv = conj(eps2) * field2.unit_norm
+        for alt in (eps2 * -1, inv, conj(eps2)):
             got = [(v.p, v.verdict) for v in prationality_scan(field2, 300, unit=alt)]
             assert got == base
 
@@ -438,7 +440,7 @@ class TestGenericUnitScan:
         from prational.polyarith import cyclotomic, power_poly
 
         unit, constants = cubic
-        records = generic_unit_scan(unit, constants, 12)
+        records = generic_unit_scan(unit, constants, 12, FactorCache())
         assert [r.n for r in records] == list(range(1, 13))
         g = power_poly(unit.minpoly, constants.power)
         for r in records:
@@ -459,9 +461,9 @@ class TestGenericUnitScan:
             assert Fraction(p) <= constants.norm_base ** r.n
 
     def test_quadratic_success_containment(self, field2, eps2, constants2):
-        ideal_level = wieferich_scan(field2, eps2, constants2, 14)
+        ideal_level = wieferich_scan(field2, eps2, constants2, 14, FactorCache())
         unit = certify_roots(minpoly_of(eps2))
-        rational_level = generic_unit_scan(unit, constants2, 14)
+        rational_level = generic_unit_scan(unit, constants2, 14, FactorCache())
         ideal_ns = {r.n for r in ideal_level if r.status == SUCCESS}
         rational_ns = {r.n for r in rational_level if r.status == SUCCESS}
         assert rational_ns <= ideal_ns
@@ -471,11 +473,12 @@ class TestGenericUnitScan:
         # unit with a conjugate on the unit circle before any row is made
         unit = certify_roots(cyclotomic(5))
         with pytest.raises(ValueError, match="has a root on the unit circle"):
-            generic_unit_scan(unit, growth_constants(unit), 4)
+            generic_unit_scan(unit, growth_constants(unit), 4, FactorCache())
 
     def test_deterministic(self, cubic):
         unit, constants = cubic
-        assert generic_unit_scan(unit, constants, 10) == generic_unit_scan(unit, constants, 10)
+        first = generic_unit_scan(unit, constants, 10, FactorCache())
+        assert generic_unit_scan(unit, constants, 10, FactorCache()) == first
 
 
 def _complete_factor(n, *_):
@@ -492,20 +495,20 @@ def test_trial_phase_decides_rows_as_a_complete_factorization(d, n_max, monkeypa
     F = make_field(d)
     eps = F.fundamental_unit
     constants = growth_constants(certify_roots(minpoly_of(eps)))
-    records = wieferich_scan(F, eps, constants, n_max)
+    records = wieferich_scan(F, eps, constants, n_max, FactorCache())
     assert "sufficient" in {r.factor_status for r in records}
     assert {r.factor_status for r in records} <= {"complete", "sufficient", None}
     monkeypatch.setattr(factorint, "factor", _complete_factor)
-    full = wieferich_scan(F, eps, constants, n_max)
+    full = wieferich_scan(F, eps, constants, n_max, FactorCache())
     assert _decisions(records) == _decisions(full)
 
 
 def test_trial_phase_decides_cubic_rows_as_a_complete_factorization(cubic, monkeypatch):
     unit, constants = cubic
-    records = generic_unit_scan(unit, constants, 60)
+    records = generic_unit_scan(unit, constants, 60, FactorCache())
     assert "sufficient" in {r.factor_status for r in records}
     monkeypatch.setattr(scans, "factor", _complete_factor)
-    full = generic_unit_scan(unit, constants, 60)
+    full = generic_unit_scan(unit, constants, 60, FactorCache())
     assert _decisions(records) == _decisions(full)
 
 
@@ -523,7 +526,7 @@ def test_records_are_immutable_tuples(field2, eps2, constants2):
     assignment and which takes no new attribute."""
     from prational import abcaudit
 
-    rows = wieferich_scan(field2, eps2, constants2, 8)
+    rows = wieferich_scan(field2, eps2, constants2, 8, FactorCache())
     unit = certify_roots(minpoly_of(eps2))
     samples = [
         factor(12),
@@ -537,8 +540,8 @@ def test_records_are_immutable_tuples(field2, eps2, constants2):
         rows[0],
         count_report(rows, constants2, int(constants2.norm_base ** 7) + 1),
         abcaudit.height(field2, eps2, field2.one(), eps2 + 1),
-        abcaudit.unit_triple(field2, eps2, 3),
-        abcaudit.squarefull_report(field2, eps2, 3)[0],
+        abcaudit.unit_triple(field2, eps2, 3, FactorCache()),
+        abcaudit.squarefull_report(field2, eps2, 3, FactorCache())[0],
     ]
     assert len({type(s) for s in samples}) == 13
     for s in samples:
