@@ -269,7 +269,7 @@ def _parse_minpoly(text: str) -> IntPoly:
 
 
 def _field_from_args(args):
-    return make_field(args.d, class_number_override=args.class_number)
+    return make_field(args.d, class_number_override=getattr(args, "class_number", None))
 
 
 def _constants_for_unit_poly(minpoly: IntPoly, precision_cap: int):
@@ -313,14 +313,15 @@ def cmd_field_info(args, out, table) -> int:
 def cmd_scan_wieferich(args, out, table) -> int:
     from . import scans
 
-    if args.minpoly is not None:
-        unit, constants = _constants_for_unit_poly(args.minpoly, args.precision_cap)
+    F = None if args.minpoly is not None else _field_from_args(args)
+    minpoly = args.minpoly if F is None else minpoly_of(F.fundamental_unit)
+    unit, constants = _constants_for_unit_poly(minpoly, args.precision_cap)
+    # the window is checked against --n-max before any row is factored
+    n_stop = None if args.X is None else scans.count_window(constants, args.X, args.n_max)
+    if F is None:
         records = scans.generic_unit_scan(unit, constants, args.n_max, table)
     else:
-        F = _field_from_args(args)
-        eps = F.fundamental_unit
-        _, constants = _constants_for_unit_poly(minpoly_of(eps), args.precision_cap)
-        records = scans.wieferich_scan(F, eps, constants, args.n_max, table)
+        records = scans.wieferich_scan(F, F.fundamental_unit, constants, args.n_max, table)
     _log(
         f"factoring: {table.counts['settled']} rows settled by trial division below {factorint._TRIAL_BOUND}, "
         f"{table.counts['searched']} searched, {table.counts['partial']} partial"
@@ -335,7 +336,7 @@ def cmd_scan_wieferich(args, out, table) -> int:
         "n_start": constants.n_start,
     }
     if args.X is not None:
-        report = scans.count_report(records, constants, args.X)
+        report = scans.count_report(records, constants, args.X, n_stop)
         if report.n_start > report.n_stop:
             _log(
                 f"warning: the count window is empty (n_start={report.n_start} > n_stop={report.n_stop}): "
@@ -360,11 +361,12 @@ def cmd_scan_wieferich(args, out, table) -> int:
 def cmd_scan_prational(args, out, table) -> int:
     from . import scans
 
-    F = _field_from_args(args)
+    # h is read and the base primes sieved here, so an error writes no byte
+    verdicts = scans.prationality_scan(_field_from_args(args), args.X)
     counts = Counter()
 
-    def verdicts():
-        for v in scans.prationality_scan(F, args.X):
+    def counted():
+        for v in verdicts:
             counts[v.verdict] += 1
             yield v
 
@@ -397,7 +399,7 @@ def cmd_scan_prational(args, out, table) -> int:
         }
 
     columns = ("p", "verdict", "reason", "witnesses")
-    _emit(columns, verdicts(), summary, args.format, out, "scan-prational", csv_line, json_object)
+    _emit(columns, counted(), summary, args.format, out, "scan-prational", csv_line, json_object)
     return EXIT_OK
 
 
@@ -429,14 +431,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, n_max=False):
+    def common(p, n_max=False, class_number=False):
         p.add_argument("--d", type=int, help="squarefree d >= 2 selecting Q(sqrt(d))")
-        p.add_argument(
-            "--class-number",
-            type=int,
-            default=None,
-            help="override the class number (required for large discriminants)",
-        )
+        if class_number:   # only the commands that read h take it
+            p.add_argument("--class-number", type=int, default=None,
+                           help="the class number h, taken as given (required when disc > 10^6)")
         if n_max:
             p.add_argument("--n-max", type=int, required=True, help="scan levels n = 1..n_max")
         p.add_argument(
@@ -473,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     p_info = sub.add_parser("field-info", help="discriminant, fundamental unit, scan constants")
-    common(p_info)
+    common(p_info, class_number=True)
     precision(p_info)
     p_info.set_defaults(handler=cmd_field_info)
 
@@ -492,7 +491,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_w.set_defaults(handler=cmd_scan_wieferich)
 
     p_p = sub.add_parser("scan-prational", help="p-rationality classification of primes <= X")
-    common(p_p)
+    common(p_p, class_number=True)
     p_p.add_argument("--X", type=_parse_bound, required=True, help="classify the primes <= X")
     p_p.set_defaults(handler=cmd_scan_prational)
 
@@ -511,8 +510,8 @@ def _validate(args) -> None:
         raise ValueError("--X must be >= 1")
     if getattr(args, "minpoly", None) is None and getattr(args, "d", None) is None:
         raise ValueError("select a field with --d (or --minpoly where supported)")
-    if getattr(args, "minpoly", None) is not None and (args.d, args.class_number) != (None, None):
-        raise ValueError("--minpoly excludes --d and --class-number")
+    if getattr(args, "minpoly", None) is not None and args.d is not None:
+        raise ValueError("--minpoly excludes --d")
     if getattr(args, "d", None) is not None and args.d < 2:
         raise ValueError("--d must be >= 2")
     if getattr(args, "factor_budget", 0) < 0:

@@ -6,9 +6,9 @@ w = (1 + sqrt(d))/2 otherwise, so w^2 = t*w + s with (t, s) = (0, d) or
 operations the commands use: + and - with an element or an integer on the
 right, * with either on either side, and ** with an exponent >= 0; there
 is no negation or conjugate.  The fundamental unit comes from the
-continued fraction of w; the class number from the cycles of reduced binary
-quadratic forms of discriminant disc (exact, and computed up to
-disc = 10**6; a larger field needs the class number given).
+continued fraction of w; the class number, on its first read, from the
+cycles of reduced binary quadratic forms of discriminant disc (exact, and
+computed up to disc = 10**6; a larger field needs the class number given).
 
 Arithmetic modulo P**2 has one primitive per kind of prime.  At a split p,
 omega_root_mod_p2 gives a root r of w's minimal polynomial mod p**2 by one
@@ -24,6 +24,7 @@ trace of u**2 instead.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -43,7 +44,7 @@ class Splitting(enum.Enum):
 class QuadField:
     """Immutable description of Q(sqrt(d)) for squarefree d >= 2."""
 
-    def __init__(self, d, disc, omega_half, fundamental_unit_xy):
+    def __init__(self, d, disc, omega_half, fundamental_unit_xy, class_number=None):
         self.d = d
         self.disc = disc
         self.omega_half = omega_half          # True: w = (1+sqrt d)/2
@@ -51,7 +52,47 @@ class QuadField:
         self.s = (d - 1) // 4 if omega_half else d
         self.fundamental_unit = QuadInt(self, *fundamental_unit_xy)
         self.unit_norm = self.fundamental_unit.norm()
-        self.class_number = 1
+        if class_number is not None:   # given, so never computed
+            self.class_number = class_number
+
+    @functools.cached_property
+    def class_number(self) -> int:
+        """h, on its first read, from the cycles of the reduced forms of
+        discriminant disc (up to disc = 10**6; a larger field needs h given).
+
+        A form (a, b, c) with b**2 - 4*a*c = disc is reduced when
+        0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b.  The
+        reduction map rho(a, b, c) = (c, b', (b'**2 - disc) / (4*c)), with
+        b' = -b mod 2|c| and sqrt(disc) - 2|c| < b' < sqrt(disc), permutes the
+        reduced forms, and its cycles are the proper classes of forms, so their
+        number is the narrow class number h+ (Buchmann-Vollmer, Binary Quadratic
+        Forms, 2007, ch. 6).  h = h+ when N(eps) = -1 and h+/2 otherwise.  disc
+        is fundamental, so every form is primitive; sqrt(disc) is irrational, so
+        each bound compares exactly with s = isqrt(disc) in its place.
+        """
+        D = self.disc
+        if D > _CLASS_NUMBER_DISC_CAP:
+            raise ArithmeticError(
+                f"disc = {D} exceeds the certified class-number bound; pass the class number explicitly"
+            )
+        s = math.isqrt(D)
+        forms = set()
+        for b in range(2 - D % 2, s + 1, 2):   # b = disc mod 2
+            m = (D - b * b) // 4                # -a*c
+            for a in range((s - b) // 2 + 1, (s + b) // 2 + 1):
+                if m % a == 0:
+                    forms.update(((a, b, -m // a), (-a, b, m // a)))
+        narrow = 0
+        while forms:
+            narrow += 1
+            a, b, c = forms.pop()
+            while True:   # follow rho around the cycle, back to the popped form
+                b = s - (s + b) % (2 * abs(c))
+                a, c = c, (b * b - D) // (4 * c)
+                if (a, b, c) not in forms:
+                    break
+                forms.remove((a, b, c))
+        return narrow if self.unit_norm == -1 else narrow // 2
 
     def one(self) -> "QuadInt":
         return QuadInt(self, 1, 0)
@@ -67,7 +108,7 @@ class QuadField:
         return hash(("QuadField", self.d))
 
     def __repr__(self):
-        return f"QuadField(d={self.d}, disc={self.disc}, h={self.class_number})"
+        return f"QuadField(d={self.d}, disc={self.disc})"
 
 
 class QuadInt(NamedTuple):
@@ -230,61 +271,18 @@ def _fundamental_unit(d: int, omega_half: bool) -> tuple[int, int]:
     return h - k if omega_half else h, k
 
 
-def _class_number(F: QuadField) -> int:
-    """h from the cycles of the reduced forms of discriminant disc.
-
-    A form (a, b, c) with b**2 - 4*a*c = disc is reduced when
-    0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b.  The
-    reduction map rho(a, b, c) = (c, b', (b'**2 - disc) / (4*c)), with
-    b' = -b mod 2|c| and sqrt(disc) - 2|c| < b' < sqrt(disc), permutes the
-    reduced forms, and its cycles are the proper classes of forms, so their
-    number is the narrow class number h+ (Buchmann-Vollmer, Binary Quadratic
-    Forms, 2007, ch. 6).  h = h+ when N(eps) = -1 and h+/2 otherwise.  disc
-    is fundamental, so every form is primitive; sqrt(disc) is irrational, so
-    each bound compares exactly with s = isqrt(disc) in its place.
-    """
-    D = F.disc
-    s = math.isqrt(D)
-    forms = set()
-    for b in range(2 - D % 2, s + 1, 2):   # b = disc mod 2
-        m = (D - b * b) // 4                # -a*c
-        for a in range((s - b) // 2 + 1, (s + b) // 2 + 1):
-            if m % a == 0:
-                forms.update(((a, b, -m // a), (-a, b, m // a)))
-    narrow = 0
-    while forms:
-        narrow += 1
-        a, b, c = forms.pop()
-        while True:   # follow rho around the cycle, back to the popped form
-            b = s - (s + b) % (2 * abs(c))
-            a, c = c, (b * b - D) // (4 * c)
-            if (a, b, c) not in forms:
-                break
-            forms.remove((a, b, c))
-    return narrow if F.unit_norm == -1 else narrow // 2
-
-
 def make_field(d: int, class_number_override: int | None = None) -> QuadField:
-    """Build Q(sqrt(d)) with discriminant, fundamental unit, and class number."""
+    """Build Q(sqrt(d)) with discriminant and fundamental unit; the class
+    number is the override when given, else computed when first read."""
     if d < 2:
         raise ValueError("d must be >= 2 for a real quadratic field")
     if not _squarefree(d):
         raise ValueError(f"d = {d} is not squarefree")
+    if class_number_override is not None and class_number_override < 1:
+        raise ValueError("class number must be positive")
     omega_half = d % 4 == 1
     disc = d if omega_half else 4 * d
-    F = QuadField(d, disc, omega_half, _fundamental_unit(d, omega_half))
-    if class_number_override is not None:
-        if class_number_override < 1:
-            raise ValueError("class number must be positive")
-        F.class_number = class_number_override
-    elif disc > _CLASS_NUMBER_DISC_CAP:
-        raise ArithmeticError(
-            f"disc = {disc} exceeds the certified class-number bound; "
-            "pass the class number explicitly"
-        )
-    else:
-        F.class_number = _class_number(F)
-    return F
+    return QuadField(d, disc, omega_half, _fundamental_unit(d, omega_half), class_number_override)
 
 
 def minpoly_of(u: QuadInt) -> IntPoly:

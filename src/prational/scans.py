@@ -231,16 +231,19 @@ def wieferich_scan(
     return records
 
 
-def count_report(records: list[ScanRecord], constants: GrowthConstants, X: int) -> CountReport:
-    """Window count of scan successes for n in [n_start, n_stop], where
-    n_stop is the largest n with norm_base**n <= X."""
+def count_window(constants: GrowthConstants, X: int, n_max: int) -> int:
+    """n_stop, the largest n with norm_base**n <= X; refused beyond n_max, before the scan."""
     # the least k with gamma**k > X, estimated from logarithms (gamma**k has
     # millions of digits at X = 1e4299); gamma > 4, so k < 10^6 for every X
     # of fewer than 600000 digits
     n_stop = _least_power(constants.norm_base, X, strict=True) - 1
-    max_n = max((r.n for r in records), default=0)
-    if max_n < n_stop:
-        raise ArithmeticError(f"records cover n <= {max_n} but the window needs n <= {n_stop}")
+    if n_max < n_stop:
+        raise ArithmeticError(f"the scan covers n <= {n_max} but the window needs n <= {n_stop}")
+    return n_stop
+
+
+def count_report(records: list[ScanRecord], constants: GrowthConstants, X: int, n_stop: int) -> CountReport:
+    """Window count of scan successes for n in [n_start, n_stop] (see count_window)."""
     window = [r for r in records if constants.n_start <= r.n <= n_stop and r.reason != REASON_PHI]
     successes = [r for r in window if r.status == SUCCESS]
     distinct = len({r.prime for r in successes})

@@ -163,6 +163,33 @@ def test_field_info_answers_fields_a_search_bound_refused(d, tmp_path):
     assert "class_number=1\n" in payload.splitlines(keepends=True)
 
 
+_CAP_ERROR = "error: disc = 4000012 exceeds the certified class-number bound; pass the class number explicitly\n"
+
+
+@pytest.mark.parametrize(
+    "argv", [["scan-wieferich", "--d", "1000003", "--n-max", "3"],
+             ["abc-quality", "--d", "1000003", "--n-max", "3", "--factor-budget", "0"]],
+)
+def test_commands_that_never_read_h_take_any_discriminant(argv, tmp_path):
+    payload = run_cli(argv, tmp_path / "out").decode()
+    assert payload.startswith("n,") and "\n3," in payload
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["scan-prational", "--d", "2", "--X", "1e40"], "error: cannot fit 'int' into an index-sized integer\n"),
+        (["scan-prational", "--d", "1000003", "--X", "100"], _CAP_ERROR),
+        (["field-info", "--d", "1000003"], _CAP_ERROR),
+    ],
+)
+def test_set_up_error_writes_only_its_error_line(argv, error, fmt, capsys):
+    # scan-prational builds its classifier and base sieve before the JSON preamble
+    assert cli.main([*argv, "--format", fmt]) == cli.EXIT_COMPUTE
+    assert capsys.readouterr() == ("", error)
+
+
 def test_bound_too_large_to_sieve_is_a_compute_error(tmp_path):
     # the base sieve of the odd numbers up to 10**20 cannot be indexed
     argv = ["scan-prational", "--d", "2", "--X", "1e40", "--out", str(tmp_path / "out")]
@@ -309,11 +336,11 @@ def test_cache_load_skips_inexact_partial_entries(capsys, tmp_path):
     assert cli.cache_load(path, factorint.FactorCache()).entries[norm] == factorint.factor(norm)
 
 
-@pytest.mark.parametrize("field", [["--d", "2"], ["--class-number", "1"]])
+@pytest.mark.parametrize("field", [["--d", "2"]])
 def test_minpoly_excludes_the_field_options(field, capsys):
     argv = ["scan-wieferich", *field, "--minpoly=-1,-1,0,1", "--n-max", "3"]
     assert cli.main(argv) == cli.EXIT_USAGE
-    assert capsys.readouterr() == ("", "error: --minpoly excludes --d and --class-number\n")
+    assert capsys.readouterr() == ("", "error: --minpoly excludes --d\n")
 
 
 def test_minpoly_value_may_follow_a_space(tmp_path):
@@ -332,10 +359,25 @@ def test_empty_count_window_is_warned(capsys, tmp_path):
 def test_huge_bound_beyond_the_records_is_a_compute_error(capsys, tmp_path):
     argv = ["scan-wieferich", "--d", "2", "--n-max", "30", "--X", "1e4299"]
     assert cli.main([*argv, "--out", str(tmp_path / "out")]) == cli.EXIT_COMPUTE
-    assert capsys.readouterr().err == (
-        "factoring: 19 rows settled by trial division below 1000000, 0 searched, 0 partial\n"
-        "error: records cover n <= 30 but the window needs n <= 2773\n"
-    )
+    assert capsys.readouterr().err == "error: the scan covers n <= 30 but the window needs n <= 2773\n"
+
+
+@pytest.mark.parametrize(
+    "argv, n_stop",
+    [
+        (["--d", "2", "--n-max", "110", "--X", "1e200"], 129),
+        (["--minpoly=-1,-1,0,1", "--n-max", "40", "--X", "1e200"], 90),
+    ],
+)
+def test_count_window_beyond_n_max_is_refused_before_the_scan(argv, n_stop, capsys, tmp_path):
+    """The window's end depends only on the growth constants and X, so no
+    row is factored: no factoring line and no entry for the cache file."""
+    cache = tmp_path / "cache.txt"
+    cache.write_text("")
+    assert cli.main(["scan-wieferich", *argv, "--cache", str(cache)]) == cli.EXIT_COMPUTE
+    n_max = argv[argv.index("--n-max") + 1]
+    assert capsys.readouterr() == ("", f"error: the scan covers n <= {n_max} but the window needs n <= {n_stop}\n")
+    assert cache.read_text() == ""
 
 
 @pytest.mark.parametrize(
@@ -711,6 +753,10 @@ def test_resumed_search_does_no_trial_division(monkeypatch):
         ["field-info", "--d", "2", "--strict"],
         ["field-info", "--d", "2", "--factor-budget", "0"],
         ["abc-quality", "--d", "2", "--n-max", "4", "--precision-cap", "512"],
+        # h is read only by field-info and scan-prational
+        ["scan-wieferich", "--d", "2", "--n-max", "4", "--class-number", "1"],
+        ["abc-quality", "--d", "2", "--n-max", "4", "--class-number", "1"],
+        ["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "3", "--class-number", "1"],
     ],
 )
 def test_options_a_command_never_reads_are_usage_errors(argv, capsys, tmp_path):
@@ -1002,7 +1048,7 @@ NEVER_ENTERED = {
 }
 
 _ENTRY_PROFILE = """
-import importlib, inspect, json, pkgutil, sys
+import functools, importlib, inspect, json, pkgutil, sys
 entered = set()
 sys.setprofile(lambda frame, event, arg: event == "call" and entered.add(frame.f_code))
 import prational
@@ -1016,6 +1062,8 @@ for info in pkgutil.iter_modules(prational.__path__):
     module = importlib.import_module("prational." + info.name)
     for obj in vars(module).values():
         for fn in [obj, *(vars(obj).values() if inspect.isclass(obj) else ())]:
+            if isinstance(fn, functools.cached_property):
+                fn = fn.func
             fn = inspect.unwrap(getattr(fn, "__func__", fn))
             code = getattr(fn, "__code__", None)
             if code is not None and code.co_filename == module.__file__ and code not in entered:

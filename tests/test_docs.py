@@ -52,18 +52,26 @@ def test_column_table_lists_the_golden_header(section):
 
 
 def test_every_cli_option_is_documented():
-    """Each long option of each subcommand, --help aside, appears in a
-    backtick span of docs/formats.md, alone or followed by its value."""
+    """The option table of docs/formats.md has one column per subcommand, in
+    the parser's order, and marks in it exactly the long options that the
+    subcommand takes, --help aside."""
     parser = cli._build_parser()
     (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    options = {
-        option
-        for sub in commands.choices.values()
+    taken = {
+        (option, command)
+        for command, sub in commands.choices.items()
         for action in sub._actions
         for option in action.option_strings
         if option.startswith("--") and option != "--help"
     }
-    assert {"--d", "--seed", "--factor-budget", "--minpoly"} <= options   # every subcommand is walked
-    spans = re.findall(r"`([^`]+)`", FORMATS.read_text())
-    documented = {token.split("=", 1)[0] for span in spans for token in span.split()}
-    assert sorted(options - documented) == []
+    header, _, *rows = [
+        [cell.strip() for cell in line.strip("|").split("|")]
+        for line in _section("Options").splitlines()
+        if line.startswith("|")
+    ]
+    assert header[1:] == list(commands.choices)
+    assert {cell for row in rows for cell in row[1:]} == {"yes", ""}
+    documented = {
+        (row[0].strip("`"), command) for row in rows for command, cell in zip(header[1:], row[1:]) if cell
+    }
+    assert sorted(documented ^ taken) == []

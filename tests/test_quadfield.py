@@ -154,6 +154,14 @@ class TestMakeField:
         F = make_field(2, class_number_override=7)
         assert F.class_number == 7
 
+    def test_class_number_is_computed_when_first_read(self):
+        F = make_field(1000003)   # disc = 4000012, beyond the certified bound
+        assert repr(F) == "QuadField(d=1000003, disc=4000012)"
+        for _ in range(2):   # an error is not cached: each read raises again
+            with pytest.raises(ArithmeticError, match="^disc = 4000012 exceeds the certified class-number bound; "):
+                F.class_number
+        assert make_field(1000003, class_number_override=3).class_number == 3
+
     def test_fundamental_unit_matches_a_search_by_norms(self):
         for d in squarefree_ds(1999):
             F = make_field(d, class_number_override=1)

@@ -43,6 +43,7 @@ from prational.scans import (
     PRationalityVerdict,
     classify_prime,
     count_report,
+    count_window,
     generic_unit_scan,
     prationality_scan,
     wieferich_scan,
@@ -231,22 +232,23 @@ class TestCountReport:
             wieferich_scan(make_field(2), make_field(2).fundamental_unit, constants2, 2, FactorCache()),
             constants2,
             1000,
+            count_window(constants2, 1000, 2),
         )
         assert report.n_stop < constants2.n_start
         assert report.eligible == 0 and report.successes == 0
         assert report.prime_lower_bound == 0 and report.log_density == 0.0
 
-    def test_insufficient_records(self, field2, eps2, constants2):
-        records = wieferich_scan(field2, eps2, constants2, 5, FactorCache())
+    def test_insufficient_records(self, constants2):
+        # refused from the constants alone, before any level is scanned
         X = int(float(constants2.norm_base) ** 10)
-        with pytest.raises(ArithmeticError, match=r"^records cover n <= 5 but the window needs n <= \d+$"):
-            count_report(records, constants2, X)
+        with pytest.raises(ArithmeticError, match=r"^the scan covers n <= 5 but the window needs n <= \d+$"):
+            count_window(constants2, X, 5)
 
     def test_window_edges_exact(self, field2, eps2, constants2):
         records = wieferich_scan(field2, eps2, constants2, 8, FactorCache())
         gamma = constants2.norm_base
         X = int(gamma ** 7) + 1  # gamma**7 <= X < gamma**8
-        report = count_report(records, constants2, X)
+        report = count_report(records, constants2, X, count_window(constants2, X, 8))
         assert report.n_stop == 7
         assert gamma ** report.n_stop <= X < gamma ** (report.n_stop + 1)
 
@@ -264,14 +266,13 @@ class TestCountReport:
                 n_stop = 0
                 while gamma ** (n_stop + 1) <= X:
                     n_stop += 1
-                assert count_report(records, constants, X).n_stop == n_stop
+                assert count_report(records, constants, X, count_window(constants, X, 40)).n_stop == n_stop
 
-    def test_huge_bound_is_answered_at_once(self, field2, eps2, constants2):
-        records = wieferich_scan(field2, eps2, constants2, 30, FactorCache())
+    def test_huge_bound_is_answered_at_once(self, constants2):
         X = 10 ** 4299
         start = time.perf_counter()
-        with pytest.raises(ArithmeticError, match=r"^records cover n <= 30 but the window needs n <= \d+$") as exc:
-            count_report(records, constants2, X)
+        with pytest.raises(ArithmeticError, match=r"^the scan covers n <= 30 but the window needs n <= \d+$") as exc:
+            count_window(constants2, X, 30)
         assert time.perf_counter() - start < 0.5
         n_stop = int(str(exc.value).rsplit(" ", 1)[1])
         gamma = constants2.norm_base
@@ -538,7 +539,7 @@ def test_records_are_immutable_tuples(field2, eps2, constants2):
         eps2,
         split_prime(field2, 7)[0],
         rows[0],
-        count_report(rows, constants2, int(constants2.norm_base ** 7) + 1),
+        count_report(rows, constants2, int(constants2.norm_base ** 7) + 1, 7),
         abcaudit.height(field2, eps2, field2.one(), eps2 + 1),
         abcaudit.unit_triple(field2, eps2, 3, FactorCache()),
         abcaudit.squarefull_report(field2, eps2, 3, FactorCache())[0],
