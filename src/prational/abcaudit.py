@@ -3,13 +3,14 @@
 The absolute values are normalized so the product formula holds with both
 real embeddings carrying weight 1 and |x|_P = N(P)**(-v_P(x)) at finite
 places.  Heights are returned with an interval width since the archimedean
-parts go through certified rational bounds on sqrt(d).
+parts go through certified bounds on sqrt(d), integers over 2**(bits+1).
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Iterator
+from fractions import Fraction
 from typing import NamedTuple
 
 from .factorint import (
@@ -52,6 +53,16 @@ class SquarefullRow(NamedTuple):
     status: Status
 
 
+def _ln_dyadic(num: int, shift: int) -> float:
+    """ln(num / 2**shift), equal to numerics.ln of that rational: int / int
+    rounds correctly, as float(Fraction) does, and only beyond the double
+    range does the Fraction route run."""
+    try:
+        return math.log(num / (1 << shift))
+    except (OverflowError, ValueError):
+        return ln(Fraction(num, 1 << shift))
+
+
 def height(F: QuadField, a: QuadInt, b: QuadInt, c: QuadInt) -> Height:
     """log of prod_v max(|a|_v, |b|_v, |c|_v) over all places.
 
@@ -64,9 +75,9 @@ def height(F: QuadField, a: QuadInt, b: QuadInt, c: QuadInt) -> Height:
     # sqrt(d) to 2 bits per bit of the coordinates beyond 96, so that a
     # conjugate near 1/|y| is bounded as tightly as one near |y|
     bits = 96 + 2 * max(t.bit_length() for x in (a, b, c) for t in (x.x, x.y))
-    bounds = [x.embedding_bounds(bits) for x in (a, b, c)]
-    lo = sum(ln(max(b_[place][0] for b_ in bounds)) for place in (0, 1))
-    hi = sum(ln(max(b_[place][1] for b_ in bounds)) for place in (0, 1))
+    bounds = [x.embedding_bounds(bits) for x in (a, b, c)]   # over 2**(bits + 1)
+    lo = sum(_ln_dyadic(max(b_[place][0] for b_ in bounds), bits + 1) for place in (0, 1))
+    hi = sum(_ln_dyadic(max(b_[place][1] for b_ in bounds), bits + 1) for place in (0, 1))
     finite = 0.0
     if math.gcd(a.norm(), b.norm(), c.norm()) > 1:
         splits = [ideal_valuations(F, x) for x in (a, b, c)]

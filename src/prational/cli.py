@@ -234,7 +234,7 @@ def _unit_approx(eps) -> float | str:
         pass
     bits = 96
     while True:
-        lo, hi = eps.embedding_bounds(bits)[0]
+        lo, hi = (Fraction(v, 2 << bits) for v in eps.embedding_bounds(bits)[0])
         if _g12(lo) == _g12(hi):
             return _g12(lo)
         bits *= 2
@@ -435,7 +435,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--d", type=int, help="squarefree d >= 2 selecting Q(sqrt(d))")
         if class_number:   # only the commands that read h take it
             p.add_argument("--class-number", type=int, default=None,
-                           help="the class number h, taken as given (required when disc > 10^6)")
+                           help="the class number h: checked against the computed h when "
+                           "disc <= 10^6, taken as given (and required) above")
         if n_max:
             p.add_argument("--n-max", type=int, required=True, help="scan levels n = 1..n_max")
         p.add_argument(

@@ -5,10 +5,13 @@ w = (1 + sqrt(d))/2 otherwise, so w^2 = t*w + s with (t, s) = (0, d) or
 (1, (d-1)/4).  Elements are exact coordinate pairs x + y*w, with the
 operations the commands use: + and - with an element or an integer on the
 right, * with either on either side, and ** with an exponent >= 0; there
-is no negation or conjugate.  The fundamental unit comes from the
-continued fraction of w; the class number, on its first read, from the
+is no negation or conjugate.  embedding_bounds bounds the absolute values
+of an element at the two real places by integers over one power of two,
+2**(bits+1), from floor(sqrt(d) * 2**bits).  The fundamental unit comes from
+the continued fraction of w; the class number, on its first read, from the
 cycles of reduced binary quadratic forms of discriminant disc (exact, and
-computed up to disc = 10**6; a larger field needs the class number given).
+computed up to disc = 10**6, where a class number given must equal it; a
+larger field needs the class number given).
 
 Arithmetic modulo P**2 has one primitive per kind of prime.  At a split p,
 omega_root_mod_p2 gives a root r of w's minimal polynomial mod p**2 by one
@@ -26,10 +29,9 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from fractions import Fraction
 from typing import NamedTuple
 
-from .polyarith import IntPoly, hensel_lift, sqrt_bounds
+from .polyarith import IntPoly, hensel_lift
 
 _CLASS_NUMBER_DISC_CAP = 10 ** 6
 _CF_MAX_STEPS = 100_000   # continued-fraction steps to the fundamental unit
@@ -52,13 +54,13 @@ class QuadField:
         self.s = (d - 1) // 4 if omega_half else d
         self.fundamental_unit = QuadInt(self, *fundamental_unit_xy)
         self.unit_norm = self.fundamental_unit.norm()
-        if class_number is not None:   # given, so never computed
-            self.class_number = class_number
+        self.given_class_number = class_number
 
     @functools.cached_property
     def class_number(self) -> int:
         """h, on its first read, from the cycles of the reduced forms of
-        discriminant disc (up to disc = 10**6; a larger field needs h given).
+        discriminant disc up to disc = 10**6, where a given h must equal it;
+        a larger field needs h given, and it is taken as given.
 
         A form (a, b, c) with b**2 - 4*a*c = disc is reduced when
         0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b.  The
@@ -70,11 +72,13 @@ class QuadField:
         is fundamental, so every form is primitive; sqrt(disc) is irrational, so
         each bound compares exactly with s = isqrt(disc) in its place.
         """
-        D = self.disc
+        D, given = self.disc, self.given_class_number
         if D > _CLASS_NUMBER_DISC_CAP:
-            raise ArithmeticError(
-                f"disc = {D} exceeds the certified class-number bound; pass the class number explicitly"
-            )
+            if given is None:
+                raise ArithmeticError(
+                    f"disc = {D} exceeds the certified class-number bound; pass the class number explicitly"
+                )
+            return given
         s = math.isqrt(D)
         forms = set()
         for b in range(2 - D % 2, s + 1, 2):   # b = disc mod 2
@@ -92,7 +96,10 @@ class QuadField:
                 if (a, b, c) not in forms:
                     break
                 forms.remove((a, b, c))
-        return narrow if self.unit_norm == -1 else narrow // 2
+        h = narrow if self.unit_norm == -1 else narrow // 2
+        if given is not None and given != h:
+            raise ValueError(f"the class number of Q(sqrt({self.d})) is {h}, not {given}")
+        return h
 
     def one(self) -> "QuadInt":
         return QuadInt(self, 1, 0)
@@ -177,22 +184,29 @@ class QuadInt(NamedTuple):
         return self.x + self.y * self.field.omega_value()
 
     def embedding_bounds(self, bits: int = 96):
-        """Exact rational (lower, upper) bounds on |sigma(self)| at both real places."""
-        lo, hi = sqrt_bounds(self.field.d, bits)
-        if self.field.omega_half:
-            wlo, whi = (1 + lo) / 2, (1 + hi) / 2
-        else:
-            wlo, whi = lo, hi
+        """(lower, upper) bounds on |sigma(self)| at both real places, as
+        integer numerators over 2**(bits + 1).
+
+        sqrt(d) lies between s and s + 1 over 2**bits, s = floor(sqrt(d) *
+        2**bits) as polyarith.sqrt_bounds rounds it, so w lies between wlo
+        and wlo + 1 (w = (1 + sqrt d)/2) or wlo + 2 (w = sqrt d) over
+        2**(bits + 1)."""
+        F = self.field
+        s = math.isqrt(F.d << 2 * bits)
+        wlo = (1 << bits) + s if F.omega_half else 2 * s
+        whi = wlo + (1 if F.omega_half else 2)
+        tt = F.t << (bits + 1)
+        x, y = self.x << (bits + 1), self.y
         out = []
-        for a, b in ((wlo, whi), (self.field.t - whi, self.field.t - wlo)):
-            v_lo = self.x + (self.y * a if self.y >= 0 else self.y * b)
-            v_hi = self.x + (self.y * b if self.y >= 0 else self.y * a)
+        for a, b in ((wlo, whi), (tt - whi, tt - wlo)):
+            v_lo = x + (y * a if y >= 0 else y * b)
+            v_hi = x + (y * b if y >= 0 else y * a)
             if v_lo >= 0:
                 out.append((v_lo, v_hi))
             elif v_hi <= 0:
                 out.append((-v_hi, -v_lo))
             else:
-                out.append((Fraction(0), max(-v_lo, v_hi)))
+                out.append((0, max(-v_lo, v_hi)))
         return out[0], out[1]
 
     def __str__(self):
@@ -272,8 +286,9 @@ def _fundamental_unit(d: int, omega_half: bool) -> tuple[int, int]:
 
 
 def make_field(d: int, class_number_override: int | None = None) -> QuadField:
-    """Build Q(sqrt(d)) with discriminant and fundamental unit; the class
-    number is the override when given, else computed when first read."""
+    """Build Q(sqrt(d)) with discriminant and fundamental unit.  The class
+    number is computed when first read, and must then equal the override if
+    one is given; above disc = 10**6 it is the override, which is required."""
     if d < 2:
         raise ValueError("d must be >= 2 for a real quadratic field")
     if not _squarefree(d):

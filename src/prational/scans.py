@@ -73,9 +73,10 @@ from .polyarith import (
     euler_phi,
     hensel_lift,
     power_poly,
+    prem,
     resultant,
 )
-from .quadfield import QuadField, QuadInt, Splitting, excluded_prime_bound, kronecker_odd_prime
+from .quadfield import QuadField, QuadInt, Splitting, excluded_prime_bound, kronecker_odd_prime, minpoly_of
 
 # factor_status of a row: how far its integer was factored
 COMPLETE = "complete"
@@ -178,6 +179,15 @@ def _scan_row(
     return ScanRecord(n, cyclo_norm, factor_status, *chosen, SUCCESS)
 
 
+def _cyclotomic_value(n: int, v: QuadInt) -> QuadInt:
+    """Phi_n(v) = r0 + r1*v, for the remainder r0 + r1*x of Phi_n by the
+    minimal polynomial of v.  That polynomial is monic, so prem is the exact
+    remainder, and each of its steps multiplies by the trace and norm of v
+    only, where Horner's rule would multiply by v at every coefficient."""
+    r0, r1 = (*prem(cyclotomic(n), minpoly_of(v)).coeffs, 0, 0)[:2]
+    return v * r1 + r0
+
+
 def wieferich_scan(
     F: QuadField,
     u: QuadInt,
@@ -219,7 +229,7 @@ def wieferich_scan(
 
     records = []
     for n in range(1, n_max + 1):
-        value = cyclotomic(n).evaluate(v)
+        value = _cyclotomic_value(n, v)
         records.append(
             _scan_row(
                 n, abs(value.norm()),

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -16,6 +17,7 @@ from prational.abcaudit import (
 from prational.factorint import FactorCache, Status, ideal_valuations, radical_of_ideal
 from prational.polyarith import cyclotomic
 from prational.quadfield import QuadInt, make_field
+from fraction_height import archimedean_height, fraction_embedding_bounds
 from ring_ops import conj
 
 
@@ -33,13 +35,54 @@ class TestProductFormula:
     def test_archimedean_product_equals_norm(self, field2):
         # |N(x)| = product of the two archimedean absolute values, so the
         # finite part -log|N(x)| closes the product formula
+        scale = 1 << 97   # the bounds are numerators over 2**(bits + 1), bits = 96
         for x in small_nonzero_elements(field2, 50):
             lo, hi = x.embedding_bounds()
-            arch_lo = math.log(float(lo[0])) + math.log(float(hi[0]))
-            arch_hi = math.log(float(lo[1])) + math.log(float(hi[1]))
+            arch_lo = math.log(lo[0] / scale) + math.log(hi[0] / scale)
+            arch_hi = math.log(lo[1] / scale) + math.log(hi[1] / scale)
             target = math.log(abs(x.norm()))
             assert arch_lo - 1e-9 <= target <= arch_hi + 1e-9
             assert arch_hi - arch_lo < 1e-9
+
+
+class TestIntegerBounds:
+    """The integer bounds over 2**(bits + 1) and the heights from them equal
+    the Fraction route of tests/fraction_height.py exactly."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 6, 13, 94])
+    def test_bounds_are_the_fraction_bounds(self, d):
+        F = make_field(d)
+        rng = random.Random(d)
+        for _ in range(200):
+            x = QuadInt(F, rng.randrange(-10 ** 40, 10 ** 40), rng.randrange(-10 ** 40, 10 ** 40))
+            bits = rng.randrange(1, 400)
+            got = [(Fraction(lo, 2 << bits), Fraction(hi, 2 << bits)) for lo, hi in x.embedding_bounds(bits)]
+            assert got == list(fraction_embedding_bounds(x, bits)), (x, bits)
+
+    # the rows of the abc benchmark commands, and d = 13, where w = (1 + sqrt d)/2
+    @pytest.mark.parametrize("d, n_max", [(2, 80), (3, 100), (6, 60), (13, 60)])
+    def test_unit_triple_heights_are_the_fraction_routes(self, d, n_max):
+        F = make_field(d)
+        u = F.fundamental_unit
+        for n in range(1, n_max + 1):
+            c = u ** n
+            a = c - 1
+            assert height(F, a, F.one(), c) == archimedean_height(a, F.one(), c), n
+
+    def test_heights_beyond_the_double_range(self, field2, eps2):
+        # eps**n > 2**1024 from n = 806 on, where a bound has no float and
+        # numerics.ln takes log(numerator) - log(denominator)
+        for n in (805, 806, 850, 851):
+            c = eps2 ** n
+            a = c - 1
+            bits = 96 + 2 * max(t.bit_length() for t in (c.x, c.y))
+            top = fraction_embedding_bounds(c, bits)[0][1]
+            if n > 805:
+                with pytest.raises(OverflowError):
+                    float(top)
+            else:
+                assert math.isfinite(float(top))
+            assert height(field2, a, field2.one(), c) == archimedean_height(a, field2.one(), c), n
 
 
 class TestHeight:
@@ -70,7 +113,7 @@ class TestHeight:
         h = height(field2, a, field2.one(), c)
         arch = 0.0
         for place in (0, 1):
-            best = max(float(x.embedding_bounds()[place][1]) for x in (a, field2.one(), c))
+            best = max(x.embedding_bounds()[place][1] / (1 << 97) for x in (a, field2.one(), c))
             arch += math.log(best)
         assert abs(h.value - arch) < 1e-6
         assert h.width < 1e-9

@@ -53,6 +53,8 @@ GOLDENS = {
     "scan-wieferich-wide-cubic.csv": ["scan-wieferich", f"--minpoly=-1,-{10 ** 400},0,1", "--n-max", "1"],
     "abc-quality-d2.csv": ["abc-quality", "--d", "2", "--n-max", "40"],
     "abc-quality-d2.json": ["abc-quality", "--d", "2", "--n-max", "40", "--format", "json"],
+    # w = (1 + sqrt(13))/2: the bounds on w are (2**bits + s) / 2**(bits + 1)
+    "abc-quality-d13.csv": ["abc-quality", "--d", "13", "--n-max", "60"],
 }
 
 
@@ -188,6 +190,29 @@ def test_set_up_error_writes_only_its_error_line(argv, error, fmt, capsys):
     # scan-prational builds its classifier and base sieve before the JSON preamble
     assert cli.main([*argv, "--format", fmt]) == cli.EXIT_COMPUTE
     assert capsys.readouterr() == ("", error)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", [["field-info", "--d", "2"], ["scan-prational", "--d", "2", "--X", "30"]])
+def test_a_class_number_other_than_h_is_refused(argv, fmt, capsys):
+    # h(Q(sqrt 2)) = 1; taken as given, 7 would exclude p = 5 and 7 from the scan
+    assert cli.main([*argv, "--class-number", "7", "--format", fmt]) == cli.EXIT_USAGE
+    assert capsys.readouterr() == ("", "error: the class number of Q(sqrt(2)) is 1, not 7\n")
+
+
+@pytest.mark.parametrize("name", ["field-info-d13.txt", "scan-prational-d2.csv"])
+def test_the_class_number_h_is_accepted(name, tmp_path):
+    argv = [*GOLDENS[name], "--class-number", "1"]
+    assert run_cli(argv, tmp_path / "out") == (GOLDEN / name).read_bytes()
+
+
+def test_a_class_number_beyond_the_cap_is_taken_as_given(tmp_path):
+    # disc = 4000012 > 10**6, where h is not computed
+    payload = run_cli(["field-info", "--d", "1000003", "--class-number", "7"], tmp_path / "info").decode()
+    assert "class_number=7\n" in payload.splitlines(keepends=True)
+    argv = ["scan-prational", "--d", "1000003", "--X", "30", "--class-number", "7"]
+    payload = run_cli(argv, tmp_path / "scan").decode()
+    assert "7,excluded,divides_class_number,\"\"\n" in payload.splitlines(keepends=True)
 
 
 def test_bound_too_large_to_sieve_is_a_compute_error(tmp_path):

@@ -151,8 +151,13 @@ class TestMakeField:
         assert checked == 607
 
     def test_class_number_override(self):
+        # up to disc = 10**6 a given h is checked against the computed one
+        assert make_field(2, class_number_override=1).class_number == 1
         F = make_field(2, class_number_override=7)
-        assert F.class_number == 7
+        for _ in range(2):   # an error is not cached: each read raises again
+            with pytest.raises(ValueError, match=r"^the class number of Q\(sqrt\(2\)\) is 1, not 7$"):
+                F.class_number
+        assert make_field(79, class_number_override=3).class_number == 3
 
     def test_class_number_is_computed_when_first_read(self):
         F = make_field(1000003)   # disc = 4000012, beyond the certified bound

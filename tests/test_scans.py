@@ -150,6 +150,17 @@ class TestWieferichScan:
         assert any(r.reason == "partial_factorization" for r in records)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 13, 94])
+def test_cyclotomic_values_are_horners(d):
+    """The scan's Phi_n(v), a remainder mod the minimal polynomial of v,
+    is Horner's rule on QuadInt."""
+    u = make_field(d).fundamental_unit
+    for k in (1, 2, 3):
+        v = u ** k
+        for n in range(1, 121):
+            assert scans._cyclotomic_value(n, v) == cyclotomic(n).evaluate(v), (k, n)
+
+
 @pytest.mark.parametrize("d", [2, 3, 13])
 def test_prime_ideals_of_cyclotomic_values_have_order_n(d):
     """The scans rely on this instead of checking it: for p not dividing n,
