@@ -2,23 +2,21 @@
 splits.
 
 Every list of primes comes from one sieve of the odd numbers, and none is
-kept: ``primes(limit)`` yields the odd primes a segment at a time, and the
-trial-division table holds the sieve's flags up to 10**6 with one product
-per chunk of them.
+kept: ``primes(limit)`` yields the odd primes a segment at a time, and trial
+division and ECM read the sieve's flags up to 10**6.
 
 Factoring runs in two phases.  The trial phase is everything before the
-first rho iteration: trial division by the primes up to 10**6, skipping each
-chunk of the table whose product has gcd 1 with the integer (after
-Bernstein, "How to find smooth parts of integers", 2004), then the primality
-test and the perfect-power check on what is left.  It lists every prime up
-to the bound with its exact exponent; when what is left has two or more
-distinct primes, all above the bound, it stays an open cofactor (status
+first rho iteration: trial division by the primes up to 10**6, then the
+primality test and the perfect-power check on what is left.  It lists every
+prime up to the bound with its exact exponent; when what is left has two or
+more distinct primes, all above the bound, it stays an open cofactor (status
 TRIAL).  The search then runs on that cofactor: Brent-cycle Pollard rho
 capped at _RHO_CAP iterations per composite (enough for factors up to about
-30 bits), then elliptic-curve (ECM) curves.  Trial division divides the
-primes out in increasing order and stops where one ``%`` per prime would, so
-the search gets the composite that loop would leave.  One budget,
-``rho_budget``, counted in rho iterations, covers the search: each curve is
+30 bits), then elliptic-curve (ECM) curves.  For the norm of Phi_n(v), v a
+unit, trial division tries only the primes that can divide it (2, 3, those
+of n and those of a few classes mod n, see _admitted_classes), so it lists
+what one ``%`` per prime in increasing order would, and the search gets the
+composite that loop would leave.  One budget, ``rho_budget``, counted in rho iterations, covers the search: each curve is
 charged _ECM_CURVE_COST, about its time in rho iterations, and runs only
 while that much budget is left, so ``rho_budget=0`` means the trial phase
 only; a caller that needs only the small primes (the Wieferich scans) asks
@@ -137,74 +135,68 @@ def sieve(limit: int) -> list[int]:
     return [2, *primes(limit)] if limit >= 2 else []
 
 
-# Trial division by the primes below 1000 settles every integer below 1000**2,
-# such as d, n and 2*disc*h of a small field, so a run that factors nothing
-# larger never builds the table up to _TRIAL_BOUND (about 0.03 s); it is
-# built on the first larger integer, once per process, and its flags also
-# give ECM its stage-2 primes.  A table is the flags of the odd numbers up to
-# its bound and one entry (lo, hi, last, product) per _CHUNK_FLAGS of them:
-# the chunk flags[lo:hi], its largest prime and the product of its primes.
-# A chunk's primes are read from the flags only when trial division enters
-# it.  Trial division of the 293 integers >= 10^6 that the abc-quality and
-# scan-wieferich benchmark commands factor, with the table's build, took
-# 0.31-0.34 s at 1024, 2048 and 4096 flags per chunk and 0.36-0.38 s at 512
-# and 8192, against 1.45 s for one `%` per prime; the gcds with the products
-# take most of it, whatever the span (2-core x86_64 host).
-_SMALL_BOUND = 1000
-_CHUNK_FLAGS = 2048
-
-
-def _chunk_table(bound: int) -> tuple[bytearray, list[tuple[int, int, int, int]]]:
-    """The flags of the odd numbers up to bound and their chunk entries.  The
-    products skip 2 (_trial_divide divides it out first) and read the flags
-    on a 2*3 wheel: 2*i + 1 is 1 mod 6 when i = 0 mod 3 and 5 mod 6 when
-    i = 2 mod 3, and the only prime 3 mod 6 is 3, which the first chunk
-    takes."""
-    flags = _odd_flags(bound)
-    chunks = []
-    for lo in range(0, len(flags), _CHUNK_FLAGS):
-        hi = min(lo + _CHUNK_FLAGS, len(flags))
-        product = 3 if lo == 0 else 1
-        for r in (0, 2):
-            i = lo + (r - lo) % 3
-            product *= math.prod(itertools.compress(range(2 * i + 1, 2 * hi, 6), flags[i:hi:3]))
-        chunks.append((lo, hi, 2 * flags.rindex(1, lo, hi) + 1, product))
-    return flags, chunks
-
-
-_SMALL_TABLE = _chunk_table(_SMALL_BOUND)
+# The primes below 1000 settle every integer below 10**6, such as d, n and
+# 2*disc*h of a small field; the flags up to _TRIAL_BOUND, which also give
+# ECM its stage-2 primes, are sieved on the first larger integer.
+_SMALL_FLAGS = _odd_flags(1000)
 
 
 @functools.cache
-def _large_sieve() -> tuple[bytearray, list[tuple[int, int, int, int]]]:
-    """The chunk table up to _TRIAL_BOUND, built on the first call."""
-    return _chunk_table(_TRIAL_BOUND)
+def _large_flags() -> bytearray:
+    """The flags of the odd numbers up to _TRIAL_BOUND, sieved on the first call."""
+    return _odd_flags(_TRIAL_BOUND)
 
 
-def _trial_divide(a: int, found: dict[int, int]) -> int:
-    """Divide the primes p <= _TRIAL_BOUND out of a, in increasing order, into
-    ``found``, stopping at the first p with p*p above what is left; return
-    what is left, or 1 when that is prime (and then in ``found``)."""
-    flags, chunks = _SMALL_TABLE if a < _SMALL_BOUND ** 2 else _large_sieve()
-    while a % 2 == 0:
-        a //= 2
-        found[2] = found.get(2, 0) + 1
-    p = 2
-    for lo, hi, last, product in chunks:
-        # no stop falls inside a chunk whose last prime squared is within a
-        if last * last <= a and math.gcd(product, a) == 1:
+@functools.cache
+def _admitted_classes(order: int, degree: int) -> tuple[int, tuple[int, ...]]:
+    """(m, the residues mod m = lcm(6, order) prime to 6 of the primes p
+    that can divide the norm of Phi_order(v), v a unit of degree ``degree``,
+    apart from those of ``order``).  Such a p has a prime P | Phi_order(v) of
+    some residue degree f, v has order ``order`` mod P, and so r = p mod
+    ``order`` has r**f = 1 when f < degree; when f = degree, p is inert and
+    v**(1 + p + ... + p**(f-1)) = N(v) = +-1 mod P, so 2*(1 + r + ... +
+    r**(f-1)) = 0.  Order 1 admits every prime; _trial_divide tries 2 and 3
+    apart."""
+    m = math.lcm(6, order)
+    classes = []
+    for r in range(order):
+        if math.gcd(r, order) > 1:
             continue
-        for p in _flagged(flags[lo:hi], lo):
-            if p * p > a:
+        rf = [pow(r, f, order) for f in range(degree)]   # r**f mod order, f < degree
+        if 1 % order in rf[1:] or 2 * sum(rf) % order == 0:
+            classes += [c for c in range(r, m, order) if c % 2 and c % 3]
+    return m, tuple(classes)
+
+
+def _trial_divide(a: int, found: dict[int, int], order: int = 1, degree: int = 1) -> int:
+    """Divide out of a, into ``found``, the primes up to _TRIAL_BOUND (up to
+    1000 when a < _TRIAL_BOUND) that can divide the norm of Phi_order(v), v a
+    unit of degree ``degree`` (every prime at order 1): 2, 3, those of
+    ``order`` and those of _admitted_classes, each class up to the square
+    root of what is left.  That then has at most one prime of the flags,
+    once, and only when it is that prime, so below the square of the largest
+    of them it is 1 or prime, as one ``%`` per prime in increasing order
+    finds.  Return what is left, or 1 when that is prime (and then in
+    ``found``)."""
+    flags = _SMALL_FLAGS if a < _TRIAL_BOUND else _large_flags()
+    top = 2 * flags.rindex(1) + 1   # the largest prime of the flags
+    for p in {2, 3, *(q for q in _flagged(flags[: (order + 1) // 2]) if order % q == 0)}:
+        while a % p == 0:
+            a //= p
+            found[p] = found.get(p, 0) + 1
+    m, classes = _admitted_classes(order, degree)
+    for c in classes:
+        i = c // 2   # flags[i] stands for the next number of the class to try
+        while (limit := min(top, math.isqrt(a))) > 2 * i:
+            walk = itertools.compress(range(2 * i + 1, limit + 1, m), flags[i : (limit + 1) // 2 : m // 2])
+            p = next(itertools.filterfalse(a.__mod__, walk), 0)   # the next prime of the class dividing a
+            if p == 0:
                 break
             while a % p == 0:
                 a //= p
                 found[p] = found.get(p, 0) + 1
-        else:
-            continue
-        break
-    if a > 1 and p * p > a:
-        # trial division reached sqrt(a), so the leftover is prime
+            i = (p + m) // 2
+    if 1 < a < top * top:
         found[a] = found.get(a, 0) + 1
         a = 1
     return a
@@ -377,9 +369,8 @@ def _ecm(n: int, rng: random.Random) -> int | None:
     prev, cur, mD = G, _x_dbl(G, a24, n), 2 * _ECM_D
     xm, zm = cur
     acc = 1
-    flags, _ = _large_sieve()
     lo = (_ECM_B1 + 1) // 2   # the index of the first odd number above B1
-    for p in _flagged(flags[lo : (_ECM_B2 + 1) // 2], lo):   # the primes in (B1, B2]
+    for p in _flagged(_large_flags()[lo : (_ECM_B2 + 1) // 2], lo):   # the primes in (B1, B2]
         while mD + half < p:
             prev, cur, mD = cur, _x_add(cur, G, prev, n), mD + _ECM_D
             xm, zm = cur
@@ -490,17 +481,21 @@ class FactorCache:
         self.new_keys[fact.value] = None
 
 
-def factor(n: int, table: FactorCache | None = None, trial: bool = False) -> Factorization:
+def factor(
+    n: int, table: FactorCache | None = None, trial: bool = False, order: int = 1, degree: int = 1
+) -> Factorization:
     """Factor n >= 1 under the budget and seed of ``table`` (a fresh
     FactorCache when None); the composite leftover (if the budget runs out)
     lands in ``cofactor`` with status PARTIAL.
 
     The trial phase is everything before the first rho iteration: trial
     division up to 10**6, then the primality test and the perfect-power
-    check on what is left; it depends on n alone.  With ``trial=True`` (or
-    a budget of 0) only it runs, and the result is COMPLETE or TRIAL: a
-    TRIAL cofactor is unsearched, its primes all exceed 10**6, and the
-    listed exponents are exact.  The search (rho, then ECM) starts from the
+    check on what is left; it depends on n alone.  For n the norm of
+    Phi_order(v), v a unit of degree ``degree``, trial division tries only
+    the primes that can divide n, with the same result (see _trial_divide).
+    With ``trial=True`` (or a budget of 0) only it runs, and the result is
+    COMPLETE or TRIAL: a TRIAL cofactor is unsearched, its primes all exceed
+    10**6, and the listed exponents are exact.  The search (rho, then ECM) starts from the
     same state either way, so a searched result does not depend on whether
     the trial phase ran in an earlier call.
 
@@ -519,7 +514,7 @@ def factor(n: int, table: FactorCache | None = None, trial: bool = False) -> Fac
     fact = table.lookup(n)
     if fact is None:
         found: dict[int, int] = {}
-        m, mult = _reduce(_trial_divide(n, found), 1, found)
+        m, mult = _reduce(_trial_divide(n, found, order, degree), 1, found)
         status = Status.TRIAL if m > 1 else Status.COMPLETE
         fact = Factorization(n, tuple(sorted(found.items())), m ** mult, status)
         table.record(fact)
@@ -573,16 +568,18 @@ class IdealSplit(NamedTuple):
 
 
 def ideal_valuations(
-    F: QuadField, alpha: QuadInt, table: FactorCache | None = None, trial: bool = False
+    F: QuadField, alpha: QuadInt, table: FactorCache | None = None, trial: bool = False, order: int = 1
 ) -> IdealSplit:
     """Factor (alpha) into prime-ideal powers via the norm factorization,
-    ``factor(|N(alpha)|, table, trial)``."""
+    ``factor(|N(alpha)|, table, trial, order, 2)``: when alpha is
+    Phi_order(v) for a unit v, trial division tries only the primes that can
+    divide its norm."""
     if alpha.is_zero():
         raise ValueError("alpha must be nonzero")
     n = alpha.norm()
     if abs(n) == 1:
         return IdealSplit(alpha, (), 1, 1, Status.COMPLETE)
-    return ideal_split(F, alpha, factor(abs(n), table, trial))
+    return ideal_split(F, alpha, factor(abs(n), table, trial, order, 2))
 
 
 def ideal_split(F: QuadField, alpha: QuadInt, fact: Factorization) -> IdealSplit:

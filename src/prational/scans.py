@@ -233,7 +233,7 @@ def wieferich_scan(
         records.append(
             _scan_row(
                 n, abs(value.norm()),
-                lambda trial: ideal_valuations(F, value, table, trial),
+                lambda trial: ideal_valuations(F, value, table, trial, n),
                 lambda split: chosen_ideal(split, n),
                 gamma, table,
             )
@@ -395,7 +395,7 @@ def generic_unit_scan(
         records.append(
             _scan_row(
                 n, r_cyclo,
-                lambda trial: factor(r_cyclo, table, trial),
+                lambda trial: factor(r_cyclo, table, trial, n, g.degree()),
                 lambda fact: first_prime(fact, n, r_full),
                 gamma, table,
             )

@@ -189,7 +189,7 @@ class TestUnitTriple:
         u = F.fundamental_unit
         calls = []
         real = abcaudit.factor
-        monkeypatch.setattr(abcaudit, "factor", lambda m, *args: calls.append(m) or real(m, *args))
+        monkeypatch.setattr(abcaudit, "factor", lambda m, *args, **kw: calls.append(m) or real(m, *args, **kw))
         t = unit_triple(F, u, 24, FactorCache())
         divisors = [m for m in range(1, 25) if 24 % m == 0]
         norms = [abs(cyclotomic(m).evaluate(u).norm()) for m in divisors]

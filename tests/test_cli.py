@@ -582,15 +582,15 @@ def test_abc_run_logs_its_factoring(capsys, tmp_path):
 
 
 def test_warm_abc_run_builds_no_large_sieve(tmp_path):
-    """The cold run builds the trial table up to 10**6; the warm run, whose
-    integers the table file answers, does not."""
+    """The cold run sieves the flags up to 10**6 once; the warm run, whose
+    integers the table file answers, never does."""
     argv = ["abc-quality", "--d", "2", "--n-max", "30", "--cache", str(tmp_path / "cache.txt")]
-    factorint._large_sieve.cache_clear()   # as in a fresh process
+    factorint._large_flags.cache_clear()   # as in a fresh process
     run_cli(argv, tmp_path / "cold")
-    assert factorint._large_sieve.cache_info().misses == 1
-    factorint._large_sieve.cache_clear()
+    assert factorint._large_flags.cache_info().misses == 1
+    factorint._large_flags.cache_clear()
     run_cli(argv, tmp_path / "warm")
-    assert factorint._large_sieve.cache_info().misses == 0
+    assert factorint._large_flags.cache_info().misses == 0
 
 def _rows(payload: bytes) -> list[dict[str, str]]:
     """The CSV rows of a scan-wieferich payload, keyed by column name."""

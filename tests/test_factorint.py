@@ -1,4 +1,5 @@
 import bisect
+import functools
 import math
 import random
 
@@ -18,9 +19,9 @@ from prational.factorint import (
     radical_of_ideal,
     sieve,
 )
-from prational.polyarith import IntPoly, cyclotomic, hensel_lift
+from prational.polyarith import IntPoly, cyclotomic, hensel_lift, power_poly, resultant
 from prational.quadfield import QuadInt, Splitting, make_field, split_prime
-from trial_division import PRIMES, trial_divide as trial_divide_by_remainders
+from trial_division import PRIMES, SMALL_PRIMES, trial_divide as trial_divide_by_remainders
 
 
 def next_prime_from(n):
@@ -50,18 +51,6 @@ def test_primes_are_the_odd_primes_up_to_the_limit(limits):
     odd = list(sympy.primerange(3, max(limits) + 1))
     for limit in limits:
         assert list(primes(limit)) == odd[: bisect.bisect_right(odd, limit)], limit
-
-
-def test_chunk_table_lists_each_chunks_last_prime_and_product():
-    flags, chunks = factorint._large_sieve()
-    assert [(lo, hi) for lo, hi, *_ in chunks] == [
-        (lo, min(lo + factorint._CHUNK_FLAGS, len(flags))) for lo in range(0, len(flags), factorint._CHUNK_FLAGS)
-    ]
-    assert len(flags) == 5 * 10 ** 5
-    odd = PRIMES[1:]
-    for lo, hi, last, product in chunks:
-        inside = odd[bisect.bisect_left(odd, 2 * lo) : bisect.bisect_left(odd, 2 * hi)]
-        assert (last, product) == (inside[-1], math.prod(inside))
 
 
 class TestIsPrime:
@@ -188,28 +177,43 @@ class TestMergeFactorizations:
         assert merged.status is (Status.COMPLETE if complete else Status.PARTIAL)
 
 
-# the primes on both sides of each boundary between trial chunks (the last
-# prime of one chunk, then the first of the next), and the primes just under
-# 10**6 (the last chunk)
-_CHUNKS = factorint._large_sieve()[1]
-_EDGE_PAIRS = [(last, sympy.nextprime(2 * lo)) for (_, _, last, _), (lo, *_) in zip(_CHUNKS, _CHUNKS[1:])]
-_EDGE_PRIMES = [p for pair in _EDGE_PAIRS for p in pair]
-_EDGE_INDICES = [bisect.bisect_left(PRIMES, first) for _, first in _EDGE_PAIRS]   # PRIMES[k] starts a chunk
+# primes on both sides of 1000, where the flags of the integers below 10**6
+# end, and the primes just under 10**6, where the sieve ends
+_NEAR_1000 = [983, 991, 997, 1009, 1013]
 _TOP_PRIMES = PRIMES[-8:]
 
 
+def _classes(order):
+    """The primes below 10**6 not dividing order that can divide the norm of
+    Phi_order(v), v a quadratic unit: p = 1 mod order, or 2*(p + 1) = 0 mod
+    order.  Keyed by their class mod lcm(6, order)."""
+    classes = {}
+    for p in PRIMES:
+        if order % p and (p % order == 1 or 2 * (p + 1) % order == 0):
+            classes.setdefault(p % math.lcm(6, order), []).append(p)
+    return classes
+
+
+_ORDERS = (7, 60, 110)
+# the first two and the last two primes of each class, where its walk starts
+# and where the sieve ends
+_CLASS_EDGES = {n: sorted({p for ps in _classes(n).values() for p in (*ps[:2], *ps[-2:])}) for n in _ORDERS}
+
+
 class TestTrialDivision:
-    def check(self, n):
+    def check(self, n, order=1):
         want, got = {}, {}
-        assert factorint._trial_divide(n, got) == trial_divide_by_remainders(n, want)
+        assert factorint._trial_divide(n, got, order, 2) == trial_divide_by_remainders(n, want)
         assert got == want
-        f = factor(n)
+        f = factor(n, order=order, degree=2)
         assert f.status is Status.COMPLETE
         assert dict(f.factors) == sympy.factorint(n)
 
     @given(
         st.lists(
-            st.tuples(st.sampled_from([2, 3, 997, *_EDGE_PRIMES, *_TOP_PRIMES]), st.integers(1, 3)),
+            st.tuples(
+                st.sampled_from([2, 3, *_NEAR_1000, *_TOP_PRIMES, *_CLASS_EDGES[110]]), st.integers(1, 3)
+            ),
             max_size=4,
         ),
         st.lists(st.sampled_from(_BIG_PRIMES), min_size=1, max_size=3),
@@ -217,13 +221,102 @@ class TestTrialDivision:
     def test_matches_one_remainder_per_prime(self, powers, big):
         self.check(math.prod(p ** e for p, e in powers) * math.prod(big))
 
-    @pytest.mark.parametrize("k", [_EDGE_INDICES[0], _EDGE_INDICES[40], len(PRIMES) - 1])
-    def test_stops_at_the_square_root_across_a_boundary(self, k):
-        # the leftover turns prime at the last prime of one chunk, at the
-        # first of the next, or at the end of the sieve
-        q, r = PRIMES[k - 1], PRIMES[k]
+    @given(st.data())
+    def test_a_class_walk_matches_one_remainder_per_prime(self, data):
+        """An integer whose primes below 10**6 all lie in the classes of its
+        order, or divide it, gives what one remainder per prime gives."""
+        order = data.draw(st.sampled_from(_ORDERS))
+        small = st.sampled_from([*sympy.primefactors(order), *_CLASS_EDGES[order]])
+        powers = data.draw(st.lists(st.tuples(small, st.integers(1, 3)), max_size=4))
+        big = data.draw(st.lists(st.sampled_from(_BIG_PRIMES), min_size=1, max_size=3))
+        self.check(math.prod(p ** e for p, e in powers) * math.prod(big), order)
+
+    @pytest.mark.parametrize(
+        "q, r, order",
+        [(991, 997, 1), (997, 1009, 1), (*_classes(110)[1][500:502], 110), (*PRIMES[-2:], 1)],
+        ids=["below-1000", "across-1000", "in-a-class", "top"],
+    )
+    def test_stops_at_the_square_root(self, q, r, order):
+        # the leftover turns prime at q or at r, below 10**6 or above it
         for n in (q * r, q * q, r ** 3, 2 * q * r, q * r * _BIG_PRIMES[0]):
-            self.check(n)
+            self.check(n, order)
+
+
+@functools.cache
+def _primorial(top):
+    """The product of the primes up to top, by a product tree."""
+    xs = [p for p in PRIMES if p <= top]
+    while len(xs) > 1:
+        xs = [math.prod(xs[i : i + 2]) for i in range(0, len(xs), 2)]
+    return xs[0]
+
+
+def trial_divide_by_gcd(a, found):
+    """What trial_divide_by_remainders gives, from the gcd of a with the
+    product of the primes it tries: each prime of the gcd with its exponent
+    in a, then what is left, which has no prime up to the largest prime p
+    tried, so that below p*p it is 1 or prime."""
+    top = SMALL_PRIMES[-1] if a < 10 ** 6 else PRIMES[-1]
+    for p in sympy.primefactors(math.gcd(a, _primorial(top))):
+        found[p] = sympy.multiplicity(p, a)
+        a //= p ** found[p]
+    if 1 < a < top * top:
+        found[a] = 1
+        a = 1
+    return a
+
+
+@functools.cache
+def _cyclotomic_norms():
+    """(n, degree, a): a = |N(Phi_n(u**k))| for the fundamental unit u of
+    Q(sqrt(d)), and a = |Res(Phi_n, g)| for g the minimal polynomial of a
+    cubic unit or of its square; then two integers whose leftover is a prime
+    in [999983**2, 10**12), which no prime up to 10**6 divides."""
+    out = []
+    for d in (2, 3, 5, 13, 94, 101):
+        u = make_field(d).fundamental_unit
+        for k in (1, 2, 3):
+            out += [(n, 2, abs(cyclotomic(n).evaluate(u ** k).norm())) for n in range(1, 121)]
+    for f in (IntPoly.of(-1, -1, 0, 1), IntPoly.of(-1, -2, 1, 1), IntPoly.of(-1, -3, 0, 1), IntPoly.of(-1, -4, 0, 1)):
+        for k in (1, 2):
+            out += [(n, 3, abs(resultant(cyclotomic(n), power_poly(f, k)))) for n in range(1, 61)]
+    return out + [(110, 2, 12 * sympy.prevprime(10 ** 12)), (7, 3, sympy.nextprime(PRIMES[-1] ** 2))]
+
+
+class TestCyclotomicNorms:
+    """A prime p not dividing n that divides the norm of Phi_n(v), v a unit
+    of degree f, has p**e = 1 mod n for some residue degree e < f, or is
+    inert with 2*(1 + p + ... + p**(f-1)) = 0 mod n, so trial division tries
+    only those primes, and those of n."""
+
+    def test_the_classes_miss_no_prime(self):
+        norms = _cyclotomic_norms()
+        assert any(a % p == 0 for n, _, a in norms for p in sympy.primefactors(n) if p >= 5)
+        leftovers = []
+        for n, degree, a in norms:
+            want, got = {}, {}
+            leftovers.append(factorint._trial_divide(a, got, n, degree))
+            assert leftovers[-1] == trial_divide_by_gcd(a, want), (n, degree, a)
+            assert got == want, (n, degree, a)
+        assert any(PRIMES[-1] ** 2 <= r < 10 ** 12 for r in leftovers)
+
+    def test_a_sample_matches_every_prime_and_one_remainder_per_prime(self):
+        for n, degree, a in [*_cyclotomic_norms()[::31], *_cyclotomic_norms()[-2:]]:
+            results = []
+            for divide in (
+                functools.partial(factorint._trial_divide, order=n, degree=degree),
+                factorint._trial_divide,
+                trial_divide_by_remainders,
+                trial_divide_by_gcd,
+            ):
+                found = {}
+                results.append((divide(a, found), found))
+            assert results[1:] == results[:-1], (n, degree, a)
+
+    def test_factor_matches_sympy_on_a_sample(self):
+        sample = [(n, degree, a) for n, degree, a in _cyclotomic_norms() if a < 10 ** 30][::5]
+        for n, degree, a in sample:
+            assert dict(factor(a, order=n, degree=degree).factors) == sympy.factorint(a), (n, degree, a)
 
 
 def count_searches(monkeypatch):
