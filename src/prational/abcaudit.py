@@ -1,9 +1,11 @@
-"""Heights, radicals and quality exponents of unit triples a + b = c.
+"""Heights, radicals and quality exponents of the unit triples
+(u**n - 1) + 1 = u**n.
 
-The absolute values are normalized so the product formula holds with both
-real embeddings carrying weight 1 and |x|_P = N(P)**(-v_P(x)) at finite
-places.  Heights are returned with an interval width since the archimedean
-parts go through certified bounds on sqrt(d), integers over 2**(bits+1).
+The absolute values at both real embeddings carry weight 1.  A triple that
+contains 1 has no finite place where all three terms have positive
+valuation, so its height is archimedean only.  Heights are returned with an
+interval width since they go through certified bounds on sqrt(d), integers
+over 2**(bits+1).
 """
 
 from __future__ import annotations
@@ -16,13 +18,10 @@ from typing import NamedTuple
 from .factorint import (
     FactorCache,
     Factorization,
-    IdealSplit,
     Status,
     factor,
     ideal_split,
-    ideal_valuations,
     merge_factorizations,
-    radical_of_ideal,
 )
 from .numerics import ln
 from .quadfield import QuadField, QuadInt
@@ -33,24 +32,16 @@ class Height(NamedTuple):
     width: float
 
 
-class AbcTriple(NamedTuple):
-    a: QuadInt
-    b: QuadInt
-    c: QuadInt
-    height: float
-    radical: int
-    quality: float | None
-    n: int | None = None
-
-
 class SquarefullRow(NamedTuple):
+    """One abc-quality row; the fields are the payload's columns."""
+
     n: int
     squarefree_norm: int
     squarefull_norm: int
     norm_total: int
-    log_share: float | None      # log(squarefull) / log |N(u^n - 1)|; None on partial rows
-    quality: float | None        # of the triple (u^n - 1) + 1 = u^n; None on partial rows
-    status: Status
+    squarefull_log_share: float | None   # log(squarefull) / log |N(u^n - 1)|; None on partial rows
+    quality: float | None        # of the triple (u^n - 1) + 1 = u^n; None on partial rows and radical 1
+    factor_status: str           # a Status value
 
 
 def _ln_dyadic(num: int, shift: int) -> float:
@@ -63,52 +54,49 @@ def _ln_dyadic(num: int, shift: int) -> float:
         return ln(Fraction(num, 1 << shift))
 
 
-def height(F: QuadField, a: QuadInt, b: QuadInt, c: QuadInt) -> Height:
-    """log of prod_v max(|a|_v, |b|_v, |c|_v) over all places.
-
-    A finite place counts only where P divides all of a, b and c, so the
-    finite part is 0, with nothing factored, when their norms are coprime;
-    that holds for every unit triple (u**n - 1) + 1 = u**n."""
-    for x in (a, b, c):
-        if x.is_zero():
-            raise ValueError("height needs nonzero arguments")
+def height(a: QuadInt) -> Height:
+    """The height of the triple (a, 1, a + 1): log of prod_v max(|a|_v, 1,
+    |a + 1|_v) over the real places v, since with 1 in the triple no finite
+    place counts."""
+    c = a + 1
+    if a.is_zero() or c.is_zero():
+        raise ValueError("height needs nonzero arguments")
     # sqrt(d) to 2 bits per bit of the coordinates beyond 96, so that a
     # conjugate near 1/|y| is bounded as tightly as one near |y|
-    bits = 96 + 2 * max(t.bit_length() for x in (a, b, c) for t in (x.x, x.y))
-    bounds = [x.embedding_bounds(bits) for x in (a, b, c)]   # over 2**(bits + 1)
-    lo = sum(_ln_dyadic(max(b_[place][0] for b_ in bounds), bits + 1) for place in (0, 1))
-    hi = sum(_ln_dyadic(max(b_[place][1] for b_ in bounds), bits + 1) for place in (0, 1))
-    finite = 0.0
-    if math.gcd(a.norm(), b.norm(), c.norm()) > 1:
-        splits = [ideal_valuations(F, x) for x in (a, b, c)]
-        if any(s.status is not Status.COMPLETE for s in splits):
-            raise ArithmeticError("height needs complete ideal valuations")
-        vals = [dict(s.entries) for s in splits]
-        for P in set().union(*vals):
-            vmin = min(v.get(P, 0) for v in vals)
-            if vmin > 0:
-                finite -= vmin * math.log(P.norm)
-    return Height(value=(lo + hi) / 2 + finite, width=hi - lo)
+    bits = 96 + 2 * max(t.bit_length() for x in (a, c) for t in (x.x, x.y))
+    one = 1 << (bits + 1)
+    bounds = [x.embedding_bounds(bits) for x in (a, c)]   # over 2**(bits + 1)
+    lo = sum(_ln_dyadic(max(one, *(b[place][0] for b in bounds)), bits + 1) for place in (0, 1))
+    hi = sum(_ln_dyadic(max(one, *(b[place][1] for b in bounds)), bits + 1) for place in (0, 1))
+    return Height(value=(lo + hi) / 2, width=hi - lo)
 
 
-def _unit_triple_of(F: QuadField, split: IdealSplit, n: int) -> AbcTriple:
-    """The triple a + 1 = c for the complete split of a = u**n - 1; units
-    contribute nothing to the radical, so Rad((abc)) is the radical of (a)."""
-    a = split.element
-    b = F.one()
-    c = a + 1
-    rad = radical_of_ideal(split)
-    h = height(F, a, b, c)
-    quality = h.value / math.log(rad) if rad > 1 else None
-    return AbcTriple(a=a, b=b, c=c, height=h.value, radical=rad, quality=quality, n=n)
+def _row(F: QuadField, n: int, alpha: QuadInt, fact: Factorization) -> SquarefullRow:
+    """The row of level n from alpha = u**n - 1 and ``fact``, the
+    factorization of |N(alpha)|.  Units contribute nothing to the radical,
+    so Rad((alpha * 1 * (alpha + 1))) is the radical of (alpha)."""
+    split = ideal_split(F, alpha, fact)
+    squarefree = squarefull = radical = 1
+    for P, v in split.entries:
+        radical *= P.norm
+        if v == 1:
+            squarefree *= P.norm
+        else:
+            squarefull *= P.norm ** v
+    share = quality = None
+    if split.status is Status.COMPLETE:
+        share = 0.0 if squarefull == 1 else math.log(squarefull) / math.log(fact.value)
+        if radical > 1:
+            quality = height(alpha).value / math.log(radical)
+    return SquarefullRow(n, squarefree, squarefull, fact.value, share, quality, split.status.value)
 
 
-def unit_triple(F: QuadField, u: QuadInt, n: int, table: FactorCache) -> AbcTriple:
-    """The triple (u**n - 1) + 1 = u**n, factored as squarefull_report does,
-    through the Phi_m(u) with m | n only."""
+def unit_triple(F: QuadField, u: QuadInt, n: int, table: FactorCache) -> SquarefullRow:
+    """The row of level n of squarefull_report, for the triple
+    (u**n - 1) + 1 = u**n, factored through the Phi_m(u) with m | n only."""
     divisors = [m for m in range(1, n + 1) if n % m == 0]
     *_, (_, alpha, fact) = unit_power_factorizations(u, divisors, table)
-    return _unit_triple_of(F, ideal_split(F, alpha, fact), n)
+    return _row(F, n, alpha, fact)
 
 
 _UNIT_NORM = Factorization(1, (), 1, Status.COMPLETE)
@@ -155,29 +143,8 @@ def squarefull_report(
     Each row's split comes from the factorization that
     unit_power_factorizations merges from the norms of the Phi_m(u), m | n,
     in ``table``.
-    The log_share column is the empirical exponent of the squarefull part;
+    The squarefull_log_share column is the empirical exponent of the squarefull part;
     no bound is asserted on it (the abc inequality is an input, not a fact).
     Partial factorizations are flagged rather than dropped.
     """
-    rows = []
-    for n, alpha, fact in unit_power_factorizations(u, range(1, n_max + 1), table):
-        split = ideal_split(F, alpha, fact)
-        total = fact.value
-        nj = split.squarefull_norm
-        if split.status is Status.COMPLETE:
-            share = 0.0 if nj == 1 else math.log(nj) / math.log(total)
-            quality = _unit_triple_of(F, split, n).quality
-        else:
-            share = quality = None
-        rows.append(
-            SquarefullRow(
-                n=n,
-                squarefree_norm=split.squarefree_norm,
-                squarefull_norm=nj,
-                norm_total=total,
-                log_share=share,
-                quality=quality,
-                status=split.status,
-            )
-        )
-    return rows
+    return [_row(F, *level) for level in unit_power_factorizations(u, range(1, n_max + 1), table)]

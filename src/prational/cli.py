@@ -408,18 +408,12 @@ def cmd_abc_quality(args, out, table) -> int:
 
     F = _field_from_args(args)
     report = abcaudit.squarefull_report(F, F.fundamental_unit, args.n_max, table)
-    partial = sum(r.status is not factorint.Status.COMPLETE for r in report)
+    partial = sum(r.factor_status != factorint.Status.COMPLETE.value for r in report)
     _log(f"factoring: {table.counts['factored']} cyclotomic norms factored for {len(report)} rows, {partial} partial")
     if args.strict and partial:
         raise ArithmeticError("factor budget exhausted under --strict")
-    columns = ("n", "squarefree_norm", "squarefull_norm", "norm_total",
-               "squarefull_log_share", "quality", "factor_status")
-    rows = (
-        (r.n, r.squarefree_norm, r.squarefull_norm, r.norm_total, r.log_share, r.quality, r.status.value)
-        for r in report
-    )
     summary = {"schema_version": SCHEMA_VERSION, "n_max": args.n_max}
-    _emit(columns, rows, lambda: summary, args.format, out, "abc-quality")
+    _emit(abcaudit.SquarefullRow._fields, report, lambda: summary, args.format, out, "abc-quality")
     return EXIT_OK
 
 

@@ -1,5 +1,5 @@
-"""Primes, integer primality/factorization and squarefree/squarefull ideal
-splits.
+"""Primes, integer primality/factorization and the prime-ideal valuations
+of principal ideals.
 
 Every list of primes comes from one sieve of the odd numbers, and none is
 kept: ``primes(limit)`` yields the odd primes a segment at a time, and trial
@@ -35,8 +35,7 @@ witness sets) and probabilistically above, by 64 rounds whose bases come
 from a generator seeded with the integer's low 32 bits.
 
 The ideal layer splits a principal ideal of a real quadratic field into
-prime-ideal powers and separates the squarefree part (valuation exactly 1)
-from the squarefull part (valuation >= 2).
+prime-ideal powers: it returns the valuations, and its callers combine them.
 """
 
 from __future__ import annotations
@@ -557,13 +556,10 @@ def merge_factorizations(pieces: list[Factorization]) -> Factorization:
 # --- ideal splits -----------------------------------------------------------
 
 class IdealSplit(NamedTuple):
-    """Prime-ideal valuations of a principal ideal (element), with the norms of
-    its squarefree (valuation 1) and squarefull (valuation >= 2) parts."""
+    """Prime-ideal valuations of a principal ideal, with the status of the
+    norm factorization they come from."""
 
-    element: QuadInt
     entries: tuple[tuple[PrimeIdealAboveP, int], ...]
-    squarefree_norm: int
-    squarefull_norm: int
     status: Status
 
 
@@ -578,7 +574,7 @@ def ideal_valuations(
         raise ValueError("alpha must be nonzero")
     n = alpha.norm()
     if abs(n) == 1:
-        return IdealSplit(alpha, (), 1, 1, Status.COMPLETE)
+        return IdealSplit((), Status.COMPLETE)
     return ideal_split(F, alpha, factor(abs(n), table, trial, order, 2))
 
 
@@ -596,14 +592,7 @@ def ideal_split(F: QuadField, alpha: QuadInt, fact: Factorization) -> IdealSplit
         for P, v in _valuations_above(F, alpha, p, e):
             if v > 0:
                 entries.append((P, v))
-    squarefree = 1
-    squarefull = 1
-    for P, v in entries:
-        if v == 1:
-            squarefree *= P.norm
-        else:
-            squarefull *= P.norm ** v
-    return IdealSplit(alpha, tuple(entries), squarefree, squarefull, fact.status)
+    return IdealSplit(tuple(entries), fact.status)
 
 
 def _valuations_above(F: QuadField, alpha: QuadInt, p: int, e: int):
@@ -621,14 +610,3 @@ def _valuations_above(F: QuadField, alpha: QuadInt, p: int, e: int):
     while x % p == 0 and y % p == 0:
         x, y, g = x // p, y // p, g + 1
     return [(P, g + (e - 2 * g if (x + y * P.root_mod_p()) % p == 0 else 0)) for P in ideals]
-
-
-def radical_of_ideal(split: IdealSplit) -> int:
-    """Product of N(P) over the distinct prime ideals dividing the element."""
-    if split.status is not Status.COMPLETE:
-        raise ArithmeticError("radical needs a complete factorization")
-    out = 1
-    for P, _ in split.entries:
-        out *= P.norm
-    return out
-

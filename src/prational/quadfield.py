@@ -3,11 +3,11 @@
 The ring of integers is Z[w] with w = sqrt(d) for d != 1 (mod 4) and
 w = (1 + sqrt(d))/2 otherwise, so w^2 = t*w + s with (t, s) = (0, d) or
 (1, (d-1)/4).  Elements are exact coordinate pairs x + y*w, with the
-operations the commands use: + and - with an element or an integer on the
-right, * with either on either side, and ** with an exponent >= 0; there
-is no negation or conjugate.  embedding_bounds bounds the absolute values
-of an element at the two real places by integers over one power of two,
-2**(bits+1), from floor(sqrt(d) * 2**bits).  The fundamental unit comes from
+operations the commands use: + and - with an integer on the right, * with
+an element or an integer on either side, and ** with an exponent >= 0;
+there is no sum of two elements, negation or conjugate.  embedding_bounds
+bounds the absolute values of an element at the two real places by
+integers over one power of two, 2**(bits+1), from floor(sqrt(d) * 2**bits).  The fundamental unit comes from
 the continued fraction of w; the class number, on its first read, from the
 cycles of reduced binary quadratic forms of discriminant disc (exact, and
 computed up to disc = 10**6, where a class number given must equal it; a
@@ -129,17 +129,11 @@ class QuadInt(NamedTuple):
         if self.field != other.field:
             raise ValueError("operands live in different fields")
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            return QuadInt(self.field, self.x + other, self.y)
-        self._check(other)
-        return QuadInt(self.field, self.x + other.x, self.y + other.y)
+    def __add__(self, other: int):
+        return QuadInt(self.field, self.x + other, self.y)
 
-    def __sub__(self, other):
-        if isinstance(other, int):
-            return QuadInt(self.field, self.x - other, self.y)
-        self._check(other)
-        return QuadInt(self.field, self.x - other.x, self.y - other.y)
+    def __sub__(self, other: int):
+        return QuadInt(self.field, self.x - other, self.y)
 
     def __mul__(self, other):
         if isinstance(other, int):

@@ -25,6 +25,11 @@ def poly_mul(*factors: IntPoly | int) -> IntPoly:
     return IntPoly.of(*out)
 
 
+def add(a: QuadInt, b: QuadInt) -> QuadInt:
+    """The sum of two elements of one field."""
+    return QuadInt(a.field, a.x + b.x, a.y + b.y)
+
+
 def conj(a: QuadInt) -> QuadInt:
     """The Galois conjugate of a: w -> t - w."""
     F = a.field

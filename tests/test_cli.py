@@ -53,6 +53,8 @@ GOLDENS = {
     "scan-wieferich-wide-cubic.csv": ["scan-wieferich", f"--minpoly=-1,-{10 ** 400},0,1", "--n-max", "1"],
     "abc-quality-d2.csv": ["abc-quality", "--d", "2", "--n-max", "40"],
     "abc-quality-d2.json": ["abc-quality", "--d", "2", "--n-max", "40", "--format", "json"],
+    # Phi_1(eps) and Phi_2(eps) are units: rows 1 and 2 have radical 1 and no quality
+    "abc-quality-d5.csv": ["abc-quality", "--d", "5", "--n-max", "40"],
     # w = (1 + sqrt(13))/2: the bounds on w are (2**bits + s) / 2**(bits + 1)
     "abc-quality-d13.csv": ["abc-quality", "--d", "13", "--n-max", "60"],
 }

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from prational import cli, scans
+from prational import abcaudit, cli, factorint, scans
 
 ROOT = Path(__file__).resolve().parent.parent
 FORMATS = ROOT / "docs" / "formats.md"
@@ -40,6 +40,10 @@ def test_factor_status_cell_lists_the_scans_statuses():
     assert documented == {scans.COMPLETE, scans.SUFFICIENT, scans.PARTIAL}
 
 
+# the record whose fields are a command's columns
+RECORDS = {"scan-wieferich": scans.ScanRecord, "abc-quality": abcaudit.SquarefullRow}
+
+
 @pytest.mark.parametrize("section", ["scan-wieferich", "scan-prational", "abc-quality"])
 def test_column_table_lists_the_golden_header(section):
     documented = re.findall(r"^\| `([^`]+)` \|", _section(section), re.MULTILINE)
@@ -49,6 +53,16 @@ def test_column_table_lists_the_golden_header(section):
         if not path.read_text().startswith("#")   # a payload without rows has no header
     }
     assert [header.split(",") for header in headers] == [documented]
+    if section in RECORDS:
+        assert tuple(documented) == RECORDS[section]._fields
+
+
+def test_abc_factor_status_cell_lists_the_row_statuses():
+    """A row's factorization is merged from searched pieces, so it is never
+    TRIAL: its status is complete or partial."""
+    cell = _reason_cell("abc-quality", "factor_status")
+    documented = set(re.findall(r"`([^`]+)`", cell))
+    assert documented == {factorint.Status.COMPLETE.value, factorint.Status.PARTIAL.value}
 
 
 def test_every_cli_option_is_documented():

@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from prational import factorint
+from prational.abcaudit import unit_triple
 from prational.factorint import (
     FactorCache,
     Status,
@@ -16,12 +17,25 @@ from prational.factorint import (
     is_prime,
     merge_factorizations,
     primes,
-    radical_of_ideal,
     sieve,
 )
 from prational.polyarith import IntPoly, cyclotomic, hensel_lift, power_poly, resultant
 from prational.quadfield import QuadInt, Splitting, make_field, split_prime
 from trial_division import PRIMES, SMALL_PRIMES, trial_divide as trial_divide_by_remainders
+
+
+def norm_parts(split):
+    """The products of N(P)**v over the entries of valuation 1 and of
+    valuation >= 2: the squarefree and squarefull norms."""
+    return (
+        math.prod(P.norm for P, v in split.entries if v == 1),
+        math.prod(P.norm ** v for P, v in split.entries if v > 1),
+    )
+
+
+def radical(split):
+    """Product of N(P) over the prime ideals of the split."""
+    return math.prod(P.norm for P, _ in split.entries)
 
 
 def next_prime_from(n):
@@ -433,17 +447,22 @@ class TestIdealValuations:
         assert split.status is Status.COMPLETE
         kinds = sorted((P.p, P.splitting.value, v) for P, v in split.entries)
         assert kinds == [(2, "ramified", 1), (7, "split", 1)]
-        assert split.squarefree_norm == 14 and split.squarefull_norm == 1
+        assert norm_parts(split) == (14, 1)
 
     def test_split_rational_prime(self, field2):
         split = ideal_valuations(field2, QuadInt(field2, 7, 0))
         assert sorted(v for _, v in split.entries) == [1, 1]
-        assert split.squarefree_norm == 49
+        assert norm_parts(split) == (49, 1)
+        # p and q above the trial bound: the trial phase lists neither, and the
+        # split carries its status
+        p = next_prime_from(10 ** 9 + 7)
+        q = next_prime_from(10 ** 10 + 19)
+        assert ideal_valuations(field2, QuadInt(field2, p * q, 0), trial=True) == ((), Status.TRIAL)
 
     def test_unit_input(self, field2, eps2):
         split = ideal_valuations(field2, eps2)
-        assert split.entries == ()
-        assert (split.squarefree_norm, split.squarefull_norm) == (1, 1)
+        assert split == ((), Status.COMPLETE)
+        assert norm_parts(split) == (1, 1)
 
     def test_rejects_zero(self, field2):
         with pytest.raises(ValueError):
@@ -501,7 +520,7 @@ class TestIdealValuations:
                 count += 1
             assert count == e
         assert n == 1
-        assert split.squarefree_norm * split.squarefull_norm == abs(alpha.norm())
+        assert math.prod(norm_parts(split)) == abs(alpha.norm())
 
 
 class TestRadical:
@@ -511,20 +530,11 @@ class TestRadical:
         alpha = (w - 3) ** 2
         split = ideal_valuations(field2, alpha)
         assert [v for _, v in split.entries] == [2]
-        assert radical_of_ideal(split) == 7
+        assert radical(split) == 7
 
     def test_example(self, field2, eps2):
         split = ideal_valuations(field2, eps2 ** 3 - 1)
-        assert radical_of_ideal(split) == 14
-
-    def test_partial_raises(self, field2):
-        p = next_prime_from(10 ** 9 + 7)
-        q = next_prime_from(10 ** 10 + 19)
-        alpha = QuadInt(field2, p * q, 0)
-        split = ideal_valuations(field2, alpha, trial=True)
-        assert split.status is Status.TRIAL   # budget 0: the trial phase only
-        with pytest.raises(ArithmeticError, match="^radical needs a complete factorization$"):
-            radical_of_ideal(split)
+        assert radical(split) == 14
 
     @given(st.integers(-40, 40), st.integers(-40, 40))
     def test_radical_divides_norm(self, x, y):
@@ -534,24 +544,24 @@ class TestRadical:
             return
         split = ideal_valuations(F, alpha)
         if split.status is Status.COMPLETE:
-            assert abs(alpha.norm()) % radical_of_ideal(split) == 0
+            assert abs(alpha.norm()) % radical(split) == 0
 
 
 class TestUnitPowerSplits:
     def test_n3(self, field2, eps2):
-        split = ideal_valuations(field2, eps2 ** 3 - 1)
-        assert (split.squarefree_norm, split.squarefull_norm) == (14, 1)
+        row = unit_triple(field2, eps2, 3, FactorCache())
+        assert (row.squarefree_norm, row.squarefull_norm) == (14, 1)
 
     def test_n1(self, field2, eps2):
-        split = ideal_valuations(field2, eps2 - 1)
-        assert (split.squarefree_norm, split.squarefull_norm) == (2, 1)
+        row = unit_triple(field2, eps2, 1, FactorCache())
+        assert (row.squarefree_norm, row.squarefull_norm) == (2, 1)
 
     def test_conservation(self, field2, eps2):
         for n in range(1, 16):
-            split = ideal_valuations(field2, eps2 ** n - 1)
-            assert split.status is Status.COMPLETE
+            row = unit_triple(field2, eps2, n, FactorCache())
+            assert row.factor_status == Status.COMPLETE.value
             norm = abs((eps2 ** n - 1).norm())
-            assert split.squarefree_norm * split.squarefull_norm == norm
+            assert row.squarefree_norm * row.squarefull_norm == row.norm_total == norm
 
     def test_norm_product_over_divisors(self, field2, eps2):
         for n in range(1, 61):
@@ -570,10 +580,9 @@ class TestUnitPowerSplits:
 
 class TestCyclotomicValueSplits:
     def test_n3(self, field2, eps2):
-        split = ideal_valuations(field2, cyclotomic(3).evaluate(eps2))
-        value = split.element
+        value = cyclotomic(3).evaluate(eps2)
         assert (value.x, value.y) == (5, 3)
-        assert (split.squarefree_norm, split.squarefull_norm) == (7, 1)
+        assert norm_parts(ideal_valuations(field2, value)) == (7, 1)
 
     def test_squarefull_part_divides(self, field2, eps2):
         # valuation-wise: wherever the cyclotomic value is squarefull, the

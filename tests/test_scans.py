@@ -534,7 +534,7 @@ def test_open_rows_are_settled_when_no_cofactor_prime_can_qualify():
 
 
 def test_records_are_immutable_tuples(field2, eps2, constants2):
-    """One value of each of the 13 record types: a tuple whose fields refuse
+    """One value of each of the 12 record types: a tuple whose fields refuse
     assignment and which takes no new attribute."""
     from prational import abcaudit
 
@@ -551,11 +551,11 @@ def test_records_are_immutable_tuples(field2, eps2, constants2):
         split_prime(field2, 7)[0],
         rows[0],
         count_report(rows, constants2, int(constants2.norm_base ** 7) + 1, 7),
-        abcaudit.height(field2, eps2, field2.one(), eps2 + 1),
+        abcaudit.height(eps2),
         abcaudit.unit_triple(field2, eps2, 3, FactorCache()),
         abcaudit.squarefull_report(field2, eps2, 3, FactorCache())[0],
     ]
-    assert len({type(s) for s in samples}) == 13
+    assert len({type(s) for s in samples}) == 12
     for s in samples:
         assert isinstance(s, tuple)
         name = s._fields[0]
