@@ -129,7 +129,7 @@ def unit_power_factorizations(
         if norm == 1:
             pieces[n] = _UNIT_NORM
         else:
-            pieces[n] = factor(norm, table, order=n, degree=2)
+            pieces[n] = factor(norm, table, order=n, degree=2, sign=u.norm(), disc=u.field.disc)
             table.counts["factored"] += 1
         yield n, alpha, merge_factorizations([*below, pieces[n]])
 

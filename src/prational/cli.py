@@ -592,7 +592,7 @@ def main(argv: list[str] | None = None) -> int:
         return code
     # the class sets the exit code: an ArithmeticError or a MemoryError exits
     # 3, a ValueError 2
-    except ArithmeticError as exc:   # also an OverflowError: an --X too large to sieve
+    except ArithmeticError as exc:   # also an OverflowError, and primes() refusing an --X of 2^56 or more
         _log(f"error: {exc}")
         return EXIT_COMPUTE
     except MemoryError as exc:   # an --X whose base sieve does not fit in memory

@@ -13,10 +13,11 @@ more distinct primes, all above the bound, it stays an open cofactor (status
 TRIAL).  The search then runs on that cofactor: Brent-cycle Pollard rho
 capped at _RHO_CAP iterations per composite (enough for factors up to about
 30 bits), then elliptic-curve (ECM) curves.  For the norm of Phi_n(v), v a
-unit, trial division tries only the primes that can divide it (2, 3, those
-of n and those of a few classes mod n, see _admitted_classes), so it lists
-what one ``%`` per prime in increasing order would, and the search gets the
-composite that loop would leave.  One budget, ``rho_budget``, counted in rho iterations, covers the search: each curve is
+unit, trial division tries only the primes that can divide it: 2, 3, those
+of n and those of the few classes that the residue degrees, the sign of N(v)
+and, in a quadratic field, the character of its discriminant allow (see
+_admitted_classes).  So it lists what one ``%`` per prime in increasing
+order would, and the search gets the composite that loop would leave.  One budget, ``rho_budget``, counted in rho iterations, covers the search: each curve is
 charged _ECM_CURVE_COST, about its time in rho iterations, and runs only
 while that much budget is left, so ``rho_budget=0`` means the trial phase
 only; a caller that needs only the small primes (the Wieferich scans) asks
@@ -54,6 +55,7 @@ from .quadfield import (
     QuadField,
     QuadInt,
     Splitting,
+    kronecker_odd_prime,
     split_prime,
 )
 from .polyarith import iroot
@@ -76,6 +78,7 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 _SEGMENT = 1 << 17   # odd numbers per segment of primes()
+_SIEVE_CAP = 1 << 27   # bytes of primes()'s base sieve: limits below 4 * _SIEVE_CAP**2 = 2**56
 
 
 def _cross_off(flags: bytearray, lo: int, base) -> bytearray:
@@ -120,7 +123,11 @@ def primes(limit: int) -> Iterator[int]:
     _SEGMENT odd numbers at a time by the odd primes up to sqrt(limit)
     (Bays and Hudson, BIT 17, 1977), so memory stays flat in limit.  Those
     base primes are sieved before the first prime is asked for, so a limit
-    whose square root is too large to sieve fails here."""
+    whose base sieve does not fit in memory fails here; one whose sieve would
+    pass _SIEVE_CAP bytes, 2**56 (about 7.2e16) or more, which would take
+    centuries to classify at 75,000 primes a second, is refused before it."""
+    if limit >= 4 * _SIEVE_CAP ** 2:
+        raise ArithmeticError("primes up to 2^56 or more are refused: their base sieve would take 2^27 bytes or more")
     base_flags = _odd_flags(math.isqrt(max(limit, 0)))
     base = list(_flagged(base_flags))
     end = (limit + 1) // 2   # the index of the first odd number above limit
@@ -147,31 +154,63 @@ def _large_flags() -> bytearray:
 
 
 @functools.cache
-def _admitted_classes(order: int, degree: int) -> tuple[int, tuple[int, ...]]:
-    """(m, the residues mod m = lcm(6, order) prime to 6 of the primes p
-    that can divide the norm of Phi_order(v), v a unit of degree ``degree``,
-    apart from those of ``order``).  Such a p has a prime P | Phi_order(v) of
-    some residue degree f, v has order ``order`` mod P, and so r = p mod
-    ``order`` has r**f = 1 when f < degree; when f = degree, p is inert and
-    v**(1 + p + ... + p**(f-1)) = N(v) = +-1 mod P, so 2*(1 + r + ... +
-    r**(f-1)) = 0.  Order 1 admits every prime; _trial_divide tries 2 and 3
-    apart."""
-    m = math.lcm(6, order)
-    classes = []
-    for r in range(order):
-        if math.gcd(r, order) > 1:
-            continue
-        rf = [pow(r, f, order) for f in range(degree)]   # r**f mod order, f < degree
-        if 1 % order in rf[1:] or 2 * sum(rf) % order == 0:
-            classes += [c for c in range(r, m, order) if c % 2 and c % 3]
+def _admitted_classes(order: int, degree: int, sign: int = 0, disc: int = 0) -> tuple[int, tuple[int, ...]]:
+    """(m, the classes mod m, prime to m, of the primes p that can divide the
+    norm of Phi_order(v), v a unit of degree ``degree`` and norm ``sign``
+    (0: unknown), apart from 2, 3 and those of ``order``).  Such a p has a
+    prime P | Phi_order(v) of some residue degree f, and v has order
+    ``order`` mod P, so r = p mod ``order`` has r**f = 1 when f < degree.
+    When f = degree, p is inert and v**s = N(v) mod P for s = 1 + p + ... +
+    p**(f-1), so s = 1 + r + ... + r**(f-1) has s = 0 (mod order) when N(v)
+    = 1, and 2*s = 0 != s when N(v) = -1.  At degree 2 these residues are 1
+    (p split or ramified) and -1 or order/2 - 1 (p inert); and when the field
+    discriminant ``disc`` divides lcm(24, order), m = lcm(6, order, disc)
+    and a class c keeps a split residue only where (disc|c) = 1 and an inert
+    one only where (disc|c) = -1 (Carmichael, Ann. of Math. 15, 1913).  The
+    ramified primes then divide 6*order, and are tried apart.  Order 1 and
+    sign 0 admit every prime."""
+    m, pairs = math.lcm(6, order), None
+    if degree == 2:
+        inert = {-1 % order} if sign >= 0 else set()
+        if sign <= 0 and order % 2 == 0:
+            inert.add(order // 2 - 1)
+        residues = [r for r in sorted({1 % order, *inert}) if math.gcd(r, order) == 1]
+        if disc and math.lcm(24, order) % disc == 0:
+            m = math.lcm(m, disc)
+            pairs = {(1 % order, 1), *((r, -1) for r in inert)}   # (r, (disc|p)) of p split, p inert
+    else:
+        residues = []
+        for r in range(order):
+            if math.gcd(r, order) > 1:
+                continue
+            rf = [pow(r, f, order) for f in range(degree)]   # r**f mod order, f < degree
+            s = sum(rf) % order
+            if 1 % order in rf[1:] or 2 * s % order == 0 and (sign == 0 or (s == 0) == (sign > 0)):
+                residues.append(r)
+    classes = [
+        c
+        for r in residues
+        for c in range(r, m, order)
+        if c % 2 and c % 3 and (pairs is None or (r, _character(disc, c)) in pairs)
+    ]
     return m, tuple(classes)
 
 
-def _trial_divide(a: int, found: dict[int, int], order: int = 1, degree: int = 1) -> int:
+def _character(disc: int, c: int) -> int:
+    """(disc|c) for c < 10**12 odd and prime to disc: the product of (disc|q) over the primes q of c."""
+    found: dict[int, int] = {}
+    _trial_divide(c, found)
+    return math.prod(kronecker_odd_prime(disc, q) ** e for q, e in found.items())
+
+
+def _trial_divide(
+    a: int, found: dict[int, int], order: int = 1, degree: int = 1, sign: int = 0, disc: int = 0
+) -> int:
     """Divide out of a, into ``found``, the primes up to _TRIAL_BOUND (up to
     1000 when a < _TRIAL_BOUND) that can divide the norm of Phi_order(v), v a
-    unit of degree ``degree`` (every prime at order 1): 2, 3, those of
-    ``order`` and those of _admitted_classes, each class up to the square
+    unit of degree ``degree``, norm ``sign`` and field discriminant ``disc``
+    (every prime at order 1 and sign 0): 2, 3, those of ``order`` and those
+    of _admitted_classes, each class up to the square
     root of what is left.  That then has at most one prime of the flags,
     once, and only when it is that prime, so below the square of the largest
     of them it is 1 or prime, as one ``%`` per prime in increasing order
@@ -183,7 +222,7 @@ def _trial_divide(a: int, found: dict[int, int], order: int = 1, degree: int = 1
         while a % p == 0:
             a //= p
             found[p] = found.get(p, 0) + 1
-    m, classes = _admitted_classes(order, degree)
+    m, classes = _admitted_classes(order, degree, sign, disc)
     for c in classes:
         i = c // 2   # flags[i] stands for the next number of the class to try
         while (limit := min(top, math.isqrt(a))) > 2 * i:
@@ -481,7 +520,13 @@ class FactorCache:
 
 
 def factor(
-    n: int, table: FactorCache | None = None, trial: bool = False, order: int = 1, degree: int = 1
+    n: int,
+    table: FactorCache | None = None,
+    trial: bool = False,
+    order: int = 1,
+    degree: int = 1,
+    sign: int = 0,
+    disc: int = 0,
 ) -> Factorization:
     """Factor n >= 1 under the budget and seed of ``table`` (a fresh
     FactorCache when None); the composite leftover (if the budget runs out)
@@ -490,8 +535,9 @@ def factor(
     The trial phase is everything before the first rho iteration: trial
     division up to 10**6, then the primality test and the perfect-power
     check on what is left; it depends on n alone.  For n the norm of
-    Phi_order(v), v a unit of degree ``degree``, trial division tries only
-    the primes that can divide n, with the same result (see _trial_divide).
+    Phi_order(v), v a unit of degree ``degree`` and norm ``sign`` in a field
+    of discriminant ``disc`` (0 where unknown), trial division tries only the
+    primes that can divide n, with the same result (see _trial_divide).
     With ``trial=True`` (or a budget of 0) only it runs, and the result is
     COMPLETE or TRIAL: a TRIAL cofactor is unsearched, its primes all exceed
     10**6, and the listed exponents are exact.  The search (rho, then ECM) starts from the
@@ -513,7 +559,7 @@ def factor(
     fact = table.lookup(n)
     if fact is None:
         found: dict[int, int] = {}
-        m, mult = _reduce(_trial_divide(n, found, order, degree), 1, found)
+        m, mult = _reduce(_trial_divide(n, found, order, degree, sign, disc), 1, found)
         status = Status.TRIAL if m > 1 else Status.COMPLETE
         fact = Factorization(n, tuple(sorted(found.items())), m ** mult, status)
         table.record(fact)
@@ -564,18 +610,23 @@ class IdealSplit(NamedTuple):
 
 
 def ideal_valuations(
-    F: QuadField, alpha: QuadInt, table: FactorCache | None = None, trial: bool = False, order: int = 1
+    F: QuadField,
+    alpha: QuadInt,
+    table: FactorCache | None = None,
+    trial: bool = False,
+    order: int = 1,
+    sign: int = 0,
 ) -> IdealSplit:
     """Factor (alpha) into prime-ideal powers via the norm factorization,
-    ``factor(|N(alpha)|, table, trial, order, 2)``: when alpha is
-    Phi_order(v) for a unit v, trial division tries only the primes that can
-    divide its norm."""
+    ``factor(|N(alpha)|, table, trial, order, 2, sign, F.disc)``: when alpha
+    is Phi_order(v) for a unit v of norm ``sign``, trial division tries only
+    the primes that can divide its norm."""
     if alpha.is_zero():
         raise ValueError("alpha must be nonzero")
     n = alpha.norm()
     if abs(n) == 1:
         return IdealSplit((), Status.COMPLETE)
-    return ideal_split(F, alpha, factor(abs(n), table, trial, order, 2))
+    return ideal_split(F, alpha, factor(abs(n), table, trial, order, 2, sign, F.disc))
 
 
 def ideal_split(F: QuadField, alpha: QuadInt, fact: Factorization) -> IdealSplit:

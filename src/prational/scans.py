@@ -233,7 +233,7 @@ def wieferich_scan(
         records.append(
             _scan_row(
                 n, abs(value.norm()),
-                lambda trial: ideal_valuations(F, value, table, trial, n),
+                lambda trial: ideal_valuations(F, value, table, trial, n, v.norm()),
                 lambda split: chosen_ideal(split, n),
                 gamma, table,
             )
@@ -368,6 +368,7 @@ def generic_unit_scan(
     if disc_g == 0:
         raise ValueError("powered unit has repeated conjugates; use a different power or unit")
     gamma = constants.norm_base
+    sign = (-1) ** g.degree() * g.coeffs[0]   # N(v), the product of the roots of g
 
     def first_prime(fact, n, r_full):
         p = next(
@@ -395,7 +396,7 @@ def generic_unit_scan(
         records.append(
             _scan_row(
                 n, r_cyclo,
-                lambda trial: factor(r_cyclo, table, trial, n, g.degree()),
+                lambda trial: factor(r_cyclo, table, trial, n, g.degree(), sign),
                 lambda fact: first_prime(fact, n, r_full),
                 gamma, table,
             )

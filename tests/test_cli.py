@@ -168,6 +168,7 @@ def test_field_info_answers_fields_a_search_bound_refused(d, tmp_path):
 
 
 _CAP_ERROR = "error: disc = 4000012 exceeds the certified class-number bound; pass the class number explicitly\n"
+_SIEVE_CAP_ERROR = "error: primes up to 2^56 or more are refused: their base sieve would take 2^27 bytes or more\n"
 
 
 @pytest.mark.parametrize(
@@ -183,7 +184,7 @@ def test_commands_that_never_read_h_take_any_discriminant(argv, tmp_path):
 @pytest.mark.parametrize(
     "argv, error",
     [
-        (["scan-prational", "--d", "2", "--X", "1e40"], "error: cannot fit 'int' into an index-sized integer\n"),
+        (["scan-prational", "--d", "2", "--X", "1e40"], _SIEVE_CAP_ERROR),
         (["scan-prational", "--d", "1000003", "--X", "100"], _CAP_ERROR),
         (["field-info", "--d", "1000003"], _CAP_ERROR),
     ],
@@ -217,24 +218,30 @@ def test_a_class_number_beyond_the_cap_is_taken_as_given(tmp_path):
     assert "7,excluded,divides_class_number,\"\"\n" in payload.splitlines(keepends=True)
 
 
-def test_bound_too_large_to_sieve_is_a_compute_error(tmp_path):
-    # the base sieve of the odd numbers up to 10**20 cannot be indexed
-    argv = ["scan-prational", "--d", "2", "--X", "1e40", "--out", str(tmp_path / "out")]
-    assert cli.main(argv) == cli.EXIT_COMPUTE
+def test_bound_too_large_to_sieve_is_a_compute_error(monkeypatch, capsys, tmp_path):
+    # the base sieve of the odd numbers up to sqrt(X) would take 2**27 bytes
+    # or more; it is refused before anything is sieved
+    monkeypatch.setattr(factorint, "_odd_flags", None)   # any call fails
+    for X in (str(2 ** 56), "1e40", "1e4299"):
+        argv = ["scan-prational", "--d", "2", "--X", X, "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == cli.EXIT_COMPUTE
+        assert capsys.readouterr() == ("", _SIEVE_CAP_ERROR)
+    assert list(tmp_path.iterdir()) == []
 
 
-def _limit_address_space_to_1_gib():   # in the child, before it runs Python
-    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def _limit_address_space_to_96_mib():   # in the child, before it runs Python
+    resource.setrlimit(resource.RLIMIT_AS, (96 << 20, 96 << 20))
 
 
 def test_bound_whose_sieve_does_not_fit_in_memory_is_a_compute_error(tmp_path):
-    # the base sieve of the odd numbers up to 10**10 takes 5 GB; the command
-    # runs only under the limit, so it never asks the host for that
+    # the base sieve of the odd numbers up to sqrt(7e16), below the cap,
+    # takes 132 MB; the command runs only under the limit, so it never asks
+    # the host for that
     out = tmp_path / "out"
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    argv = [sys.executable, "-m", "prational", "scan-prational", "--d", "2", "--X", "1e20", "--out", str(out)]
+    argv = [sys.executable, "-m", "prational", "scan-prational", "--d", "2", "--X", "7e16", "--out", str(out)]
     proc = subprocess.run(
-        argv, capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_address_space_to_1_gib
+        argv, capture_output=True, text=True, env=env, timeout=60, preexec_fn=_limit_address_space_to_96_mib
     )
     assert proc.returncode == cli.EXIT_COMPUTE
     assert proc.stderr == "error: out of memory\n"
@@ -516,6 +523,28 @@ def test_warm_run_on_a_corrupt_cache_matches_the_cold_run(capsys, tmp_path):
     capsys.readouterr()
     assert run_cli(argv, tmp_path / "warm") == expected
     assert re.findall(r" line (\d+) corrupt", capsys.readouterr().err) == ["6", "16", "26"]
+
+
+def test_cache_lines_are_what_trial_division_by_every_prime_gives(tmp_path):
+    """The scans trial-divide by the primes that the unit's norm and the
+    field's character admit.  Each line that a cold run writes answers later
+    runs, so its trial phase must be what trying every prime gives, and a
+    complete line must be the factorization."""
+    scan = ["scan-wieferich", "--d", "2", "--n-max", "70"]
+    runs = [scan, [*scan, "--factor-budget", "0"], ["abc-quality", "--d", "2", "--n-max", "40"]]
+    for i, argv in enumerate(runs):   # at budget 0 rows 53 and 67 leave trial lines
+        run_cli([*argv, "--cache", str(tmp_path / f"cache{i}.txt")], tmp_path / "out")
+    marks = Counter()
+    for line in [line for i in range(len(runs)) for line in (tmp_path / f"cache{i}.txt").read_text().splitlines()]:
+        value, factors, cofactor, *mark = line.split("\t")
+        marks[tuple(mark)] += 1
+        pairs = tuple(tuple(map(int, item.split("^"))) for item in factors.split(",") if item)
+        status = factorint.Status.TRIAL if mark else factorint.Status.COMPLETE
+        entry = factorint.Factorization(int(value), pairs, int(cofactor), status)
+        assert factorint._trial_view(entry) == factorint.factor(entry.value, trial=True), line
+        if not mark:
+            assert entry == factorint.factor(entry.value), line
+    assert marks[("trial",)] > 0 and marks[()] > marks[("trial",)]
 
 
 def test_warm_run_on_a_cache_of_reordered_factors_matches_the_cold_run(capsys, tmp_path):

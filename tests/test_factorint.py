@@ -21,6 +21,7 @@ from prational.factorint import (
 )
 from prational.polyarith import IntPoly, cyclotomic, hensel_lift, power_poly, resultant
 from prational.quadfield import QuadInt, Splitting, make_field, split_prime
+from admitted_classes import admitted_classes
 from trial_division import PRIMES, SMALL_PRIMES, trial_divide as trial_divide_by_remainders
 
 
@@ -65,6 +66,21 @@ def test_primes_are_the_odd_primes_up_to_the_limit(limits):
     odd = list(sympy.primerange(3, max(limits) + 1))
     for limit in limits:
         assert list(primes(limit)) == odd[: bisect.bisect_right(odd, limit)], limit
+
+
+def test_primes_refuses_a_base_sieve_of_2_to_the_27_bytes_before_sieving(monkeypatch):
+    def record(limit):
+        sieved.append(limit)
+        return bytearray()
+
+    sieved = []
+    monkeypatch.setattr(factorint, "_odd_flags", record)
+    for limit in (2 ** 56, 10 ** 40):
+        with pytest.raises(ArithmeticError, match=r"^primes up to 2\^56 or more are refused"):
+            primes(limit)
+    assert sieved == []
+    primes(2 ** 56 - 1)
+    assert sieved == [2 ** 28 - 1]   # (2**28 - 1 + 1) // 2 = 2**27 bytes
 
 
 class TestIsPrime:
@@ -282,42 +298,85 @@ def trial_divide_by_gcd(a, found):
 
 @functools.cache
 def _cyclotomic_norms():
-    """(n, degree, a): a = |N(Phi_n(u**k))| for the fundamental unit u of
-    Q(sqrt(d)), and a = |Res(Phi_n, g)| for g the minimal polynomial of a
-    cubic unit or of its square; then two integers whose leftover is a prime
-    in [999983**2, 10**12), which no prime up to 10**6 divides."""
+    """(n, degree, sign, disc, a): a = |N(Phi_n(v))| for v = u**k, u the
+    fundamental unit of Q(sqrt(d)) of discriminant disc, and a =
+    |Res(Phi_n, g)| for g the minimal polynomial of v, a cubic unit or its
+    square (disc 0), with sign = N(v); then two integers whose leftover is a
+    prime in [999983**2, 10**12), which no prime up to 10**6 divides.  N(u)
+    is -1 for d = 2, 5, 13, 101 and for x**3 - x + 1."""
     out = []
     for d in (2, 3, 5, 13, 94, 101):
-        u = make_field(d).fundamental_unit
+        F = make_field(d)
         for k in (1, 2, 3):
-            out += [(n, 2, abs(cyclotomic(n).evaluate(u ** k).norm())) for n in range(1, 121)]
-    for f in (IntPoly.of(-1, -1, 0, 1), IntPoly.of(-1, -2, 1, 1), IntPoly.of(-1, -3, 0, 1), IntPoly.of(-1, -4, 0, 1)):
+            v = F.fundamental_unit ** k
+            out += [(n, 2, v.norm(), F.disc, abs(cyclotomic(n).evaluate(v).norm())) for n in range(1, 121)]
+    for f in (
+        IntPoly.of(-1, -1, 0, 1),
+        IntPoly.of(1, -1, 0, 1),
+        IntPoly.of(-1, -2, 1, 1),
+        IntPoly.of(-1, -3, 0, 1),
+        IntPoly.of(-1, -4, 0, 1),
+    ):
         for k in (1, 2):
-            out += [(n, 3, abs(resultant(cyclotomic(n), power_poly(f, k)))) for n in range(1, 61)]
-    return out + [(110, 2, 12 * sympy.prevprime(10 ** 12)), (7, 3, sympy.nextprime(PRIMES[-1] ** 2))]
+            g = power_poly(f, k)
+            out += [(n, 3, -g.coeffs[0], 0, abs(resultant(cyclotomic(n), g))) for n in range(1, 61)]
+    return out + [(110, 2, 1, 8, 12 * sympy.prevprime(10 ** 12)), (7, 3, 1, 0, sympy.nextprime(PRIMES[-1] ** 2))]
+
+
+class TestAdmittedClasses:
+    """_admitted_classes builds the residues of degree 2 directly, and keeps
+    the classes of a quadratic character; the oracle tests every residue."""
+
+    def test_degree_2_matches_every_residue(self):
+        for order in range(1, 2001):
+            for sign in (1, -1):
+                for disc in (5, 8, 12, 13, 24, 28, 376):
+                    m, classes = factorint._admitted_classes(order, 2, sign, disc)
+                    assert (m, tuple(sorted(classes))) == admitted_classes(order, 2, sign, disc), (order, sign, disc)
+
+    @pytest.mark.parametrize("degree", [3, 4, 5, 6])
+    def test_higher_degrees_match_every_residue(self, degree):
+        for order in range(1, 301):
+            for sign in (1, -1, 0):
+                m, classes = factorint._admitted_classes(order, degree, sign)
+                assert (m, tuple(sorted(classes))) == admitted_classes(order, degree, sign), (order, sign)
+
+    def test_the_character_applies_where_disc_divides_lcm_24_n(self):
+        assert factorint._admitted_classes(10, 2, -1, 5)[0] == 30
+        assert factorint._admitted_classes(12, 2, -1, 5)[0] == 12   # 5 does not divide lcm(24, 12)
+        assert factorint._admitted_classes(1, 2, -1, 8) == (24, (1, 7, 17, 23))   # split: p = +-1 mod 8
+        assert factorint._admitted_classes(1, 2, 0, 0) == (6, (1, 5))   # every prime
 
 
 class TestCyclotomicNorms:
     """A prime p not dividing n that divides the norm of Phi_n(v), v a unit
     of degree f, has p**e = 1 mod n for some residue degree e < f, or is
-    inert with 2*(1 + p + ... + p**(f-1)) = 0 mod n, so trial division tries
-    only those primes, and those of n."""
+    inert with s = 1 + p + ... + p**(f-1) = 0 mod n when N(v) = 1, and 2*s =
+    0 != s mod n when N(v) = -1; at degree 2 it is split, (disc|p) = 1, or
+    inert, (disc|p) = -1.  So trial division tries only those primes, and
+    those of n, 2 and 3."""
 
     def test_the_classes_miss_no_prime(self):
         norms = _cyclotomic_norms()
-        assert any(a % p == 0 for n, _, a in norms for p in sympy.primefactors(n) if p >= 5)
+        assert any(a % p == 0 for n, *_, a in norms for p in sympy.primefactors(n) if p >= 5)
+        assert {sign for _, _, sign, *_ in norms} == {1, -1}
+        # at sign -1 the character applies with disc 8, and with disc 5, 13 and 101 where they divide n
+        assert {disc for n, _, sign, disc, _ in norms if sign < 0 and disc and math.lcm(24, n) % disc == 0} == {
+            5, 8, 13, 101
+        }
         leftovers = []
-        for n, degree, a in norms:
+        for n, degree, sign, disc, a in norms:
             want, got = {}, {}
-            leftovers.append(factorint._trial_divide(a, got, n, degree))
+            leftovers.append(factorint._trial_divide(a, got, n, degree, sign, disc))
             assert leftovers[-1] == trial_divide_by_gcd(a, want), (n, degree, a)
             assert got == want, (n, degree, a)
         assert any(PRIMES[-1] ** 2 <= r < 10 ** 12 for r in leftovers)
 
     def test_a_sample_matches_every_prime_and_one_remainder_per_prime(self):
-        for n, degree, a in [*_cyclotomic_norms()[::31], *_cyclotomic_norms()[-2:]]:
+        for n, degree, sign, disc, a in [*_cyclotomic_norms()[::31], *_cyclotomic_norms()[-2:]]:
             results = []
             for divide in (
+                functools.partial(factorint._trial_divide, order=n, degree=degree, sign=sign, disc=disc),
                 functools.partial(factorint._trial_divide, order=n, degree=degree),
                 factorint._trial_divide,
                 trial_divide_by_remainders,
@@ -328,9 +387,10 @@ class TestCyclotomicNorms:
             assert results[1:] == results[:-1], (n, degree, a)
 
     def test_factor_matches_sympy_on_a_sample(self):
-        sample = [(n, degree, a) for n, degree, a in _cyclotomic_norms() if a < 10 ** 30][::5]
-        for n, degree, a in sample:
-            assert dict(factor(a, order=n, degree=degree).factors) == sympy.factorint(a), (n, degree, a)
+        sample = [norm for norm in _cyclotomic_norms() if norm[-1] < 10 ** 30][::5]
+        for n, degree, sign, disc, a in sample:
+            fact = factor(a, order=n, degree=degree, sign=sign, disc=disc)
+            assert dict(fact.factors) == sympy.factorint(a), (n, degree, a)
 
 
 def count_searches(monkeypatch):
