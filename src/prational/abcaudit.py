@@ -24,7 +24,7 @@ from .factorint import (
     merge_factorizations,
 )
 from .numerics import ln
-from .quadfield import QuadField, QuadInt
+from .quadfield import QuadInt
 
 
 class Height(NamedTuple):
@@ -71,11 +71,11 @@ def height(a: QuadInt) -> Height:
     return Height(value=(lo + hi) / 2, width=hi - lo)
 
 
-def _row(F: QuadField, n: int, alpha: QuadInt, fact: Factorization) -> SquarefullRow:
+def _row(n: int, alpha: QuadInt, fact: Factorization) -> SquarefullRow:
     """The row of level n from alpha = u**n - 1 and ``fact``, the
     factorization of |N(alpha)|.  Units contribute nothing to the radical,
     so Rad((alpha * 1 * (alpha + 1))) is the radical of (alpha)."""
-    split = ideal_split(F, alpha, fact)
+    split = ideal_split(alpha, fact)
     squarefree = squarefull = radical = 1
     for P, v in split.entries:
         radical *= P.norm
@@ -91,12 +91,12 @@ def _row(F: QuadField, n: int, alpha: QuadInt, fact: Factorization) -> Squareful
     return SquarefullRow(n, squarefree, squarefull, fact.value, share, quality, split.status.value)
 
 
-def unit_triple(F: QuadField, u: QuadInt, n: int, table: FactorCache) -> SquarefullRow:
+def unit_triple(u: QuadInt, n: int, table: FactorCache) -> SquarefullRow:
     """The row of level n of squarefull_report, for the triple
     (u**n - 1) + 1 = u**n, factored through the Phi_m(u) with m | n only."""
     divisors = [m for m in range(1, n + 1) if n % m == 0]
     *_, (_, alpha, fact) = unit_power_factorizations(u, divisors, table)
-    return _row(F, n, alpha, fact)
+    return _row(n, alpha, fact)
 
 
 _UNIT_NORM = Factorization(1, (), 1, Status.COMPLETE)
@@ -134,9 +134,7 @@ def unit_power_factorizations(
         yield n, alpha, merge_factorizations([*below, pieces[n]])
 
 
-def squarefull_report(
-    F: QuadField, u: QuadInt, n_max: int, table: FactorCache
-) -> list[SquarefullRow]:
+def squarefull_report(u: QuadInt, n_max: int, table: FactorCache) -> list[SquarefullRow]:
     """Table of squarefree/squarefull norm splits of (u**n - 1) for n <= n_max,
     with the quality of the triple (u**n - 1) + 1 = u**n from the same split.
 
@@ -147,4 +145,4 @@ def squarefull_report(
     no bound is asserted on it (the abc inequality is an input, not a fact).
     Partial factorizations are flagged rather than dropped.
     """
-    return [_row(F, *level) for level in unit_power_factorizations(u, range(1, n_max + 1), table)]
+    return [_row(*level) for level in unit_power_factorizations(u, range(1, n_max + 1), table)]

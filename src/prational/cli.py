@@ -321,7 +321,7 @@ def cmd_scan_wieferich(args, out, table) -> int:
     if F is None:
         records = scans.generic_unit_scan(unit, constants, args.n_max, table)
     else:
-        records = scans.wieferich_scan(F, F.fundamental_unit, constants, args.n_max, table)
+        records = scans.wieferich_scan(F.fundamental_unit, constants, args.n_max, table)
     _log(
         f"factoring: {table.counts['settled']} rows settled by trial division below {factorint._TRIAL_BOUND}, "
         f"{table.counts['searched']} searched, {table.counts['partial']} partial"
@@ -336,24 +336,13 @@ def cmd_scan_wieferich(args, out, table) -> int:
         "n_start": constants.n_start,
     }
     if args.X is not None:
-        report = scans.count_report(records, constants, args.X, n_stop)
-        if report.n_start > report.n_stop:
+        window = scans.count_report(records, constants, args.X, n_stop)
+        if window["window_n_start"] > window["window_n_stop"]:
             _log(
-                f"warning: the count window is empty (n_start={report.n_start} > n_stop={report.n_stop}): "
-                "X is below norm_cap_base**n_start"
+                f"warning: the count window is empty (n_start={window['window_n_start']} > "
+                f"n_stop={window['window_n_stop']}): X is below norm_cap_base**n_start"
             )
-        summary.update(
-            {
-                "X": report.limit,
-                "window_n_start": report.n_start,
-                "window_n_stop": report.n_stop,
-                "eligible_n": report.eligible,
-                "successes": report.successes,
-                "distinct_rational_primes": report.distinct_primes,
-                "prime_count_lower_bound": report.prime_lower_bound,
-                "log_density": report.log_density,
-            }
-        )
+        summary.update(window)
     _emit(scans.ScanRecord._fields, records, lambda: summary, args.format, out, "scan-wieferich")
     return EXIT_OK
 
@@ -407,7 +396,7 @@ def cmd_abc_quality(args, out, table) -> int:
     from . import abcaudit
 
     F = _field_from_args(args)
-    report = abcaudit.squarefull_report(F, F.fundamental_unit, args.n_max, table)
+    report = abcaudit.squarefull_report(F.fundamental_unit, args.n_max, table)
     partial = sum(r.factor_status != factorint.Status.COMPLETE.value for r in report)
     _log(f"factoring: {table.counts['factored']} cyclotomic norms factored for {len(report)} rows, {partial} partial")
     if args.strict and partial:

@@ -50,15 +50,8 @@ from collections import Counter
 from collections.abc import Iterator
 from typing import NamedTuple
 
-from .quadfield import (
-    PrimeIdealAboveP,
-    QuadField,
-    QuadInt,
-    Splitting,
-    kronecker_odd_prime,
-    split_prime,
-)
-from .polyarith import iroot
+from .quadfield import PrimeIdealAboveP, QuadInt, Splitting, split_prime
+from .polyarith import iroot, jacobi
 
 _TRIAL_BOUND = 10 ** 6
 _RHO_BUDGET = 4_000_000
@@ -191,16 +184,9 @@ def _admitted_classes(order: int, degree: int, sign: int = 0, disc: int = 0) -> 
         c
         for r in residues
         for c in range(r, m, order)
-        if c % 2 and c % 3 and (pairs is None or (r, _character(disc, c)) in pairs)
+        if c % 2 and c % 3 and (pairs is None or (r, jacobi(disc, c)) in pairs)
     ]
     return m, tuple(classes)
-
-
-def _character(disc: int, c: int) -> int:
-    """(disc|c) for c < 10**12 odd and prime to disc: the product of (disc|q) over the primes q of c."""
-    found: dict[int, int] = {}
-    _trial_divide(c, found)
-    return math.prod(kronecker_odd_prime(disc, q) ** e for q, e in found.items())
 
 
 def _trial_divide(
@@ -610,7 +596,6 @@ class IdealSplit(NamedTuple):
 
 
 def ideal_valuations(
-    F: QuadField,
     alpha: QuadInt,
     table: FactorCache | None = None,
     trial: bool = False,
@@ -618,18 +603,18 @@ def ideal_valuations(
     sign: int = 0,
 ) -> IdealSplit:
     """Factor (alpha) into prime-ideal powers via the norm factorization,
-    ``factor(|N(alpha)|, table, trial, order, 2, sign, F.disc)``: when alpha
-    is Phi_order(v) for a unit v of norm ``sign``, trial division tries only
-    the primes that can divide its norm."""
+    ``factor(|N(alpha)|, table, trial, order, 2, sign, disc)``, disc that of
+    the field of alpha: when alpha is Phi_order(v) for a unit v of norm
+    ``sign``, trial division tries only the primes that can divide its norm."""
     if alpha.is_zero():
         raise ValueError("alpha must be nonzero")
     n = alpha.norm()
     if abs(n) == 1:
         return IdealSplit((), Status.COMPLETE)
-    return ideal_split(F, alpha, factor(abs(n), table, trial, order, 2, sign, F.disc))
+    return ideal_split(alpha, factor(abs(n), table, trial, order, 2, sign, alpha.field.disc))
 
 
-def ideal_split(F: QuadField, alpha: QuadInt, fact: Factorization) -> IdealSplit:
+def ideal_split(alpha: QuadInt, fact: Factorization) -> IdealSplit:
     """The prime-ideal powers of (alpha) above the primes that ``fact``, a
     factorization of |N(alpha)|, lists, with the status of ``fact``.
 
@@ -640,14 +625,14 @@ def ideal_split(F: QuadField, alpha: QuadInt, fact: Factorization) -> IdealSplit
     """
     entries: list[tuple[PrimeIdealAboveP, int]] = []
     for p, e in fact.factors:
-        for P, v in _valuations_above(F, alpha, p, e):
+        for P, v in _valuations_above(alpha, p, e):
             if v > 0:
                 entries.append((P, v))
     return IdealSplit(tuple(entries), fact.status)
 
 
-def _valuations_above(F: QuadField, alpha: QuadInt, p: int, e: int):
-    ideals = split_prime(F, p)
+def _valuations_above(alpha: QuadInt, p: int, e: int):
+    ideals = split_prime(alpha.field, p)
     if ideals[0].splitting is Splitting.RAMIFIED:
         return [(ideals[0], e)]
     if ideals[0].splitting is Splitting.INERT:
@@ -660,4 +645,4 @@ def _valuations_above(F: QuadField, alpha: QuadInt, p: int, e: int):
     x, y, g = alpha.x, alpha.y, 0
     while x % p == 0 and y % p == 0:
         x, y, g = x // p, y // p, g + 1
-    return [(P, g + (e - 2 * g if (x + y * P.root_mod_p()) % p == 0 else 0)) for P in ideals]
+    return [(P, g + (e - 2 * g if (x + y * P.hensel_root) % p == 0 else 0)) for P in ideals]

@@ -12,9 +12,9 @@ remainder sequence so intermediate coefficients stay integral.  IntPoly has
 evaluation and negation but no sum or product: the routines here compute
 on its coefficients.
 
-The integer primitives live here too: integer k-th roots, rational bounds on
-square roots, Hensel lifting of simple roots, and the common root of two
-polynomials mod p.
+The integer primitives live here too: integer k-th roots, the Jacobi symbol,
+rational bounds on square roots, Hensel lifting of simple roots, and the
+common root of two polynomials mod p.
 """
 
 from __future__ import annotations
@@ -291,6 +291,31 @@ def iroot(n: int, k: int) -> int:
         if lower >= t:
             return t
         t = lower
+
+
+def jacobi(a: int, m: int) -> int:
+    """The Jacobi symbol (a|m) for odd m > 0, in {-1, 0, 1}: the Legendre
+    symbol when m is prime, and it factors nothing.  Quadratic reciprocity
+    turns (a|m) into (m|a) after the factors of 2 leave a, each of which
+    gives -1 when m = 3 or 5 (mod 8) (Cohen, A Course in Computational
+    Algebraic Number Theory, GTM 138, alg. 1.4.10).
+
+    >>> jacobi(2, 7), jacobi(5, 21), jacobi(-1, 1)
+    (1, 1, 1)
+    """
+    if m < 1 or m % 2 == 0:
+        raise ValueError(f"the Jacobi symbol needs an odd modulus m > 0, not {m}")
+    a %= m
+    sign = 1
+    while a:
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos % 2 and m % 8 in (3, 5):
+            sign = -sign
+        if a % 4 == 3 and m % 4 == 3:
+            sign = -sign
+        a, m = m % a, a
+    return sign if m == 1 else 0
 
 
 def sqrt_bounds(q: int | Fraction, bits: int) -> tuple[Fraction, Fraction]:

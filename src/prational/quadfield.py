@@ -31,7 +31,7 @@ import functools
 import math
 from typing import NamedTuple
 
-from .polyarith import IntPoly, hensel_lift
+from .polyarith import IntPoly, hensel_lift, jacobi
 
 _CLASS_NUMBER_DISC_CAP = 10 ** 6
 _CF_MAX_STEPS = 100_000   # continued-fraction steps to the fundamental unit
@@ -220,7 +220,8 @@ class PrimeIdealAboveP(NamedTuple):
     """A prime ideal above a rational prime, with its residue data.
 
     ``hensel_root`` is present only when split: the root r of the minimal
-    polynomial of w modulo p**2, so w -> r identifies O/P^2 with Z/p^2.
+    polynomial of w modulo p**2, so w -> r identifies O/P^2 with Z/p^2, and
+    w -> r mod p identifies O/P with Z/p.
     """
 
     p: int
@@ -228,17 +229,6 @@ class PrimeIdealAboveP(NamedTuple):
     residue_degree: int
     norm: int
     hensel_root: int | None = None
-
-    def root_mod_p(self) -> int | None:
-        return None if self.hensel_root is None else self.hensel_root % self.p
-
-    def conjugate(self, F: QuadField) -> "PrimeIdealAboveP":
-        if self.splitting is not Splitting.SPLIT:
-            return self
-        p2 = self.p * self.p
-        return PrimeIdealAboveP(
-            self.p, self.splitting, 1, self.p, (F.t - self.hensel_root) % p2
-        )
 
 
 def _squarefree(n: int) -> bool:
@@ -301,14 +291,6 @@ def minpoly_of(u: QuadInt) -> IntPoly:
     return IntPoly.of(u.norm(), -u.trace(), 1)
 
 
-def kronecker_odd_prime(a: int, p: int) -> int:
-    """Legendre symbol (a|p) for odd prime p, in {-1, 0, 1}."""
-    a %= p
-    if a == 0:
-        return 0
-    return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
-
-
 def sqrt_mod_p(a: int, p: int) -> int:
     """Tonelli-Shanks square root mod an odd prime; a must be a QR."""
     a %= p
@@ -321,7 +303,7 @@ def sqrt_mod_p(a: int, p: int) -> int:
         q //= 2
         s += 1
     z = 2
-    while kronecker_odd_prime(z, p) != -1:
+    while jacobi(z, p) != -1:
         z += 1
     m, c = s, pow(z, q, p)
     t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
@@ -350,20 +332,19 @@ def omega_root_mod_p2(F: QuadField, p: int) -> int:
 
 
 def split_prime(F: QuadField, p: int) -> list[PrimeIdealAboveP]:
-    """Classify p in O_K.  A split p gives the two ideals P, P' sorted by
-    hensel_root: the root r of omega_root_mod_p2 and its conjugate t - r."""
+    """Classify p in O_K: ramified when p | disc, else split when (disc|p) =
+    1 (for p = 2, when d = 1 mod 8).  A split p gives the two ideals P, P'
+    sorted by hensel_root: the root r of omega_root_mod_p2 and the other
+    root t - r."""
     if p < 2:
         raise ValueError("p must be a prime")
     if F.disc % p == 0:
         return [PrimeIdealAboveP(p, Splitting.RAMIFIED, 1, p, None)]
-    if p == 2:
-        split = F.omega_half and F.d % 8 == 1
-    else:
-        split = kronecker_odd_prime(F.disc, p) == 1
+    split = F.d % 8 == 1 if p == 2 else jacobi(F.disc, p) == 1
     if not split:
         return [PrimeIdealAboveP(p, Splitting.INERT, 2, p * p, None)]
-    P = PrimeIdealAboveP(p, Splitting.SPLIT, 1, p, omega_root_mod_p2(F, p))
-    return sorted((P, P.conjugate(F)), key=lambda P: P.hensel_root)
+    r = omega_root_mod_p2(F, p)
+    return [PrimeIdealAboveP(p, Splitting.SPLIT, 1, p, root) for root in sorted((r, (F.t - r) % (p * p)))]
 
 
 def pair_pow(x: int, y: int, e: int, t: int, s: int, mod: int) -> tuple[int, int]:
@@ -381,8 +362,8 @@ def pair_pow(x: int, y: int, e: int, t: int, s: int, mod: int) -> tuple[int, int
     return a, b
 
 
-def unit_pow_mod_p2(F: QuadField, u: QuadInt, e: int, P: PrimeIdealAboveP):
-    """u**e modulo P**2.
+def unit_pow_mod_p2(u: QuadInt, e: int, P: PrimeIdealAboveP):
+    """u**e modulo P**2, P a prime of the field of u.
 
     Split P: an integer class mod p**2 through the Hensel embedding
     w -> hensel_root.  Inert P: P**2 = p**2 O_K, so the coordinate pair
@@ -396,7 +377,7 @@ def unit_pow_mod_p2(F: QuadField, u: QuadInt, e: int, P: PrimeIdealAboveP):
     if P.splitting is Splitting.SPLIT:
         img = (u.x + u.y * P.hensel_root) % p2
         return pow(img, e, p2)
-    return pair_pow(u.x, u.y, e, F.t, F.s, p2)
+    return pair_pow(u.x, u.y, e, u.field.t, u.field.s, p2)
 
 
 def excluded_prime_bound(F: QuadField) -> int:

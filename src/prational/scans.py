@@ -72,15 +72,15 @@ from .polyarith import (
     discriminant,
     euler_phi,
     hensel_lift,
+    jacobi,
     power_poly,
     prem,
     resultant,
 )
-from .quadfield import QuadField, QuadInt, Splitting, excluded_prime_bound, kronecker_odd_prime, minpoly_of
+from .quadfield import QuadField, QuadInt, Splitting, excluded_prime_bound, minpoly_of
 
-# factor_status of a row: how far its integer was factored
-COMPLETE = "complete"
-PARTIAL = "partial"
+# factor_status of a row, how far its integer was factored: a Status value,
+# or this one
 SUFFICIENT = "sufficient"   # the trial phase decided the row; its cofactor is unsearched
 
 SUCCESS = "success"
@@ -94,7 +94,6 @@ EXCLUDED = "excluded"
 P_RATIONAL = "p_rational"
 NON_P_RATIONAL = "non_p_rational"
 
-REASON_GROUP_ORDER = "divides_group_order"
 REASON_RAMIFIED = "ramified"
 REASON_CLASS_NUMBER = "divides_class_number"
 REASON_BELOW_P0 = "below_p0"
@@ -120,17 +119,6 @@ class PRationalityVerdict(NamedTuple):
     verdict: str
     reason: str
     witnesses: tuple[tuple[int, bool], ...]   # (N(P), fermat quotient nonzero)
-
-
-class CountReport(NamedTuple):
-    limit: int
-    n_start: int
-    n_stop: int
-    eligible: int
-    successes: int
-    distinct_primes: int
-    prime_lower_bound: int
-    log_density: float
 
 
 def _settled(fact_status: Status, found: bool, gamma: Fraction, n: int) -> bool:
@@ -165,15 +153,15 @@ def _scan_row(
     chosen = choose(fact)
     if _settled(fact.status, chosen is not None, gamma, n):
         table.counts["settled"] += 1
-        factor_status = SUFFICIENT if fact.status is Status.TRIAL else COMPLETE
+        factor_status = SUFFICIENT if fact.status is Status.TRIAL else Status.COMPLETE.value
     else:
         if table.rho_budget:   # at budget 0 the TRIAL result stands
             table.counts["searched"] += 1
             fact = factorize(False)
         if fact.status is not Status.COMPLETE:
             table.counts["partial"] += 1
-            return ScanRecord(n, cyclo_norm, PARTIAL, *_NO_CHOICE, SKIPPED, REASON_PARTIAL)
-        chosen, factor_status = choose(fact), COMPLETE
+            return ScanRecord(n, cyclo_norm, Status.PARTIAL.value, *_NO_CHOICE, SKIPPED, REASON_PARTIAL)
+        chosen, factor_status = choose(fact), Status.COMPLETE.value
     if chosen is None:
         return ScanRecord(n, cyclo_norm, factor_status, *_NO_CHOICE, NO_QUALIFYING_PRIME)
     return ScanRecord(n, cyclo_norm, factor_status, *chosen, SUCCESS)
@@ -189,7 +177,6 @@ def _cyclotomic_value(n: int, v: QuadInt) -> QuadInt:
 
 
 def wieferich_scan(
-    F: QuadField,
     u: QuadInt,
     constants: GrowthConstants,
     n_max: int,
@@ -233,7 +220,7 @@ def wieferich_scan(
         records.append(
             _scan_row(
                 n, abs(value.norm()),
-                lambda trial: ideal_valuations(F, value, table, trial, n, v.norm()),
+                lambda trial: ideal_valuations(value, table, trial, n, v.norm()),
                 lambda split: chosen_ideal(split, n),
                 gamma, table,
             )
@@ -252,23 +239,24 @@ def count_window(constants: GrowthConstants, X: int, n_max: int) -> int:
     return n_stop
 
 
-def count_report(records: list[ScanRecord], constants: GrowthConstants, X: int, n_stop: int) -> CountReport:
-    """Window count of scan successes for n in [n_start, n_stop] (see count_window)."""
+def count_report(records: list[ScanRecord], constants: GrowthConstants, X: int, n_stop: int) -> dict:
+    """Window count of scan successes for n in [n_start, n_stop] (see
+    count_window), as the footer keys of scan-wieferich --X."""
     window = [r for r in records if constants.n_start <= r.n <= n_stop and r.reason != REASON_PHI]
     successes = [r for r in window if r.status == SUCCESS]
     distinct = len({r.prime for r in successes})
     lower = -(-len(successes) // constants.degree)
     density = len(successes) / (constants.degree * math.log(X)) if X > 1 else 0.0
-    return CountReport(
-        limit=X,
-        n_start=constants.n_start,
-        n_stop=n_stop,
-        eligible=len(window),
-        successes=len(successes),
-        distinct_primes=distinct,
-        prime_lower_bound=lower,
-        log_density=density,
-    )
+    return {
+        "X": X,
+        "window_n_start": constants.n_start,
+        "window_n_stop": n_stop,
+        "eligible_n": len(window),
+        "successes": len(successes),
+        "distinct_rational_primes": distinct,
+        "prime_count_lower_bound": lower,
+        "log_density": density,
+    }
 
 
 def _classifier(F: QuadField, unit: QuadInt | None, p0: int | None) -> Callable[[int], PRationalityVerdict]:
@@ -285,8 +273,6 @@ def _classifier(F: QuadField, unit: QuadInt | None, p0: int | None) -> Callable[
     characters: dict[int, int] = {}   # p % disc -> (disc|p)
 
     def classify(p: int) -> PRationalityVerdict:
-        if p == 2:
-            return PRationalityVerdict(p, EXCLUDED, REASON_GROUP_ORDER, ())
         if disc % p == 0:
             return PRationalityVerdict(p, EXCLUDED, REASON_RAMIFIED, ())
         if class_number % p == 0:
@@ -296,7 +282,7 @@ def _classifier(F: QuadField, unit: QuadInt | None, p0: int | None) -> Callable[
         r = p % disc
         k = characters.get(r)
         if k is None:
-            k = characters[r] = kronecker_odd_prime(disc, p)
+            k = characters[r] = jacobi(disc, p)
         flag = False
         if y_eta:   # else u = +-1, whose quotients are all trivial
             M, pe = p * p, p   # M = p**(2+e), e = v_p(y(eta))
@@ -357,7 +343,11 @@ def generic_unit_scan(
     beta_j of residue degree f_j, and sum_j f_j * v_p(beta_j**n - 1) = 1.
     So exactly one root r of g mod p has r**n = 1; it is a root of Phi_n
     (as p divides Res(g, Phi_n)), so gcd(g, Phi_n) mod p is x - r, r has
-    order n, and its lift r2 mod p**2 has r2**n != 1.  Factoring runs its
+    order n, and its lift r2 mod p**2 has r2**n != 1.  The test in
+    Res(g, x^n - 1) is stronger than that needs: p not dividing n*disc(g)
+    with p dividing Res(g, Phi_n) once already gives a root beta of order n
+    with v_p(beta**n - 1) = 1, so a p that also divides Res(g, Phi_m) for
+    some m | n, m < n, is passed over when it could be chosen.  Factoring runs its
     trial phase first and the search only where that leaves the row open,
     in ``table`` as in wieferich_scan.  ``constants`` come from
     growth_constants(unit), which refuses a unit with a conjugate on the

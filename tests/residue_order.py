@@ -12,7 +12,7 @@ def residue_is_one(res, P) -> bool:
     return res == (1, 0)
 
 
-def multiplicative_order(F, u, P):
+def multiplicative_order(u, P):
     """Order of u in (O/P)^x, by factoring the group order and descending
     through its prime divisors."""
     if P.splitting is Splitting.RAMIFIED:
@@ -21,12 +21,12 @@ def multiplicative_order(F, u, P):
         raise ValueError("u must be a unit")
     p = P.p
     if P.splitting is Splitting.SPLIT:
-        base = (u.x + u.y * P.root_mod_p()) % p
+        base = (u.x + u.y * P.hensel_root) % p
         power = lambda e: pow(base, e, p)
         identity = 1
         group_factors = _merge_factors([factor(p - 1)])
     else:
-        power = lambda e: pair_pow(u.x, u.y, e, F.t, F.s, p)
+        power = lambda e: pair_pow(u.x, u.y, e, u.field.t, u.field.s, p)
         identity = (1 % p, 0)
         group_factors = _merge_factors([factor(p - 1), factor(p + 1)])
     order = 1

@@ -128,66 +128,64 @@ class TestHeight:
                 assert abs(got - expected) <= 1e-12 * expected, n
 
 
-def radical(F, a):
+def radical(a):
     """Product of N(P) over the prime ideals of (a), from |N(a)| factored whole."""
-    return math.prod(P.norm for P, _ in ideal_valuations(F, a).entries)
+    return math.prod(P.norm for P, _ in ideal_valuations(a).entries)
 
 
 class TestUnitTriple:
     def test_n3(self, field2, eps2):
-        t = unit_triple(field2, eps2, 3, FactorCache())
+        t = unit_triple(eps2, 3, FactorCache())
         assert (eps2 ** 3 - 1) == QuadInt(field2, 6, 5)   # of norm -14 = -2 * 7
         assert t[:5] == (3, 14, 1, 14, 0.0) and t.factor_status == "complete"
         assert t.quality is not None and t.quality > 0
 
     def test_n1(self, field2, eps2):
-        t = unit_triple(field2, eps2, 1, FactorCache())
+        t = unit_triple(eps2, 1, FactorCache())
         assert t.quality == height(eps2 - 1).value / math.log(2)
 
     def test_quality_positive(self, field2, eps2):
         for n in range(1, 13):
-            t = unit_triple(field2, eps2, n, FactorCache())
+            t = unit_triple(eps2, n, FactorCache())
             assert t.quality is None or t.quality > 0
 
     def test_radical_two_routes_agree(self, field2, eps2):
         for n in range(1, 13):
-            t = unit_triple(field2, eps2, n, FactorCache())
+            t = unit_triple(eps2, n, FactorCache())
             a = eps2 ** n - 1
-            assert t.quality == height(a).value / math.log(radical(field2, a))
+            assert t.quality == height(a).value / math.log(radical(a))
 
     @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 13])
     def test_triples_match_the_whole_norm_route(self, d):
-        F = make_field(d)
-        u = F.fundamental_unit
+        u = make_field(d).fundamental_unit
         for n in range(1, 25):
-            assert unit_triple(F, u, n, FactorCache()) == whole_norm_row(F, u, n)
+            assert unit_triple(u, n, FactorCache()) == whole_norm_row(u, n)
 
     def test_factors_only_the_divisors_of_n(self, monkeypatch):
         """u**n - 1 is the product of the Phi_m(u) with m | n, so no other
         level is factored: d = 94, n = 24 factors 8 norms, not 24."""
-        F = make_field(94)
-        u = F.fundamental_unit
+        u = make_field(94).fundamental_unit
         calls = []
         real = abcaudit.factor
         monkeypatch.setattr(abcaudit, "factor", lambda m, *args, **kw: calls.append(m) or real(m, *args, **kw))
-        t = unit_triple(F, u, 24, FactorCache())
+        t = unit_triple(u, 24, FactorCache())
         divisors = [m for m in range(1, 25) if 24 % m == 0]
         norms = [abs(cyclotomic(m).evaluate(u).norm()) for m in divisors]
         assert calls == [norm for norm in norms if norm != 1] and len(calls) == 8
-        assert t == whole_norm_row(F, u, 24)
+        assert t == whole_norm_row(u, 24)
 
 
-def whole_norm_row(F, u, n):
+def whole_norm_row(u, n):
     """The row of level n from |N(u**n - 1)| factored whole; the quality of
     (u**n - 1) + 1 = u**n is its height over the log of its radical."""
     a = u ** n - 1
-    split = ideal_valuations(F, a)
+    split = ideal_valuations(a)
     total = abs(a.norm())
     squarefree = math.prod(P.norm for P, v in split.entries if v == 1)
     nj = math.prod(P.norm ** v for P, v in split.entries if v > 1)
     if split.status is Status.COMPLETE:
         share = 0.0 if nj == 1 else math.log(nj) / math.log(total)
-        rad = radical(F, a)
+        rad = radical(a)
         quality = height(a).value / math.log(rad) if rad > 1 else None
     else:
         share = quality = None
@@ -200,9 +198,8 @@ ORACLE_FIELDS = [2, 3, 5, 6, 7, 13]
 class TestSquarefullReport:
     @pytest.mark.parametrize("d", ORACLE_FIELDS)
     def test_rows_match_the_whole_norm_route(self, d):
-        F = make_field(d)
-        u = F.fundamental_unit
-        assert squarefull_report(F, u, 40, FactorCache()) == [whole_norm_row(F, u, n) for n in range(1, 41)]
+        u = make_field(d).fundamental_unit
+        assert squarefull_report(u, 40, FactorCache()) == [whole_norm_row(u, n) for n in range(1, 41)]
 
     @pytest.mark.parametrize("d", ORACLE_FIELDS)
     def test_merged_factorization_is_sympys(self, d):
@@ -215,7 +212,7 @@ class TestSquarefullReport:
 
 
     def test_rows(self, field2, eps2):
-        rows = squarefull_report(field2, eps2, 12, FactorCache())
+        rows = squarefull_report(eps2, 12, FactorCache())
         assert [r.n for r in rows] == list(range(1, 13))
         for r in rows:
             assert r.factor_status == Status.COMPLETE.value
@@ -226,14 +223,14 @@ class TestSquarefullReport:
                 assert 0 < r.squarefull_log_share <= 1
 
     def test_n3_share_zero(self, field2, eps2):
-        rows = squarefull_report(field2, eps2, 3, FactorCache())
+        rows = squarefull_report(eps2, 3, FactorCache())
         assert rows[2].squarefull_norm == 1
         assert rows[2].squarefull_log_share == 0.0
 
     def test_partial_rows_flagged(self, field2):
         # a unit big enough that the norm resists a zero rho budget
         big = field2.fundamental_unit ** 53
-        rows = squarefull_report(field2, big, 2, FactorCache(rho_budget=0))
+        rows = squarefull_report(big, 2, FactorCache(rho_budget=0))
         assert any(r.factor_status == Status.PARTIAL.value for r in rows)
         for r in rows:
             if r.factor_status == Status.PARTIAL.value:

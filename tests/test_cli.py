@@ -9,6 +9,7 @@ A change that is meant to alter a payload regenerates them with
 from __future__ import annotations
 
 import errno
+import importlib.util
 import io
 import json
 import os
@@ -1102,6 +1103,20 @@ NEVER_ENTERED = {
     "quadfield.QuadInt.__repr__": "a debugging aid",
     "quadfield.QuadField.__hash__": "keeps QuadField, and so QuadInt, hashable beside __eq__",
 }
+
+
+def test_never_entered_entries_held_by_layers_are_its_spans():
+    """An entry kept only because bench/traced_cli.LAYERS names it must be a
+    span name there; when the benchmark drops the name, this fails and names
+    the package function to delete."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "traced_cli.py"
+    spec = importlib.util.spec_from_file_location("traced_cli", path)
+    traced_cli = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(traced_cli)
+    held = sorted(name for name, reason in NEVER_ENTERED.items() if "LAYERS" in reason)
+    assert held
+    assert [name for name in held if name not in traced_cli.LAYERS] == []
+
 
 _ENTRY_PROFILE = """
 import functools, importlib, inspect, json, pkgutil, sys

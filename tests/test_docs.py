@@ -37,7 +37,7 @@ def test_reason_cells_list_exactly_the_scans_reasons():
 def test_factor_status_cell_lists_the_scans_statuses():
     cell = _reason_cell("scan-wieferich", "factor_status")
     documented = set(re.findall(r"`([^`]+)`", cell)) - {scans.REASON_PHI}
-    assert documented == {scans.COMPLETE, scans.SUFFICIENT, scans.PARTIAL}
+    assert documented == {factorint.Status.COMPLETE.value, scans.SUFFICIENT, factorint.Status.PARTIAL.value}
 
 
 # the record whose fields are a command's columns

@@ -14,6 +14,7 @@ from prational.polyarith import (
     euler_phi,
     hensel_lift,
     iroot,
+    jacobi,
     power_poly,
     prem,
     resultant,
@@ -325,6 +326,26 @@ class TestCommonRootModP:
             common_root_mod_p(two_roots, poly_mul(two_roots, IntPoly.of(-3, 1)), 7)
         with pytest.raises(ArithmeticError):
             common_root_mod_p(IntPoly.of(1, 1), IntPoly.of(2, 1), 7)
+
+
+class TestJacobi:
+    def test_matches_sympy(self):
+        """Every a in [-600, 600] against every odd m < 2000, m = 1 and
+        gcd(a, m) > 1 among them.  The oracle is the integer routine that
+        sympy.jacobi_symbol evaluates integer arguments with (the symbolic
+        function is too slow for the whole grid); a sample pins the two
+        together."""
+        from sympy.external.gmpy import jacobi as sympy_jacobi
+
+        for m in range(1, 2000, 2):
+            assert [jacobi(a, m) for a in range(-600, 601)] == [sympy_jacobi(a, m) for a in range(-600, 601)], m
+        for a, m in [(-600, 1), (0, 1), (45, 77), (60, 121), (-3, 1999), (15, 45), (2, 7), (-1, 3)]:
+            assert sympy_jacobi(a, m) == sympy.jacobi_symbol(a, m)
+
+    @pytest.mark.parametrize("m", [0, -3, 2, 10])
+    def test_an_even_or_nonpositive_modulus_is_refused(self, m):
+        with pytest.raises(ValueError, match=rf"^the Jacobi symbol needs an odd modulus m > 0, not {m}$"):
+            jacobi(1, m)
 
 
 class TestIntegerRoots:

@@ -35,7 +35,6 @@ from prational.scans import (
     P_RATIONAL,
     REASON_BELOW_P0,
     REASON_CLASS_NUMBER,
-    REASON_GROUP_ORDER,
     REASON_RAMIFIED,
     REASON_PHI,
     SKIPPED,
@@ -54,7 +53,7 @@ from ring_ops import conj
 
 def residue_mod_p(F, value, P):
     if P.splitting is Splitting.SPLIT:
-        return (value.x + value.y * P.root_mod_p()) % P.p
+        return (value.x + value.y * P.hensel_root) % P.p
     return (value.x % P.p, value.y % P.p)
 
 
@@ -80,7 +79,7 @@ def brute_force_order(F, v, P, n_cap):
 
 @pytest.fixture(scope="module")
 def records(field2, eps2, constants2):
-    return wieferich_scan(field2, eps2, constants2, 16, FactorCache())
+    return wieferich_scan(eps2, constants2, 16, FactorCache())
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +129,7 @@ class TestWieferichScan:
             # (ii) exact order n by brute-force powering
             assert brute_force_order(field2, v, P, r.n) == r.n
             # (iii) the factored order matches
-            assert multiplicative_order(field2, v, P) == r.n
+            assert multiplicative_order(v, P) == r.n
 
     def test_distinct_ideals(self, records):
         chosen = [(r.prime, r.root) for r in records if r.status == SUCCESS]
@@ -143,10 +142,10 @@ class TestWieferichScan:
                 assert r.prime is None
 
     def test_deterministic(self, field2, eps2, constants2, records):
-        assert wieferich_scan(field2, eps2, constants2, 16, FactorCache()) == records
+        assert wieferich_scan(eps2, constants2, 16, FactorCache()) == records
 
     def test_partial_budget_rows_skipped(self, field2, eps2, constants2):
-        records = wieferich_scan(field2, eps2, constants2, 53, FactorCache(rho_budget=0))
+        records = wieferich_scan(eps2, constants2, 53, FactorCache(rho_budget=0))
         assert any(r.reason == "partial_factorization" for r in records)
 
 
@@ -172,14 +171,14 @@ def test_prime_ideals_of_cyclotomic_values_have_order_n(d):
     v = F.fundamental_unit ** growth_constants(certify_roots(minpoly_of(F.fundamental_unit))).power
     checked = wieferich_free = 0
     for n in range(1, 31):
-        for P, val in ideal_valuations(F, cyclotomic(n).evaluate(v)).entries:
+        for P, val in ideal_valuations(cyclotomic(n).evaluate(v)).entries:
             if P.splitting is Splitting.RAMIFIED or n % P.p == 0:
                 continue
             if val == 1:
-                assert not residue_is_one(unit_pow_mod_p2(F, v, n, P), P)
+                assert not residue_is_one(unit_pow_mod_p2(v, n, P), P)
                 wieferich_free += 1
             if P.norm <= 10 ** 15:
-                assert multiplicative_order(F, v, P) == n
+                assert multiplicative_order(v, P) == n
                 checked += 1
     assert checked >= 30 and wieferich_free >= 30
 
@@ -224,7 +223,7 @@ def _reconstruct_ideal(F, record):
 
 def _is_zero_mod_p(F, value, P):
     if P.splitting is Splitting.SPLIT:
-        return (value.x + value.y * P.root_mod_p()) % P.p == 0
+        return (value.x + value.y * P.hensel_root) % P.p == 0
     return value.x % P.p == 0 and value.y % P.p == 0
 
 
@@ -240,14 +239,14 @@ class TestCountReport:
         records = []  # no records needed when the window is empty
         # gamma > 35, so X = 1000 caps the window below n_start
         report = count_report(
-            wieferich_scan(make_field(2), make_field(2).fundamental_unit, constants2, 2, FactorCache()),
+            wieferich_scan(make_field(2).fundamental_unit, constants2, 2, FactorCache()),
             constants2,
             1000,
             count_window(constants2, 1000, 2),
         )
-        assert report.n_stop < constants2.n_start
-        assert report.eligible == 0 and report.successes == 0
-        assert report.prime_lower_bound == 0 and report.log_density == 0.0
+        assert report["window_n_stop"] < report["window_n_start"] == constants2.n_start
+        assert report["eligible_n"] == 0 and report["successes"] == 0
+        assert report["prime_count_lower_bound"] == 0 and report["log_density"] == 0.0
 
     def test_insufficient_records(self, constants2):
         # refused from the constants alone, before any level is scanned
@@ -256,16 +255,16 @@ class TestCountReport:
             count_window(constants2, X, 5)
 
     def test_window_edges_exact(self, field2, eps2, constants2):
-        records = wieferich_scan(field2, eps2, constants2, 8, FactorCache())
+        records = wieferich_scan(eps2, constants2, 8, FactorCache())
         gamma = constants2.norm_base
         X = int(gamma ** 7) + 1  # gamma**7 <= X < gamma**8
         report = count_report(records, constants2, X, count_window(constants2, X, 8))
-        assert report.n_stop == 7
-        assert gamma ** report.n_stop <= X < gamma ** (report.n_stop + 1)
+        assert report["window_n_stop"] == 7
+        assert gamma ** 7 <= X < gamma ** 8
 
 
     def test_window_end_matches_brute_force(self, field2, eps2, constants2):
-        records = wieferich_scan(field2, eps2, constants2, 40, FactorCache())
+        records = wieferich_scan(eps2, constants2, 40, FactorCache())
         # the field's gamma, and an integer one that X = gamma**k meets exactly
         for constants in (constants2, constants2._replace(norm_base=Fraction(36))):
             gamma = constants.norm_base
@@ -277,7 +276,7 @@ class TestCountReport:
                 n_stop = 0
                 while gamma ** (n_stop + 1) <= X:
                     n_stop += 1
-                assert count_report(records, constants, X, count_window(constants, X, 40)).n_stop == n_stop
+                assert count_report(records, constants, X, count_window(constants, X, 40))["window_n_stop"] == n_stop
 
     def test_huge_bound_is_answered_at_once(self, constants2):
         X = 10 ** 4299
@@ -296,9 +295,11 @@ class TestClassifyPrime:
         assert v.verdict == P_RATIONAL
         assert v.witnesses == ((25, True),)
 
-    def test_p2_excluded(self, field2):
-        v = classify_prime(field2, 2)
-        assert v.verdict == EXCLUDED and v.reason == REASON_GROUP_ORDER
+    def test_p2_excluded(self):
+        """2 is ramified when disc is even; otherwise h = 2 excludes it, and
+        else the excluded-prime bound, which is at least 3."""
+        for d, reason in [(2, REASON_RAMIFIED), (5, REASON_BELOW_P0), (65, REASON_CLASS_NUMBER)]:
+            assert classify_prime(make_field(d), 2) == PRationalityVerdict(2, EXCLUDED, reason, ())
 
     def test_p3_below_bound(self, field2):
         v = classify_prime(field2, 3)
@@ -357,14 +358,13 @@ def _two_ideal_verdict(F, u, p, p0):
     quadfield.unit_pow_mod_p2."""
     if p <= p0 or F.disc % p == 0 or F.class_number % p == 0:
         reason = (
-            REASON_GROUP_ORDER if p == 2
-            else REASON_RAMIFIED if F.disc % p == 0
+            REASON_RAMIFIED if F.disc % p == 0
             else REASON_CLASS_NUMBER if F.class_number % p == 0
             else REASON_BELOW_P0
         )
         return PRationalityVerdict(p, EXCLUDED, reason, ())
     witnesses = tuple(
-        (P.norm, not residue_is_one(unit_pow_mod_p2(F, u, P.norm - 1, P), P))
+        (P.norm, not residue_is_one(unit_pow_mod_p2(u, P.norm - 1, P), P))
         for P in split_prime(F, p)
     )
     verdict = P_RATIONAL if any(f for _, f in witnesses) else NON_P_RATIONAL
@@ -382,7 +382,7 @@ def test_wieferich_successes_are_p_rational(d):
     eps = F.fundamental_unit
     p0 = excluded_prime_bound(F)
     verdicts = Counter()
-    for r in wieferich_scan(F, eps, growth_constants(certify_roots(minpoly_of(eps))), 60, FactorCache()):
+    for r in wieferich_scan(eps, growth_constants(certify_roots(minpoly_of(eps))), 60, FactorCache()):
         if r.status != SUCCESS:
             continue
         got = classify_prime(F, r.prime, p0=p0)
@@ -473,7 +473,7 @@ class TestGenericUnitScan:
             assert Fraction(p) <= constants.norm_base ** r.n
 
     def test_quadratic_success_containment(self, field2, eps2, constants2):
-        ideal_level = wieferich_scan(field2, eps2, constants2, 14, FactorCache())
+        ideal_level = wieferich_scan(eps2, constants2, 14, FactorCache())
         unit = certify_roots(minpoly_of(eps2))
         rational_level = generic_unit_scan(unit, constants2, 14, FactorCache())
         ideal_ns = {r.n for r in ideal_level if r.status == SUCCESS}
@@ -507,11 +507,11 @@ def test_trial_phase_decides_rows_as_a_complete_factorization(d, n_max, monkeypa
     F = make_field(d)
     eps = F.fundamental_unit
     constants = growth_constants(certify_roots(minpoly_of(eps)))
-    records = wieferich_scan(F, eps, constants, n_max, FactorCache())
+    records = wieferich_scan(eps, constants, n_max, FactorCache())
     assert "sufficient" in {r.factor_status for r in records}
     assert {r.factor_status for r in records} <= {"complete", "sufficient", None}
     monkeypatch.setattr(factorint, "factor", _complete_factor)
-    full = wieferich_scan(F, eps, constants, n_max, FactorCache())
+    full = wieferich_scan(eps, constants, n_max, FactorCache())
     assert _decisions(records) == _decisions(full)
 
 
@@ -534,15 +534,15 @@ def test_open_rows_are_settled_when_no_cofactor_prime_can_qualify():
 
 
 def test_records_are_immutable_tuples(field2, eps2, constants2):
-    """One value of each of the 12 record types: a tuple whose fields refuse
+    """One value of each of the 11 record types: a tuple whose fields refuse
     assignment and which takes no new attribute."""
     from prational import abcaudit
 
-    rows = wieferich_scan(field2, eps2, constants2, 8, FactorCache())
+    rows = wieferich_scan(eps2, constants2, 8, FactorCache())
     unit = certify_roots(minpoly_of(eps2))
     samples = [
         factor(12),
-        ideal_valuations(field2, eps2 + 1),
+        ideal_valuations(eps2 + 1),
         unit.roots[0],
         unit,
         constants2,
@@ -550,12 +550,11 @@ def test_records_are_immutable_tuples(field2, eps2, constants2):
         eps2,
         split_prime(field2, 7)[0],
         rows[0],
-        count_report(rows, constants2, int(constants2.norm_base ** 7) + 1, 7),
         abcaudit.height(eps2),
-        abcaudit.unit_triple(field2, eps2, 3, FactorCache()),
-        abcaudit.squarefull_report(field2, eps2, 3, FactorCache())[0],
+        abcaudit.unit_triple(eps2, 3, FactorCache()),
+        abcaudit.squarefull_report(eps2, 3, FactorCache())[0],
     ]
-    assert len({type(s) for s in samples}) == 12
+    assert len({type(s) for s in samples}) == 11
     for s in samples:
         assert isinstance(s, tuple)
         name = s._fields[0]
