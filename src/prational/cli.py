@@ -361,9 +361,15 @@ def cmd_scan_prational(args, out, table) -> int:
 
     # p, verdict and reason hold no comma and nothing that JSON escapes, so
     # a row is one f-string in either format
-    def csv_line(v) -> str:   # only the witnesses are quoted
-        witnesses = ";".join([f"{norm}:{flag:d}" for norm, flag in v.witnesses])
-        return f'{v.p},{v.verdict},{v.reason},"{witnesses}"\n'
+    def csv_line(v) -> str:   # only the witnesses, none, one or two, are quoted
+        p, verdict, reason, witnesses = v
+        if len(witnesses) == 2:
+            (n1, f1), (n2, f2) = witnesses
+            return f'{p},{verdict},{reason},"{n1}:{f1:d};{n2}:{f2:d}"\n'
+        if witnesses:
+            ((n1, f1),) = witnesses
+            return f'{p},{verdict},{reason},"{n1}:{f1:d}"\n'
+        return f'{p},{verdict},{reason},""\n'
 
     def json_object(v) -> str:   # as JSONEncoder(indent=2) writes it in the "rows" list
         cells = ",".join([f'\n        "{norm}:{flag:d}"' for norm, flag in v.witnesses])

@@ -118,7 +118,9 @@ def primes(limit: int) -> Iterator[int]:
     base primes are sieved before the first prime is asked for, so a limit
     whose base sieve does not fit in memory fails here; one whose sieve would
     pass _SIEVE_CAP bytes, 2**56 (about 7.2e16) or more, which would take
-    centuries to classify at 75,000 primes a second, is refused before it."""
+    centuries to classify at about 120,000 primes a second (scan-prational
+    --d 2 --X 10**7 on one core of a 2-core x86_64 host, Python 3.11), is
+    refused before it."""
     if limit >= 4 * _SIEVE_CAP ** 2:
         raise ArithmeticError("primes up to 2^56 or more are refused: their base sieve would take 2^27 bytes or more")
     base_flags = _odd_flags(math.isqrt(max(limit, 0)))

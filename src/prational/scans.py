@@ -53,6 +53,14 @@ For the fundamental discriminant disc, p -> (disc|p) is a Dirichlet
 character mod disc, so k depends only on p mod disc; the scan computes it
 once per residue class.
 
+Consecutive primes have indices h of one bit length that share their
+leading bits j, and the ladder over those bits is the same recurrence
+whatever the modulus.  So up to four of them run it once, modulo the
+product Q of their moduli M_i = p_i**(2+e_i): as M_i | Q, the pair
+(V_j, V_j+1) mod Q gives (V_j, V_j+1) mod M_i, from which each prime runs
+its own remaining bits modulo M_i alone, and its verdict is the one its own
+ladder gives.
+
 Plus a rational-prime-level scan for user-supplied units of arbitrary
 degree.
 """
@@ -60,7 +68,7 @@ degree.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -259,10 +267,33 @@ def count_report(records: list[ScanRecord], constants: GrowthConstants, X: int, 
     }
 
 
-def _classifier(F: QuadField, unit: QuadInt | None, p0: int | None) -> Callable[[int], PRationalityVerdict]:
-    """classify_prime for one field and unit: p -> verdict, with the unit
-    check, the excluded bound, T = Tr(u**2) and y(u**2) computed once, and
-    k = (disc|p) once per class of p mod disc."""
+_GROUP = 4   # primes whose ladders share one prefix; groups of 3 to 8 ran alike, of 2 slower
+
+
+def _lucas_steps(a: int, b: int, bits: str, T: int, M: int) -> tuple[int, int]:
+    """(V_i, V_i+1) mod M from (V_j, V_j+1) mod M, where i is j with the
+    binary digits ``bits`` appended and T = V_1 mod M."""
+    for bit in bits:
+        if bit == "1":
+            a, b = (a * b - T) % M, (b * b - 2) % M
+        else:
+            a, b = (a * a - 2) % M, (a * b - T) % M
+    return a, b
+
+
+def _classifier(
+    F: QuadField, unit: QuadInt | None, p0: int | None
+) -> Callable[[Iterable[int]], Iterator[PRationalityVerdict]]:
+    """classify_prime for one field and unit, over an iterable of primes:
+    their verdicts in order, with the unit check, the excluded bound,
+    T = Tr(u**2) and y(u**2) computed once, and k = (disc|p) once per class
+    of p mod disc.  Consecutive classified primes whose ladder indices h have
+    one bit length form groups of up to _GROUP, whose shared leading bits
+    run once (module docstring, part (B)); the bits they share are those
+    where no h of the group differs from the first, so any order of primes
+    gives the same verdicts.  A group is finished as soon as it is full, when
+    a prime that cannot join it is read, or at the end, so the k-th verdict
+    is out once k + _GROUP - 1 primes are read."""
     u = F.fundamental_unit if unit is None else unit
     if not u.is_unit():
         raise ValueError("unit argument must be a unit")
@@ -272,32 +303,58 @@ def _classifier(F: QuadField, unit: QuadInt | None, p0: int | None) -> Callable[
     disc, class_number = F.disc, F.class_number
     characters: dict[int, int] = {}   # p % disc -> (disc|p)
 
-    def classify(p: int) -> PRationalityVerdict:
-        if disc % p == 0:
-            return PRationalityVerdict(p, EXCLUDED, REASON_RAMIFIED, ())
-        if class_number % p == 0:
-            return PRationalityVerdict(p, EXCLUDED, REASON_CLASS_NUMBER, ())
-        if p <= bound:
-            return PRationalityVerdict(p, EXCLUDED, REASON_BELOW_P0, ())
-        r = p % disc
-        k = characters.get(r)
-        if k is None:
-            k = characters[r] = jacobi(disc, p)
-        flag = False
-        if y_eta:   # else u = +-1, whose quotients are all trivial
-            M, pe = p * p, p   # M = p**(2+e), e = v_p(y(eta))
-            while y_eta % pe == 0:
-                M, pe = M * p, pe * p
-            T = trace % M
-            a, b = T, (T * T - 2) % M   # V_j, V_j+1 at j = 1, the top bit of h
-            for bit in bin((p - k) >> 1)[3:]:
-                if bit == "1":
-                    a, b = (a * b - T) % M, (b * b - 2) % M
-                else:
-                    a, b = (a * a - 2) % M, (a * b - T) % M
-            flag = (2 * b - T * a) % M != 0
+    def verdict(p: int, k: int, flag: bool) -> PRationalityVerdict:
         witnesses = ((p, flag), (p, flag)) if k == 1 else ((p * p, flag),)
         return PRationalityVerdict(p, P_RATIONAL if flag else NON_P_RATIONAL, "", witnesses)
+
+    def finish(group: list[tuple[int, int, int, int]]) -> Iterator[PRationalityVerdict]:
+        """The verdicts of the pending group of (p, k, h, M = p**(2+e)), all h
+        of one bit length, which is left empty; none if it is empty."""
+        if not group:
+            return
+        h1 = group[0][2]
+        differ = 0   # the bits where some h differs from h1
+        for _, _, h, _ in group:
+            differ |= h ^ h1
+        cut = 2 + h1.bit_length() - differ.bit_length()   # bin(h)[2:cut] is the shared prefix j
+        Q = math.prod([M for *_, M in group])
+        T = trace % Q
+        a, b = _lucas_steps(T, (T * T - 2) % Q, bin(h1)[3:cut], T, Q)   # V_j, V_j+1 from V_1, V_2
+        for p, k, h, M in group:   # M | Q, so a and b reduce to V_j, V_j+1 mod M
+            t = T % M
+            a_h, b_h = _lucas_steps(a % M, b % M, bin(h)[cut:], t, M)
+            yield verdict(p, k, (2 * b_h - t * a_h) % M != 0)
+        group.clear()
+
+    def classify(ps: Iterable[int]) -> Iterator[PRationalityVerdict]:
+        group: list[tuple[int, int, int, int]] = []
+        for p in ps:
+            if disc % p == 0:
+                reason = REASON_RAMIFIED
+            elif class_number % p == 0:
+                reason = REASON_CLASS_NUMBER
+            elif p <= bound:
+                reason = REASON_BELOW_P0
+            else:
+                r = p % disc
+                k = characters.get(r)
+                if k is None:
+                    k = characters[r] = jacobi(disc, p)
+                if y_eta:   # else u = +-1, whose quotients are all trivial
+                    M, pe = p * p, p   # M = p**(2+e), e = v_p(y(eta))
+                    while y_eta % pe == 0:
+                        M, pe = M * p, pe * p
+                    h = (p - k) >> 1
+                    if group and h.bit_length() != group[0][2].bit_length():
+                        yield from finish(group)
+                    group.append((p, k, h, M))
+                    if len(group) == _GROUP:
+                        yield from finish(group)
+                    continue
+                reason = ""
+            yield from finish(group)
+            yield PRationalityVerdict(p, EXCLUDED, reason, ()) if reason else verdict(p, k, False)
+        yield from finish(group)
 
     return classify
 
@@ -313,16 +370,21 @@ def classify_prime(
 
     The witnesses are those of the primes P above p, as (N(P), flag) with
     flag true when u**(N(P)-1) != 1 mod P**2.  One Lucas ladder on u**2 to
-    the index (p - k)/2, k = (disc|p), settles them (see the module
+    the index h = (p - k)/2, k = (disc|p), settles them (see the module
     docstring, part (B)).  A split p gives ((p, f), (p, f)), the same flag
-    at P and P'; an inert p gives ((p**2, f),).
+    at P and P'; an inert p gives ((p**2, f),).  This is the scan's
+    classifier on a group of one prime, so the ladder runs modulo
+    M = p**(2+e) alone.  In a scan, a group's ladder runs the leading bits j
+    of its indices modulo the product Q of the group's moduli, and each
+    prime reduces (V_j, V_j+1) mod its own M before running its own last
+    bits: M | Q, so V_j mod Q gives V_j mod M, and the verdict is the same.
     """
-    return _classifier(F, unit, p0)(p)
+    return next(_classifier(F, unit, p0)([p]))
 
 
 def prationality_scan(F: QuadField, X: int, unit: QuadInt | None = None) -> Iterator[PRationalityVerdict]:
     """The verdicts of the odd primes p <= X, in order, as they are computed."""
-    return map(_classifier(F, unit, None), primes(X))
+    return _classifier(F, unit, None)(primes(X))
 
 
 # --- rational-prime-level scan for user-supplied units ----------------------

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 import time
 from collections import Counter
 from fractions import Fraction
@@ -289,6 +291,19 @@ class TestCountReport:
         assert gamma ** n_stop <= X < gamma ** (n_stop + 1)
 
 
+# (d, p0): p0 None is the field's excluded-prime bound
+_TWO_IDEAL_CASES = [(d, None) for d in (2, 3, 5, 6, 7, 13, 22, 46, 94, 10009)] + [(401, 3), (577, 3)]
+
+# d -> the non-p-rational primes p < 2*10**4 of Q(sqrt(d)), for the squarefree
+# d < 60 that have one
+_TRIVIAL_QUOTIENTS = {
+    2: [13, 31], 3: [103], 6: [7, 523], 10: [191, 643], 13: [241], 15: [181, 1039, 2917], 19: [79],
+    22: [43, 73, 409], 23: [733], 26: [2683, 3967, 18587], 31: [157], 33: [29, 37], 34: [37, 547, 4733],
+    35: [23, 577], 37: [89, 257, 631], 39: [37], 41: [53, 7211], 42: [43, 71], 43: [479], 51: [37, 4831],
+    55: [571], 57: [59], 58: [4639], 59: [1559],
+}
+
+
 class TestClassifyPrime:
     def test_p5_rational_with_witness(self, field2):
         v = classify_prime(field2, 5)
@@ -309,29 +324,98 @@ class TestClassifyPrime:
         F = make_field(5)
         assert classify_prime(F, 5).reason == "ramified"
 
-    @pytest.mark.parametrize("d", [2, 3, 5, 6, 7, 13, 22, 46, 94, 10009])
-    def test_matches_the_two_ideal_path(self, d):
-        """One Lucas ladder per prime gives the verdict and witnesses of the
-        test at both ideals, with exponent N(P) - 1, for units of both norms
-        and for u = +-1, whose quotients are all trivial."""
+    @pytest.mark.parametrize("d, p0", _TWO_IDEAL_CASES, ids=[
+        str(d) if p0 is None else f"{d}-p0={p0}" for d, p0 in _TWO_IDEAL_CASES
+    ])
+    def test_matches_the_two_ideal_path(self, d, p0):
+        """The classifier run once over a window of primes, in groups, gives
+        the verdicts and witnesses of classify_prime at each prime alone and
+        of the test at both ideals, with exponent N(P) - 1, for units of both
+        norms and for u = +-1, whose quotients are all trivial.  The window
+        holds the primes below 2*10**4 and those whose ladder index h straddles
+        2**16 and 2**17, where a group ends at the new bit length.  With
+        p0 = 3, the excluded primes 5 | h (d = 401) or 7 | h (d = 577) and
+        the ramified prime d fall between classified ones."""
         F = make_field(d)
         eps = F.fundamental_unit
-        p0 = excluded_prime_bound(F)
+        p0 = excluded_prime_bound(F) if p0 is None else p0
         for u in (eps, eps * -1, conj(eps), eps * eps, F.one(), F.one() * -1):
-            for p in sieve(2 * 10 ** 4)[1:]:
-                assert classify_prime(F, p, unit=u, p0=p0) == _two_ideal_verdict(F, u, p, p0)
+            grouped = list(scans._classifier(F, u, p0)(_WINDOW))
+            assert grouped == [classify_prime(F, p, unit=u, p0=p0) for p in _WINDOW]
+            assert grouped == [_two_ideal_verdict(F, u, p, p0) for p in _WINDOW]
 
     @pytest.mark.parametrize("d, primes", [(22, [197]), (46, [31, 157]), (94, [61, 151, 293])])
     def test_primes_dividing_y_of_the_squared_unit(self, d, primes):
         """At p | y(eps**2) the ladder works modulo p**(2+e); these are the
         only such primes in 2*10**4 that are not excluded, all inside the
-        test above."""
+        test above.  Each also takes every place in a group of four."""
         F = make_field(d)
-        y = (F.fundamental_unit ** 2).y
+        eps = F.fundamental_unit
+        y = (eps ** 2).y
         p0 = excluded_prime_bound(F)
-        assert [p for p in sieve(2 * 10 ** 4) if y % p == 0 and p > p0] == primes
+        window = sieve(2 * 10 ** 4)[1:]
+        assert [p for p in window if y % p == 0 and p > p0] == primes
         for p in primes:
-            assert classify_prime(F, p, p0=p0) == _two_ideal_verdict(F, F.fundamental_unit, p, p0)
+            assert classify_prime(F, p, p0=p0) == _two_ideal_verdict(F, eps, p, p0)
+            i = window.index(p)
+            for start in range(i - 3, i + 1):
+                ps = window[start:start + 8]
+                assert list(scans._classifier(F, None, p0)(ps)) == [_two_ideal_verdict(F, eps, q, p0) for q in ps]
+
+    @pytest.mark.parametrize("d", sorted(_TRIVIAL_QUOTIENTS))
+    def test_trivial_quotients_in_every_place_of_a_group(self, d):
+        """Nearly every verdict is p_rational, whatever V_h a ladder reaches,
+        so a wrong shared prefix shows at the primes whose quotients are
+        trivial.  Each of those takes every place in a group of four, among
+        its neighbours in increasing and in shuffled order."""
+        F = make_field(d)
+        eps = F.fundamental_unit
+        p0 = excluded_prime_bound(F)
+        window = sieve(2 * 10 ** 4)[1:]
+        rng = random.Random(d)
+        for p in _TRIVIAL_QUOTIENTS[d]:
+            assert _two_ideal_verdict(F, eps, p, p0).verdict == NON_P_RATIONAL
+            i = window.index(p)
+            for start in range(max(i - 3, 0), i + 1):
+                ps = window[start:start + 8]
+                for order in (ps, rng.sample(ps, len(ps))):
+                    assert list(scans._classifier(F, None, p0)(order)) == [
+                        _two_ideal_verdict(F, eps, q, p0) for q in order
+                    ]
+
+    @pytest.mark.parametrize("d", [2, 13, 94])
+    def test_large_primes_match_one_at_a_time(self, d):
+        """2000 consecutive primes above 10**8 in groups give the verdicts of
+        classify_prime one prime at a time, and a sample of 200 those of the
+        test at both ideals."""
+        F = make_field(d)
+        eps = F.fundamental_unit
+        p0 = excluded_prime_bound(F)
+        window = list(itertools.islice(sympy.primerange(10 ** 8, 2 * 10 ** 8), 2000))
+        grouped = list(scans._classifier(F, None, p0)(window))
+        assert grouped == [classify_prime(F, p) for p in window]
+        for i in random.Random(d).sample(range(len(window)), 200):
+            assert grouped[i] == _two_ideal_verdict(F, eps, window[i], p0)
+
+    @pytest.mark.parametrize("d, power", [(2, 1), (13, 1), (10009, 1), (5, 0)])
+    def test_verdicts_stream(self, d, power):
+        """The classifier reads an endless iterator of primes and gives the
+        k-th verdict once it has read at most k + 3 of them (a group holds
+        four), through excluded primes, u = 1 and new bit lengths of h."""
+        F = make_field(d)
+        reads = 0
+
+        def endless_primes():
+            nonlocal reads
+            for p in itertools.count(3, 2):
+                if sympy.isprime(p):
+                    reads += 1
+                    yield p
+
+        verdicts = scans._classifier(F, F.fundamental_unit ** power, None)(endless_primes())
+        for k, p in enumerate(itertools.islice(sympy.primerange(3, 2 * 10 ** 4), 1500), 1):
+            assert next(verdicts).p == p
+            assert reads <= k + 3
 
     @pytest.mark.parametrize(
         "d, p, witnesses",
@@ -351,6 +435,15 @@ class TestClassifyPrime:
         u = F.fundamental_unit ** abs(power) * (1 if power > 0 else -1)
         p0 = excluded_prime_bound(F)
         assert classify_prime(F, p, unit=u, p0=p0) == _two_ideal_verdict(F, u, p, p0)
+
+
+# the primes below 2*10**4, and those whose ladder index (p -+ 1)/2 straddles
+# 2**16 or 2**17
+_WINDOW = [
+    *sieve(2 * 10 ** 4)[1:],
+    *sympy.primerange(2 ** 17 - 600, 2 ** 17 + 600),
+    *sympy.primerange(2 ** 18 - 600, 2 ** 18 + 600),
+]
 
 
 def _two_ideal_verdict(F, u, p, p0):
