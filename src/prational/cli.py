@@ -22,10 +22,11 @@ from fractions import Fraction
 from pathlib import Path
 
 # A process imports only what its command uses: scans and abcaudit in the
-# handlers that need them (field-info needs neither), and json only where JSON
-# is written.  Every stderr line goes through _log, not logging.  The
-# records are NamedTuples, so no module imports the dataclass machinery.
-from . import factorint, numerics
+# handlers that need them (field-info needs neither), numerics where roots are
+# certified (not in scan-prational), and json only where JSON is written.  Every
+# stderr line goes through _log, not logging.  The records are NamedTuples, so
+# no module imports the dataclass machinery.
+from . import factorint
 from .factorint import FactorCache
 from .polyarith import IntPoly
 from .quadfield import excluded_prime_bound, make_field, minpoly_of
@@ -272,8 +273,11 @@ def _field_from_args(args):
     return make_field(args.d, class_number_override=getattr(args, "class_number", None))
 
 
-def _constants_for_unit_poly(minpoly: IntPoly, precision_cap: int):
-    unit = numerics.certify_roots(minpoly, precision_cap=precision_cap)
+def _constants_for_unit_poly(minpoly: IntPoly, precision_cap: int | None):
+    from . import numerics
+
+    cap = numerics.PRECISION_CAP_BITS if precision_cap is None else precision_cap   # the option's default
+    unit = numerics.certify_roots(minpoly, precision_cap=cap)
     return unit, numerics.growth_constants(unit)
 
 
@@ -441,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None, help="write output here instead of stdout")
 
     def precision(p):
-        p.add_argument("--precision-cap", type=int, default=numerics.PRECISION_CAP_BITS)
+        p.add_argument("--precision-cap", type=int, default=None)
 
     def factoring(p):
         p.add_argument(
@@ -506,7 +510,7 @@ def _validate(args) -> None:
         raise ValueError("--d must be >= 2")
     if getattr(args, "factor_budget", 0) < 0:
         raise ValueError("--factor-budget must be >= 0")
-    if getattr(args, "precision_cap", 0) < 0:
+    if (getattr(args, "precision_cap", None) or 0) < 0:
         raise ValueError("--precision-cap must be >= 0")
 
 

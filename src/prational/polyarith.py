@@ -14,7 +14,7 @@ on its coefficients.
 
 The integer primitives live here too: integer k-th roots, the Jacobi symbol,
 rational bounds on square roots, Hensel lifting of simple roots, and the
-common root of two polynomials mod p.
+common root of two polynomials mod p, through prem, the one remainder routine.
 """
 
 from __future__ import annotations
@@ -342,45 +342,13 @@ def hensel_lift(f: IntPoly, r: int, p: int, k: int) -> int:
     return r % target
 
 
-# --- polynomials over F_p: coefficient lists, ascending degree -------------
-
-def _pmod_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmod_rem(a: list[int], b: list[int], p: int) -> list[int]:
-    """a mod b over F_p; b need not be monic."""
-    a = [c % p for c in a]
-    _pmod_trim(a)
-    inv_lead = pow(b[-1], -1, p)
-    while len(a) >= len(b):
-        coef = a[-1] * inv_lead % p
-        shift = len(a) - len(b)
-        for i, c in enumerate(b):
-            a[shift + i] = (a[shift + i] - coef * c) % p
-        _pmod_trim(a)
-        if not a:
-            break
-    return a
-
-
-def _pmod_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = [c % p for c in a], [c % p for c in b]
-    _pmod_trim(a)
-    _pmod_trim(b)
-    while b:
-        a, b = b, _pmod_rem(a, b, p)
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
 def common_root_mod_p(f: IntPoly, g: IntPoly, p: int) -> int:
-    """The root mod p of gcd(f, g) over F_p, which must have degree 1."""
-    h = _pmod_gcd(f.coeffs, g.coeffs, p)
-    if len(h) != 2:
-        raise ArithmeticError(f"gcd mod {p} has degree {len(h) - 1}, not 1")
-    return -h[0] % p
+    """The root mod p of gcd(f, g) over F_p, which must have degree 1: Euclid
+    on remainders reduced mod p, where lead(b) is a unit, so prem(a, b) mod p
+    is a unit times the remainder of a by b over F_p."""
+    a, b = (IntPoly.of(*(c % p for c in h.coeffs)) for h in (f, g))
+    while not b.is_zero():
+        a, b = b, IntPoly.of(*(c % p for c in prem(a, b).coeffs))
+    if a.degree() != 1:
+        raise ArithmeticError(f"gcd mod {p} has degree {a.degree()}, not 1")
+    return -a.constant() * pow(a.lead(), -1, p) % p

@@ -17,11 +17,11 @@ Arithmetic modulo P**2 has one primitive per kind of prime.  At a split p,
 omega_root_mod_p2 gives a root r of w's minimal polynomial mod p**2 by one
 Newton step from its root mod p; w -> r identifies O/P**2 with Z/p**2, and the
 conjugate ideal P' uses the other root t - r.  At an inert p, O/p**2 is
-worked in through coordinate pairs, which pair_pow raises to a power.  Only
-unit_pow_mod_p2 uses pair_pow, and only the tests call unit_pow_mod_p2: they
-use both, with residue_is_one of tests/residue_order.py, as an oracle.  The
-p-rationality classifier (scans, part (B)) works with a Lucas ladder on the
-trace of u**2 instead.
+worked in through coordinate pairs, which pair_pow raises to a power; it also
+takes the square root mod p behind every split prime (Cipolla's method).  Only
+the tests call unit_pow_mod_p2, with residue_is_one of tests/residue_order.py
+as an oracle.  The p-rationality classifier (scans, part (B)) works with a
+Lucas ladder on the trace of u**2 instead.
 """
 
 from __future__ import annotations
@@ -291,31 +291,34 @@ def minpoly_of(u: QuadInt) -> IntPoly:
     return IntPoly.of(u.norm(), -u.trace(), 1)
 
 
+def pair_pow(x: int, y: int, e: int, t: int, s: int, mod: int) -> tuple[int, int]:
+    """(x + y*w)**e modulo mod as a coordinate pair, where w**2 = t*w + s
+    (left-to-right square and multiply)."""
+    if e == 0:
+        return 1 % mod, 0
+    a, b = x, y = x % mod, y % mod
+    for bit in bin(e)[3:]:
+        bb = b * b
+        a, b = (a * a + s * bb) % mod, (2 * a * b + t * bb) % mod
+        if bit == "1":
+            by = b * y
+            a, b = (a * x + s * by) % mod, (a * y + b * x + t * by) % mod
+    return a, b
+
+
 def sqrt_mod_p(a: int, p: int) -> int:
-    """Tonelli-Shanks square root mod an odd prime; a must be a QR."""
+    """A square root of a quadratic residue a mod an odd prime p: one power
+    when p = 3 (mod 4), else Cipolla's: with w**2 = b*b - a a non-residue (least
+    b >= 0), (b + w)**p = b - w, so (b + w)**((p + 1)/2) squares to a, in F_p."""
     a %= p
     if a == 0:
         return 0
     if p % 4 == 3:
         return pow(a, (p + 1) // 4, p)
-    q, s = p - 1, 0
-    while q % 2 == 0:
-        q //= 2
-        s += 1
-    z = 2
-    while jacobi(z, p) != -1:
-        z += 1
-    m, c = s, pow(z, q, p)
-    t, r = pow(a, q, p), pow(a, (q + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (m - i - 1), p)
-        m, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
+    b = 0
+    while jacobi(b * b - a, p) != -1:
+        b += 1
+    return pair_pow(b, 1, (p + 1) // 2, 0, b * b - a, p)[0]
 
 
 def omega_root_mod_p2(F: QuadField, p: int) -> int:
@@ -345,21 +348,6 @@ def split_prime(F: QuadField, p: int) -> list[PrimeIdealAboveP]:
         return [PrimeIdealAboveP(p, Splitting.INERT, 2, p * p, None)]
     r = omega_root_mod_p2(F, p)
     return [PrimeIdealAboveP(p, Splitting.SPLIT, 1, p, root) for root in sorted((r, (F.t - r) % (p * p)))]
-
-
-def pair_pow(x: int, y: int, e: int, t: int, s: int, mod: int) -> tuple[int, int]:
-    """(x + y*w)**e modulo mod as a coordinate pair, where w**2 = t*w + s
-    (left-to-right square and multiply)."""
-    if e == 0:
-        return 1 % mod, 0
-    a, b = x, y = x % mod, y % mod
-    for bit in bin(e)[3:]:
-        bb = b * b
-        a, b = (a * a + s * bb) % mod, (2 * a * b + t * bb) % mod
-        if bit == "1":
-            by = b * y
-            a, b = (a * x + s * by) % mod, (a * y + b * x + t * by) % mod
-    return a, b
 
 
 def unit_pow_mod_p2(u: QuadInt, e: int, P: PrimeIdealAboveP):

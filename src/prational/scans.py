@@ -70,10 +70,9 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .factorint import _TRIAL_BOUND, FactorCache, Status, factor, ideal_valuations, primes
-from .numerics import AlgebraicUnit, GrowthConstants, _least_power, compare_with_power
 from .polyarith import (
     common_root_mod_p,
     cyclotomic,
@@ -86,6 +85,9 @@ from .polyarith import (
     resultant,
 )
 from .quadfield import QuadField, QuadInt, Splitting, excluded_prime_bound, minpoly_of
+
+if TYPE_CHECKING:   # numerics is imported where part (A) uses it: scan-prational never loads it
+    from .numerics import AlgebraicUnit, GrowthConstants
 
 # factor_status of a row, how far its integer was factored: a Status value,
 # or this one
@@ -136,6 +138,8 @@ def _settled(fact_status: Status, found: bool, gamma: Fraction, n: int) -> bool:
     trial phase lists is below it, with its exact exponent.  So a candidate
     among the listed primes beats any prime of the cofactor, and when
     _TRIAL_BOUND >= gamma**n no prime of the cofactor is a candidate at all."""
+    from .numerics import compare_with_power
+
     return (
         fact_status is not Status.TRIAL
         or found
@@ -202,6 +206,8 @@ def wieferich_scan(
     whose ``counts`` keep the rows "settled", "searched" and "partial".
     Rows are emitted for every n, including failures and skips.
     """
+    from .numerics import compare_with_power
+
     if not u.is_unit():
         raise ValueError("u must be a unit")
     v = u ** constants.power
@@ -238,6 +244,8 @@ def wieferich_scan(
 
 def count_window(constants: GrowthConstants, X: int, n_max: int) -> int:
     """n_stop, the largest n with norm_base**n <= X; refused beyond n_max, before the scan."""
+    from .numerics import _least_power
+
     # the least k with gamma**k > X, estimated from logarithms (gamma**k has
     # millions of digits at X = 1e4299); gamma > 4, so k < 10^6 for every X
     # of fewer than 600000 digits
@@ -397,24 +405,20 @@ def generic_unit_scan(
 ) -> list[ScanRecord]:
     """Rational-prime-level scan for a user-supplied unit of any degree.
 
-    Works entirely through resultants of the powered unit's minimal
-    polynomial g: candidate primes p divide |Res(g, Phi_n)| exactly once in
-    |Res(g, x^n - 1)|, avoid n and disc(g), and have p <= norm_base**n; the
-    first (smallest) candidate wins.  It always yields a degree-1 prime:
-    over Z_p, g is a product of distinct unramified factors with roots
-    beta_j of residue degree f_j, and sum_j f_j * v_p(beta_j**n - 1) = 1.
-    So exactly one root r of g mod p has r**n = 1; it is a root of Phi_n
-    (as p divides Res(g, Phi_n)), so gcd(g, Phi_n) mod p is x - r, r has
-    order n, and its lift r2 mod p**2 has r2**n != 1.  The test in
-    Res(g, x^n - 1) is stronger than that needs: p not dividing n*disc(g)
-    with p dividing Res(g, Phi_n) once already gives a root beta of order n
-    with v_p(beta**n - 1) = 1, so a p that also divides Res(g, Phi_m) for
-    some m | n, m < n, is passed over when it could be chosen.  Factoring runs its
-    trial phase first and the search only where that leaves the row open,
-    in ``table`` as in wieferich_scan.  ``constants`` come from
-    growth_constants(unit), which refuses a unit with a conjugate on the
-    unit circle.
+    Candidates at level n are the primes p that divide |Res(g, Phi_n)|
+    exactly once, for the minimal polynomial g of the powered unit, with p
+    not dividing n * disc(g) and p <= norm_base**n; the smallest wins.  Over
+    Z_p, g is then a product of distinct unramified factors, with roots
+    beta_j of residue degree f_j, and sum_j f_j * v_p(Phi_n(beta_j)) = 1: one
+    beta, of degree 1, has v_p(Phi_n(beta)) = 1, so gcd(g, Phi_n) mod p is
+    x - r for its root r mod p.  p does not divide n, so x**n - 1 is
+    separable mod p, r has order n and v_p(beta**n - 1) = 1: the lift r2 of
+    r mod p**2 has r2**n != 1.  Factoring and ``table`` are as in
+    wieferich_scan; ``constants`` come from growth_constants(unit), which
+    refuses a unit with a conjugate on the unit circle.
     """
+    from .numerics import compare_with_power
+
     g = power_poly(unit.minpoly, constants.power)
     disc_g = abs(discriminant(g))
     if disc_g == 0:
@@ -422,14 +426,14 @@ def generic_unit_scan(
     gamma = constants.norm_base
     sign = (-1) ** g.degree() * g.coeffs[0]   # N(v), the product of the roots of g
 
-    def first_prime(fact, n, r_full):
+    def first_prime(fact, n):
         p = next(
             (
                 p
-                for p, _ in fact.factors
-                if n % p != 0
+                for p, e in fact.factors
+                if e == 1
+                and n % p != 0
                 and disc_g % p != 0
-                and r_full % (p * p) != 0
                 and compare_with_power(p, gamma, n) <= 0
             ),
             None,
@@ -439,17 +443,13 @@ def generic_unit_scan(
         return p, 1, p, hensel_lift(g, common_root_mod_p(g, cyclotomic(n), p), p, 2)
 
     records = []
-    r_cyclos = []       # |Res(Phi_m, g)| for m = 1..n
     for n in range(1, n_max + 1):
         r_cyclo = abs(resultant(cyclotomic(n), g))
-        r_cyclos.append(r_cyclo)
-        # x**n - 1 is the product of Phi_m over m | n, and Res is multiplicative
-        r_full = math.prod(r for m, r in enumerate(r_cyclos, 1) if n % m == 0)
         records.append(
             _scan_row(
                 n, r_cyclo,
                 lambda trial: factor(r_cyclo, table, trial, n, g.degree(), sign),
-                lambda fact: first_prime(fact, n, r_full),
+                lambda fact: first_prime(fact, n),
                 gamma, table,
             )
         )

@@ -566,6 +566,20 @@ def test_warm_run_on_a_cache_of_reordered_factors_matches_the_cold_run(capsys, t
     assert len(re.findall(r" corrupt \(primes not in increasing order\)", capsys.readouterr().err)) == reordered
 
 
+@pytest.mark.parametrize("budget, searched", [([], 1), (["--factor-budget", "0"], 0)])
+def test_cubic_row_45_takes_271_from_its_trial_phase(budget, searched, capsys, tmp_path):
+    """271 divides Res(Phi_45, g) once and also Res(Phi_15, g), so row 45
+    takes it from the trial phase, with or without a search budget.  The one
+    row left to the search is 27 (its prime is 3765529), which a budget of 0
+    leaves partial."""
+    argv = ["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "60", *budget]
+    lines = run_cli(argv, tmp_path / "out").decode().splitlines()
+    assert lines[45] == "45,324954716866750441,sufficient,271,1,271,583,success,"
+    assert capsys.readouterr().err == (
+        f"factoring: 34 rows settled by trial division below 1000000, {searched} searched, {1 - searched} partial\n"
+    )
+
+
 def test_abc_run_factors_each_integer_once(monkeypatch, tmp_path):
     """After the field is built, every factor call either computes a new
     integer or is answered by the run's factor table."""
@@ -1018,7 +1032,8 @@ def test_an_error_keeps_its_exit_code_when_stderr_cannot_take_it(redirect, argv,
 
 
 WATCHED_MODULES = (
-    "dataclasses", "json", "logging", "mpmath", "prational.abcaudit", "prational.rootfind", "prational.scans",
+    "dataclasses", "json", "logging", "mpmath",
+    "prational.abcaudit", "prational.numerics", "prational.rootfind", "prational.scans",
 )
 
 
@@ -1055,27 +1070,32 @@ def test_commands_that_certify_no_roots_never_import_mpmath(argv, tmp_path):
 @pytest.mark.parametrize(
     "argv, loaded",
     [
+        # the classifier certifies no roots and compares no growth constants
         (["scan-prational", "--d", "2", "--X", "100"], ["prational.scans"]),
         # the scans that factor log a "factoring:" line
-        (["abc-quality", "--d", "2", "--n-max", "10"], ["prational.abcaudit"]),
-        (["field-info", "--d", "2"], []),
-        (["scan-wieferich", "--d", "2", "--n-max", "10"], ["prational.scans"]),
+        (["abc-quality", "--d", "2", "--n-max", "10"], ["prational.abcaudit", "prational.numerics"]),
+        (["field-info", "--d", "2"], ["prational.numerics"]),
+        (["scan-wieferich", "--d", "2", "--n-max", "10"], ["prational.numerics", "prational.scans"]),
         # only a unit of degree >= 3 or with non-real roots needs the root finder
-        (["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "10"], ["prational.rootfind", "prational.scans"]),
+        (["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "10"],
+         ["prational.numerics", "prational.rootfind", "prational.scans"]),
         # JSON output, and only it, loads json
-        (["field-info", "--d", "2", "--format", "json"], ["json"]),
+        (["field-info", "--d", "2", "--format", "json"], ["json", "prational.numerics"]),
         (["scan-prational", "--d", "2", "--X", "100", "--format", "json"], ["json", "prational.scans"]),
-        (["scan-wieferich", "--d", "2", "--n-max", "10", "--format", "json"], ["json", "prational.scans"]),
+        (["scan-wieferich", "--d", "2", "--n-max", "10", "--format", "json"],
+         ["json", "prational.numerics", "prational.scans"]),
         (["scan-wieferich", "--minpoly=-1,-1,0,1", "--n-max", "10", "--format", "json"],
-         ["json", "prational.rootfind", "prational.scans"]),
-        (["abc-quality", "--d", "2", "--n-max", "10", "--format", "json"], ["json", "prational.abcaudit"]),
+         ["json", "prational.numerics", "prational.rootfind", "prational.scans"]),
+        (["abc-quality", "--d", "2", "--n-max", "10", "--format", "json"],
+         ["json", "prational.abcaudit", "prational.numerics"]),
     ],
 )
 def test_each_command_loads_only_the_modules_it_uses(argv, loaded, tmp_path):
     """A fresh process that runs the command loads of WATCHED_MODULES just
     ``loaded``: no module of another command, never dataclasses, logging or
-    mpmath, json only where it writes JSON, and the root finder only where
-    a unit's roots are neither rational nor real quadratic."""
+    mpmath, json only where it writes JSON, numerics everywhere but in
+    scan-prational, and the root finder only where a unit's roots are
+    neither rational nor real quadratic."""
     assert _loaded_modules(argv, tmp_path) == f"{loaded!r}\n"
 
 
@@ -1093,7 +1113,6 @@ NEVER_ENTERED = {
     "abcaudit.unit_triple": "bench/traced_cli.LAYERS names it; it stays until the benchmark changes",
     "scans.classify_prime": "bench/traced_cli.LAYERS names it; it stays until the benchmark changes",
     "quadfield.unit_pow_mod_p2": "bench/traced_cli.LAYERS names it; it stays until the benchmark changes",
-    "quadfield.pair_pow": "unit_pow_mod_p2 computes with it at inert primes",
     "factorint._ecm": "no cheap command exhausts rho; test_factorint runs ECM",
     "factorint._x_add": "a step of _ecm",
     "factorint._x_dbl": "a step of _ecm",

@@ -320,6 +320,38 @@ class TestCommonRootModP:
         assert common_root_mod_p(f, g, p) == r
         assert common_root_mod_p(g, f, p) == r
 
+    @pytest.mark.parametrize("near", [10 ** 12, 10 ** 30])
+    def test_matches_sympy_at_large_primes(self, near):
+        """Against sympy's gcd over GF(p), at the primes next to and before
+        10**12 and 10**30.  f and g share x - r times a random factor of
+        degree 0 to 2; their other factors are random, of degree up to 8,
+        with coefficients in [-p, 2p), so they are not reduced.  Euclid
+        through prem lets coefficients grow between the reductions mod p."""
+        x = sympy.Symbol("x")
+        rng = random.Random(near)
+
+        def poly(degree):
+            coeffs = [rng.randrange(-p, 2 * p) for _ in range(degree)]
+            return IntPoly.of(*coeffs, rng.randrange(1, p) + p * rng.randrange(-1, 2))
+
+        def gf(f):
+            return sympy.Poly(sum(c * x ** i for i, c in enumerate(f.coeffs)), x, modulus=p)
+
+        by_degree = {}
+        for p in (sympy.nextprime(near), sympy.prevprime(near)):
+            for _ in range(30):
+                shared = poly_mul(IntPoly.of(-rng.randrange(p), 1), poly(rng.choice((0, 0, 1, 2))))
+                f, g = poly_mul(shared, poly(rng.randrange(9))), poly_mul(shared, poly(rng.randrange(9)))
+                h = gf(f).gcd(gf(g))
+                by_degree[h.degree()] = by_degree.get(h.degree(), 0) + 1
+                if h.degree() == 1:
+                    root = -int(h.TC()) * pow(int(h.LC()), -1, p) % p
+                    assert common_root_mod_p(f, g, p) == common_root_mod_p(g, f, p) == root
+                else:
+                    with pytest.raises(ArithmeticError, match=f"^gcd mod {p} has degree {h.degree()}, not 1$"):
+                        common_root_mod_p(f, g, p)
+        assert by_degree[1] >= 20 and by_degree.keys() - {1}
+
     def test_a_gcd_of_another_degree_is_refused(self):
         two_roots = poly_mul(IntPoly.of(-1, 1), IntPoly.of(-2, 1))
         with pytest.raises(ArithmeticError):

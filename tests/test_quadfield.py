@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+import sympy
 from hypothesis import given, strategies as st
 
 from prational.factorint import sieve
@@ -13,11 +14,22 @@ from prational.quadfield import (
     minpoly_of,
     pair_pow,
     split_prime,
+    sqrt_mod_p,
     unit_pow_mod_p2,
 )
 from residue_order import multiplicative_order
 from ring_ops import add, conj
 from unit_search import fundamental_unit_by_norms
+
+# primes p = 1 (mod 2**k) for large k: p - 1 = 2**k * q, the case in which
+# Tonelli-Shanks takes up to k steps
+TWO_ADIC_PRIMES = [7681, 12289, 40961, 65537, 786433, 167772161, 469762049, 998244353]
+
+
+def random_primes_below_2_64(count, seed):
+    rng = random.Random(seed)
+    return [sympy.prevprime(rng.randrange(5, 2 ** 64)) for _ in range(count)]
+
 
 # discriminant -> class number, standard table values
 KNOWN_CLASS_NUMBERS = {2: 1, 3: 1, 5: 1, 6: 1, 7: 1, 10: 2, 13: 1, 15: 2, 26: 2, 79: 3, 82: 4, 85: 2, 229: 3}
@@ -294,6 +306,23 @@ class TestSplitPrime:
                 r, r_bar = (P.hensel_root for P in ideals)
                 assert r < r_bar and (r + r_bar - F.t) % (p * p) == 0
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 13, 17, 94])
+    def test_roots_at_large_primes(self, d):
+        """At the primes of TestSqrtModP where p splits, the two ideals carry
+        distinct roots r, t - r of w's minimal polynomial mod p**2."""
+        F = make_field(d)
+        split = 0
+        for p in [*TWO_ADIC_PRIMES, *random_primes_below_2_64(200, 64)]:
+            ideals = split_prime(F, p)
+            if ideals[0].splitting is not Splitting.SPLIT:
+                continue
+            p2 = p * p
+            r, r_bar = (P.hensel_root for P in ideals)
+            assert r < r_bar and (r + r_bar - F.t) % p2 == 0
+            assert (r * r - F.t * r - F.s) % p2 == 0 and (r - r_bar) % p != 0
+            split += 1
+        assert split >= 50
+
     def test_p2_split_for_d_1_mod_8(self):
         F = make_field(17)
         ideals = split_prime(F, 2)
@@ -301,6 +330,32 @@ class TestSplitPrime:
         for P in ideals:
             r = P.hensel_root
             assert (r * r - F.t * r - F.s) % 4 == 0
+
+
+class TestSqrtModP:
+    def test_every_residue_of_every_odd_prime_below_2000(self):
+        for p in sieve(2000)[1:]:
+            for a in {x * x % p for x in range(p)}:
+                r = sqrt_mod_p(a, p)
+                assert 0 <= r < p and r * r % p == a, (a, p)
+
+    def test_zero_and_negative_arguments(self):
+        assert sqrt_mod_p(13 * 4 + 13, 13) == 0
+        assert sqrt_mod_p(-4, 13) ** 2 % 13 == 9
+
+    @pytest.mark.parametrize("p", TWO_ADIC_PRIMES)
+    def test_primes_with_a_large_power_of_two_in_p_minus_1(self, p):
+        rng = random.Random(p)
+        for a in [1, p - 1, *(pow(rng.randrange(1, p), 2, p) for _ in range(100))]:
+            r = sqrt_mod_p(a, p)
+            assert {r, p - r} == set(sympy.sqrt_mod(a, p, all_roots=True)), (a, p)
+
+    def test_random_primes_below_2_64(self):
+        rng = random.Random(64)
+        for p in random_primes_below_2_64(200, 64):
+            a = pow(rng.randrange(1, p), 2, p)
+            r = sqrt_mod_p(a, p)
+            assert {r, p - r} == set(sympy.sqrt_mod(a, p, all_roots=True)), (a, p)
 
 
 class TestUnitPowModP2:

@@ -14,6 +14,7 @@ from prational.factorint import FactorCache, Factorization, Status, factor, idea
 from prational.numerics import certify_roots, growth_constants
 from prational.polyarith import (
     IntPoly,
+    common_root_mod_p,
     cyclotomic,
     discriminant,
     euler_phi,
@@ -186,33 +187,64 @@ def test_prime_ideals_of_cyclotomic_values_have_order_n(d):
 
 
 @pytest.mark.parametrize("coeffs", [(-1, -1, 0, 1), (-1, -1, 1)])
-def test_generic_candidates_have_one_root_of_order_dividing_n(coeffs):
+def test_generic_candidates_have_one_root_of_order_n(coeffs):
     """generic_unit_scan relies on this instead of checking it.  Let p divide
-    Res(Phi_n, g) with p not dividing n * disc(g) and p**2 not dividing
-    Res(x**n - 1, g).  Over Z_p, g splits into distinct unramified factors
-    with sum_j f_j * v_p(beta_j**n - 1) = 1, so exactly one root r of g mod p
-    has r**n = 1; it is a root of Phi_n, and its lift r2 mod p**2 has
-    r2**n != 1.  The roots of g mod p come from sympy."""
+    Res(Phi_n, g) exactly once, with p not dividing n * disc(g).  Over Z_p, g
+    splits into distinct unramified factors with
+    sum_j f_j * v_p(Phi_n(beta_j)) = 1, so exactly one root r of g mod p has
+    order n, gcd(g, Phi_n) mod p is x - r, and the lift r2 of r mod p**2 has
+    r2**n != 1.  Other roots may have an order m | n, m < n, where p also
+    divides Res(Phi_m, g); such p are counted.  The roots of g mod p and
+    their orders come from sympy."""
     x = sympy.Symbol("x")
     unit = certify_roots(IntPoly.of(*coeffs))
     g = power_poly(unit.minpoly, growth_constants(unit).power)
     disc_g = discriminant(g)
     g_expr = sum(c * x ** i for i, c in enumerate(g.coeffs))
-    checked = 0
-    for n in range(1, 41):
-        r_full = resultant(IntPoly.of(-1, *([0] * (n - 1)), 1), g)
-        for p, _ in factor(abs(resultant(cyclotomic(n), g))).complete_factors():
-            if n % p == 0 or disc_g % p == 0 or r_full % (p * p) == 0:
+    checked = lower_order = 0
+    for n in range(1, 61):
+        for p, e in factor(abs(resultant(cyclotomic(n), g))).complete_factors():
+            if e != 1 or n % p == 0 or disc_g % p == 0:
                 continue
             _, factors_mod_p = sympy.Poly(g_expr, x, modulus=p).factor_list()
             roots = [int(-f.TC()) % p for f, _ in factors_mod_p if f.degree() == 1]
-            of_order_dividing_n = [r for r in roots if pow(r, n, p) == 1]
-            assert len(of_order_dividing_n) == 1
-            r = of_order_dividing_n[0]
-            assert cyclotomic(n).evaluate(r) % p == 0
+            orders = [sympy.n_order(r, p) for r in roots]
+            of_order_n = [r for r, m in zip(roots, orders) if m == n]
+            assert len(of_order_n) == 1, (n, p)
+            r = of_order_n[0]
+            assert common_root_mod_p(g, cyclotomic(n), p) == r
             assert pow(hensel_lift(g, r, p, 2), n, p * p) != 1
+            lower_order += any(m < n and n % m == 0 for m in orders)
             checked += 1
-    assert checked >= 40
+    assert checked >= 40 and lower_order >= 1
+
+
+def test_cubic_successes_take_the_smallest_prime_the_rule_allows(cubic):
+    """Each success row of x**3 - x - 1 for n <= 60 takes the smallest prime
+    p with p | Res(Phi_n, g) exactly once, p not dividing n * disc(g) and
+    p <= norm_base**n.  The resultant and its primes up to the row's prime,
+    with their exact exponents, come from sympy; row 45 takes 271, which
+    also divides Res(Phi_15, g)."""
+    unit, constants = cubic
+    x = sympy.Symbol("x")
+    g = power_poly(unit.minpoly, constants.power)
+    g_expr = sum(c * x ** i for i, c in enumerate(g.coeffs))
+    disc_g = int(sympy.discriminant(g_expr, x))
+    rows = {r.n: r for r in generic_unit_scan(unit, constants, 60, FactorCache())}
+    successes = [r for r in rows.values() if r.status == SUCCESS]
+    for r in successes:
+        res = abs(int(sympy.resultant(sympy.cyclotomic_poly(r.n, x), g_expr, x)))
+        assert r.cyclo_norm == res
+        allowed = [
+            p
+            for p, e in sympy.factorint(res, limit=r.prime).items()
+            if e == 1 and p <= r.prime and sympy.isprime(p) and r.n % p and disc_g % p
+            and p <= constants.norm_base ** r.n
+        ]
+        assert min(allowed) == r.prime, r.n
+    assert len(successes) >= 25
+    assert (rows[45].prime, rows[45].factor_status) == (271, "sufficient")
+    assert rows[15].prime == 271
 
 
 def _reconstruct_ideal(F, record):
