@@ -62,10 +62,11 @@ def cache_load(path: str | Path, table: FactorCache) -> FactorCache:
     corrupt lines degrade gracefully.
 
     File format: one entry per line, ``value<TAB>p1^e1,p2^e2,...<TAB>cofactor``,
-    with a fourth field ``trial`` on a trial-phase entry.  Corrupt lines,
-    those with bytes that are not UTF-8 among them, are skipped with a
-    warning.  A complete line supersedes a trial line of the same value,
-    never the other way round.  A line with a cofactor and no marker, the
+    with a fourth field ``trial`` on a trial-phase entry.  Corrupt lines are
+    skipped with a warning; among them are those with bytes that are not
+    UTF-8 and those that list as a prime a number that the primes below
+    1000 show is not prime.  A complete line supersedes a trial line of the
+    same value, never the other way round.  A line with a cofactor and no marker, the
     partial search that earlier versions stored, is no entry and is
     skipped."""
     path = Path(path)
@@ -92,6 +93,8 @@ def cache_load(path: str | Path, table: FactorCache) -> FactorCache:
                 raise ValueError("primes not in increasing order")
             if any(e < 1 for _, e in factors):
                 raise ValueError("an exponent below 1")
+            if not all(factorint.may_be_prime(p) for p, _ in factors):
+                raise ValueError("a listed factor that is not prime")
             status = factorint.Status.TRIAL if mark else factorint.Status.COMPLETE
             fact = factorint.Factorization(int(value_s), tuple(factors), int(cofactor_s), status)
             if fact.product() != fact.value:

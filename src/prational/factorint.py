@@ -140,6 +140,20 @@ def sieve(limit: int) -> list[int]:
 # 2*disc*h of a small field; the flags up to _TRIAL_BOUND, which also give
 # ECM its stage-2 primes, are sieved on the first larger integer.
 _SMALL_FLAGS = _odd_flags(1000)
+_SMALL_PRODUCT = 2 * math.prod(_flagged(_SMALL_FLAGS))   # the primes below 1000
+
+
+def may_be_prime(n: int) -> bool:
+    """False when the primes below 1000 show that n is not prime: exactly
+    the primes below 1000 pass, and above it every n with no prime factor
+    below 1000 that is not a square (composites of larger primes pass).
+
+    >>> [n for n in (-7, 1, 2, 9, 997, 1681, 8119, 1009, 1018081) if may_be_prime(n)]
+    [2, 997, 1009]
+    """
+    if n < 1000:
+        return n == 2 or n > 2 and n % 2 == 1 and _SMALL_FLAGS[n // 2] == 1
+    return math.gcd(n, _SMALL_PRODUCT) == 1 and math.isqrt(n) ** 2 != n
 
 
 @functools.cache

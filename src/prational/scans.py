@@ -47,19 +47,19 @@ sequence V_j = eta**j + eta'**j (V_0 = 2, V_1 = T, V_2j = V_j**2 - 2,
 V_2j+1 = V_j*V_j+1 - T) has 2*V_h+1 - T*V_h = (eta - eta')*(eta**h - eta'**h)
 = y(eta)*disc*y(eta**h), as eta - eta' = y(eta)*sqrt(disc).  disc is a unit
 at p, so with e = v_p(y(eta)) the quotients are trivial exactly when
-2*V_h+1 - T*V_h = 0 mod p**(2+e), and the pair (V_h, V_h+1) is worked out
-modulo p**(2+e).  For eps = +-1, eta = 1 and every quotient is trivial.
-For the fundamental discriminant disc, p -> (disc|p) is a Dirichlet
-character mod disc, so k depends only on p mod disc; the scan computes it
-once per residue class.
+W_h = 2*V_h+1 - T*V_h = 0 mod p**(2+e).  For eps = +-1, eta = 1 and every
+quotient is trivial.  For the fundamental discriminant disc, p -> (disc|p)
+is a Dirichlet character mod disc, so k depends only on p mod disc; the
+scan computes it once per residue class.
 
-Consecutive primes have indices h of one bit length that share their
-leading bits j, and the ladder over those bits is the same recurrence
-whatever the modulus.  So up to four of them run it once, modulo the
-product Q of their moduli M_i = p_i**(2+e_i): as M_i | Q, the pair
-(V_j, V_j+1) mod Q gives (V_j, V_j+1) mod M_i, from which each prime runs
-its own remaining bits modulo M_i alone, and its verdict is the one its own
-ladder gives.
+W_n = (eta - eta')*(eta**n - eta'**n) gives the addition law
+2*W_A+t = W_A*V_t + V_A*W_t, with V_-t = V_t and W_-t = -W_t as
+eta*eta' = 1 (Joye and Quisquater, Electronics Letters 32, 1996).  So up to
+four primes run one ladder, to a base index A, modulo the product Q of their
+moduli M_i = p_i**(2+e_i), and each takes one step from there to its own h
+with the exact V_t and W_t of its offset t = h - A: as M_i | Q, the ladder
+gives V_A and W_A mod M_i, and as 2 is a unit mod M_i the step is 0 mod M_i
+exactly when W_h is, so the verdict is the one its own ladder gives.
 
 Plus a rational-prime-level scan for user-supplied units of arbitrary
 degree.
@@ -275,7 +275,8 @@ def count_report(records: list[ScanRecord], constants: GrowthConstants, X: int, 
     }
 
 
-_GROUP = 4   # primes whose ladders share one prefix; groups of 3 to 8 ran alike, of 2 slower
+_GROUP = 4   # primes per group, so verdicts lag reads by 3; groups of 8 ran 8% faster, of 2 27% slower
+_WIDTH = 4096   # bits of the widest V_t a group's offsets t may need
 
 
 def _lucas_steps(a: int, b: int, bits: str, T: int, M: int) -> tuple[int, int]:
@@ -289,19 +290,35 @@ def _lucas_steps(a: int, b: int, bits: str, T: int, M: int) -> tuple[int, int]:
     return a, b
 
 
+def _lucas_terms(terms: dict[int, tuple[int, int]], T: int, n: int) -> dict[int, tuple[int, int]]:
+    """``terms``, the exact pairs (V_t, W_t) of trace T for |t| up to its
+    largest key, extended to |t| <= n: V_t+1 = T*V_t - V_t-1, W_t = 2*V_t+1
+    - T*V_t obeys the same recurrence, and V_-t = V_t, W_-t = -W_t.
+
+    >>> terms = _lucas_terms({0: (2, 0), -1: (3, -5)}, 3, 4)
+    >>> [terms[t] for t in range(-2, 5)]
+    [(7, -15), (3, -5), (2, 0), (3, 5), (7, 15), (18, 40), (47, 105)]
+    """
+    for t in range(max(terms) + 1, n + 1):
+        (v0, w0), (v1, w1) = terms[t - 2], terms[t - 1]
+        v, w = T * v1 - v0, T * w1 - w0
+        terms[t], terms[-t] = (v, w), (v, -w)
+    return terms
+
+
 def _classifier(
     F: QuadField, unit: QuadInt | None, p0: int | None
 ) -> Callable[[Iterable[int]], Iterator[PRationalityVerdict]]:
     """classify_prime for one field and unit, over an iterable of primes:
     their verdicts in order, with the unit check, the excluded bound,
     T = Tr(u**2) and y(u**2) computed once, and k = (disc|p) once per class
-    of p mod disc.  Consecutive classified primes whose ladder indices h have
-    one bit length form groups of up to _GROUP, whose shared leading bits
-    run once (module docstring, part (B)); the bits they share are those
-    where no h of the group differs from the first, so any order of primes
-    gives the same verdicts.  A group is finished as soon as it is full, when
-    a prime that cannot join it is read, or at the end, so the k-th verdict
-    is out once k + _GROUP - 1 primes are read."""
+    of p mod disc.  Groups of up to _GROUP classified primes run one ladder
+    to the middle A of their indices h, and each prime steps to its h with
+    the exact terms of t = h - A from one table (module docstring, part
+    (B)); a group takes no h whose V_t would pass _WIDTH bits (V_t <
+    T**t).  A group is finished when full, when a prime that cannot join it
+    is read, or at the end, so the k-th verdict is out once k + _GROUP - 1
+    primes are read."""
     u = F.fundamental_unit if unit is None else unit
     if not u.is_unit():
         raise ValueError("unit argument must be a unit")
@@ -310,32 +327,33 @@ def _classifier(
     trace, y_eta = eta.trace(), eta.y
     disc, class_number = F.disc, F.class_number
     characters: dict[int, int] = {}   # p % disc -> (disc|p)
+    terms = {0: (2, 0), -1: (trace, 4 - trace * trace)}   # (V_t, W_t), extended as offsets need
+    span = 2 * (_WIDTH // trace.bit_length())   # the widest hi - lo of a group
 
     def verdict(p: int, k: int, flag: bool) -> PRationalityVerdict:
         witnesses = ((p, flag), (p, flag)) if k == 1 else ((p * p, flag),)
         return PRationalityVerdict(p, P_RATIONAL if flag else NON_P_RATIONAL, "", witnesses)
 
-    def finish(group: list[tuple[int, int, int, int]]) -> Iterator[PRationalityVerdict]:
-        """The verdicts of the pending group of (p, k, h, M = p**(2+e)), all h
-        of one bit length, which is left empty; none if it is empty."""
+    def finish(group: list[tuple[int, int, int, int]], lo: int, hi: int) -> Iterator[PRationalityVerdict]:
+        """The verdicts of the pending group of (p, k, h, M = p**(2+e)), its
+        h from lo to hi, which is left empty; none if it is empty."""
         if not group:
             return
-        h1 = group[0][2]
-        differ = 0   # the bits where some h differs from h1
-        for _, _, h, _ in group:
-            differ |= h ^ h1
-        cut = 2 + h1.bit_length() - differ.bit_length()   # bin(h)[2:cut] is the shared prefix j
+        A = (lo + hi) >> 1
         Q = math.prod([M for *_, M in group])
         T = trace % Q
-        a, b = _lucas_steps(T, (T * T - 2) % Q, bin(h1)[3:cut], T, Q)   # V_j, V_j+1 from V_1, V_2
-        for p, k, h, M in group:   # M | Q, so a and b reduce to V_j, V_j+1 mod M
-            t = T % M
-            a_h, b_h = _lucas_steps(a % M, b % M, bin(h)[cut:], t, M)
-            yield verdict(p, k, (2 * b_h - t * a_h) % M != 0)
+        a, b = _lucas_steps(T, (T * T - 2) % Q, bin(A)[3:], T, Q)   # V_A, V_A+1 from V_1, V_2
+        w = 2 * b - T * a   # W_A mod Q
+        if hi - A not in terms:
+            _lucas_terms(terms, trace, hi - A)
+        for p, k, h, M in group:   # M | Q, so a and w reduce to V_A, W_A mod M
+            v_t, w_t = terms[h - A]
+            yield verdict(p, k, (w * v_t + a * w_t) % M != 0)
         group.clear()
 
     def classify(ps: Iterable[int]) -> Iterator[PRationalityVerdict]:
         group: list[tuple[int, int, int, int]] = []
+        lo = hi = 0   # the least and greatest h of the group
         for p in ps:
             if disc % p == 0:
                 reason = REASON_RAMIFIED
@@ -353,16 +371,22 @@ def _classifier(
                     while y_eta % pe == 0:
                         M, pe = M * p, pe * p
                     h = (p - k) >> 1
-                    if group and h.bit_length() != group[0][2].bit_length():
-                        yield from finish(group)
+                    if group and not hi - span <= h <= lo + span:
+                        yield from finish(group, lo, hi)
+                    if not group:
+                        lo = hi = h
+                    elif h > hi:
+                        hi = h
+                    elif h < lo:
+                        lo = h
                     group.append((p, k, h, M))
                     if len(group) == _GROUP:
-                        yield from finish(group)
+                        yield from finish(group, lo, hi)
                     continue
                 reason = ""
-            yield from finish(group)
+            yield from finish(group, lo, hi)
             yield PRationalityVerdict(p, EXCLUDED, reason, ()) if reason else verdict(p, k, False)
-        yield from finish(group)
+        yield from finish(group, lo, hi)
 
     return classify
 
@@ -381,11 +405,9 @@ def classify_prime(
     the index h = (p - k)/2, k = (disc|p), settles them (see the module
     docstring, part (B)).  A split p gives ((p, f), (p, f)), the same flag
     at P and P'; an inert p gives ((p**2, f),).  This is the scan's
-    classifier on a group of one prime, so the ladder runs modulo
-    M = p**(2+e) alone.  In a scan, a group's ladder runs the leading bits j
-    of its indices modulo the product Q of the group's moduli, and each
-    prime reduces (V_j, V_j+1) mod its own M before running its own last
-    bits: M | Q, so V_j mod Q gives V_j mod M, and the verdict is the same.
+    classifier on a group of one prime, whose ladder runs to A = h modulo
+    M = p**(2+e) alone; in a scan, each prime takes one addition step from
+    its group's ladder, with the same verdict.
     """
     return next(_classifier(F, unit, p0)([p]))
 

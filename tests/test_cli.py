@@ -526,6 +526,27 @@ def test_warm_run_on_a_corrupt_cache_matches_the_cold_run(capsys, tmp_path):
     assert re.findall(r" line (\d+) corrupt", capsys.readouterr().err) == ["6", "16", "26"]
 
 
+@pytest.mark.parametrize(
+    "line, n_max",
+    [
+        ("65918161\t8119^2\t1", 40),   # 8119 = 23*353 made row 11 take 8119, not 23
+        ("36\t6^2\t1", 40),            # an even prime made the Jacobi symbol refuse the run
+        ("1681\t1681^1\t1", 12),       # 1681 = 41**2 sent the square root mod 1681 into an endless loop
+    ],
+)
+def test_cache_line_listing_a_composite_as_a_prime_is_corrupt(line, n_max, tmp_path):
+    """A cache line whose listed primes the primes below 1000 show composite
+    is skipped with a warning, and the run gives the cold bytes.  It runs
+    in a fresh process, so a line that hangs the scan fails the test."""
+    argv = ["scan-wieferich", "--d", "2", "--n-max", str(n_max)]
+    cold = run_cli(argv, tmp_path / "cold")
+    path = tmp_path / "cache.txt"
+    path.write_text(line + "\n")
+    proc = _run_module([*argv, "--cache", str(path)])
+    assert (proc.returncode, proc.stdout) == (cli.EXIT_OK, cold)
+    assert proc.stderr.decode().startswith(f"cache {path} line 1 corrupt (a listed factor that is not prime); skipped\n")
+
+
 def test_cache_lines_are_what_trial_division_by_every_prime_gives(tmp_path):
     """The scans trial-divide by the primes that the unit's norm and the
     field's character admit.  Each line that a cold run writes answers later

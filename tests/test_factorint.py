@@ -98,6 +98,14 @@ class TestIsPrime:
         assert not is_prime(2 ** 67 - 1)            # 193707721 * 761838257287
         assert is_prime(10 ** 18 + 9)
 
+    def test_may_be_prime_is_what_the_primes_below_1000_show(self):
+        """Below 1000 exactly the primes pass; above, every number with no
+        prime factor below 1000 that is not a square, so every prime does."""
+        small = sieve(999)
+        for n in [*range(-3, 30000), *(q * q for q in sympy.primerange(1000, 3000)), *_BIG_PRIMES]:
+            passes = n in small if n < 1000 else all(n % q for q in small) and math.isqrt(n) ** 2 != n
+            assert factorint.may_be_prime(n) == passes, n
+
 
 class TestFactor:
     def test_prime(self):

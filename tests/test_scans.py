@@ -415,7 +415,7 @@ class TestClassifyPrime:
                         _two_ideal_verdict(F, eps, q, p0) for q in order
                     ]
 
-    @pytest.mark.parametrize("d", [2, 13, 94])
+    @pytest.mark.parametrize("d", [2, 13, 94, 1999])
     def test_large_primes_match_one_at_a_time(self, d):
         """2000 consecutive primes above 10**8 in groups give the verdicts of
         classify_prime one prime at a time, and a sample of 200 those of the
@@ -428,6 +428,61 @@ class TestClassifyPrime:
         assert grouped == [classify_prime(F, p) for p in window]
         for i in random.Random(d).sample(range(len(window)), 200):
             assert grouped[i] == _two_ideal_verdict(F, eps, window[i], p0)
+
+    def test_width_rule_closes_groups(self, monkeypatch):
+        """The terms of d = 1999 grow by 266 bits an index, so near 10**8,
+        where primes are about 18 apart, the width rule closes groups before
+        they are full; the widest offset a group reads is the last whose V_t
+        has at most _WIDTH bits, and the verdicts are those of classify_prime one prime at a
+        time and of the test at both ideals."""
+        F = make_field(1999)
+        eps = F.fundamental_unit
+        p0 = excluded_prime_bound(F)
+        window = list(sympy.primerange(10 ** 8, 10 ** 8 + 20000))
+        ladders, reads = 0, []
+        lucas_steps, lucas_terms = scans._lucas_steps, scans._lucas_terms
+
+        def counted_steps(*args):
+            nonlocal ladders
+            ladders += 1
+            return lucas_steps(*args)
+
+        def recorded_terms(terms, T, n):
+            reads.append(n)
+            return lucas_terms(terms, T, n)
+
+        monkeypatch.setattr(scans, "_lucas_steps", counted_steps)
+        monkeypatch.setattr(scans, "_lucas_terms", recorded_terms)
+        grouped = list(scans._classifier(F, None, p0)(window))
+        monkeypatch.undo()
+        assert ladders > 1.1 * len(window) / scans._GROUP   # full groups would need 271 ladders
+        T = (eps ** 2).trace()
+        terms = scans._lucas_terms({0: (2, 0), -1: (T, 4 - T * T)}, T, max(reads) + 1)
+        assert terms[max(reads)][0].bit_length() <= scans._WIDTH < terms[max(reads) + 1][0].bit_length()
+        assert grouped == [classify_prime(F, p) for p in window]
+        for i in random.Random(1999).sample(range(len(window)), 100):
+            assert grouped[i] == _two_ideal_verdict(F, eps, window[i], p0)
+
+    @pytest.mark.parametrize("d", [2, 13, 94, 1999])
+    @pytest.mark.parametrize("width", [1, 300, 1000])
+    def test_narrow_widths_give_the_same_verdicts(self, d, width, monkeypatch):
+        """However narrow the table, down to groups of one index, the
+        verdicts over the primes below 2*10**4 are those of the test at both
+        ideals."""
+        F = make_field(d)
+        eps = F.fundamental_unit
+        p0 = excluded_prime_bound(F)
+        window = sieve(2 * 10 ** 4)[1:]
+        monkeypatch.setattr(scans, "_WIDTH", width)
+        assert list(scans._classifier(F, None, p0)(window)) == [_two_ideal_verdict(F, eps, p, p0) for p in window]
+
+    @pytest.mark.parametrize("d, known", [(2, [13, 31, 1546463]), (5, [])])
+    def test_non_p_rational_primes_to_two_million(self, d, known):
+        """Q(sqrt(2)) is non-p-rational at 13, 31 and 1546463 alone below
+        2*10**6; for Q(sqrt(5)) these would be Wall-Sun-Sun primes, of which
+        none is known."""
+        verdicts = prationality_scan(make_field(d), 2 * 10 ** 6)
+        assert [v.p for v in verdicts if v.verdict == NON_P_RATIONAL] == known
 
     @pytest.mark.parametrize("d, power", [(2, 1), (13, 1), (10009, 1), (5, 0)])
     def test_verdicts_stream(self, d, power):
@@ -467,6 +522,24 @@ class TestClassifyPrime:
         u = F.fundamental_unit ** abs(power) * (1 if power > 0 else -1)
         p0 = excluded_prime_bound(F)
         assert classify_prime(F, p, unit=u, p0=p0) == _two_ideal_verdict(F, u, p, p0)
+
+
+def _lucas_vw(T, n):
+    """(V_n, W_n) of trace T, by the recurrence V_j+1 = T*V_j - V_j-1 run
+    forward from (V_0, V_1) = (2, T), or backward for n < 0."""
+    v0, v1 = 2, T   # (V_j, V_j+1)
+    for _ in range(abs(n)):
+        v0, v1 = (v1, T * v1 - v0) if n > 0 else (T * v0 - v1, v0)
+    return v0, 2 * v1 - T * v0
+
+
+@given(st.integers(-10 ** 30, 10 ** 30), st.integers(-80, 80), st.integers(-80, 80))
+def test_lucas_addition_law(T, m, n):
+    """2*W_m+n = W_m*V_n + V_m*W_n exactly, for every trace T and indices of
+    either sign, and the classifier's table holds (V_n, W_n) at n."""
+    (vm, wm), (vn, wn) = _lucas_vw(T, m), _lucas_vw(T, n)
+    assert 2 * _lucas_vw(T, m + n)[1] == wm * vn + vm * wn
+    assert scans._lucas_terms({0: (2, 0), -1: (T, 4 - T * T)}, T, abs(n))[n] == (vn, wn)
 
 
 # the primes below 2*10**4, and those whose ladder index (p -+ 1)/2 straddles
